@@ -19,8 +19,14 @@ import numpy as np
 from scipy.special import erfc
 
 from .asymptotics import BoundPair
-from .mc import Estimate, McConfig, chunk_sizes, chunk_rngs
-from .model import ChannelModel, Constellation, ordered_pair_differences, sample_channels
+from .mc import KINDS, Estimate, McConfig, _estimate, chunk_rngs, chunk_sizes
+from .model import (
+    ChannelModel,
+    Constellation,
+    ordered_pair_differences,
+    pair_differences,
+    sample_channels,
+)
 
 __all__ = [
     "BoundPair",
@@ -48,30 +54,46 @@ def _pair_erfc(d2: np.ndarray, snr: float) -> np.ndarray:
     return 0.5 * erfc(np.sqrt(d2 * snr / 4.0))
 
 
+def _bound_sums(d2: np.ndarray, weights: np.ndarray | None, snr: float, m: int,
+                kind: str):
+    """(lower, upper) of one measure from pair distances along the last axis
+    of `d2`, each pair counted `weights` times (None: once)."""
+    def total(terms):
+        return np.sum(terms, axis=-1) if weights is None else terms @ weights
+
+    q = _pair_erfc(d2, snr)
+    if kind == "mmse":
+        core = total(d2 * q)
+        return core / (4.0 * m * (m - 1.0)), core / m
+    if kind == "pe":
+        core = total(q)
+        return core / (m * (m - 1.0)), core / m
+    log_m = float(np.log(m))
+    return (log_m - total(2.0 * np.exp(-d2 * snr / 4.0)) / m,
+            log_m - total(0.5 * q) / (m * (m - 1.0)))
+
+
+def _fixed_h(kind: str, snr: float, h, c: Constellation,
+             d2_pairs: np.ndarray | None) -> BoundPair:
+    if snr <= 0:
+        raise ValueError("snr must be positive")
+    d2 = pair_distance_table(c, h) if d2_pairs is None else d2_pairs
+    lower, upper = _bound_sums(d2, None, snr, c.m, kind)
+    return BoundPair(lower=float(lower), upper=float(upper))
+
+
 def mmse_bounds_fixed_h(snr: float, h, c: Constellation,
                         d2_pairs: np.ndarray | None = None) -> BoundPair:
     """Estimation error of the noiseless receive point.  Upper/lower ratio
     is exactly 4(M-1)."""
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    d2 = pair_distance_table(c, h) if d2_pairs is None else d2_pairs
-    m = c.m
-    core = float(np.sum(d2 * _pair_erfc(d2, snr)))
-    return BoundPair(lower=core / (4.0 * m * (m - 1.0)), upper=core / m)
+    return _fixed_h("mmse", snr, h, c, d2_pairs)
 
 
 def mi_bounds_fixed_h(snr: float, h, c: Constellation,
                       d2_pairs: np.ndarray | None = None) -> BoundPair:
     """Mutual information in nats.  The lower bound can go negative at low
     SNR; it is reported raw rather than clamped."""
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    d2 = pair_distance_table(c, h) if d2_pairs is None else d2_pairs
-    m = c.m
-    log_m = float(np.log(m))
-    lower = log_m - float(np.sum(2.0 * np.exp(-d2 * snr / 4.0))) / m
-    upper = log_m - float(np.sum(0.5 * _pair_erfc(d2, snr))) / (m * (m - 1.0))
-    return BoundPair(lower=lower, upper=upper)
+    return _fixed_h("mi", snr, h, c, d2_pairs)
 
 
 def pe_bounds_fixed_h(snr: float, h, c: Constellation,
@@ -79,12 +101,7 @@ def pe_bounds_fixed_h(snr: float, h, c: Constellation,
     """ML symbol error probability.  Upper/lower ratio is exactly M-1, so
     the bounds coincide for binary inputs.  The union upper bound may exceed
     one at low SNR and is reported raw."""
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    d2 = pair_distance_table(c, h) if d2_pairs is None else d2_pairs
-    m = c.m
-    core = float(np.sum(_pair_erfc(d2, snr)))
-    return BoundPair(lower=core / (m * (m - 1.0)), upper=core / m)
+    return _fixed_h("pe", snr, h, c, d2_pairs)
 
 
 @dataclass(frozen=True)
@@ -96,62 +113,40 @@ class AveragedBoundPair:
     upper: Estimate
 
 
-_FIXED_H_FNS = {
-    "mmse": mmse_bounds_fixed_h,
-    "mi": mi_bounds_fixed_h,
-    "pe": pe_bounds_fixed_h,
-}
-
-
 def avg_bounds(kind: str, snr: float, model: ChannelModel, c: Constellation,
                cfg: McConfig) -> AveragedBoundPair:
     """Monte Carlo average over the channel of the fixed-H bounds.
 
     Reusing the same draws for both sides keeps the exact fixed-H ratios
-    (4(M-1) for mmse, M-1 for pe) intact in the averaged estimates.
+    (4(M-1) for mmse, M-1 for pe) intact in the averaged estimates.  The
+    pair sums run over the D distinct differences of `c`, each weighted by
+    its multiplicity, so the cost per draw scales with D, not M(M-1).
     """
-    if kind not in _FIXED_H_FNS:
+    if kind not in KINDS:
         raise ValueError(f"unknown bound kind {kind!r}")
     if snr <= 0:
         raise ValueError("snr must be positive")
-    diffs = ordered_pair_differences(c)
-    m = c.m
+    diffs, counts = pair_differences(c)
+    weights = counts.astype(float)
+    batch_cap = _batch_size(diffs.shape[0] * model.n_r)
     lowers = []
     uppers = []
     for size, rng in zip(chunk_sizes(cfg.channel_draws, cfg.parallel_chunks),
                          chunk_rngs(cfg.seed, cfg.parallel_chunks)):
         done = 0
         while done < size:
-            batch = min(size - done, _batch_size(m))
+            batch = min(size - done, batch_cap)
             h = sample_channels(model, batch, rng)
-            rec = np.einsum("pt,crt->cpr", diffs, h)
-            d2 = np.sum(np.abs(rec) ** 2, axis=2)  # (batch, M(M-1))
-            if kind == "mmse":
-                core = np.sum(d2 * 0.5 * erfc(np.sqrt(d2 * snr / 4.0)), axis=1)
-                lowers.append(core / (4.0 * m * (m - 1.0)))
-                uppers.append(core / m)
-            elif kind == "pe":
-                core = np.sum(0.5 * erfc(np.sqrt(d2 * snr / 4.0)), axis=1)
-                lowers.append(core / (m * (m - 1.0)))
-                uppers.append(core / m)
-            else:
-                log_m = float(np.log(m))
-                lowers.append(log_m - np.sum(2.0 * np.exp(-d2 * snr / 4.0), axis=1) / m)
-                uppers.append(log_m - np.sum(0.25 * erfc(np.sqrt(d2 * snr / 4.0)), axis=1)
-                              / (m * (m - 1.0)))
+            rec = h @ diffs.T                                    # (batch, n_r, D)
+            d2 = np.sum(rec.real ** 2 + rec.imag ** 2, axis=1)   # (batch, D)
+            lower, upper = _bound_sums(d2, weights, snr, c.m, kind)
+            lowers.append(lower)
+            uppers.append(upper)
             done += batch
-    lo = np.concatenate(lowers)
-    up = np.concatenate(uppers)
-    return AveragedBoundPair(lower=_estimate_from(lo), upper=_estimate_from(up))
+    return AveragedBoundPair(lower=_estimate(np.concatenate(lowers)),
+                             upper=_estimate(np.concatenate(uppers)))
 
 
-def _estimate_from(samples: np.ndarray) -> Estimate:
-    n = samples.size
-    se = float(np.std(samples, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return Estimate(mean=float(np.mean(samples)), std_error=se, n_samples=n)
-
-
-def _batch_size(m: int) -> int:
-    # keep the (batch, M(M-1)) distance block around a few MB
-    pairs = max(m * (m - 1), 1)
-    return max(1, min(4096, int(2_000_000 / pairs)))
+def _batch_size(columns: int) -> int:
+    # keep the (batch, columns) received-difference block around a few MB
+    return max(1, min(4096, int(2_000_000 / max(columns, 1))))

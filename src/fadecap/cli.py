@@ -12,7 +12,6 @@ failure, 4 flagged low-confidence result (output is still written).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 
@@ -107,8 +106,12 @@ def cmd_curve(cfg, seed, digest, out_path, threads):
     rows = []
     flagged = False
     for idx, snr in enumerate(grid):
-        est = mc.avg_all(snr, channel, c, mc_cfg, threads=threads)[kind]
-        pair = bounds.avg_bounds(kind, snr, channel, c, mc_cfg)
+        snr_db = f"{10.0 * math.log10(snr):.12g}"
+        try:
+            est = mc.avg_all(snr, channel, c, mc_cfg, threads=threads)[kind]
+            pair = bounds.avg_bounds(kind, snr, channel, c, mc_cfg)
+        except ValueError as exc:
+            raise NumericFailure(f"snr_db={snr_db}: {exc}") from exc
         exp_lb = curves[f"{kind}_lb"][idx]
         exp_ub = curves[f"{kind}_ub"][idx]
         nats = [est.mean, est.std_error, pair.lower.mean, pair.upper.mean, exp_lb, exp_ub]
@@ -120,7 +123,7 @@ def cmd_curve(cfg, seed, digest, out_path, threads):
                 flagged = True
         else:
             bits = [math.nan] * 6
-        rows.append([f"{10.0 * math.log10(snr):.12g}"] + nats + bits)
+        rows.append([snr_db] + nats + bits)
     meta = []
     if flagged:
         meta.append("flagged: expansion-predicted gap exceeds measured gap by >10x; "
@@ -333,8 +336,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        doc = load_config(args.config)
-        digest = hashlib.sha256(open(args.config, "rb").read()).hexdigest()
+        doc, digest = load_config(args.config)
         cfg = validate_command_config(args.command, doc, args.seed)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -9,6 +9,7 @@ lists.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any
 
 import numpy as np
@@ -38,17 +39,21 @@ class ConfigError(ValueError):
         self.field = field
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str) -> tuple[dict, str]:
+    """Parse a YAML config file; return the document and the SHA-256 hex
+    digest of the bytes it was parsed from."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ConfigError(path, f"cannot read config: {exc}") from exc
+    try:
+        doc = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
         raise ConfigError(path, f"invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config document must be a mapping")
-    return doc
+    return doc, hashlib.sha256(raw).hexdigest()
 
 
 def _require_keys(obj: dict, path: str, required: set[str], optional: set[str] = frozenset()):

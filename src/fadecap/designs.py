@@ -25,7 +25,7 @@ from .model import (
     SpaceTimeCode,
     check_psd,
     hermitian_sqrt,
-    ordered_pair_differences,
+    pair_differences,
     pairwise_sq_distances,
 )
 
@@ -353,24 +353,23 @@ class PrecoderConvergenceError(RuntimeError):
         self.best_objective = best_objective
 
 
-def _pair_weight_matrices(c: Constellation, whiten: np.ndarray | None):
-    """Rank-one matrices c c^+ (c = whitened pair difference) and their count."""
-    diffs = ordered_pair_differences(c)
-    if whiten is not None:
-        diffs = diffs @ whiten.T          # whiten acts on each difference vector
-    return diffs
+def _pair_forms(z: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+    return np.real(np.einsum("pi,ij,pj->p", diffs.conj(), z, diffs))
 
 
-def _gap_objective(z: np.ndarray, diffs: np.ndarray, n_r: int) -> float:
-    forms = np.real(np.einsum("pi,ij,pj->p", diffs.conj(), z, diffs))
+def _gap_objective(z: np.ndarray, diffs: np.ndarray, counts: np.ndarray,
+                   n_r: int) -> float:
+    """Sum over ordered pairs of form^(-n_r), from the distinct (whitened)
+    differences `diffs` and their multiplicities `counts`."""
+    forms = _pair_forms(z, diffs)
     if np.any(forms <= 0):
         return np.inf
-    return float(np.sum(forms ** (-float(n_r))))
+    return float(forms ** (-float(n_r)) @ counts)
 
 
-def _gap_gradient(z: np.ndarray, diffs: np.ndarray, n_r: int) -> np.ndarray:
-    forms = np.real(np.einsum("pi,ij,pj->p", diffs.conj(), z, diffs))
-    coef = -n_r * forms ** (-float(n_r) - 1.0)
+def _gap_gradient(z: np.ndarray, diffs: np.ndarray, counts: np.ndarray,
+                  n_r: int) -> np.ndarray:
+    coef = -n_r * counts * _pair_forms(z, diffs) ** (-float(n_r) - 1.0)
     return np.einsum("p,pi,pj->ij", coef, diffs, diffs.conj())
 
 
@@ -379,11 +378,10 @@ def precoder_objective(z, c: Constellation, n_r: int, theta_t=None) -> float:
     sum over ordered pairs of quadratic-form^(-n_r), with an optional
     transmit-correlation whitening.  The objective depends on a precoder
     only through its Gram matrix."""
-    whiten = None
+    diffs, counts = pair_differences(c)
     if theta_t is not None:
-        whiten = hermitian_sqrt(np.asarray(theta_t, dtype=complex))
-    diffs = _pair_weight_matrices(c, whiten)
-    return _gap_objective(np.asarray(z, dtype=complex), diffs, n_r)
+        diffs = diffs @ hermitian_sqrt(np.asarray(theta_t, dtype=complex)).T
+    return _gap_objective(np.asarray(z, dtype=complex), diffs, counts, n_r)
 
 
 def _project_trace_psd(z: np.ndarray, budget: float) -> np.ndarray:
@@ -413,10 +411,10 @@ def precoder_canonical(c: Constellation, n_r: int, p_total: float):
     n_t = c.n_t
     if not c.has_coordinate_sign_symmetry():
         return precoder_correlated(c, np.eye(n_t), np.eye(n_r), n_r, p_total)
-    diffs = _pair_weight_matrices(c, None)
+    diffs, counts = pair_differences(c)
     z_star = (p_total / n_t) * np.eye(n_t, dtype=complex)
-    objective = _gap_objective(z_star, diffs, n_r)
-    grad = _gap_gradient(z_star, diffs, n_r)
+    objective = _gap_objective(z_star, diffs, counts, n_r)
+    grad = _gap_gradient(z_star, diffs, counts, n_r)
     iso = np.trace(grad).real / n_t * np.eye(n_t)
     residual = float(np.linalg.norm(grad - iso) / max(np.linalg.norm(grad), 1e-300))
     if residual > 1e-8:
@@ -465,23 +463,24 @@ def precoder_correlated(c: Constellation, theta_t, theta_r, n_r: int,
     if w_t[0] <= EIG_ZERO_REL * w_t[-1]:
         raise ValueError("theta_t is singular; the degenerate case is out of scope here")
     root_t = hermitian_sqrt(theta_t)
-    diffs = _pair_weight_matrices(c, root_t)
+    diffs, counts = pair_differences(c)
+    diffs = diffs @ root_t.T              # whiten each difference vector
     n_t = c.n_t
 
     z = (p_total / n_t) * np.eye(n_t, dtype=complex) if z0 is None \
         else _project_trace_psd(np.asarray(z0, dtype=complex), p_total)
-    f_z = _gap_objective(z, diffs, n_r)
+    f_z = _gap_objective(z, diffs, counts, n_r)
     best_z, best_f = z, f_z
-    step = p_total / max(np.linalg.norm(_gap_gradient(z, diffs, n_r)), 1e-300)
+    step = p_total / max(np.linalg.norm(_gap_gradient(z, diffs, counts, n_r)), 1e-300)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        grad = _gap_gradient(z, diffs, n_r)
+        grad = _gap_gradient(z, diffs, counts, n_r)
         # backtracking on the prox decrease condition
         while True:
             z_new = _project_trace_psd(z - step * grad, p_total)
             dz = z_new - z
-            f_new = _gap_objective(z_new, diffs, n_r)
+            f_new = _gap_objective(z_new, diffs, counts, n_r)
             quad = f_z + np.real(np.vdot(grad, dz)) + np.linalg.norm(dz) ** 2 / (2.0 * step)
             if f_new <= quad + 1e-15 * abs(f_z) or step < 1e-18:
                 break
@@ -499,7 +498,7 @@ def precoder_correlated(c: Constellation, theta_t, theta_r, n_r: int,
             f"projected gradient did not converge in {max_iter} iterations",
             best_gram=best_z, best_objective=best_f)
 
-    grad = _gap_gradient(z, diffs, n_r)
+    grad = _gap_gradient(z, diffs, counts, n_r)
     t_chk = min(step, 1.0)
     mapping = (z - _project_trace_psd(z - t_chk * grad, p_total)) / t_chk
     residual = float(np.linalg.norm(mapping) / max(np.linalg.norm(grad), 1e-300))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "SnrGrid",
     "make_constellation",
     "pairwise_sq_distances",
+    "pair_differences",
     "sample_channel",
     "sample_channels",
     "received_sq_distance",
@@ -154,6 +156,21 @@ class Constellation:
                 return False
         return True
 
+    @cached_property
+    def _pair_differences(self) -> tuple[np.ndarray, np.ndarray]:
+        # built on first use, not in __post_init__, so construction stays cheap
+        diffs = ordered_pair_differences(self)
+        if diffs.shape[0] == 0:
+            return diffs, np.zeros(0, dtype=np.int64)
+        parts = diffs.view(float)
+        scale = 2.0 ** 40 / np.max(np.abs(parts))
+        keys = np.rint(parts * scale).astype(np.int64)
+        _, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+        diffs = diffs[first]
+        for shared in (diffs, counts):      # every caller gets these same arrays
+            shared.flags.writeable = False
+        return diffs, counts
+
     def _closed_under(self, transform) -> bool:
         mapped = transform(self.points.copy())
         for q in mapped:
@@ -221,6 +238,20 @@ def ordered_pair_differences(c: Constellation) -> np.ndarray:
     idx = ~np.eye(m, dtype=bool)
     diff = pts[:, None, :] - pts[None, :, :]
     return diff[idx]
+
+
+def pair_differences(c: Constellation) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct differences x_i - x_j (i != j) and their multiplicities.
+
+    Returns ``(diffs, counts)`` with ``diffs`` of shape (D, n_t) and integer
+    ``counts`` summing to M(M-1), so any sum over ordered pairs of a function
+    of the difference equals ``f(diffs) @ counts``.  Differences are grouped
+    on integer keys (real and imaginary parts in units of 2^-40 of the
+    largest one), so only vectors that differ by rounding are merged; a
+    group split by a rounding boundary is still exact.  Computed once per
+    constellation and cached on it.
+    """
+    return c._pair_differences
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from scipy.special import erfc
 
 import fadecap as fc
 from fadecap.bounds import pair_distance_table
-from fadecap.mc import McConfig
+from fadecap.mc import McConfig, chunk_rngs, chunk_sizes
+from fadecap.model import ordered_pair_differences, pair_differences, sample_channels
 
 H1 = np.array([[1.0 + 0j]])
 
@@ -137,3 +138,71 @@ def test_avg_bounds_unknown_kind():
     c = fc.make_constellation("bpsk", 1)
     with pytest.raises(ValueError):
         fc.avg_bounds("nope", 1.0, fc.CanonicalRayleigh(1, 1), c, McConfig())
+
+
+@pytest.mark.parametrize("family,n_t,distinct", [("qam16", 1, 48), ("qam64", 1, 224),
+                                                 ("qpsk", 3, 728), ("qam16", 2, 2400)])
+def test_pair_differences_counts(family, n_t, distinct):
+    c = fc.make_constellation(family, n_t)
+    diffs, counts = pair_differences(c)
+    assert diffs.shape == (distinct, n_t)
+    assert counts.sum() == c.m * (c.m - 1)
+    assert pair_differences(c)[0] is diffs          # cached on the constellation
+
+
+def test_pair_differences_asymmetric_has_no_merges():
+    pts = np.array([[1.0, 0.2j], [0.3 - 0.1j, -0.7], [-0.4j, 0.5 + 0.5j],
+                    [-0.9 + 0.2j, 0.1]])
+    c = fc.make_constellation("custom", 2, points=pts)
+    diffs, counts = pair_differences(c)
+    assert np.all(counts == 1)
+    assert diffs.shape == (12, 2)
+    assert np.allclose(np.sort_complex(diffs[:, 0]),
+                       np.sort_complex(ordered_pair_differences(c)[:, 0]), rtol=0, atol=0)
+
+
+def _ordered_pair_avg_bounds(kind, snr, model, c, cfg):
+    """Reference: every ordered pair of every channel draw, drawn in the
+    batches avg_bounds uses."""
+    diffs = ordered_pair_differences(c)
+    m = c.m
+    lowers, uppers = [], []
+    for size, rng in zip(chunk_sizes(cfg.channel_draws, cfg.parallel_chunks),
+                         chunk_rngs(cfg.seed, cfg.parallel_chunks)):
+        h = sample_channels(model, size, rng)
+        rec = np.einsum("pt,crt->cpr", diffs, h)
+        d2 = np.sum(np.abs(rec) ** 2, axis=2)
+        q = 0.5 * erfc(np.sqrt(d2 * snr / 4.0))
+        if kind == "mmse":
+            core = np.sum(d2 * q, axis=1)
+            lowers.append(core / (4.0 * m * (m - 1.0)))
+            uppers.append(core / m)
+        elif kind == "pe":
+            core = np.sum(q, axis=1)
+            lowers.append(core / (m * (m - 1.0)))
+            uppers.append(core / m)
+        else:
+            lowers.append(np.log(m) - np.sum(2.0 * np.exp(-d2 * snr / 4.0), axis=1) / m)
+            uppers.append(np.log(m) - np.sum(0.5 * q, axis=1) / (m * (m - 1.0)))
+    lo, up = np.concatenate(lowers), np.concatenate(uppers)
+    return (lo.mean(), up.mean(), np.std(lo, ddof=1) / np.sqrt(lo.size),
+            np.std(up, ddof=1) / np.sqrt(up.size))
+
+
+@pytest.mark.parametrize("family,n_t,model", [
+    ("qam16", 2, fc.CorrelatedRayleigh(theta_t=[[1, 0.5], [0.5, 1]],
+                                       theta_r=[[1, 0.8], [0.8, 1]])),
+    ("qpsk", 3, fc.CanonicalRayleigh(3, 2)),
+    ("qam16", 1, fc.Ricean(2.0, [1.0], [1.0, 1j])),
+])
+def test_avg_bounds_match_ordered_pair_reference(family, n_t, model):
+    c = fc.make_constellation(family, n_t)
+    # chunks of 6 draws fit in one avg_bounds batch, so both draw the same channels
+    cfg = McConfig(channel_draws=24, noise_draws_per_channel=1, seed=17, parallel_chunks=4)
+    for kind in ("mmse", "mi", "pe"):
+        for snr in (1.0, 100.0):
+            pair = fc.avg_bounds(kind, snr, model, c, cfg)
+            lo, up, lo_se, up_se = _ordered_pair_avg_bounds(kind, snr, model, c, cfg)
+            got = (pair.lower.mean, pair.upper.mean,
+                   pair.lower.std_error, pair.upper.std_error)
+            assert got == pytest.approx((lo, up, lo_se, up_se), rel=1e-12), (kind, snr)

@@ -329,6 +329,13 @@ def test_invalid_yaml(tmp_path):
     assert run(["curve", "--config", path, "--seed", 1]) == 2
 
 
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"kind: mi  # \xff\xfe\n")
+    assert run(["curve", "--config", path, "--seed", 1]) == 2
+    assert "invalid YAML" in capsys.readouterr().err
+
+
 def test_curve_to_stdout(tmp_path, capsys):
     doc = dict(CURVE_CFG)
     doc["snr_db"] = {"points": [10.0]}
@@ -338,3 +345,19 @@ def test_curve_to_stdout(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("# fadecap")
     assert "snr_db,mc_mean" in out
+
+
+def test_curve_non_finite_estimate_names_snr_point(tmp_path, capsys, monkeypatch):
+    from fadecap import mc
+
+    def nan_avg_all(snr, *args, **kwargs):
+        return {"mi": mc.Estimate(mean=float("nan"), std_error=0.0, n_samples=1)}
+
+    monkeypatch.setattr(mc, "avg_all", nan_avg_all)
+    doc = dict(CURVE_CFG)
+    doc["snr_db"] = {"points": [10.0]}
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["curve", "--config", cfg, "--seed", 1]) == 3
+    err = capsys.readouterr().err
+    assert "snr_db=10" in err
+    assert "not finite" in err
