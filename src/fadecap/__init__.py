@@ -48,7 +48,6 @@ from .model import (
     make_constellation,
     pairwise_sq_distances,
     received_sq_distance,
-    sample_channel,
     sample_channels,
 )
 

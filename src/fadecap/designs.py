@@ -20,9 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from . import mc
+from .asymptotics import EIG_ZERO_REL
 from .model import (
     Constellation,
     SpaceTimeCode,
+    _complex_normal,
     check_psd,
     hermitian_sqrt,
     pair_differences,
@@ -50,7 +52,6 @@ __all__ = [
 ]
 
 BUDGET_TOL = 1e-9
-EIG_ZERO_REL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +158,20 @@ class _SubchannelBank:
     """Common-random-number draw bank for one subchannel.
 
     The per-hypothesis logits at power p factor as
-    -snr*p*base_nsq - 2*sqrt(snr*p)*(base_g_i - base_g_j), so the fading
+    2*sqrt(snr*p)*(base_g_k - base_g_i) - snr*p*base_nsq_ik, so the fading
     and noise enter only through the power-independent tables below and
-    every candidate power is compared on identical randomness.
+    every candidate power is compared on identical randomness.  Both tables
+    are hypothesis-first, the layout `mc.kernel_stats` uses.
     """
 
-    base_nsq: np.ndarray   # (C, M, M): |h|^2 ||x_i - x_j||^2
-    base_g: np.ndarray     # (C, N, M): Re<h x_m, n>
+    base_nsq: np.ndarray   # (M, M, C): |h|^2 ||x_i - x_k||^2
+    base_g: np.ndarray     # (M, C, N): Re<h x_m, n>
     log_m: float
 
     def half(self, which: int) -> "_SubchannelBank":
-        sel = slice(0, self.base_nsq.shape[0] // 2) if which == 0 \
-            else slice(self.base_nsq.shape[0] // 2, None)
-        return _SubchannelBank(self.base_nsq[sel], self.base_g[sel], self.log_m)
+        c_sz = self.base_g.shape[1]
+        sel = slice(0, c_sz // 2) if which == 0 else slice(c_sz // 2, None)
+        return _SubchannelBank(self.base_nsq[:, :, sel], self.base_g[:, sel], self.log_m)
 
 
 def _subchannel_bank(sub: SubchannelSpec, cfg: mc.McConfig, stream: int) -> _SubchannelBank:
@@ -180,14 +182,13 @@ def _subchannel_bank(sub: SubchannelSpec, cfg: mc.McConfig, stream: int) -> _Sub
          + 1j * rng.standard_normal(c_draws)) * np.sqrt(fad.variance / 2.0)
     if isinstance(fad, RiceanFading):
         h = h + complex(fad.mean)
-    noise = (rng.standard_normal((c_draws, n_draws))
-             + 1j * rng.standard_normal((c_draws, n_draws))) * np.sqrt(0.5)
+    noise = _complex_normal(rng, (c_draws, n_draws))
     pts = sub.constellation.points[:, 0]
     d2 = np.abs(pts[:, None] - pts[None, :]) ** 2
-    base_nsq = np.abs(h[:, None, None]) ** 2 * d2[None, :, :]
-    hx = h[:, None] * pts[None, :]
-    base_g = (noise.real[:, :, None] * hx.real[:, None, :]
-              + noise.imag[:, :, None] * hx.imag[:, None, :])
+    base_nsq = d2[:, :, None] * np.abs(h) ** 2
+    hx = pts[:, None] * h[None, :]                       # (M, C)
+    base_g = (hx.real[:, :, None] * noise.real[None]
+              + hx.imag[:, :, None] * noise.imag[None])
     return _SubchannelBank(base_nsq=base_nsq, base_g=base_g,
                            log_m=sub.constellation.log_m)
 
@@ -198,17 +199,12 @@ def _bank_mi(snr: float, bank: _SubchannelBank, power: float) -> float:
         return 0.0
     scale = snr * power
     root = 2.0 * np.sqrt(scale)
-    c_sz, n_sz, m = bank.base_g.shape
-    buf = np.empty((c_sz, n_sz, m))
+    m = bank.base_g.shape[0]
+    buf = np.empty(bank.base_g.shape)
     lse_total = 0.0
     for i in range(m):
-        np.subtract(bank.base_g, bank.base_g[:, :, i:i + 1], out=buf)
-        buf *= root
-        buf -= scale * bank.base_nsq[:, None, i, :]
-        a_max = buf.max(axis=2, keepdims=True)
-        buf -= a_max
-        np.exp(buf, out=buf)
-        lse_total += float(np.mean(a_max[:, :, 0] + np.log(buf.sum(axis=2))))
+        a_max = mc._shifted_weights(bank.base_g, scale * bank.base_nsq[i], i, buf, root)
+        lse_total += float(np.mean(a_max + np.log(buf.sum(axis=0))))
     return bank.log_m - lse_total / m
 
 

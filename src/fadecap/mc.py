@@ -31,6 +31,7 @@ from .model import (
     Constellation,
     SnrGrid,
     SpaceTimeCode,
+    _complex_normal,
     sample_channels,
 )
 
@@ -103,13 +104,29 @@ def chunk_rngs(seed: int, chunks: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chunks)]
 
 
-def _complex_noise(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
-
-
 # ---------------------------------------------------------------------------
 # core kernel
 # ---------------------------------------------------------------------------
+
+def _shifted_weights(g2: np.ndarray, nsq_i: np.ndarray, i: int, out: np.ndarray,
+                     gain: float = 1.0) -> np.ndarray:
+    """Max-shifted exponential weights for true hypothesis i, hypothesis-first.
+
+    g2    : (M, C, N) per-hypothesis noise terms, g2[k] ~ 2 Re<r_k, n>
+    nsq_i : (M, C) squared distances ||r_i - r_k||^2 at the same scale
+    Fills ``out`` (M, C, N) with exp(A_k - max_k A_k), where
+    A_k = gain * (g2[k] - g2[i]) - nsq_i[k], and returns the (C, N) max.
+    Reductions over k then run as M elementwise passes over (C, N) slabs.
+    """
+    np.subtract(g2, g2[i], out=out)
+    if gain != 1.0:
+        out *= gain
+    out -= nsq_i[:, :, None]
+    a_max = out.max(axis=0)
+    out -= a_max
+    np.exp(out, out=out)
+    return a_max
+
 
 def kernel_stats(received: np.ndarray, noise: np.ndarray, snr: float):
     """Per-sample statistics for a batch of channels.
@@ -120,40 +137,43 @@ def kernel_stats(received: np.ndarray, noise: np.ndarray, snr: float):
     over the M equiprobable transmit hypotheses.  The mutual information is
     log M - lse.  Overflow is handled by max-shifted exponentials.
     """
-    c_sz, m, _ = received.shape
+    c_sz, m, dim = received.shape
     n_sz = noise.shape[1]
-    rr_ = np.ascontiguousarray(received.real)
-    ri_ = np.ascontiguousarray(received.imag)
-    rr_t = rr_.transpose(0, 2, 1)
-    ri_t = ri_.transpose(0, 2, 1)
-    g = noise.real @ rr_t + noise.imag @ ri_t          # (C, N, M): Re<r_m, n>
-    gram = rr_ @ rr_t + ri_ @ ri_t                     # (C, M, M): Re<r_m, r_k>
-    diag = np.einsum("cmm->cm", gram)
-    nsq = diag[:, :, None] + diag[:, None, :] - 2.0 * gram
+    # (C, 2 dim, M): real parts of the points stacked over imaginary parts
+    pts = np.empty((c_sz, 2 * dim, m))
+    pts[:, :dim] = received.real.transpose(0, 2, 1)
+    pts[:, dim:] = received.imag.transpose(0, 2, 1)
+    rr_t, ri_t = pts[:, :dim], pts[:, dim:]
+    rr_, ri_ = rr_t.transpose(0, 2, 1), ri_t.transpose(0, 2, 1)
+    g = noise.real @ rr_t + noise.imag @ ri_t           # (C, N, M): Re<r_m, n>
+    g2 = np.empty((m, c_sz, n_sz))                      # (M, C, N): 2 Re<r_m, n>
+    np.multiply(g.transpose(2, 0, 1), 2.0, out=g2)
+    gram = (rr_ @ rr_t + ri_ @ ri_t).transpose(1, 2, 0)  # (M, M, C) view: Re<r_m, r_k>
+    diag = np.einsum("mmc->mc", gram)
+    nsq = np.empty((m, m, c_sz))                        # (M_i, M_k, C): ||r_i - r_k||^2
+    np.add(diag[:, None, :], diag[None, :, :], out=nsq)
+    nsq -= 2.0 * gram
     np.maximum(nsq, 0.0, out=nsq)
 
     mmse = np.zeros((c_sz, n_sz))
     lse = np.zeros((c_sz, n_sz))
     pe = np.zeros((c_sz, n_sz))
+    ea = np.empty((m, c_sz, n_sz))
     for i in range(m):
-        a = -nsq[:, i, None, :] - 2.0 * (g[:, :, i:i + 1] - g)   # (C, N, M), a[..., i] = 0
-        a_max = a.max(axis=2, keepdims=True)
-        pe += (a_max[:, :, 0] > 0.0)
-        np.subtract(a, a_max, out=a)
-        ea = np.exp(a, out=a)
-        s = ea.sum(axis=2)
-        lse += a_max[:, :, 0] + np.log(s)
-        cm_r = ea @ rr_ / s[:, :, None]
-        cm_i = ea @ ri_ / s[:, :, None]
-        cm_r -= rr_[:, i, None, :]
-        cm_i -= ri_[:, i, None, :]
-        mmse += np.sum(cm_r ** 2 + cm_i ** 2, axis=2)
+        a_max = _shifted_weights(g2, nsq[i], i, ea)
+        pe += a_max > 0.0
+        s = ea.sum(axis=0)
+        lse += a_max + np.log(s)
+        cm = pts @ ea.transpose(1, 0, 2)                 # (C, 2 dim, N)
+        cm /= s[:, None, :]
+        cm -= pts[:, :, i, None]
+        mmse += np.sum(cm * cm, axis=1)
     inv_m = 1.0 / m
     return mmse * (inv_m / snr), lse * inv_m, pe * inv_m
 
 
 def _batch_channels(m: int, n_noise: int) -> int:
-    # per-hypothesis logit block (batch, N, M) kept around 16 MB
+    # per-hypothesis logit block (M, batch, N) kept around 16 MB
     return max(8, min(4096, int(2_000_000 / max(m * n_noise, 1))))
 
 
@@ -184,7 +204,7 @@ def _fixed_h_samples(snr: float, h: np.ndarray, c: Constellation, cfg: McConfig)
         done = 0
         while done < size:
             batch = min(size - done, noise_batch)
-            noise = _complex_noise(rng, (1, batch, h.shape[0]))
+            noise = _complex_normal(rng, (1, batch, h.shape[0]))
             mmse, lse, pe = kernel_stats(received, noise, snr)
             out["mmse"].append(mmse[0])
             out["mi"].append(lse[0])
@@ -239,7 +259,7 @@ def _avg_samples(snr: float, received_factory, dim: int, cfg: McConfig,
         while done < size:
             batch = min(size - done, _batch_channels(m, n_noise))
             received = received_factory(rng, batch)
-            noise = _complex_noise(rng, (batch, n_noise, dim))
+            noise = _complex_normal(rng, (batch, n_noise, dim))
             mmse, lse, pe = kernel_stats(received, noise, snr)
             res["mmse"].append(mmse.mean(axis=1))
             res["mi"].append(lse.mean(axis=1))

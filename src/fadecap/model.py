@@ -31,7 +31,6 @@ __all__ = [
     "make_constellation",
     "pairwise_sq_distances",
     "pair_differences",
-    "sample_channel",
     "sample_channels",
     "received_sq_distance",
     "hermitian_sqrt",
@@ -165,8 +164,12 @@ class Constellation:
         parts = diffs.view(float)
         scale = 2.0 ** 40 / np.max(np.abs(parts))
         keys = np.rint(parts * scale).astype(np.int64)
-        _, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
-        diffs = diffs[first]
+        # stable lexicographic sort (first column primary), then cut into runs
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+        counts = np.diff(np.r_[starts, keys.shape[0]])
+        diffs = diffs[order[starts]]
         for shared in (diffs, counts):      # every caller gets these same arrays
             shared.flags.writeable = False
         return diffs, counts
@@ -363,11 +366,6 @@ def sample_channels(model: ChannelModel, n: int, rng: np.random.Generator) -> np
         los = np.sqrt(k / (k + 1.0)) * model.los_matrix
         return los[None, :, :] + np.sqrt(1.0 / (k + 1.0)) * hw
     raise TypeError(f"unknown channel model {type(model)!r}")
-
-
-def sample_channel(model: ChannelModel, rng: np.random.Generator) -> np.ndarray:
-    """Draw a single channel matrix H of shape (n_r, n_t)."""
-    return sample_channels(model, 1, rng)[0]
 
 
 def received_sq_distance(h: np.ndarray, x_i: np.ndarray, x_j: np.ndarray) -> float:

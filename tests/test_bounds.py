@@ -161,6 +161,22 @@ def test_pair_differences_asymmetric_has_no_merges():
                        np.sort_complex(ordered_pair_differences(c)[:, 0]), rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("c", [
+    fc.make_constellation("qam16", 2),
+    fc.make_constellation("qpsk", 3),
+    # asymmetric, with some repeated differences (1 - 0 = 2 - 1, ...)
+    fc.make_constellation("custom", 1, points=[0.0, 1.0, 2.0, 2.0 + 1j, 3.0 + 1j, -0.5j]),
+], ids=["qam16_nt2", "qpsk_nt3", "custom_asym"])
+def test_pair_differences_match_unique_reference(c):
+    ordered = ordered_pair_differences(c)
+    parts = ordered.view(float)
+    keys = np.rint(parts * (2.0 ** 40 / np.max(np.abs(parts)))).astype(np.int64)
+    _, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+    diffs, got_counts = pair_differences(c)
+    assert np.array_equal(diffs, ordered[first])
+    assert np.array_equal(got_counts, counts)
+
+
 def _ordered_pair_avg_bounds(kind, snr, model, c, cfg):
     """Reference: every ordered pair of every channel draw, drawn in the
     batches avg_bounds uses."""

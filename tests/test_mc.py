@@ -5,7 +5,10 @@ import pytest
 from scipy.special import erfc
 
 import fadecap as fc
-from fadecap.mc import Estimate, McConfig, distance_squared_samples, suggested_total_draws
+from fadecap import designs
+from fadecap.mc import (Estimate, McConfig, distance_squared_samples, kernel_stats,
+                        suggested_total_draws)
+from fadecap.model import _complex_normal
 
 H1 = np.array([[1.0 + 0j]])
 BPSK = fc.make_constellation("bpsk", 1)
@@ -262,3 +265,109 @@ def test_config_validation():
         fc.avg_quantity("nope", 1.0, fc.CanonicalRayleigh(1, 1), BPSK, McConfig())
     assert suggested_total_draws(1e-3) == 10_000
     assert suggested_total_draws(1e-6) == 10_000_000
+
+
+# ---------------------------------------------------------------------------
+# kernel against a brute-force evaluation of the module-docstring identities
+# ---------------------------------------------------------------------------
+
+def _reference_stats(received, noise, snr):
+    """Loop over (channel, noise draw, true input i): A_j = -||r_i - r_j||^2
+    - 2 Re<r_i - r_j, n>, lse = logsumexp_j A_j, E{Hx|y} = softmax(A) @ r,
+    error iff max_{j != i} A_j > 0."""
+    c_sz, m, _ = received.shape
+    n_sz = noise.shape[1]
+    mmse = np.zeros((c_sz, n_sz))
+    lse = np.zeros((c_sz, n_sz))
+    pe = np.zeros((c_sz, n_sz))
+    for c in range(c_sz):
+        r = received[c]
+        for n in range(n_sz):
+            z = noise[c, n]
+            for i in range(m):
+                d = r[i] - r
+                a = -np.sum(np.abs(d) ** 2, axis=1) - 2.0 * np.real(d @ z.conj())
+                top = a.max()
+                w = np.exp(a - top)
+                lse[c, n] += top + np.log(w.sum())
+                cond_mean = w @ r / w.sum()
+                mmse[c, n] += np.sum(np.abs(cond_mean - r[i]) ** 2)
+                pe[c, n] += np.delete(a, i).max() > 0.0
+    return mmse / (m * snr), lse / m, pe / m
+
+
+def _kernel_case(name):
+    rng = np.random.default_rng(2024)
+    if name == "fixed_h_binary":           # C = 1, M = 2, dim = 1
+        snr = 2.0
+        received = np.sqrt(snr) * (BPSK.points @ H1.T)[None]
+        return received, _complex_normal(rng, (1, 300, 1)), snr
+    if name == "qam16_two_rx":             # M = 16, dim = 2
+        snr = 10.0
+        c = fc.make_constellation("qam16", 1)
+        h = _complex_normal(rng, (3, 2, 1))
+        received = np.sqrt(snr) * np.einsum("mt,crt->cmr", c.points, h)
+        return received, _complex_normal(rng, (3, 20, 2)), snr
+    if name == "spacetime_dim4":           # 2 x 2 codewords, n_r = 2: dim = 4
+        snr = 5.0
+        c = fc.make_constellation("qpsk", 2)
+        code = fc.SpaceTimeCode(codewords=np.stack([c.points, c.points[:, ::-1]], axis=2))
+        h = _complex_normal(rng, (3, 2, 2))
+        received = np.sqrt(snr) * np.einsum("crt,mts->cmrs", h, code.codewords)
+        return received.reshape(3, code.m, 4), _complex_normal(rng, (3, 15, 4)), snr
+    # snr = 1e8: the log-likelihoods are of order 1e8, so only exponentials
+    # shifted to a reference hypothesis stay finite; deep fades on the later
+    # channels keep some logits of order one
+    snr = 1e8
+    c = fc.make_constellation("qpsk", 1)
+    h = _complex_normal(rng, (3, 2, 1)) * np.array([1.0, 1e-4, 3e-4])[:, None, None]
+    received = np.sqrt(snr) * np.einsum("mt,crt->cmr", c.points, h)
+    return received, _complex_normal(rng, (3, 40, 2)), snr
+
+
+@pytest.mark.parametrize("name", ["fixed_h_binary", "qam16_two_rx", "spacetime_dim4",
+                                  "high_snr"])
+def test_kernel_stats_matches_brute_force(name):
+    received, noise, snr = _kernel_case(name)
+    mmse, lse, pe = kernel_stats(received, noise, snr)
+    ref_mmse, ref_lse, ref_pe = _reference_stats(received, noise, snr)
+    for got, ref in ((mmse, ref_mmse), (lse, ref_lse)):
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(pe, ref_pe)
+    if name == "high_snr":
+        assert np.max(lse) > 1e-3 and np.max(pe) > 0.0   # the fades are resolved
+
+
+def test_bank_mi_matches_kernel_stats():
+    """The power-allocation bank and the MC kernel share the logit step: on
+    the bank's own draws, _bank_mi equals log M - mean(lse) of kernel_stats."""
+    variance = 2.0
+    sub = designs.SubchannelSpec(fc.make_constellation("qam16", 1),
+                                 designs.RayleighFading(variance=variance))
+    mc_cfg = McConfig(channel_draws=64, noise_draws_per_channel=12, seed=17)
+    stream, snr, power = 1, 30.0, 0.7
+    bank = designs._subchannel_bank(sub, mc_cfg, stream)
+    # the bank's draws, in its order: fading, then noise
+    rng = np.random.default_rng(np.random.SeedSequence(mc_cfg.seed).spawn(stream + 1)[-1])
+    n_c = mc_cfg.channel_draws
+    h = (rng.standard_normal(n_c) + 1j * rng.standard_normal(n_c)) * np.sqrt(variance / 2.0)
+    noise = _complex_normal(rng, (n_c, mc_cfg.noise_draws_per_channel))
+    received = np.sqrt(snr * power) * h[:, None, None] * sub.constellation.points[None]
+    _, lse, _ = kernel_stats(received, noise[:, :, None], snr * power)
+    half = n_c // 2
+    for part, sel in ((bank, slice(None)), (bank.half(0), slice(0, half)),
+                      (bank.half(1), slice(half, None))):
+        expected = sub.constellation.log_m - np.mean(lse[sel])
+        assert designs._bank_mi(snr, part, power) == pytest.approx(expected, rel=1e-12)
+
+
+def test_bank_halves_are_views():
+    sub = designs.SubchannelSpec(fc.make_constellation("qpsk", 1),
+                                 designs.RayleighFading(variance=1.0))
+    bank = designs._subchannel_bank(sub, McConfig(channel_draws=32,
+                                                  noise_draws_per_channel=4), 0)
+    for which in (0, 1):
+        part = bank.half(which)
+        assert np.shares_memory(part.base_g, bank.base_g)
+        assert np.shares_memory(part.base_nsq, bank.base_nsq)
