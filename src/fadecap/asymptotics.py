@@ -30,7 +30,6 @@ from .model import (
     check_psd,
     hermitian_sqrt,
     ordered_pair_differences,
-    pairwise_sq_distances,
 )
 
 __all__ = [
@@ -191,7 +190,7 @@ def distance_dist_rayleigh(c: Constellation, n_r: int) -> DistanceDistribution:
     so the first n_r - 1 derivatives vanish and p^(n_r-1)(0) = dbar^(-2 n_r)."""
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
-    d2 = _ordered_pair_distances(c)
+    d2 = np.sum(np.abs(ordered_pair_differences(c)) ** 2, axis=1)
     orders = np.full(d2.size, n_r - 1, dtype=int)
     values = d2 ** (-float(n_r))
     return DistanceDistribution(orders=orders, values=values, effective_log_m=c.log_m)
@@ -296,28 +295,29 @@ def distance_dist_spacetime(code: SpaceTimeCode, n_r: int) -> DistanceDistributi
     rank-r pair has order n_r*r - 1 and value prod lam^(-n_r)."""
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
-    m = code.m
-    orders = []
-    values = []
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            lam = np.linalg.eigvalsh(code.difference_gram(i, j))
-            lam = lam[lam > EIG_ZERO_REL * max(lam[-1], 1e-300)]
-            if lam.size == 0:
-                raise ValueError(f"codewords {i} and {j} have zero difference")
-            order, value = pdf_zero_derivative_weighted([(l, n_r) for l in lam])
-            orders.append(order)
-            values.append(value)
+    orders, values = zip(*[pdf_zero_derivative_weighted([(lam, n_r) for lam in lams])
+                           for lams in _pair_gram_eigenvalues(code)])
     return DistanceDistribution(orders=np.array(orders), values=np.array(values),
                                 effective_log_m=code.log_m)
 
 
-def _ordered_pair_distances(c: Constellation) -> np.ndarray:
-    d2 = pairwise_sq_distances(c)
-    m = d2.shape[0]
-    return d2[~np.eye(m, dtype=bool)]
+def _pair_gram_eigenvalues(code: SpaceTimeCode) -> list[np.ndarray]:
+    """Nonzero eigenvalues of the difference Gram matrix of every ordered
+    pair (i, j), i != j, in row-major order.
+
+    (X_j - X_i)(X_j - X_i)^+ equals (X_i - X_j)(X_i - X_j)^+ bit for bit, so
+    each unordered pair is decomposed once and shared by both orders.
+    """
+    m = code.m
+    lams = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            lam = np.linalg.eigvalsh(code.difference_gram(i, j))
+            lam = lam[lam > EIG_ZERO_REL * max(lam[-1], 1e-300)]
+            if lam.size == 0:
+                raise ValueError(f"codewords {i} and {j} coincide")
+            lams[i, j] = lams[j, i] = lam
+    return [lams[i, j] for i in range(m) for j in range(m) if i != j]
 
 
 # ---------------------------------------------------------------------------

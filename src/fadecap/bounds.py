@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .asymptotics import BoundPair
-from .mc import KINDS, Estimate, McConfig, _estimate, chunk_rngs, chunk_sizes
+from .mc import KINDS, Estimate, McConfig, _estimate, _run_chunks
 from .model import (
     ChannelModel,
     Constellation,
@@ -128,23 +128,15 @@ def avg_bounds(kind: str, snr: float, model: ChannelModel, c: Constellation,
         raise ValueError("snr must be positive")
     diffs, counts = pair_differences(c)
     weights = counts.astype(float)
-    batch_cap = _batch_size(diffs.shape[0] * model.n_r)
-    lowers = []
-    uppers = []
-    for size, rng in zip(chunk_sizes(cfg.channel_draws, cfg.parallel_chunks),
-                         chunk_rngs(cfg.seed, cfg.parallel_chunks)):
-        done = 0
-        while done < size:
-            batch = min(size - done, batch_cap)
-            h = sample_channels(model, batch, rng)
-            rec = h @ diffs.T                                    # (batch, n_r, D)
-            d2 = np.sum(rec.real ** 2 + rec.imag ** 2, axis=1)   # (batch, D)
-            lower, upper = _bound_sums(d2, weights, snr, c.m, kind)
-            lowers.append(lower)
-            uppers.append(upper)
-            done += batch
-    return AveragedBoundPair(lower=_estimate(np.concatenate(lowers)),
-                             upper=_estimate(np.concatenate(uppers)))
+
+    def step(rng, batch):
+        rec = sample_channels(model, batch, rng) @ diffs.T     # (batch, n_r, D)
+        d2 = np.sum(rec.real ** 2 + rec.imag ** 2, axis=1)    # (batch, D)
+        return _bound_sums(d2, weights, snr, c.m, kind)
+
+    lower, upper = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
+                               _batch_size(diffs.shape[0] * model.n_r), step)
+    return AveragedBoundPair(lower=_estimate(lower), upper=_estimate(upper))
 
 
 def _batch_size(columns: int) -> int:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mc
-from .asymptotics import EIG_ZERO_REL
+from .asymptotics import EIG_ZERO_REL, _pair_gram_eigenvalues
 from .model import (
     Constellation,
     SpaceTimeCode,
@@ -549,22 +549,11 @@ def st_criteria(code: SpaceTimeCode, n_r: int) -> SpaceTimeReport:
     """
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
-    m = code.m
-    ranks = np.empty((m, m), dtype=int)
-    crit = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                ranks[i, j] = np.iinfo(np.int32).max
-                continue
-            lam = np.linalg.eigvalsh(code.difference_gram(i, j))
-            lam = lam[lam > EIG_ZERO_REL * max(lam[-1], 1e-300)]
-            if lam.size == 0:
-                raise ValueError(f"codewords {i} and {j} coincide")
-            ranks[i, j] = lam.size
-            crit[i, j] = float(np.prod((1.0 / lam) ** n_r))
+    lams = _pair_gram_eigenvalues(code)
+    ranks = np.array([lam.size for lam in lams])
+    crit = np.array([np.prod((1.0 / lam) ** n_r) for lam in lams])
     r_min = int(ranks.min())
-    criterion = float(crit[ranks == r_min].sum())
+    criterion = float(np.sum(crit[ranks == r_min]))
     return SpaceTimeReport(r_min=r_min, criterion=criterion, d=n_r * r_min,
                            certified=(code.n_t == 2))
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    CanonicalRayleigh,
     ChannelModel,
     Constellation,
     SnrGrid,
@@ -57,8 +58,8 @@ KINDS = ("mmse", "mi", "pe")
 @dataclass(frozen=True)
 class McConfig:
     """Sampling plan.  Results are a pure function of (config, inputs);
-    changing `parallel_chunks` changes the reduction chunking and therefore
-    may change low-order bits."""
+    each chunk has its own generator, so changing `parallel_chunks` changes
+    the draws and moves the estimates within their standard errors."""
 
     channel_draws: int = 10_000
     noise_draws_per_channel: int = 100
@@ -183,44 +184,63 @@ def _estimate(samples: np.ndarray) -> Estimate:
     return Estimate(mean=float(np.mean(samples)), std_error=se, n_samples=n)
 
 
+def _estimates(samples, log_m: float) -> dict[str, Estimate]:
+    """The {mmse, mi, pe} estimates from per-sample (mmse, lse, pe) arrays;
+    the mutual information is log M - mean(lse)."""
+    mmse, lse, pe = (_estimate(s) for s in samples)
+    mi = Estimate(mean=log_m - lse.mean, std_error=lse.std_error, n_samples=lse.n_samples)
+    return {"mmse": mmse, "mi": mi, "pe": pe}
+
+
+def _run_chunks(total: int, seed: int, chunks: int, cap: int, step, threads: int = 1):
+    """The seeded draw loop of every Monte Carlo consumer.
+
+    Splits `total` draws into `chunks` parts, each with its own generator,
+    and calls ``step(rng, batch)`` on consecutive batches of at most `cap`
+    draws of each part.  Returns the step outputs, arrays or tuples of
+    arrays, concatenated in chunk order; ``threads > 1`` runs the parts on a
+    thread pool with the same result.
+
+    `cap` fixes the results, not only the memory: a step draws a whole batch
+    at once, so another cap gives a seed different draws.
+    """
+    def run_chunk(job):
+        size, rng = job
+        return [step(rng, min(cap, size - start)) for start in range(0, size, cap)]
+
+    jobs = list(zip(chunk_sizes(total, chunks), chunk_rngs(seed, chunks)))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as ex:
+            per_chunk = list(ex.map(run_chunk, jobs))
+    else:
+        per_chunk = [run_chunk(j) for j in jobs]
+    parts = [p for chunk in per_chunk for p in chunk]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(column) for column in zip(*parts))
+    return np.concatenate(parts)
+
+
 # ---------------------------------------------------------------------------
 # fixed-channel estimators (noise-only Monte Carlo)
 # ---------------------------------------------------------------------------
 
-def _fixed_h_samples(snr: float, h: np.ndarray, c: Constellation, cfg: McConfig):
-    """Per-noise-sample (mmse, lse, pe) values; total sample count is
-    channel_draws * noise_draws_per_channel."""
+def fixed_h_all(snr: float, h, c: Constellation, cfg: McConfig) -> dict[str, Estimate]:
+    """All three fixed-H estimates from one shared pass over
+    channel_draws * noise_draws_per_channel noise samples."""
     if snr <= 0:
         raise ValueError("snr must be positive")
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[1] != c.n_t:
         raise ValueError("H must have shape (n_r, n_t)")
     received = np.sqrt(snr) * (c.points @ h.T)[None, :, :]   # (1, M, n_r)
-    total = cfg.channel_draws * cfg.noise_draws_per_channel
-    noise_batch = max(256, int(2_000_000 / max(c.m, 1)))
-    out = {k: [] for k in KINDS}
-    for size, rng in zip(chunk_sizes(total, cfg.parallel_chunks),
-                         chunk_rngs(cfg.seed, cfg.parallel_chunks)):
-        done = 0
-        while done < size:
-            batch = min(size - done, noise_batch)
-            noise = _complex_normal(rng, (1, batch, h.shape[0]))
-            mmse, lse, pe = kernel_stats(received, noise, snr)
-            out["mmse"].append(mmse[0])
-            out["mi"].append(lse[0])
-            out["pe"].append(pe[0])
-            done += batch
-    return {k: np.concatenate(v) for k, v in out.items()}
 
+    def step(rng, batch):
+        noise = _complex_normal(rng, (1, batch, h.shape[0]))
+        return tuple(s[0] for s in kernel_stats(received, noise, snr))
 
-def fixed_h_all(snr: float, h, c: Constellation, cfg: McConfig) -> dict[str, Estimate]:
-    """All three fixed-H estimates from one shared pass."""
-    samples = _fixed_h_samples(snr, h, c, cfg)
-    est = {k: _estimate(v) for k, v in samples.items()}
-    mi = est["mi"]
-    est["mi"] = Estimate(mean=c.log_m - mi.mean, std_error=mi.std_error,
-                         n_samples=mi.n_samples)
-    return est
+    samples = _run_chunks(cfg.channel_draws * cfg.noise_draws_per_channel, cfg.seed,
+                          cfg.parallel_chunks, max(256, int(2_000_000 / max(c.m, 1))), step)
+    return _estimates(samples, c.log_m)
 
 
 def mmse_fixed_h(snr: float, h, c: Constellation, cfg: McConfig) -> Estimate:
@@ -242,61 +262,41 @@ def pe_ml_fixed_h(snr: float, h, c: Constellation, cfg: McConfig) -> Estimate:
 # channel-averaged estimators
 # ---------------------------------------------------------------------------
 
-def _avg_samples(snr: float, received_factory, dim: int, cfg: McConfig,
-                 m: int, threads: int = 1):
+def _averaged(snr: float, received, dim: int, m: int, log_m: float, cfg: McConfig,
+              threads: int) -> dict[str, Estimate]:
     """Outer Monte Carlo over channel draws.
 
-    ``received_factory(rng, batch)`` must return (batch, M, dim) noiseless
-    receive points with the sqrt(snr) scale included.  Returns per-channel
-    mean arrays for the three measures, concatenated in chunk order.
+    ``received(rng, batch)`` must return (batch, M, dim) noiseless receive
+    points with the sqrt(snr) scale included.  Each channel's mean over its
+    noise draws is one sample of the estimates.
     """
+    if snr <= 0:
+        raise ValueError("snr must be positive")
     n_noise = cfg.noise_draws_per_channel
 
-    def run_chunk(args):
-        size, rng = args
-        res = {k: [] for k in KINDS}
-        done = 0
-        while done < size:
-            batch = min(size - done, _batch_channels(m, n_noise))
-            received = received_factory(rng, batch)
-            noise = _complex_normal(rng, (batch, n_noise, dim))
-            mmse, lse, pe = kernel_stats(received, noise, snr)
-            res["mmse"].append(mmse.mean(axis=1))
-            res["mi"].append(lse.mean(axis=1))
-            res["pe"].append(pe.mean(axis=1))
-            done += batch
-        return {k: (np.concatenate(v) if v else np.empty(0)) for k, v in res.items()}
+    def step(rng, batch):
+        noise_free = received(rng, batch)
+        noise = _complex_normal(rng, (batch, n_noise, dim))
+        return tuple(s.mean(axis=1) for s in kernel_stats(noise_free, noise, snr))
 
-    jobs = list(zip(chunk_sizes(cfg.channel_draws, cfg.parallel_chunks),
-                    chunk_rngs(cfg.seed, cfg.parallel_chunks)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as ex:
-            chunk_results = list(ex.map(run_chunk, jobs))
-    else:
-        chunk_results = [run_chunk(j) for j in jobs]
-    return {k: np.concatenate([r[k] for r in chunk_results]) for k in KINDS}
+    samples = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
+                          _batch_channels(m, n_noise), step, threads)
+    return _estimates(samples, log_m)
 
 
 def avg_all(snr: float, model: ChannelModel, c: Constellation, cfg: McConfig,
             threads: int = 1) -> dict[str, Estimate]:
     """Averaged (mmse, mi, pe) estimates sharing one set of channel draws."""
-    if snr <= 0:
-        raise ValueError("snr must be positive")
     if model.n_t != c.n_t:
         raise ValueError("channel and constellation transmit sizes differ")
     points = c.points
     root_snr = np.sqrt(snr)
 
-    def factory(rng, batch):
+    def received(rng, batch):
         h = sample_channels(model, batch, rng)
         return root_snr * np.einsum("mt,crt->cmr", points, h)
 
-    per_channel = _avg_samples(snr, factory, model.n_r, cfg, c.m, threads)
-    est = {k: _estimate(v) for k, v in per_channel.items()}
-    mi = est["mi"]
-    est["mi"] = Estimate(mean=c.log_m - mi.mean, std_error=mi.std_error,
-                         n_samples=mi.n_samples)
-    return est
+    return _averaged(snr, received, model.n_r, c.m, c.log_m, cfg, threads)
 
 
 def avg_quantity(kind: str, snr: float, model: ChannelModel, c: Constellation,
@@ -311,27 +311,19 @@ def avg_all_spacetime(snr: float, code: SpaceTimeCode, n_r: int, cfg: McConfig,
                       threads: int = 1) -> dict[str, Estimate]:
     """Averaged measures for codeword matrices over t symbol intervals under
     i.i.d. fading constant within a codeword; receive points live in C^(n_r t)."""
-    if snr <= 0:
-        raise ValueError("snr must be positive")
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
-    from .model import CanonicalRayleigh
     model = CanonicalRayleigh(n_t=code.n_t, n_r=n_r)
     cw = code.codewords
     dim = n_r * code.t
     root_snr = np.sqrt(snr)
 
-    def factory(rng, batch):
+    def received(rng, batch):
         h = sample_channels(model, batch, rng)
         rec = np.einsum("crt,mts->cmrs", h, cw)
         return root_snr * rec.reshape(batch, code.m, dim)
 
-    per_channel = _avg_samples(snr, factory, dim, cfg, code.m, threads)
-    est = {k: _estimate(v) for k, v in per_channel.items()}
-    mi = est["mi"]
-    est["mi"] = Estimate(mean=code.log_m - mi.mean, std_error=mi.std_error,
-                         n_samples=mi.n_samples)
-    return est
+    return _averaged(snr, received, dim, code.m, code.log_m, cfg, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +396,16 @@ def distance_squared_samples(model: ChannelModel, diff, n: int, seed: int,
     Used to validate the analytic density behavior at zero against an
     empirical histogram near the origin.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if chunks < 1:
+        raise ValueError("chunks must be >= 1")
     diff = np.asarray(diff, dtype=complex).ravel()
     if diff.size != model.n_t:
         raise ValueError("difference vector length must equal n_t")
-    out = []
-    for size, rng in zip(chunk_sizes(n, chunks), chunk_rngs(seed, chunks)):
-        done = 0
-        while done < size:
-            batch = min(size - done, 100_000)
-            h = sample_channels(model, batch, rng)
-            rec = h @ diff
-            out.append(np.sum(np.abs(rec) ** 2, axis=1))
-            done += batch
-    return np.concatenate(out)
+
+    def step(rng, batch):
+        rec = sample_channels(model, batch, rng) @ diff
+        return np.sum(np.abs(rec) ** 2, axis=1)
+
+    return _run_chunks(n, seed, chunks, 100_000, step)

@@ -6,9 +6,10 @@ from scipy.special import erfc
 
 import fadecap as fc
 from fadecap import designs
-from fadecap.mc import (Estimate, McConfig, distance_squared_samples, kernel_stats,
-                        suggested_total_draws)
-from fadecap.model import _complex_normal
+from fadecap.bounds import _bound_sums
+from fadecap.mc import (Estimate, McConfig, chunk_rngs, chunk_sizes, distance_squared_samples,
+                        kernel_stats, suggested_total_draws)
+from fadecap.model import _complex_normal, pair_differences, sample_channels
 
 H1 = np.array([[1.0 + 0j]])
 BPSK = fc.make_constellation("bpsk", 1)
@@ -254,6 +255,12 @@ def test_distance_squared_samples_moments():
     assert abs(d2.mean() - 4.0) < 3 * se
 
 
+@pytest.mark.parametrize("n,chunks,name", [(0, 8, "n"), (-3, 8, "n"), (10, 0, "chunks")])
+def test_distance_squared_samples_rejects_bad_sizes(n, chunks, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+        distance_squared_samples(fc.CanonicalRayleigh(1, 1), [1.0], n, seed=3, chunks=chunks)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(channel_draws=0)
@@ -371,3 +378,110 @@ def test_bank_halves_are_views():
         part = bank.half(which)
         assert np.shares_memory(part.base_g, bank.base_g)
         assert np.shares_memory(part.base_nsq, bank.base_nsq)
+
+
+# ---------------------------------------------------------------------------
+# draw layout: every consumer draws each seeded chunk in consecutive batches
+# ---------------------------------------------------------------------------
+
+def _per_batch(total, seed, chunks, cap, step):
+    """Reference draw order: chunk by chunk, each in batches of at most `cap`."""
+    parts = []
+    for size, rng in zip(chunk_sizes(total, chunks), chunk_rngs(seed, chunks)):
+        for start in range(0, size, cap):
+            parts.append(step(rng, min(cap, size - start)))
+    return parts
+
+
+def _mean_and_se(samples):
+    return float(np.mean(samples)), float(np.std(samples, ddof=1) / np.sqrt(samples.size))
+
+
+def _assert_estimates_equal(est, per_sample, log_m):
+    """`est` is exactly the {mmse, mi, pe} reduction of per-sample (mmse, lse, pe)."""
+    mmse, lse, pe = (np.concatenate(s) for s in zip(*per_sample))
+    lse_mean, lse_se = _mean_and_se(lse)
+    assert (est["mmse"].mean, est["mmse"].std_error) == _mean_and_se(mmse)
+    assert (est["mi"].mean, est["mi"].std_error) == (log_m - lse_mean, lse_se)
+    assert (est["pe"].mean, est["pe"].std_error) == _mean_and_se(pe)
+
+
+# The batch caps below are those of the consumers for these shapes; each
+# chunk spans several batches, so drawing per chunk or reordering batches
+# changes every result.
+
+def test_avg_all_draws_chunks_in_batches():
+    model = fc.CanonicalRayleigh(1, 2)
+    n_noise, snr = 20_000, 3.0
+    mc_cfg = McConfig(channel_draws=120, noise_draws_per_channel=n_noise, seed=41,
+                      parallel_chunks=2)
+
+    def step(rng, batch):      # 60 channels a chunk, batches of 50
+        h = sample_channels(model, batch, rng)
+        received = np.sqrt(snr) * np.einsum("mt,crt->cmr", BPSK.points, h)
+        noise = _complex_normal(rng, (batch, n_noise, 2))
+        return tuple(s.mean(axis=1) for s in kernel_stats(received, noise, snr))
+
+    expected = _per_batch(120, 41, 2, 50, step)
+    for threads in (1, 2):
+        est = fc.avg_all(snr, model, BPSK, mc_cfg, threads=threads)
+        _assert_estimates_equal(est, expected, BPSK.log_m)
+
+
+def test_fixed_h_all_draws_chunks_in_batches():
+    c = fc.make_constellation("qpsk", 1)
+    h = np.array([[0.8 - 0.3j]])
+    snr = 2.0
+    mc_cfg = McConfig(channel_draws=12_000, noise_draws_per_channel=100, seed=43,
+                      parallel_chunks=2)
+    received = np.sqrt(snr) * (c.points @ h.T)[None]
+
+    def step(rng, batch):      # 600 000 noise draws a chunk, batches of 500 000
+        noise = _complex_normal(rng, (1, batch, 1))
+        return tuple(s[0] for s in kernel_stats(received, noise, snr))
+
+    expected = _per_batch(1_200_000, 43, 2, 500_000, step)
+    _assert_estimates_equal(fc.fixed_h_all(snr, h, c, mc_cfg), expected, c.log_m)
+
+
+def test_avg_bounds_draws_chunks_in_batches():
+    c = fc.make_constellation("qam16", 2)
+    model = fc.CorrelatedRayleigh(theta_t=[[1, 0.5], [0.5, 1]], theta_r=[[1, 0.8], [0.8, 1]])
+    mc_cfg = McConfig(channel_draws=1000, noise_draws_per_channel=1, seed=47,
+                      parallel_chunks=2)
+    diffs, counts = pair_differences(c)
+    for kind in ("mmse", "mi", "pe"):
+        def step(rng, batch):  # 500 channels a chunk, batches of 416
+            rec = sample_channels(model, batch, rng) @ diffs.T
+            d2 = np.sum(rec.real ** 2 + rec.imag ** 2, axis=1)
+            return _bound_sums(d2, counts.astype(float), 10.0, c.m, kind)
+
+        lower, upper = (np.concatenate(s) for s in
+                        zip(*_per_batch(1000, 47, 2, 416, step)))
+        pair = fc.avg_bounds(kind, 10.0, model, c, mc_cfg)
+        assert (pair.lower.mean, pair.lower.std_error) == _mean_and_se(lower), kind
+        assert (pair.upper.mean, pair.upper.std_error) == _mean_and_se(upper), kind
+
+
+def test_distance_squared_samples_draws_chunks_in_batches():
+    model = fc.CorrelatedRayleigh(theta_t=[[1, 0.5], [0.5, 1]], theta_r=np.eye(3))
+    diff = np.array([1.0, 0.5j])
+    n = 250_001
+
+    def step(rng, batch):      # 125 001 draws a chunk, batches of 100 000
+        return np.sum(np.abs(sample_channels(model, batch, rng) @ diff) ** 2, axis=1)
+
+    expected = np.concatenate(_per_batch(n, 53, 2, 100_000, step))
+    got = distance_squared_samples(model, diff, n, seed=53, chunks=2)
+    assert np.array_equal(got, expected)
+
+
+def test_avg_all_spacetime_threads_bit_for_bit():
+    c = fc.make_constellation("qpsk", 2)
+    code = fc.SpaceTimeCode(codewords=np.stack([c.points, c.points[:, ::-1]], axis=2))
+    mc_cfg = McConfig(channel_draws=300, noise_draws_per_channel=20, seed=59,
+                      parallel_chunks=4)
+    one = fc.avg_all_spacetime(4.0, code, 2, mc_cfg)
+    two = fc.avg_all_spacetime(4.0, code, 2, mc_cfg, threads=2)
+    for k in one:
+        assert (one[k].mean, one[k].std_error) == (two[k].mean, two[k].std_error)
