@@ -4,8 +4,8 @@
             [--threads N] [--out FILE]
 
 CSV files start with '#'-prefixed metadata (tool version, command, seed,
-config digest) followed by a fixed header per command; numbers carry 12
-significant digits.  Exit codes: 0 success, 2 config error, 3 numeric
+config digest, NumPy and SciPy versions) followed by a fixed header per
+command; numbers carry 12 significant digits.  Exit codes: 0 success, 2 config error, 3 numeric
 failure, 4 flagged low-confidence result (output is still written).
 """
 
@@ -16,6 +16,7 @@ import math
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__, asymptotics, bounds, designs, mc
 from .config import ConfigError, load_config, validate_command_config
@@ -47,7 +48,9 @@ def _write_csv(out_path, command, seed, digest, header, rows, meta=()):
     lines = [f"# fadecap {__version__}",
              f"# command: {command}",
              f"# seed: {seed}",
-             f"# config_digest: {digest}"]
+             f"# config_digest: {digest}",
+             f"# numpy: {np.__version__}",
+             f"# scipy: {scipy.__version__}"]
     lines.extend(f"# {m}" for m in meta)
     lines.append(",".join(header))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)

@@ -44,6 +44,16 @@ HERMITIAN_TOL = 1e-12
 PSD_EIG_TOL = 1e-10
 DISTINCT_TOL = 1e-12
 NORM_TOL = 1e-9
+# Largest joint constellation accepted.  Construction builds the (M, M, n_t)
+# pairwise difference table, ~0.5 GB at M = 4096 and n_t = 2; qam256 over two
+# antennas (M = 65536) would need ~137 GB.
+MAX_POINTS = 4096
+
+
+def _check_size(m: int, n_t: int) -> None:
+    if m > MAX_POINTS:
+        raise ValueError(f"constellation with n_t={n_t} has M={m} points, "
+                         f"more than the {MAX_POINTS} supported")
 
 
 def db_to_linear(x_db):
@@ -111,6 +121,7 @@ class Constellation:
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("points must be a (M, n_t) array")
         _validate_finite(pts, "constellation points")
+        _check_size(*pts.shape)
         object.__setattr__(self, "points", pts)
         d2 = pairwise_sq_distances(self)
         m = pts.shape[0]
@@ -222,6 +233,7 @@ def make_constellation(family: str, n_t: int, points=None) -> Constellation:
     if fam not in _SCALAR_FAMILIES:
         raise ValueError(f"unknown constellation family {family!r}")
     scal = _scalar_alphabet(fam)
+    _check_size(len(scal) ** n_t, n_t)
     joint = np.array([np.array(tup) for tup in itertools.product(scal, repeat=n_t)])
     joint = joint / np.sqrt(n_t)
     return Constellation(points=joint, family=fam)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 
 from fadecap.cli import main
@@ -44,6 +45,8 @@ def test_curve_runs_and_is_deterministic(tmp_path):
     meta, header, rows = read_csv(out1)
     assert any("seed: 42" in m for m in meta)
     assert any("config_digest" in m for m in meta)
+    assert f"# numpy: {np.__version__}" in meta
+    assert f"# scipy: {scipy.__version__}" in meta
     assert header[:7] == ["snr_db", "mc_mean", "mc_stderr", "bound_lb", "bound_ub",
                           "expansion_lb", "expansion_ub"]
     assert len(rows) == 7
@@ -69,6 +72,16 @@ def test_curve_bad_kind_names_field(tmp_path, capsys):
     cfg = write_cfg(tmp_path, doc)
     assert run(["curve", "--config", cfg, "--seed", 1]) == 2
     assert "kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_t", [2, 4])
+def test_oversized_constellation_is_a_config_error(tmp_path, capsys, n_t):
+    doc = dict(CURVE_CFG)
+    doc["constellation"] = {"family": "qam256", "n_t": n_t}
+    doc["channel"] = {"variant": "rayleigh", "n_r": 1}
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["curve", "--config", cfg, "--seed", 1]) == 2
+    assert f"n_t={n_t}" in capsys.readouterr().err
 
 
 def test_seed_is_mandatory(tmp_path):

@@ -5,10 +5,10 @@ import pytest
 from scipy.special import erfc
 
 import fadecap as fc
-from fadecap import designs
+from fadecap import designs, mc
 from fadecap.bounds import _bound_sums
-from fadecap.mc import (Estimate, McConfig, chunk_rngs, chunk_sizes, distance_squared_samples,
-                        kernel_stats, suggested_total_draws)
+from fadecap.mc import (EXP_FLOOR, Estimate, McConfig, chunk_rngs, chunk_sizes,
+                        distance_squared_samples, kernel_stats, suggested_total_draws)
 from fadecap.model import _complex_normal, pair_differences, sample_channels
 
 H1 = np.array([[1.0 + 0j]])
@@ -378,6 +378,70 @@ def test_bank_halves_are_views():
         part = bank.half(which)
         assert np.shares_memory(part.base_g, bank.base_g)
         assert np.shares_memory(part.base_nsq, bank.base_nsq)
+
+
+# ---------------------------------------------------------------------------
+# the exp floor: flooring the shifted logits leaves every result bit for bit
+# ---------------------------------------------------------------------------
+
+def _unfloored_weights(lowest):
+    """The logit step without the floor; appends each call's lowest shifted
+    logit to `lowest`."""
+    def shifted_weights(g2, nsq_i, i, out, gain=1.0):
+        np.subtract(g2, g2[i], out=out)
+        if gain != 1.0:
+            out *= gain
+        out -= nsq_i[:, :, None]
+        a_max = out.max(axis=0)
+        out -= a_max
+        lowest.append(out.min())
+        np.exp(out, out=out)
+        return a_max
+    return shifted_weights
+
+
+def _floor_case(name, snr_db):
+    rng = np.random.default_rng(606)
+    snr = 10.0 ** (snr_db / 10.0)
+    if name == "qam16_1x2":
+        c, model, c_sz, n_sz = (fc.make_constellation("qam16", 1),
+                                fc.CanonicalRayleigh(n_t=1, n_r=2), 100, 100)
+    else:
+        c = fc.make_constellation("qam16", 2)
+        model = fc.CorrelatedRayleigh(theta_t=[[1, 0.5], [0.5, 1]],
+                                      theta_r=[[1, 0.8], [0.8, 1]])
+        c_sz, n_sz = 13, 8
+    h = sample_channels(model, c_sz, rng)
+    received = np.sqrt(snr) * np.einsum("mt,crt->cmr", c.points, h)
+    return received, _complex_normal(rng, (c_sz, n_sz, model.n_r)), snr
+
+
+@pytest.mark.parametrize("name,snr_db", [("qam16_1x2", 0), ("qam16_1x2", 20),
+                                         ("qam16_1x2", 30), ("qam16_1x2", 40),
+                                         ("qam16_2x2_correlated", 20)])
+def test_exp_floor_leaves_kernel_stats_unchanged(monkeypatch, name, snr_db):
+    received, noise, snr = _floor_case(name, snr_db)
+    floored = kernel_stats(received, noise, snr)
+    lowest = []
+    monkeypatch.setattr(mc, "_shifted_weights", _unfloored_weights(lowest))
+    reference = kernel_stats(received, noise, snr)
+    for got, ref in zip(floored, reference):
+        assert np.array_equal(got, ref)
+    if snr_db >= 20:
+        assert min(lowest) < EXP_FLOOR       # the floor is reached on these inputs
+
+
+def test_exp_floor_leaves_bank_mi_unchanged(monkeypatch):
+    sub = designs.SubchannelSpec(fc.make_constellation("qpsk", 1),
+                                 designs.RayleighFading(variance=4.0))
+    bank = designs._subchannel_bank(sub, McConfig(channel_draws=160,
+                                                  noise_draws_per_channel=16), 0)
+    snr, powers = 100.0, (0.5, 1.0, 1.5)
+    floored = [designs._bank_mi(snr, bank, p) for p in powers]
+    lowest = []
+    monkeypatch.setattr(mc, "_shifted_weights", _unfloored_weights(lowest))
+    assert [designs._bank_mi(snr, bank, p) for p in powers] == floored
+    assert min(lowest) < EXP_FLOOR
 
 
 # ---------------------------------------------------------------------------

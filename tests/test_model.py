@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import fadecap as fc
+from fadecap import model
 from fadecap.model import hermitian_sqrt, is_hermitian
 
 
@@ -28,6 +29,22 @@ def test_builtin_covariance_and_symmetry(family, n_t):
     assert np.allclose(c.input_covariance(), np.eye(n_t) / n_t, atol=1e-9)
     assert c.has_negation_symmetry()
     assert c.has_coordinate_sign_symmetry()
+
+
+def test_oversized_constellations_rejected_before_building(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the size check must come before the point tables")
+
+    # qam16 over two antennas (M = 256) is the largest size in use and builds
+    assert fc.make_constellation("qam16", 2).m == 256
+    monkeypatch.setattr(model.itertools, "product", must_not_run)
+    monkeypatch.setattr(model, "pairwise_sq_distances", must_not_run)
+    for n_t, m in [(2, 256 ** 2), (4, 256 ** 4)]:
+        with pytest.raises(ValueError, match=f"n_t={n_t} has M={m} points"):
+            fc.make_constellation("qam256", n_t)
+    custom = np.arange(model.MAX_POINTS + 1, dtype=complex)
+    with pytest.raises(ValueError, match=f"n_t=1 has M={model.MAX_POINTS + 1} points"):
+        fc.make_constellation("custom", 1, points=custom)
 
 
 def test_qam16_mean_pair_distance_zero_mean_identity():
