@@ -4,9 +4,11 @@
             [--threads N] [--out FILE]
 
 CSV files start with '#'-prefixed metadata (tool version, command, seed,
-config digest, NumPy and SciPy versions) followed by a fixed header per
-command; numbers carry 12 significant digits.  Exit codes: 0 success, 2 config error, 3 numeric
-failure, 4 flagged low-confidence result (output is still written).
+config digest, NumPy and SciPy versions, and for curve and offsets the
+sample counts) followed by a fixed header per command; numbers carry 12
+significant digits.  The seed is an integer in [0, 2^64).  Exit codes: 0
+success, 2 config error, 3 numeric failure, 4 flagged low-confidence result
+(output is still written).
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ def _write_csv(out_path, command, seed, digest, header, rows, meta=()):
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def _samples_line(mc_cfg) -> str:
+    return (f"samples: channel_draws={mc_cfg.channel_draws} "
+            f"noise_draws={mc_cfg.noise_draws_per_channel} chunks={mc_cfg.parallel_chunks}")
 
 
 def _report(out_path, text):
@@ -127,7 +134,7 @@ def cmd_curve(cfg, seed, digest, out_path, threads):
         else:
             bits = [math.nan] * 6
         rows.append([snr_db] + nats + bits)
-    meta = []
+    meta = [_samples_line(mc_cfg)]
     if flagged:
         meta.append("flagged: expansion-predicted gap exceeds measured gap by >10x; "
                     "the leading term is not descriptive at these SNRs")
@@ -168,7 +175,8 @@ def cmd_offsets(cfg, seed, digest, out_path, threads):
         rows.append([c.family, c.n_t, channel.n_r, _channel_label(channel), c.m, eb.d,
                      eps_hat, eps_p_hat, d_lb, d_ub, dp_lb, dp_ub,
                      spread_mmse, spread_mi, flag])
-    _write_csv(out_path, "offsets", seed, digest, OFFSETS_HEADER, rows)
+    _write_csv(out_path, "offsets", seed, digest, OFFSETS_HEADER, rows,
+               [_samples_line(mc_cfg)])
     return EXIT_FLAGGED if any_flag else EXIT_OK
 
 
@@ -319,13 +327,24 @@ _COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"{value} is outside [0, 2^64)")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="fadecap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML experiment config")
-        p.add_argument("--seed", required=True, type=int, help="MC seed (required)")
+        p.add_argument("--seed", required=True, type=_seed,
+                       help="MC seed, an integer in [0, 2^64) (required)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker cap; does not change results")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")

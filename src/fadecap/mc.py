@@ -271,41 +271,91 @@ def pe_ml_fixed_h(snr: float, h, c: Constellation, cfg: McConfig) -> Estimate:
 # channel-averaged estimators
 # ---------------------------------------------------------------------------
 
-def _averaged(snr: float, received, dim: int, m: int, log_m: float, cfg: McConfig,
+def _averaged(snr: float, stats, m: int, log_m: float, cfg: McConfig,
               threads: int) -> dict[str, Estimate]:
     """Outer Monte Carlo over channel draws.
 
-    ``received(rng, batch)`` must return (batch, M, dim) noiseless receive
-    points with the sqrt(snr) scale included.  Each channel's mean over its
-    noise draws is one sample of the estimates.
+    ``stats(rng, batch)`` must draw `batch` channels, then their noise, and
+    return the per-sample (mmse, lse, pe) of `kernel_stats`, each of shape
+    (batch, noise_draws_per_channel).  Each channel's mean over its noise
+    draws is one sample of the estimates.
     """
     if snr <= 0:
         raise ValueError("snr must be positive")
-    n_noise = cfg.noise_draws_per_channel
 
     def step(rng, batch):
-        noise_free = received(rng, batch)
-        noise = _complex_normal(rng, (batch, n_noise, dim))
-        return tuple(s.mean(axis=1) for s in kernel_stats(noise_free, noise, snr))
+        return tuple(s.mean(axis=1) for s in stats(rng, batch))
 
     samples = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
-                          _batch_channels(m, n_noise), step, threads)
+                          _batch_channels(m, cfg.noise_draws_per_channel), step, threads)
     return _estimates(samples, log_m)
+
+
+def _grid_factors(c: Constellation):
+    """Level sets (R, I) of a single-antenna grid constellation whose
+    factorised kernel cuts the per-sample logits at least fourfold,
+    |R|^2 + |I|^2 <= M^2 / 4 (qam16, qam64, qam256); None otherwise."""
+    levels = c.grid_levels
+    if levels is None or 4 * (levels[0].size ** 2 + levels[1].size ** 2) > c.m ** 2:
+        return None
+    return levels
+
+
+def _grid_stats(h: np.ndarray, noise: np.ndarray, levels, snr: float):
+    """Per-sample (mmse, lse, pe) of `kernel_stats` for the single-antenna
+    grid constellation R x I, from one kernel call per level set.
+
+    h     : (C, n_r) channel columns
+    noise : (C, N, n_r) CN(0, I) draws
+    With u = h^+ n / ||h|| ~ CN(0, 1), the logit of hypothesis k for true
+    input i is A = -snr ||h||^2 |x_i - x_k|^2 - 2 sqrt(snr) ||h||
+    Re(conj(x_i - x_k) u), which splits into a real-level and an
+    imaginary-level term.  So per sample lse = lse_R + lse_I, mmse =
+    mmse_R + mmse_I and pe = pe_R + pe_I - pe_R pe_I (an error in either
+    coordinate), each factor being `kernel_stats` on the real points
+    sqrt(snr) ||h|| level with noise u (R) or -j u (I).  The error rate is
+    formed from the integer error counts, so it equals the joint kernel's.
+    """
+    gain = np.sqrt(np.sum(h.real ** 2 + h.imag ** 2, axis=1))          # (C,)
+    # a zero channel gives u = 0 and all-zero points, so lse = log M
+    u = (noise @ h.conj()[:, :, None]) / np.where(gain > 0.0, gain, 1.0)[:, None, None]
+    amp = np.sqrt(snr) * gain[:, None, None]
+    (mmse_r, lse_r, pe_r), (mmse_i, lse_i, pe_i) = (
+        kernel_stats(amp * lev[None, :, None], z, snr)
+        for lev, z in ((levels[0], u), (levels[1], -1j * u)))
+    n_re, n_im = levels[0].size, levels[1].size
+    err_r, err_i = np.rint(pe_r * n_re), np.rint(pe_i * n_im)
+    errors = err_r * n_im + err_i * n_re - err_r * err_i
+    return mmse_r + mmse_i, lse_r + lse_i, errors * (1.0 / (n_re * n_im))
 
 
 def avg_all(snr: float, model: ChannelModel, c: Constellation, cfg: McConfig,
             threads: int = 1) -> dict[str, Estimate]:
-    """Averaged (mmse, mi, pe) estimates sharing one set of channel draws."""
+    """Averaged (mmse, mi, pe) estimates sharing one set of channel draws.
+
+    Each batch of at most `_batch_channels(M, N)` channels draws its
+    channels H, then its (batch, N, n_r) noise.  A single-antenna grid
+    constellation R x I with |R|^2 + |I|^2 <= M^2 / 4 (qam16, qam64,
+    qam256) evaluates these draws with the factorised kernel of
+    `_grid_stats`: the channel is rank one and projecting the noise onto h
+    loses nothing, so the per-sample statistics are exact and need
+    |R|^2 + |I|^2 rather than M^2 logits.  Other inputs (bpsk, qpsk,
+    n_t >= 2, custom non-grid points) take the joint kernel.
+    """
     if model.n_t != c.n_t:
         raise ValueError("channel and constellation transmit sizes differ")
-    points = c.points
+    levels = _grid_factors(c)
+    n_noise = cfg.noise_draws_per_channel
     root_snr = np.sqrt(snr)
 
-    def received(rng, batch):
+    def stats(rng, batch):
         h = sample_channels(model, batch, rng)
-        return root_snr * np.einsum("mt,crt->cmr", points, h)
+        noise = _complex_normal(rng, (batch, n_noise, model.n_r))
+        if levels is not None:
+            return _grid_stats(h[:, :, 0], noise, levels, snr)
+        return kernel_stats(root_snr * np.einsum("mt,crt->cmr", c.points, h), noise, snr)
 
-    return _averaged(snr, received, model.n_r, c.m, c.log_m, cfg, threads)
+    return _averaged(snr, stats, c.m, c.log_m, cfg, threads)
 
 
 def avg_quantity(kind: str, snr: float, model: ChannelModel, c: Constellation,
@@ -325,14 +375,15 @@ def avg_all_spacetime(snr: float, code: SpaceTimeCode, n_r: int, cfg: McConfig,
     model = CanonicalRayleigh(n_t=code.n_t, n_r=n_r)
     cw = code.codewords
     dim = n_r * code.t
+    n_noise = cfg.noise_draws_per_channel
     root_snr = np.sqrt(snr)
 
-    def received(rng, batch):
+    def stats(rng, batch):
         h = sample_channels(model, batch, rng)
-        rec = np.einsum("crt,mts->cmrs", h, cw)
-        return root_snr * rec.reshape(batch, code.m, dim)
+        received = root_snr * np.einsum("crt,mts->cmrs", h, cw).reshape(batch, code.m, dim)
+        return kernel_stats(received, _complex_normal(rng, (batch, n_noise, dim)), snr)
 
-    return _averaged(snr, received, dim, code.m, code.log_m, cfg, threads)
+    return _averaged(snr, stats, code.m, code.log_m, cfg, threads)
 
 
 # ---------------------------------------------------------------------------

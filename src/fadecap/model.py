@@ -44,10 +44,12 @@ HERMITIAN_TOL = 1e-12
 PSD_EIG_TOL = 1e-10
 DISTINCT_TOL = 1e-12
 NORM_TOL = 1e-9
-# Largest joint constellation accepted.  Construction builds the (M, M, n_t)
-# pairwise difference table, ~0.5 GB at M = 4096 and n_t = 2; qam256 over two
-# antennas (M = 65536) would need ~137 GB.
+# Largest joint constellation accepted.  The Monte Carlo kernel and the pair
+# sums hold O(M^2) tables per channel; qam256 over two antennas (M = 65536)
+# would need ~137 GB for its (M, M, n_t) pairwise difference table alone.
 MAX_POINTS = 4096
+# Complex entries per row block of the distinctness check (2 MB).
+DISTINCT_BLOCK = 2 ** 17
 
 
 def _check_size(m: int, n_t: int) -> None:
@@ -123,12 +125,7 @@ class Constellation:
         _validate_finite(pts, "constellation points")
         _check_size(*pts.shape)
         object.__setattr__(self, "points", pts)
-        d2 = pairwise_sq_distances(self)
-        m = pts.shape[0]
-        if m > 1:
-            off = d2[~np.eye(m, dtype=bool)]
-            if off.min() <= DISTINCT_TOL:
-                raise ValueError("constellation has duplicate points")
+        _check_distinct(pts)
         if np.max(np.abs(pts)) == 0.0:
             raise ValueError("constellation has zero energy")
 
@@ -185,12 +182,45 @@ class Constellation:
             shared.flags.writeable = False
         return diffs, counts
 
+    @cached_property
+    def grid_levels(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Real and imaginary level sets (R, I), sorted, when the points of a
+        single-antenna constellation are exactly the grid {a + jb : a in R,
+        b in I}; None otherwise.
+
+        Levels are compared for exact equality, so a point off the grid by
+        any amount makes the set not a grid.  The M points are distinct and
+        each lies in R x I, so they fill it iff |R| |I| = M.
+        """
+        if self.n_t != 1:
+            return None
+        x = self.points[:, 0]
+        levels = np.unique(x.real), np.unique(x.imag)
+        if levels[0].size * levels[1].size != self.m:
+            return None
+        for shared in levels:
+            shared.flags.writeable = False
+        return levels
+
     def _closed_under(self, transform) -> bool:
         mapped = transform(self.points.copy())
         for q in mapped:
             if np.min(np.sum(np.abs(self.points - q) ** 2, axis=1)) > 1e-18:
                 return False
         return True
+
+
+def _check_distinct(pts: np.ndarray) -> None:
+    """Reject two points within DISTINCT_TOL in squared distance, comparing
+    each row block of the pairwise table so memory stays O(M n_t)."""
+    m, n_t = pts.shape
+    rows = max(1, DISTINCT_BLOCK // (m * n_t))
+    for start in range(0, m, rows):
+        block = pts[start:start + rows]
+        d2 = np.sum(np.abs(block[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+        d2[np.arange(block.shape[0]), np.arange(start, start + block.shape[0])] = np.inf
+        if d2.min() <= DISTINCT_TOL:
+            raise ValueError("constellation has duplicate points")
 
 
 _SCALAR_FAMILIES = ("bpsk", "qpsk", "qam16", "qam64", "qam256")

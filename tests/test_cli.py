@@ -89,6 +89,49 @@ def test_seed_is_mandatory(tmp_path):
     assert run(["curve", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("command", ["curve", "offsets", "palloc", "precode", "stcode"])
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "1.5"])
+def test_seed_outside_u64_is_rejected(tmp_path, capsys, command, seed):
+    cfg = write_cfg(tmp_path, CURVE_CFG)
+    assert run([command, "--config", cfg, "--seed", seed]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_seed_range_ends_are_accepted(tmp_path, seed):
+    doc = dict(CURVE_CFG, snr_db={"points": [10]},
+               mc={"channel_draws": 40, "noise_draws": 4, "chunks": 2})
+    out = tmp_path / "c.csv"
+    assert run(["curve", "--config", write_cfg(tmp_path, doc), "--seed", seed,
+                "--out", out]) == 0
+    assert f"# seed: {seed}" in read_csv(out)[0]
+
+
+def test_samples_line_is_deterministic(tmp_path):
+    """curve and offsets name their sample counts in one metadata line that
+    is the same across repeats and --threads."""
+    samples = "# samples: channel_draws=80 noise_draws=6 chunks=3"
+    mc_doc = {"channel_draws": 80, "noise_draws": 6, "chunks": 3}
+    docs = {
+        "curve": dict(CURVE_CFG, constellation={"family": "qam16", "n_t": 1},
+                      snr_db={"points": [10, 20]}, mc=mc_doc),
+        "offsets": {"anchor_snr_db": 20, "mc": mc_doc,
+                    "systems": [{"constellation": {"family": "qpsk", "n_t": 1},
+                                 "channel": {"variant": "rayleigh", "n_r": 2}}]},
+    }
+    for command, doc in docs.items():
+        cfg = write_cfg(tmp_path, doc, f"{command}.yaml")
+        outs = []
+        for k, threads in enumerate((1, 1, 2)):
+            out = tmp_path / f"{command}{k}.csv"
+            assert run([command, "--config", cfg, "--seed", 17, "--threads", threads,
+                        "--out", out]) in (0, 4)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2], command
+        meta = read_csv(tmp_path / f"{command}0.csv")[0]
+        assert [m for m in meta if m.startswith("# samples:")] == [samples], command
+
+
 def test_curve_pe_binary_bounds_identical(tmp_path):
     doc = dict(CURVE_CFG)
     doc["kind"] = "pe"

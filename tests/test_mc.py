@@ -7,8 +7,9 @@ from scipy.special import erfc
 import fadecap as fc
 from fadecap import designs, mc
 from fadecap.bounds import _bound_sums
-from fadecap.mc import (EXP_FLOOR, Estimate, McConfig, chunk_rngs, chunk_sizes,
-                        distance_squared_samples, kernel_stats, suggested_total_draws)
+from fadecap.mc import (EXP_FLOOR, Estimate, McConfig, _estimates, chunk_rngs,
+                        chunk_sizes, distance_squared_samples, kernel_stats,
+                        suggested_total_draws)
 from fadecap.model import _complex_normal, pair_differences, sample_channels
 
 H1 = np.array([[1.0 + 0j]])
@@ -445,6 +446,103 @@ def test_exp_floor_leaves_bank_mi_unchanged(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# single-antenna grid constellations: the factorised kernel is exact
+# ---------------------------------------------------------------------------
+
+SINGLE_ANTENNA_MODELS = {
+    "rayleigh": fc.CanonicalRayleigh(n_t=1, n_r=2),
+    "correlated": fc.CorrelatedRayleigh(theta_t=[[1.0]], theta_r=[[1, 0.8], [0.8, 1]]),
+    "ricean": fc.Ricean(k_factor=2.0, a_t=[1.0], a_r=[1.0, np.exp(0.3j)]),
+}
+
+
+def _per_channel_samples(snr, model, c, mc_cfg, draw, joint):
+    """The per-channel (mmse, lse, pe) means behind one avg_all call that
+    draws channels with `draw` and, if `joint`, runs the joint kernel."""
+    captured = []
+
+    def capture(samples, log_m):
+        captured.append(samples)
+        return _estimates(samples, log_m)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "_estimates", capture)
+        patch.setattr(mc, "sample_channels", draw)
+        if joint:
+            patch.setattr(mc, "_grid_factors", lambda c: None)
+        fc.avg_all(snr, model, c, mc_cfg)
+    return captured[0]
+
+
+def _faded(batch_h):
+    """Channels scaled from 1 down to 1e-3 across the batch, the first one
+    zero, so that every SNR point has channels in every regime."""
+    scale = np.logspace(0.0, -3.0, batch_h.shape[0])
+    scale[0] = 0.0
+    return batch_h * scale[:, None, None]
+
+
+@pytest.mark.parametrize("family", ["qam16", "qam64"])
+@pytest.mark.parametrize("channel", sorted(SINGLE_ANTENNA_MODELS))
+@pytest.mark.parametrize("fades", [False, True])
+def test_grid_factorisation_matches_joint_kernel(family, channel, fades):
+    """avg_all with the factorised kernel and with the joint kernel, on the
+    same draws at 0-45 dB: per-channel lse within 1e-14 nats, mmse within
+    1e-11 of the largest per-channel value of the case, pe equal.  (At 30
+    dB and above the plain draws' per-channel mmse may be ~1e-29, where both
+    kernels carry only rounding, so the mmse scale is taken over the SNR
+    points.)  With `fades`, each batch holds a zero channel and deep fades."""
+    c = fc.make_constellation(family, 1)
+    model = SINGLE_ANTENNA_MODELS[channel]
+    mc_cfg = McConfig(channel_draws=96, noise_draws_per_channel=12, seed=61,
+                      parallel_chunks=2)
+    assert mc._grid_factors(c) is not None
+    draw = (lambda *args: _faded(sample_channels(*args))) if fades else sample_channels
+    mmse_gap, mmse_scale = 0.0, 0.0
+    for snr_db in (0, 15, 30, 45):
+        snr = 10.0 ** (snr_db / 10.0)
+        mmse_f, lse_f, pe_f = _per_channel_samples(snr, model, c, mc_cfg, draw, joint=False)
+        mmse_j, lse_j, pe_j = _per_channel_samples(snr, model, c, mc_cfg, draw, joint=True)
+        assert np.all(np.isfinite(lse_f)), snr_db
+        assert np.max(np.abs(lse_f - lse_j)) <= 1e-14, snr_db
+        assert np.array_equal(pe_f, pe_j), snr_db
+        if fades:
+            assert lse_f[0] == pytest.approx(c.log_m, abs=1e-15)   # the zero channel
+        mmse_gap = max(mmse_gap, np.max(np.abs(mmse_f - mmse_j)))
+        mmse_scale = max(mmse_scale, np.max(mmse_j))
+    assert mmse_gap <= 1e-11 * mmse_scale
+
+
+def test_grid_factorisation_guards_zero_channel():
+    """A zero channel row gives lse = log M, mmse = pe = 0, as the joint
+    kernel does, not NaN."""
+    c = fc.make_constellation("qam16", 1)
+    rng = np.random.default_rng(67)
+    h = _complex_normal(rng, (3, 2))
+    h[1] = 0.0
+    noise = _complex_normal(rng, (3, 7, 2))
+    snr = 100.0
+    mmse, lse, pe = mc._grid_stats(h, noise, mc._grid_factors(c), snr)
+    received = np.sqrt(snr) * np.einsum("mt,cr->cmr", c.points, h)
+    ref = kernel_stats(received, noise, snr)
+    assert np.allclose(lse[1], c.log_m, rtol=0.0, atol=1e-15)
+    assert np.array_equal(mmse[1], np.zeros(7)) and np.array_equal(pe[1], np.zeros(7))
+    assert np.max(np.abs(lse - ref[1])) <= 1e-14
+    assert np.max(np.abs(mmse - ref[0])) <= 1e-11 * np.max(ref[0])
+    assert np.array_equal(pe, ref[2])
+
+
+@pytest.mark.parametrize("family,takes_grid", [("bpsk", False), ("qpsk", False),
+                                               ("qam16", True), ("qam64", True),
+                                               ("qam256", True)])
+def test_grid_factorisation_inputs(family, takes_grid):
+    """Only grids cut at least fourfold take the factorised kernel; qam16
+    over two antennas has no grid levels."""
+    assert (mc._grid_factors(fc.make_constellation(family, 1)) is not None) == takes_grid
+    assert fc.make_constellation("qam16", 2).grid_levels is None
+
+
+# ---------------------------------------------------------------------------
 # draw layout: every consumer draws each seeded chunk in consecutive batches
 # ---------------------------------------------------------------------------
 
@@ -490,6 +588,28 @@ def test_avg_all_draws_chunks_in_batches():
     for threads in (1, 2):
         est = fc.avg_all(snr, model, BPSK, mc_cfg, threads=threads)
         _assert_estimates_equal(est, expected, BPSK.log_m)
+
+
+def test_avg_all_grid_draws_chunks_in_batches():
+    """The factorised kernel evaluates the joint path's draws: H, then the
+    n_r-dimensional noise, in batches of _batch_channels(16, N)."""
+    c = fc.make_constellation("qam16", 1)
+    model = fc.CanonicalRayleigh(1, 2)
+    n_noise, snr = 2500, 30.0
+    assert mc._batch_channels(16, n_noise) == 50
+    mc_cfg = McConfig(channel_draws=120, noise_draws_per_channel=n_noise, seed=71,
+                      parallel_chunks=2)
+    levels = mc._grid_factors(c)
+
+    def step(rng, batch):      # 60 channels a chunk, batches of 50
+        h = sample_channels(model, batch, rng)
+        noise = _complex_normal(rng, (batch, n_noise, 2))
+        return tuple(s.mean(axis=1) for s in mc._grid_stats(h[:, :, 0], noise, levels, snr))
+
+    expected = _per_batch(120, 71, 2, 50, step)
+    for threads in (1, 2):
+        est = fc.avg_all(snr, model, c, mc_cfg, threads=threads)
+        _assert_estimates_equal(est, expected, c.log_m)
 
 
 def test_fixed_h_all_draws_chunks_in_batches():

@@ -1,5 +1,7 @@
 """Constellations, channel models, sampling and distance primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -38,7 +40,7 @@ def test_oversized_constellations_rejected_before_building(monkeypatch):
     # qam16 over two antennas (M = 256) is the largest size in use and builds
     assert fc.make_constellation("qam16", 2).m == 256
     monkeypatch.setattr(model.itertools, "product", must_not_run)
-    monkeypatch.setattr(model, "pairwise_sq_distances", must_not_run)
+    monkeypatch.setattr(model, "_check_distinct", must_not_run)
     for n_t, m in [(2, 256 ** 2), (4, 256 ** 4)]:
         with pytest.raises(ValueError, match=f"n_t={n_t} has M={m} points"):
             fc.make_constellation("qam256", n_t)
@@ -60,6 +62,31 @@ def test_qpsk_scalar_distances():
     d2 = fc.pairwise_sq_distances(c)
     off = np.unique(np.round(d2[~np.eye(4, dtype=bool)], 12))
     assert np.allclose(off, [2.0, 4.0])
+
+
+def test_distinctness_check_memory_is_bounded():
+    """The check compares row blocks, so M = 1024 stays far below the
+    ~128 MB of the full (M, M, n_t) difference table."""
+    tracemalloc.start()
+    try:
+        assert fc.make_constellation("qpsk", 5).m == 1024
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("gap2,distinct", [(0.0, False), (0.5 * model.DISTINCT_TOL, False),
+                                           (100.0 * model.DISTINCT_TOL, True)])
+def test_distinctness_check_spans_row_blocks(gap2, distinct):
+    """Points 0 and 1000 of M = 1024 lie in different row blocks."""
+    points = np.exp(2j * np.pi * np.arange(1024) / 1024)
+    points[1000] = points[0] + np.sqrt(gap2)
+    if distinct:
+        assert fc.make_constellation("custom", 1, points=points).m == 1024
+    else:
+        with pytest.raises(ValueError, match="duplicate"):
+            fc.make_constellation("custom", 1, points=points)
 
 
 def test_custom_constellation_and_errors():
