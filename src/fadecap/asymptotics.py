@@ -261,8 +261,8 @@ def _distinguishable_class_entropy(c: Constellation, theta_t: np.ndarray) -> flo
     return float(-np.sum(probs * np.log(probs)))
 
 
-def distance_dist_ricean(c: Constellation, k_factor: float, a_t, a_r,
-                         n_r: int | None = None) -> DistanceDistribution:
+def distance_dist_ricean(c: Constellation, k_factor: float,
+                         a_t, a_r) -> DistanceDistribution:
     """Rank-one line of sight.  Per pair the distance is a noncentral
     chi-square-type sum; the leading derivative keeps the Rayleigh shape
     scaled by (K+1)^n_r and an exponential penalty exp(-K ||H0 u||^2) where
@@ -272,10 +272,7 @@ def distance_dist_ricean(c: Constellation, k_factor: float, a_t, a_r,
         raise ValueError("K factor must be >= 0")
     a_t = np.asarray(a_t, dtype=complex).ravel()
     a_r = np.asarray(a_r, dtype=complex).ravel()
-    if n_r is None:
-        n_r = a_r.size
-    if n_r != a_r.size:
-        raise ValueError("n_r must match the receive array response length")
+    n_r = a_r.size
     if a_t.size != c.n_t:
         raise ValueError("a_t must match the constellation antenna count")
 

@@ -58,8 +58,8 @@ def _bound_sums(d2: np.ndarray, weights: np.ndarray | None, snr: float, m: int,
                 kind: str):
     """(lower, upper) of one measure from pair distances along the last axis
     of `d2`, each pair counted `weights` times (None: once)."""
-    def total(terms):
-        return np.sum(terms, axis=-1) if weights is None else terms @ weights
+    def total(terms):   # row by row, so a row's sum does not depend on the row count
+        return np.sum(terms if weights is None else terms * weights, axis=-1)
 
     q = _pair_erfc(d2, snr)
     if kind == "mmse":
@@ -115,7 +115,8 @@ class AveragedBoundPair:
 
 def avg_bounds(kind: str, snr: float, model: ChannelModel, c: Constellation,
                cfg: McConfig) -> AveragedBoundPair:
-    """Monte Carlo average over the channel of the fixed-H bounds.
+    """Monte Carlo average over the channel of the fixed-H bounds, on the
+    channels `mc.avg_all` draws for the same config.
 
     Reusing the same draws for both sides keeps the exact fixed-H ratios
     (4(M-1) for mmse, M-1 for pe) intact in the averaged estimates.  The
@@ -129,16 +130,11 @@ def avg_bounds(kind: str, snr: float, model: ChannelModel, c: Constellation,
     diffs, counts = pair_differences(c)
     weights = counts.astype(float)
 
-    def step(rng, batch):
-        rec = sample_channels(model, batch, rng) @ diffs.T     # (batch, n_r, D)
-        d2 = np.sum(rec.real ** 2 + rec.imag ** 2, axis=1)    # (batch, D)
+    def step(channel_rng, noise_rng, batch):
+        rec = sample_channels(model, batch, channel_rng) @ diffs.T   # (batch, n_r, D)
+        d2 = np.sum(rec.real ** 2 + rec.imag ** 2, axis=1)          # (batch, D)
         return _bound_sums(d2, weights, snr, c.m, kind)
 
     lower, upper = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
-                               _batch_size(diffs.shape[0] * model.n_r), step)
+                               diffs.shape[0] * model.n_r, step)
     return AveragedBoundPair(lower=_estimate(lower), upper=_estimate(upper))
-
-
-def _batch_size(columns: int) -> int:
-    # keep the (batch, columns) received-difference block around a few MB
-    return max(1, min(4096, int(2_000_000 / max(columns, 1))))

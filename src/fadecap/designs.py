@@ -178,8 +178,7 @@ def _subchannel_bank(sub: SubchannelSpec, cfg: mc.McConfig, stream: int) -> _Sub
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(stream + 1)[-1])
     fad = sub.fading
     c_draws, n_draws = cfg.channel_draws, cfg.noise_draws_per_channel
-    h = (rng.standard_normal(c_draws)
-         + 1j * rng.standard_normal(c_draws)) * np.sqrt(fad.variance / 2.0)
+    h = _complex_normal(rng, (c_draws,)) * np.sqrt(fad.variance)
     if isinstance(fad, RiceanFading):
         h = h + complex(fad.mean)
     noise = _complex_normal(rng, (c_draws, n_draws))

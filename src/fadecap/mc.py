@@ -16,7 +16,7 @@ Only the noise is sampled at fixed H (no quadrature); channel averaging
 adds an outer Monte Carlo stage whose per-channel means drive the reported
 standard error.  Work is split into `parallel_chunks` independently seeded
 chunks reduced in fixed order, so results are bit-reproducible for a given
-(seed, config, inputs) and independent of worker scheduling.
+(seed, config, inputs) and independent of worker scheduling and batching.
 """
 
 from __future__ import annotations
@@ -60,12 +60,15 @@ KINDS = ("mmse", "mi", "pe")
 # term of 1 and a weight of at most e^-700 (~1e-304) is absorbed in it.
 EXP_FLOOR = -700.0
 
+# Elements in a batch's largest block (16 MB of float64); sets memory only.
+BATCH_ELEMENTS = 2_000_000
+
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling plan.  Results are a pure function of (config, inputs);
-    each chunk has its own generator, so changing `parallel_chunks` changes
-    the draws and moves the estimates within their standard errors."""
+    """Sampling plan.  (seed, parallel_chunks) fix every channel and noise
+    draw; each chunk has its own generators, so changing `parallel_chunks`
+    changes the draws and moves the estimates within their standard errors."""
 
     channel_draws: int = 10_000
     noise_draws_per_channel: int = 100
@@ -106,9 +109,10 @@ def chunk_sizes(total: int, chunks: int) -> list[int]:
     return [base + (1 if k < extra else 0) for k in range(chunks)]
 
 
-def chunk_rngs(seed: int, chunks: int) -> list[np.random.Generator]:
-    """Independent per-chunk generators derived from (seed, chunk index)."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chunks)]
+def chunk_rngs(seed: int, chunks: int) -> list[tuple[np.random.Generator, np.random.Generator]]:
+    """Per-chunk (channel, noise) generators spawned from (seed, chunk index)."""
+    return [tuple(np.random.default_rng(s) for s in chunk.spawn(2))
+            for chunk in np.random.SeedSequence(seed).spawn(chunks)]
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +186,6 @@ def kernel_stats(received: np.ndarray, noise: np.ndarray, snr: float):
     return mmse * (inv_m / snr), lse * inv_m, pe * inv_m
 
 
-def _batch_channels(m: int, n_noise: int) -> int:
-    # per-hypothesis logit block (M, batch, N) kept around 16 MB
-    return max(8, min(4096, int(2_000_000 / max(m * n_noise, 1))))
-
-
 def _estimate(samples: np.ndarray) -> Estimate:
     n = samples.size
     se = float(np.std(samples, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
@@ -201,21 +200,23 @@ def _estimates(samples, log_m: float) -> dict[str, Estimate]:
     return {"mmse": mmse, "mi": mi, "pe": pe}
 
 
-def _run_chunks(total: int, seed: int, chunks: int, cap: int, step, threads: int = 1):
+def _run_chunks(total: int, seed: int, chunks: int, per_draw: int, step, threads: int = 1):
     """The seeded draw loop of every Monte Carlo consumer.
 
-    Splits `total` draws into `chunks` parts, each with its own generator,
-    and calls ``step(rng, batch)`` on consecutive batches of at most `cap`
-    draws of each part.  Returns the step outputs, arrays or tuples of
-    arrays, concatenated in chunk order; ``threads > 1`` runs the parts on a
-    thread pool with the same result.
-
-    `cap` fixes the results, not only the memory: a step draws a whole batch
-    at once, so another cap gives a seed different draws.
+    Splits `total` draws into `chunks` parts, each with its (channel, noise)
+    generators, and calls ``step(channel_rng, noise_rng, batch)`` on
+    consecutive batches of each part, sized so that the step's largest
+    block (`per_draw` elements a draw) holds about `BATCH_ELEMENTS`.  Steps
+    draw in draw order, so the batch size never changes a draw.  Returns the
+    step outputs, arrays or tuples of arrays, concatenated in chunk order;
+    ``threads > 1`` runs the parts on a thread pool with the same result.
     """
+    cap = max(1, BATCH_ELEMENTS // per_draw)
+
     def run_chunk(job):
-        size, rng = job
-        return [step(rng, min(cap, size - start)) for start in range(0, size, cap)]
+        size, (channel_rng, noise_rng) = job
+        return [step(channel_rng, noise_rng, min(cap, size - start))
+                for start in range(0, size, cap)]
 
     jobs = list(zip(chunk_sizes(total, chunks), chunk_rngs(seed, chunks)))
     if threads > 1:
@@ -234,21 +235,22 @@ def _run_chunks(total: int, seed: int, chunks: int, cap: int, step, threads: int
 # ---------------------------------------------------------------------------
 
 def fixed_h_all(snr: float, h, c: Constellation, cfg: McConfig) -> dict[str, Estimate]:
-    """All three fixed-H estimates from one shared pass over
-    channel_draws * noise_draws_per_channel noise samples."""
+    """All three fixed-H estimates from channel_draws blocks of
+    noise_draws_per_channel noise samples, each block a copy of H."""
     if snr <= 0:
         raise ValueError("snr must be positive")
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[1] != c.n_t:
         raise ValueError("H must have shape (n_r, n_t)")
-    received = np.sqrt(snr) * (c.points @ h.T)[None, :, :]   # (1, M, n_r)
+    n_noise = cfg.noise_draws_per_channel
 
-    def step(rng, batch):
-        noise = _complex_normal(rng, (1, batch, h.shape[0]))
-        return tuple(s[0] for s in kernel_stats(received, noise, snr))
+    def step(channel_rng, noise_rng, batch):
+        noise = _complex_normal(noise_rng, (batch, n_noise, h.shape[0]))
+        stats = _sample_stats(np.broadcast_to(h, (batch, *h.shape)), noise, c, snr)
+        return tuple(s.ravel() for s in stats)
 
-    samples = _run_chunks(cfg.channel_draws * cfg.noise_draws_per_channel, cfg.seed,
-                          cfg.parallel_chunks, max(256, int(2_000_000 / max(c.m, 1))), step)
+    samples = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
+                          c.m * max(c.m, n_noise), step)
     return _estimates(samples, c.log_m)
 
 
@@ -271,23 +273,23 @@ def pe_ml_fixed_h(snr: float, h, c: Constellation, cfg: McConfig) -> Estimate:
 # channel-averaged estimators
 # ---------------------------------------------------------------------------
 
-def _averaged(snr: float, stats, m: int, log_m: float, cfg: McConfig,
-              threads: int) -> dict[str, Estimate]:
-    """Outer Monte Carlo over channel draws.
-
-    ``stats(rng, batch)`` must draw `batch` channels, then their noise, and
-    return the per-sample (mmse, lse, pe) of `kernel_stats`, each of shape
-    (batch, noise_draws_per_channel).  Each channel's mean over its noise
-    draws is one sample of the estimates.
-    """
+def _averaged(snr: float, model: ChannelModel, noise_dim: int, evaluate, m: int,
+              log_m: float, cfg: McConfig, threads: int) -> dict[str, Estimate]:
+    """Outer Monte Carlo over channel draws: H from the channel stream, as in
+    `bounds.avg_bounds`, and (batch, N, noise_dim) noise from the noise
+    stream.  ``evaluate(h, noise)`` returns the per-sample (mmse, lse, pe) of
+    M hypotheses, each (batch, N); a channel's means are one sample."""
     if snr <= 0:
         raise ValueError("snr must be positive")
+    n_noise = cfg.noise_draws_per_channel
 
-    def step(rng, batch):
-        return tuple(s.mean(axis=1) for s in stats(rng, batch))
+    def step(channel_rng, noise_rng, batch):
+        h = sample_channels(model, batch, channel_rng)
+        noise = _complex_normal(noise_rng, (batch, n_noise, noise_dim))
+        return tuple(s.mean(axis=1) for s in evaluate(h, noise))
 
     samples = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
-                          _batch_channels(m, cfg.noise_draws_per_channel), step, threads)
+                          m * max(m, n_noise), step, threads)   # (M, N) logits, (M, M) nsq
     return _estimates(samples, log_m)
 
 
@@ -329,33 +331,28 @@ def _grid_stats(h: np.ndarray, noise: np.ndarray, levels, snr: float):
     return mmse_r + mmse_i, lse_r + lse_i, errors * (1.0 / (n_re * n_im))
 
 
+def _sample_stats(h: np.ndarray, noise: np.ndarray, c: Constellation, snr: float):
+    """Per-sample (mmse, lse, pe) of channels h (C, n_r, n_t) under noise
+    (C, N, n_r).  A single-antenna grid constellation R x I with
+    |R|^2 + |I|^2 <= M^2 / 4 (qam16, qam64, qam256) takes the factorised
+    kernel of `_grid_stats`: the channel is rank one and projecting the
+    noise onto h loses nothing, so the statistics are exact and need
+    |R|^2 + |I|^2 rather than M^2 logits.  Other inputs (bpsk, qpsk,
+    n_t >= 2, custom non-grid points) take the joint kernel."""
+    levels = _grid_factors(c)
+    if levels is not None:
+        return _grid_stats(h[:, :, 0], noise, levels, snr)
+    return kernel_stats(np.sqrt(snr) * np.einsum("mt,crt->cmr", c.points, h), noise, snr)
+
+
 def avg_all(snr: float, model: ChannelModel, c: Constellation, cfg: McConfig,
             threads: int = 1) -> dict[str, Estimate]:
-    """Averaged (mmse, mi, pe) estimates sharing one set of channel draws.
-
-    Each batch of at most `_batch_channels(M, N)` channels draws its
-    channels H, then its (batch, N, n_r) noise.  A single-antenna grid
-    constellation R x I with |R|^2 + |I|^2 <= M^2 / 4 (qam16, qam64,
-    qam256) evaluates these draws with the factorised kernel of
-    `_grid_stats`: the channel is rank one and projecting the noise onto h
-    loses nothing, so the per-sample statistics are exact and need
-    |R|^2 + |I|^2 rather than M^2 logits.  Other inputs (bpsk, qpsk,
-    n_t >= 2, custom non-grid points) take the joint kernel.
-    """
+    """Averaged (mmse, mi, pe) estimates from one set of channel draws, the
+    one `bounds.avg_bounds` sees for the same config, by `_sample_stats`."""
     if model.n_t != c.n_t:
         raise ValueError("channel and constellation transmit sizes differ")
-    levels = _grid_factors(c)
-    n_noise = cfg.noise_draws_per_channel
-    root_snr = np.sqrt(snr)
-
-    def stats(rng, batch):
-        h = sample_channels(model, batch, rng)
-        noise = _complex_normal(rng, (batch, n_noise, model.n_r))
-        if levels is not None:
-            return _grid_stats(h[:, :, 0], noise, levels, snr)
-        return kernel_stats(root_snr * np.einsum("mt,crt->cmr", c.points, h), noise, snr)
-
-    return _averaged(snr, stats, c.m, c.log_m, cfg, threads)
+    return _averaged(snr, model, model.n_r, lambda h, noise: _sample_stats(h, noise, c, snr),
+                     c.m, c.log_m, cfg, threads)
 
 
 def avg_quantity(kind: str, snr: float, model: ChannelModel, c: Constellation,
@@ -375,15 +372,13 @@ def avg_all_spacetime(snr: float, code: SpaceTimeCode, n_r: int, cfg: McConfig,
     model = CanonicalRayleigh(n_t=code.n_t, n_r=n_r)
     cw = code.codewords
     dim = n_r * code.t
-    n_noise = cfg.noise_draws_per_channel
     root_snr = np.sqrt(snr)
 
-    def stats(rng, batch):
-        h = sample_channels(model, batch, rng)
-        received = root_snr * np.einsum("crt,mts->cmrs", h, cw).reshape(batch, code.m, dim)
-        return kernel_stats(received, _complex_normal(rng, (batch, n_noise, dim)), snr)
+    def evaluate(h, noise):
+        received = root_snr * np.einsum("crt,mts->cmrs", h, cw).reshape(len(h), code.m, dim)
+        return kernel_stats(received, noise, snr)
 
-    return _averaged(snr, stats, code.m, code.log_m, cfg, threads)
+    return _averaged(snr, model, dim, evaluate, code.m, code.log_m, cfg, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +459,8 @@ def distance_squared_samples(model: ChannelModel, diff, n: int, seed: int,
     if diff.size != model.n_t:
         raise ValueError("difference vector length must equal n_t")
 
-    def step(rng, batch):
-        rec = sample_channels(model, batch, rng) @ diff
+    def step(channel_rng, noise_rng, batch):
+        rec = sample_channels(model, batch, channel_rng) @ diff
         return np.sum(np.abs(rec) ** 2, axis=1)
 
-    return _run_chunks(n, seed, chunks, 100_000, step)
+    return _run_chunks(n, seed, chunks, model.n_r * model.n_t, step)

@@ -389,8 +389,11 @@ ChannelModel = Union[CanonicalRayleigh, CorrelatedRayleigh, Ricean]
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0,1) entries: real and imaginary parts i.i.d. N(0, 1/2)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+    """CN(0,1) entries, each from two consecutive N(0, 1/2) draws (real,
+    imaginary) in C order: shape (a + b, ...) equals (a, ...) then (b, ...)."""
+    z = rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
+    z *= np.sqrt(0.5)
+    return z
 
 
 def sample_channels(model: ChannelModel, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -178,14 +178,14 @@ def test_pair_differences_match_unique_reference(c):
 
 
 def _ordered_pair_avg_bounds(kind, snr, model, c, cfg):
-    """Reference: every ordered pair of every channel draw, drawn in the
-    batches avg_bounds uses."""
+    """Reference: every ordered pair of every channel draw, each chunk's
+    channels drawn whole from its channel stream."""
     diffs = ordered_pair_differences(c)
     m = c.m
     lowers, uppers = [], []
-    for size, rng in zip(chunk_sizes(cfg.channel_draws, cfg.parallel_chunks),
-                         chunk_rngs(cfg.seed, cfg.parallel_chunks)):
-        h = sample_channels(model, size, rng)
+    for size, (channel_rng, _) in zip(chunk_sizes(cfg.channel_draws, cfg.parallel_chunks),
+                                      chunk_rngs(cfg.seed, cfg.parallel_chunks)):
+        h = sample_channels(model, size, channel_rng)
         rec = np.einsum("pt,crt->cpr", diffs, h)
         d2 = np.sum(np.abs(rec) ** 2, axis=2)
         q = 0.5 * erfc(np.sqrt(d2 * snr / 4.0))
@@ -213,7 +213,6 @@ def _ordered_pair_avg_bounds(kind, snr, model, c, cfg):
 ])
 def test_avg_bounds_match_ordered_pair_reference(family, n_t, model):
     c = fc.make_constellation(family, n_t)
-    # chunks of 6 draws fit in one avg_bounds batch, so both draw the same channels
     cfg = McConfig(channel_draws=24, noise_draws_per_channel=1, seed=17, parallel_chunks=4)
     for kind in ("mmse", "mi", "pe"):
         for snr in (1.0, 100.0):

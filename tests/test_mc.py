@@ -5,7 +5,7 @@ import pytest
 from scipy.special import erfc
 
 import fadecap as fc
-from fadecap import designs, mc
+from fadecap import bounds, designs, mc
 from fadecap.bounds import _bound_sums
 from fadecap.mc import (EXP_FLOOR, Estimate, McConfig, _estimates, chunk_rngs,
                         chunk_sizes, distance_squared_samples, kernel_stats,
@@ -359,7 +359,7 @@ def test_bank_mi_matches_kernel_stats():
     # the bank's draws, in its order: fading, then noise
     rng = np.random.default_rng(np.random.SeedSequence(mc_cfg.seed).spawn(stream + 1)[-1])
     n_c = mc_cfg.channel_draws
-    h = (rng.standard_normal(n_c) + 1j * rng.standard_normal(n_c)) * np.sqrt(variance / 2.0)
+    h = _complex_normal(rng, (n_c,)) * np.sqrt(variance)
     noise = _complex_normal(rng, (n_c, mc_cfg.noise_draws_per_channel))
     received = np.sqrt(snr * power) * h[:, None, None] * sub.constellation.points[None]
     _, lse, _ = kernel_stats(received, noise[:, :, None], snr * power)
@@ -456,9 +456,9 @@ SINGLE_ANTENNA_MODELS = {
 }
 
 
-def _per_channel_samples(snr, model, c, mc_cfg, draw, joint):
-    """The per-channel (mmse, lse, pe) means behind one avg_all call that
-    draws channels with `draw` and, if `joint`, runs the joint kernel."""
+def _kernel_samples(estimator, joint):
+    """The per-sample (mmse, lse, pe) behind one ``estimator()`` call, which
+    runs the joint kernel if `joint` and may take the factorised one if not."""
     captured = []
 
     def capture(samples, log_m):
@@ -467,10 +467,9 @@ def _per_channel_samples(snr, model, c, mc_cfg, draw, joint):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mc, "_estimates", capture)
-        patch.setattr(mc, "sample_channels", draw)
         if joint:
             patch.setattr(mc, "_grid_factors", lambda c: None)
-        fc.avg_all(snr, model, c, mc_cfg)
+        estimator()
     return captured[0]
 
 
@@ -485,7 +484,7 @@ def _faded(batch_h):
 @pytest.mark.parametrize("family", ["qam16", "qam64"])
 @pytest.mark.parametrize("channel", sorted(SINGLE_ANTENNA_MODELS))
 @pytest.mark.parametrize("fades", [False, True])
-def test_grid_factorisation_matches_joint_kernel(family, channel, fades):
+def test_grid_factorisation_matches_joint_kernel(monkeypatch, family, channel, fades):
     """avg_all with the factorised kernel and with the joint kernel, on the
     same draws at 0-45 dB: per-channel lse within 1e-14 nats, mmse within
     1e-11 of the largest per-channel value of the case, pe equal.  (At 30
@@ -497,17 +496,50 @@ def test_grid_factorisation_matches_joint_kernel(family, channel, fades):
     mc_cfg = McConfig(channel_draws=96, noise_draws_per_channel=12, seed=61,
                       parallel_chunks=2)
     assert mc._grid_factors(c) is not None
-    draw = (lambda *args: _faded(sample_channels(*args))) if fades else sample_channels
+    if fades:
+        monkeypatch.setattr(mc, "sample_channels", lambda *args: _faded(sample_channels(*args)))
     mmse_gap, mmse_scale = 0.0, 0.0
     for snr_db in (0, 15, 30, 45):
         snr = 10.0 ** (snr_db / 10.0)
-        mmse_f, lse_f, pe_f = _per_channel_samples(snr, model, c, mc_cfg, draw, joint=False)
-        mmse_j, lse_j, pe_j = _per_channel_samples(snr, model, c, mc_cfg, draw, joint=True)
+
+        def estimator():
+            fc.avg_all(snr, model, c, mc_cfg)
+
+        mmse_f, lse_f, pe_f = _kernel_samples(estimator, joint=False)
+        mmse_j, lse_j, pe_j = _kernel_samples(estimator, joint=True)
         assert np.all(np.isfinite(lse_f)), snr_db
         assert np.max(np.abs(lse_f - lse_j)) <= 1e-14, snr_db
         assert np.array_equal(pe_f, pe_j), snr_db
         if fades:
             assert lse_f[0] == pytest.approx(c.log_m, abs=1e-15)   # the zero channel
+        mmse_gap = max(mmse_gap, np.max(np.abs(mmse_f - mmse_j)))
+        mmse_scale = max(mmse_scale, np.max(mmse_j))
+    assert mmse_gap <= 1e-11 * mmse_scale
+
+
+@pytest.mark.parametrize("family", ["qam16", "qam64", "qam256"])
+def test_grid_factorisation_matches_joint_kernel_fixed_h(family):
+    """fixed_h_all takes the same dispatch as avg_all: with the factorised
+    and the joint kernel, on the same draws at 0-45 dB, the lse means of
+    each block of noise_draws_per_channel samples (the per-channel means of
+    avg_all) within 1e-14 nats, per-sample mmse within 1e-11 of its largest
+    value over the SNR points, pe equal."""
+    c = fc.make_constellation(family, 1)
+    h = np.array([[0.9 - 0.4j], [0.3 + 0.2j]])
+    mc_cfg = McConfig(channel_draws=24, noise_draws_per_channel=10, seed=29,
+                      parallel_chunks=2)
+    mmse_gap, mmse_scale = 0.0, 0.0
+    for snr_db in (0, 15, 30, 45):
+        snr = 10.0 ** (snr_db / 10.0)
+
+        def estimator():
+            fc.fixed_h_all(snr, h, c, mc_cfg)
+
+        mmse_f, lse_f, pe_f = _kernel_samples(estimator, joint=False)
+        mmse_j, lse_j, pe_j = _kernel_samples(estimator, joint=True)
+        lse_gap = (lse_f - lse_j).reshape(24, 10).mean(axis=1)
+        assert np.max(np.abs(lse_gap)) <= 1e-14, snr_db
+        assert np.array_equal(pe_f, pe_j), snr_db
         mmse_gap = max(mmse_gap, np.max(np.abs(mmse_f - mmse_j)))
         mmse_scale = max(mmse_scale, np.max(mmse_j))
     assert mmse_gap <= 1e-11 * mmse_scale
@@ -543,16 +575,15 @@ def test_grid_factorisation_inputs(family, takes_grid):
 
 
 # ---------------------------------------------------------------------------
-# draw layout: every consumer draws each seeded chunk in consecutive batches
+# draw layout: each chunk draws its channels from its channel stream and its
+# noise from its noise stream, in draw order
 # ---------------------------------------------------------------------------
 
-def _per_batch(total, seed, chunks, cap, step):
-    """Reference draw order: chunk by chunk, each in batches of at most `cap`."""
-    parts = []
-    for size, rng in zip(chunk_sizes(total, chunks), chunk_rngs(seed, chunks)):
-        for start in range(0, size, cap):
-            parts.append(step(rng, min(cap, size - start)))
-    return parts
+def _per_chunk(total, seed, chunks, draw):
+    """Reference draw order: each chunk drawn whole, by
+    ``draw(channel_rng, noise_rng, size)`` on that chunk's two streams."""
+    return [draw(channel_rng, noise_rng, size) for size, (channel_rng, noise_rng)
+            in zip(chunk_sizes(total, chunks), chunk_rngs(seed, chunks))]
 
 
 def _mean_and_se(samples):
@@ -568,9 +599,8 @@ def _assert_estimates_equal(est, per_sample, log_m):
     assert (est["pe"].mean, est["pe"].std_error) == _mean_and_se(pe)
 
 
-# The batch caps below are those of the consumers for these shapes; each
-# chunk spans several batches, so drawing per chunk or reordering batches
-# changes every result.
+# The consumers split each chunk below into several batches (sizes in the
+# comments), while the references draw it whole.
 
 def test_avg_all_draws_chunks_in_batches():
     model = fc.CanonicalRayleigh(1, 2)
@@ -578,35 +608,34 @@ def test_avg_all_draws_chunks_in_batches():
     mc_cfg = McConfig(channel_draws=120, noise_draws_per_channel=n_noise, seed=41,
                       parallel_chunks=2)
 
-    def step(rng, batch):      # 60 channels a chunk, batches of 50
-        h = sample_channels(model, batch, rng)
+    def draw(channel_rng, noise_rng, size):     # 60 channels a chunk, batches of 50
+        h = sample_channels(model, size, channel_rng)
         received = np.sqrt(snr) * np.einsum("mt,crt->cmr", BPSK.points, h)
-        noise = _complex_normal(rng, (batch, n_noise, 2))
+        noise = _complex_normal(noise_rng, (size, n_noise, 2))
         return tuple(s.mean(axis=1) for s in kernel_stats(received, noise, snr))
 
-    expected = _per_batch(120, 41, 2, 50, step)
+    expected = _per_chunk(120, 41, 2, draw)
     for threads in (1, 2):
         est = fc.avg_all(snr, model, BPSK, mc_cfg, threads=threads)
         _assert_estimates_equal(est, expected, BPSK.log_m)
 
 
 def test_avg_all_grid_draws_chunks_in_batches():
-    """The factorised kernel evaluates the joint path's draws: H, then the
-    n_r-dimensional noise, in batches of _batch_channels(16, N)."""
+    """The factorised kernel evaluates the joint path's draws: H from the
+    channel stream, the n_r-dimensional noise from the noise stream."""
     c = fc.make_constellation("qam16", 1)
     model = fc.CanonicalRayleigh(1, 2)
     n_noise, snr = 2500, 30.0
-    assert mc._batch_channels(16, n_noise) == 50
     mc_cfg = McConfig(channel_draws=120, noise_draws_per_channel=n_noise, seed=71,
                       parallel_chunks=2)
     levels = mc._grid_factors(c)
 
-    def step(rng, batch):      # 60 channels a chunk, batches of 50
-        h = sample_channels(model, batch, rng)
-        noise = _complex_normal(rng, (batch, n_noise, 2))
+    def draw(channel_rng, noise_rng, size):     # 60 channels a chunk, batches of 50
+        h = sample_channels(model, size, channel_rng)
+        noise = _complex_normal(noise_rng, (size, n_noise, 2))
         return tuple(s.mean(axis=1) for s in mc._grid_stats(h[:, :, 0], noise, levels, snr))
 
-    expected = _per_batch(120, 71, 2, 50, step)
+    expected = _per_chunk(120, 71, 2, draw)
     for threads in (1, 2):
         est = fc.avg_all(snr, model, c, mc_cfg, threads=threads)
         _assert_estimates_equal(est, expected, c.log_m)
@@ -618,13 +647,13 @@ def test_fixed_h_all_draws_chunks_in_batches():
     snr = 2.0
     mc_cfg = McConfig(channel_draws=12_000, noise_draws_per_channel=100, seed=43,
                       parallel_chunks=2)
-    received = np.sqrt(snr) * (c.points @ h.T)[None]
 
-    def step(rng, batch):      # 600 000 noise draws a chunk, batches of 500 000
-        noise = _complex_normal(rng, (1, batch, 1))
-        return tuple(s[0] for s in kernel_stats(received, noise, snr))
+    def draw(channel_rng, noise_rng, size):     # 6000 blocks a chunk, batches of 5000
+        noise = _complex_normal(noise_rng, (size, 100, 1))
+        received = np.broadcast_to(np.sqrt(snr) * (c.points @ h.T), (size, c.m, 1))
+        return tuple(s.ravel() for s in kernel_stats(received, noise, snr))
 
-    expected = _per_batch(1_200_000, 43, 2, 500_000, step)
+    expected = _per_chunk(12_000, 43, 2, draw)
     _assert_estimates_equal(fc.fixed_h_all(snr, h, c, mc_cfg), expected, c.log_m)
 
 
@@ -635,29 +664,108 @@ def test_avg_bounds_draws_chunks_in_batches():
                       parallel_chunks=2)
     diffs, counts = pair_differences(c)
     for kind in ("mmse", "mi", "pe"):
-        def step(rng, batch):  # 500 channels a chunk, batches of 416
-            rec = sample_channels(model, batch, rng) @ diffs.T
+        def draw(channel_rng, noise_rng, size):   # 500 channels a chunk, batches of 416
+            rec = sample_channels(model, size, channel_rng) @ diffs.T
             d2 = np.sum(rec.real ** 2 + rec.imag ** 2, axis=1)
             return _bound_sums(d2, counts.astype(float), 10.0, c.m, kind)
 
-        lower, upper = (np.concatenate(s) for s in
-                        zip(*_per_batch(1000, 47, 2, 416, step)))
+        lower, upper = (np.concatenate(s) for s in zip(*_per_chunk(1000, 47, 2, draw)))
         pair = fc.avg_bounds(kind, 10.0, model, c, mc_cfg)
         assert (pair.lower.mean, pair.lower.std_error) == _mean_and_se(lower), kind
         assert (pair.upper.mean, pair.upper.std_error) == _mean_and_se(upper), kind
 
 
-def test_distance_squared_samples_draws_chunks_in_batches():
+def test_distance_squared_samples_draws_chunks_in_batches(monkeypatch):
     model = fc.CorrelatedRayleigh(theta_t=[[1, 0.5], [0.5, 1]], theta_r=np.eye(3))
     diff = np.array([1.0, 0.5j])
     n = 250_001
+    monkeypatch.setattr(mc, "BATCH_ELEMENTS", 600_000)   # 6 entries a draw
 
-    def step(rng, batch):      # 125 001 draws a chunk, batches of 100 000
-        return np.sum(np.abs(sample_channels(model, batch, rng) @ diff) ** 2, axis=1)
+    def draw(channel_rng, noise_rng, size):     # 125 001 draws a chunk, batches of 100 000
+        return np.sum(np.abs(sample_channels(model, size, channel_rng) @ diff) ** 2, axis=1)
 
-    expected = np.concatenate(_per_batch(n, 53, 2, 100_000, step))
+    expected = np.concatenate(_per_chunk(n, 53, 2, draw))
     got = distance_squared_samples(model, diff, n, seed=53, chunks=2)
     assert np.array_equal(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# batch invariance: the batch size never changes a draw
+# ---------------------------------------------------------------------------
+
+CORRELATED_2X2 = fc.CorrelatedRayleigh(theta_t=[[1, 0.5], [0.5, 1]],
+                                       theta_r=[[1, 0.8], [0.8, 1]])
+QPSK_2 = fc.make_constellation("qpsk", 2)
+QAM16 = fc.make_constellation("qam16", 1)
+BATCH_CFG = McConfig(channel_draws=30, noise_draws_per_channel=6, seed=5, parallel_chunks=3)
+
+BATCHED_ESTIMATORS = {
+    "avg_all_joint": lambda: fc.avg_all(10.0, CORRELATED_2X2, QPSK_2, BATCH_CFG),
+    "avg_all_grid": lambda: fc.avg_all(30.0, fc.CanonicalRayleigh(1, 2), QAM16, BATCH_CFG),
+    "avg_all_spacetime": lambda: fc.avg_all_spacetime(
+        4.0, fc.SpaceTimeCode(codewords=np.stack([QPSK_2.points, QPSK_2.points[:, ::-1]],
+                                                 axis=2)), 2, BATCH_CFG),
+    "fixed_h_all_joint": lambda: fc.fixed_h_all(
+        10.0, np.array([[0.8 - 0.3j, 0.1], [0.2j, 0.5]]), QPSK_2, BATCH_CFG),
+    "fixed_h_all_grid": lambda: fc.fixed_h_all(
+        30.0, np.array([[0.8 - 0.3j], [0.2j]]), QAM16, BATCH_CFG),
+    "avg_bounds": lambda: [fc.avg_bounds(kind, 10.0, CORRELATED_2X2, QPSK_2, BATCH_CFG)
+                           for kind in ("mmse", "mi", "pe")],
+    "distance_squared_samples": lambda: distance_squared_samples(
+        CORRELATED_2X2, [1.0, 0.5j], 31, seed=2, chunks=3).tolist(),
+}
+
+
+def _batches_of(k, patch):
+    """Make every `_run_chunks` call draw its chunks in batches of `k` draws
+    by setting the batch target to k per-draw blocks; returns the list the
+    batch sizes are appended to."""
+    run_chunks = mc._run_chunks
+    sizes = []
+
+    def run_in_batches(total, seed, chunks, per_draw, step, threads=1):
+        def counted(channel_rng, noise_rng, batch):
+            sizes.append(batch)
+            return step(channel_rng, noise_rng, batch)
+
+        patch.setattr(mc, "BATCH_ELEMENTS", k * per_draw)
+        return run_chunks(total, seed, chunks, per_draw, counted, threads)
+
+    patch.setattr(mc, "_run_chunks", run_in_batches)
+    patch.setattr(bounds, "_run_chunks", run_in_batches)
+    return sizes
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_ESTIMATORS))
+def test_batch_size_leaves_results_bit_identical(name):
+    """Chunks of 10 or 11 draws spanning batches of 1, 2 and 7 draws give
+    the results of the default batching (one batch a chunk) bit for bit."""
+    estimator = BATCHED_ESTIMATORS[name]
+    reference = estimator()
+    for k in (1, 2, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            sizes = _batches_of(k, patch)
+            got = estimator()
+        assert max(sizes) == k
+        assert got == reference, k
+
+
+def test_avg_all_and_avg_bounds_draw_the_same_channels(monkeypatch):
+    """For one (seed, parallel_chunks) avg_bounds sees the channels avg_all
+    averages over, although the two batch them differently."""
+    model = fc.CanonicalRayleigh(1, 2)
+    mc_cfg = McConfig(channel_draws=240, noise_draws_per_channel=2500, seed=83,
+                      parallel_chunks=2)
+    drawn = {mc: [], bounds: []}
+    for module, seen in drawn.items():
+        def spy(model, n, rng, seen=seen):
+            seen.append(sample_channels(model, n, rng))
+            return seen[-1]
+        monkeypatch.setattr(module, "sample_channels", spy)
+    fc.avg_all(30.0, model, QAM16, mc_cfg)
+    fc.avg_bounds("mi", 30.0, model, QAM16, mc_cfg)
+    assert (len(drawn[mc]), len(drawn[bounds])) == (6, 2)   # batches of 50 and of 120
+    assert np.array_equal(np.concatenate(drawn[mc]), np.concatenate(drawn[bounds]))
 
 
 def test_avg_all_spacetime_threads_bit_for_bit():
