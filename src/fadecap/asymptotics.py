@@ -12,8 +12,9 @@ p^(d-1)(0), then
     pe(snr)   ~ eps''/ snr^d        with  k''_lb * S <= eps'' <= k''_ub * S
 
 where S sums p^(d-1)(0) over ordered pairs.  This module computes the
-constants, the per-pair (order, leading derivative) data for each channel
-family, and the dB offsets between measured and bound-predicted expansions.
+constants, the (order, leading derivative) data per class of ordered pairs
+for each channel family, and the dB offsets between measured and
+bound-predicted expansions.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .model import (
     SpaceTimeCode,
     check_psd,
     hermitian_sqrt,
-    ordered_pair_differences,
+    pair_differences,
 )
 
 __all__ = [
@@ -132,13 +133,18 @@ def expansion_constant_alt_form(kind: str, n: int, m: int) -> float:
 
 @dataclass(frozen=True)
 class DistanceDistribution:
-    """Per-ordered-pair behavior of the received-distance density at zero.
+    """Behavior of the received-distance density at zero, by class of
+    ordered pairs.
 
-    ``orders[p]`` is the smallest n with p^(n)(0) != 0 for pair p and
-    ``values[p]`` the value of that derivative.  Pairs whose received
-    distance is identically zero (indistinguishable under the channel) are
-    excluded; their effect is absorbed into ``effective_log_m``, the
-    infinite-SNR mutual information limit.
+    Entry p is a class of ordered pairs whose distances share one law: the
+    pairs with one distinct difference x_i - x_j for constellations, a
+    single pair for space-time codes.  ``orders[p]`` is the smallest n with
+    p^(n)(0) != 0 for that law and ``values[p]`` that derivative summed over
+    the class, so ``values.sum()`` is the sum over ordered pairs.  Pairs
+    whose received distance is identically zero (indistinguishable under the
+    channel) are excluded and counted in ``n_excluded``; their effect is
+    absorbed into ``effective_log_m``, the infinite-SNR mutual information
+    limit.
     """
 
     orders: np.ndarray
@@ -190,9 +196,10 @@ def distance_dist_rayleigh(c: Constellation, n_r: int) -> DistanceDistribution:
     so the first n_r - 1 derivatives vanish and p^(n_r-1)(0) = dbar^(-2 n_r)."""
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
-    d2 = np.sum(np.abs(ordered_pair_differences(c)) ** 2, axis=1)
+    diffs, counts = pair_differences(c)
+    d2 = np.sum(np.abs(diffs) ** 2, axis=1)
     orders = np.full(d2.size, n_r - 1, dtype=int)
-    values = d2 ** (-float(n_r))
+    values = counts * d2 ** (-float(n_r))
     return DistanceDistribution(orders=orders, values=values, effective_log_m=c.log_m)
 
 
@@ -216,15 +223,15 @@ def distance_dist_correlated(c: Constellation, theta_t, theta_r) -> DistanceDist
     if n_prime == 0:
         raise ValueError("theta_r has no nonzero eigenvalues")
 
-    diffs = ordered_pair_differences(c)
+    diffs, counts = pair_differences(c)
     lam_t = np.real(np.einsum("pi,ij,pj->p", diffs.conj(), theta_t, diffs))
     lam_t = np.where(lam_t < EIG_ZERO_REL * max(lam_t.max(), 1e-300), 0.0, lam_t)
     keep = lam_t > 0
-    n_excluded = int(np.sum(~keep))
+    n_excluded = int(np.sum(counts[~keep]))
     if not np.any(keep):
         raise ValueError("all pairs are indistinguishable under theta_t")
 
-    values = (1.0 / lam_t[keep]) ** n_prime * np.prod(1.0 / lam_r_pos)
+    values = counts[keep] * (1.0 / lam_t[keep]) ** n_prime * np.prod(1.0 / lam_r_pos)
     orders = np.full(values.size, n_prime - 1, dtype=int)
 
     if n_excluded:
@@ -276,12 +283,12 @@ def distance_dist_ricean(c: Constellation, k_factor: float,
     if a_t.size != c.n_t:
         raise ValueError("a_t must match the constellation antenna count")
 
-    diffs = ordered_pair_differences(c)
+    diffs, counts = pair_differences(c)
     d2 = np.sum(np.abs(diffs) ** 2, axis=1)
     # ||H0 u||^2 = ||a_r||^2 |a_t^+ u|^2 for the rank-one H0 = a_r a_t^+
     proj = np.abs(diffs @ a_t.conj()) ** 2 / d2
     trace_term = np.sum(np.abs(a_r) ** 2) * proj
-    values = ((k_factor + 1.0) / d2) ** n_r * np.exp(-k_factor * trace_term)
+    values = counts * ((k_factor + 1.0) / d2) ** n_r * np.exp(-k_factor * trace_term)
     orders = np.full(values.size, n_r - 1, dtype=int)
     return DistanceDistribution(orders=orders, values=values, effective_log_m=c.log_m)
 

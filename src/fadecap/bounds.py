@@ -5,7 +5,9 @@ d_ij^2(H): a genie that narrows the hypothesis set to two points gives the
 lower bounds, while a minimum-distance detector / union bound gives the
 upper bounds.  The resulting pairs have exact ratios (4(M-1) for MMSE,
 M-1 for error probability) because upper and lower differ only in the
-pair-averaging prefactor.
+pair-averaging prefactor.  Every pair sum runs over the D distinct
+differences of `model.pair_differences`, each weighted by its multiplicity,
+so its cost scales with D, not M(M-1).
 
 Channel-averaged versions are Monte Carlo means of the fixed-H bounds over
 shared channel draws, which preserves the exact ratios.
@@ -20,13 +22,7 @@ from scipy.special import erfc
 
 from .asymptotics import BoundPair
 from .mc import KINDS, Estimate, McConfig, _estimate, _run_chunks
-from .model import (
-    ChannelModel,
-    Constellation,
-    ordered_pair_differences,
-    pair_differences,
-    sample_channels,
-)
+from .model import ChannelModel, Constellation, pair_differences, sample_channels
 
 __all__ = [
     "BoundPair",
@@ -35,31 +31,25 @@ __all__ = [
     "mi_bounds_fixed_h",
     "pe_bounds_fixed_h",
     "avg_bounds",
-    "pair_distance_table",
 ]
 
 
-def pair_distance_table(c: Constellation, h: np.ndarray) -> np.ndarray:
-    """Ordered-pair received squared distances ||H(x_i - x_j)||^2, shape (M(M-1),).
-
-    Precomputing this table lets a whole SNR grid reuse the O(M^2) work.
-    """
-    diffs = ordered_pair_differences(c)
-    h = np.asarray(h, dtype=complex)
-    rec = diffs @ h.T
-    return np.sum(np.abs(rec) ** 2, axis=1)
+def _received_sq_distances(h: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+    """||H d||^2 for each distinct difference d (rows of `diffs`): h of shape
+    (..., n_r, n_t) gives shape (..., D)."""
+    rec = h @ diffs.T                                   # (..., n_r, D)
+    return np.sum(rec.real ** 2 + rec.imag ** 2, axis=-2)
 
 
 def _pair_erfc(d2: np.ndarray, snr: float) -> np.ndarray:
     return 0.5 * erfc(np.sqrt(d2 * snr / 4.0))
 
 
-def _bound_sums(d2: np.ndarray, weights: np.ndarray | None, snr: float, m: int,
-                kind: str):
-    """(lower, upper) of one measure from pair distances along the last axis
-    of `d2`, each pair counted `weights` times (None: once)."""
+def _bound_sums(d2: np.ndarray, counts: np.ndarray, snr: float, m: int, kind: str):
+    """(lower, upper) of one measure from the distinct-difference distances
+    along the last axis of `d2`, each counted `counts` times."""
     def total(terms):   # row by row, so a row's sum does not depend on the row count
-        return np.sum(terms if weights is None else terms * weights, axis=-1)
+        return np.sum(terms * counts, axis=-1)
 
     q = _pair_erfc(d2, snr)
     if kind == "mmse":
@@ -73,35 +63,32 @@ def _bound_sums(d2: np.ndarray, weights: np.ndarray | None, snr: float, m: int,
             log_m - total(0.5 * q) / (m * (m - 1.0)))
 
 
-def _fixed_h(kind: str, snr: float, h, c: Constellation,
-             d2_pairs: np.ndarray | None) -> BoundPair:
+def _fixed_h(kind: str, snr: float, h, c: Constellation) -> BoundPair:
     if snr <= 0:
         raise ValueError("snr must be positive")
-    d2 = pair_distance_table(c, h) if d2_pairs is None else d2_pairs
-    lower, upper = _bound_sums(d2, None, snr, c.m, kind)
+    diffs, counts = pair_differences(c)
+    d2 = _received_sq_distances(np.asarray(h, dtype=complex), diffs)
+    lower, upper = _bound_sums(d2, counts, snr, c.m, kind)
     return BoundPair(lower=float(lower), upper=float(upper))
 
 
-def mmse_bounds_fixed_h(snr: float, h, c: Constellation,
-                        d2_pairs: np.ndarray | None = None) -> BoundPair:
+def mmse_bounds_fixed_h(snr: float, h, c: Constellation) -> BoundPair:
     """Estimation error of the noiseless receive point.  Upper/lower ratio
     is exactly 4(M-1)."""
-    return _fixed_h("mmse", snr, h, c, d2_pairs)
+    return _fixed_h("mmse", snr, h, c)
 
 
-def mi_bounds_fixed_h(snr: float, h, c: Constellation,
-                      d2_pairs: np.ndarray | None = None) -> BoundPair:
+def mi_bounds_fixed_h(snr: float, h, c: Constellation) -> BoundPair:
     """Mutual information in nats.  The lower bound can go negative at low
     SNR; it is reported raw rather than clamped."""
-    return _fixed_h("mi", snr, h, c, d2_pairs)
+    return _fixed_h("mi", snr, h, c)
 
 
-def pe_bounds_fixed_h(snr: float, h, c: Constellation,
-                      d2_pairs: np.ndarray | None = None) -> BoundPair:
+def pe_bounds_fixed_h(snr: float, h, c: Constellation) -> BoundPair:
     """ML symbol error probability.  Upper/lower ratio is exactly M-1, so
     the bounds coincide for binary inputs.  The union upper bound may exceed
     one at low SNR and is reported raw."""
-    return _fixed_h("pe", snr, h, c, d2_pairs)
+    return _fixed_h("pe", snr, h, c)
 
 
 @dataclass(frozen=True)
@@ -119,21 +106,17 @@ def avg_bounds(kind: str, snr: float, model: ChannelModel, c: Constellation,
     channels `mc.avg_all` draws for the same config.
 
     Reusing the same draws for both sides keeps the exact fixed-H ratios
-    (4(M-1) for mmse, M-1 for pe) intact in the averaged estimates.  The
-    pair sums run over the D distinct differences of `c`, each weighted by
-    its multiplicity, so the cost per draw scales with D, not M(M-1).
+    (4(M-1) for mmse, M-1 for pe) intact in the averaged estimates.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown bound kind {kind!r}")
     if snr <= 0:
         raise ValueError("snr must be positive")
     diffs, counts = pair_differences(c)
-    weights = counts.astype(float)
 
     def step(channel_rng, noise_rng, batch):
-        rec = sample_channels(model, batch, channel_rng) @ diffs.T   # (batch, n_r, D)
-        d2 = np.sum(rec.real ** 2 + rec.imag ** 2, axis=1)          # (batch, D)
-        return _bound_sums(d2, weights, snr, c.m, kind)
+        d2 = _received_sq_distances(sample_channels(model, batch, channel_rng), diffs)
+        return _bound_sums(d2, counts, snr, c.m, kind)
 
     lower, upper = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
                                diffs.shape[0] * model.n_r, step)

@@ -107,8 +107,8 @@ class PowerAllocation:
 
 def _mean_pair_energy(c: Constellation) -> float:
     """(1/M) sum over ordered pairs of squared distances."""
-    d2 = pairwise_sq_distances(c)
-    return float(d2.sum() / c.m)
+    diffs, counts = pair_differences(c)
+    return float(np.sum(np.abs(diffs) ** 2, axis=1) @ counts / c.m)
 
 
 def _highsnr_weights(subs: Sequence[SubchannelSpec], ricean: bool) -> np.ndarray:
@@ -183,8 +183,7 @@ def _subchannel_bank(sub: SubchannelSpec, cfg: mc.McConfig, stream: int) -> _Sub
         h = h + complex(fad.mean)
     noise = _complex_normal(rng, (c_draws, n_draws))
     pts = sub.constellation.points[:, 0]
-    d2 = np.abs(pts[:, None] - pts[None, :]) ** 2
-    base_nsq = d2[:, :, None] * np.abs(h) ** 2
+    base_nsq = pairwise_sq_distances(sub.constellation)[:, :, None] * np.abs(h) ** 2
     hx = pts[:, None] * h[None, :]                       # (M, C)
     base_g = (hx.real[:, :, None] * noise.real[None]
               + hx.imag[:, :, None] * noise.imag[None])

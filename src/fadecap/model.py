@@ -110,9 +110,9 @@ def _validate_finite(a: np.ndarray, name: str) -> None:
 class Constellation:
     """Equiprobable set of M complex n_t-vectors.
 
-    ``points`` has shape (M, n_t).  Built-in families are i.i.d. per-antenna
-    products of a unit-energy scalar alphabet, scaled by 1/sqrt(n_t) so the
-    input covariance is I/n_t.
+    ``points`` has shape (M, n_t) with M >= 2.  Built-in families are i.i.d.
+    per-antenna products of a unit-energy scalar alphabet, scaled by
+    1/sqrt(n_t) so the input covariance is I/n_t.
     """
 
     points: np.ndarray
@@ -120,14 +120,15 @@ class Constellation:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex)
-        if pts.ndim != 2 or pts.shape[0] < 1:
+        if pts.ndim != 2:
             raise ValueError("points must be a (M, n_t) array")
+        if pts.shape[0] < 2:
+            raise ValueError(f"constellation has M={pts.shape[0]} points, "
+                             "fewer than the 2 needed")
         _validate_finite(pts, "constellation points")
         _check_size(*pts.shape)
         object.__setattr__(self, "points", pts)
         _check_distinct(pts)
-        if np.max(np.abs(pts)) == 0.0:
-            raise ValueError("constellation has zero energy")
 
     @property
     def m(self) -> int:
@@ -167,8 +168,6 @@ class Constellation:
     def _pair_differences(self) -> tuple[np.ndarray, np.ndarray]:
         # built on first use, not in __post_init__, so construction stays cheap
         diffs = ordered_pair_differences(self)
-        if diffs.shape[0] == 0:
-            return diffs, np.zeros(0, dtype=np.int64)
         parts = diffs.view(float)
         scale = 2.0 ** 40 / np.max(np.abs(parts))
         keys = np.rint(parts * scale).astype(np.int64)

@@ -12,6 +12,7 @@ from fadecap.asymptotics import (
     expansion_constant,
     expansion_constant_alt_form,
 )
+from fadecap.model import ordered_pair_differences
 
 ALL_KINDS = ("mmse_lb", "mmse_ub", "mi_lb", "mi_ub", "pe_lb", "pe_ub")
 
@@ -280,14 +281,54 @@ def test_spacetime_distribution_cases():
 
 
 def test_spacetime_t1_reduces_to_rayleigh():
-    # both enumerate ordered pairs row-major, so equality is componentwise
+    # the code keeps one entry per ordered pair (row-major); the Rayleigh
+    # builder folds pairs that share a difference, so only its sum compares
     c = fc.make_constellation("qpsk", 2)
     code = fc.SpaceTimeCode(codewords=c.points[:, :, None])
+    d2 = np.sum(np.abs(ordered_pair_differences(c)) ** 2, axis=1)
     for n_r in (1, 2):
         dd_code = fc.distance_dist_spacetime(code, n_r)
         dd_ray = fc.distance_dist_rayleigh(c, n_r)
-        assert np.array_equal(dd_code.orders, dd_ray.orders)
-        assert np.allclose(dd_code.values, dd_ray.values, rtol=1e-12)
+        assert np.all(dd_code.orders == n_r - 1) and np.all(dd_ray.orders == n_r - 1)
+        assert np.allclose(dd_code.values, d2 ** -float(n_r), rtol=1e-12)
+        assert np.sum(dd_ray.values) == pytest.approx(np.sum(dd_code.values), rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [
+    fc.make_constellation("qam16", 2), fc.make_constellation("qpsk", 3),
+    fc.make_constellation("custom", 1, points=[0.0, 1.0, 2.0, 2.0 + 1j, 3.0 + 1j, -0.5j]),
+], ids=["qam16_nt2", "qpsk_nt3", "custom_asym"])
+@pytest.mark.parametrize("theta_t", ["banded", "singular"])
+def test_distance_builders_match_ordered_pair_reference(c, theta_t):
+    """Each builder's sum, exclusions, diversity order and coefficient sum
+    equal the ordered-pair formulas.  The all-ones Theta_T is singular for
+    n_t >= 2 and removes every difference whose entries sum to zero."""
+    n_t, n_r = c.n_t, 2
+    idx = np.arange(n_t)
+    theta = (0.5 ** np.abs(idx[:, None] - idx[None, :]) if theta_t == "banded"
+             else np.ones((n_t, n_t)))
+    theta_r = np.array([[1.0, 0.8], [0.8, 1.0]])
+    a_t, a_r, k = np.exp(0.7j * idx), np.array([1.0, 1j]), 1.5
+    diffs = ordered_pair_differences(c)
+    d2 = np.sum(np.abs(diffs) ** 2, axis=1)
+    lam_t = np.real(np.einsum("pi,ij,pj->p", diffs.conj(), theta, diffs))
+    keep = lam_t >= 1e-10 * lam_t.max()
+    los = np.sum(np.abs(a_r) ** 2) * np.abs(diffs @ a_t.conj()) ** 2 / d2
+    cases = [
+        (fc.distance_dist_rayleigh(c, n_r), np.sum(d2 ** -float(n_r)), 0),
+        (fc.distance_dist_correlated(c, theta, theta_r),
+         np.sum(lam_t[keep] ** -float(n_r)) / np.prod(np.linalg.eigvalsh(theta_r)),
+         int(np.sum(~keep))),
+        (fc.distance_dist_ricean(c, k, a_t, a_r),
+         np.sum(((k + 1.0) / d2) ** n_r * np.exp(-k * los)), 0),
+    ]
+    if theta_t == "singular" and n_t > 1:
+        assert cases[1][2] > 0
+    for dd, sum_s, n_excluded in cases:
+        assert np.sum(dd.values) == pytest.approx(sum_s, rel=1e-12)
+        assert dd.n_excluded == n_excluded
+        assert fc.diversity_order(dd) == n_r
+        assert fc.epsilon_bounds(dd, c.m).sum_s == pytest.approx(sum_s, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ import pytest
 from scipy.special import erfc
 
 import fadecap as fc
-from fadecap.bounds import pair_distance_table
 from fadecap.mc import McConfig, chunk_rngs, chunk_sizes
 from fadecap.model import ordered_pair_differences, pair_differences, sample_channels
 
 H1 = np.array([[1.0 + 0j]])
+# asymmetric, with some repeated differences (1 - 0 = 2 - 1, ...)
+CUSTOM_ASYM = fc.make_constellation("custom", 1,
+                                    points=[0.0, 1.0, 2.0, 2.0 + 1j, 3.0 + 1j, -0.5j])
 
 
 def test_mmse_bounds_binary_values():
@@ -20,16 +22,17 @@ def test_mmse_bounds_binary_values():
     assert pair.lower == pytest.approx(0.0786496, rel=1e-5)
 
 
-@pytest.mark.parametrize("family,n_t", [("bpsk", 1), ("qpsk", 1), ("qpsk", 2),
-                                        ("qam16", 1), ("qam64", 1)])
-def test_exact_bound_ratios(family, n_t):
-    c = fc.make_constellation(family, n_t)
+@pytest.mark.parametrize("c", [
+    fc.make_constellation("bpsk", 1), fc.make_constellation("qpsk", 1),
+    fc.make_constellation("qpsk", 2), fc.make_constellation("qam16", 1),
+    fc.make_constellation("qam64", 1), CUSTOM_ASYM,
+], ids=["bpsk-1", "qpsk-1", "qpsk-2", "qam16-1", "qam64-1", "custom_asym"])
+def test_exact_bound_ratios(c):
     rng = np.random.default_rng(0)
-    h = rng.standard_normal((2, n_t)) + 1j * rng.standard_normal((2, n_t))
-    d2 = pair_distance_table(c, h)
+    h = rng.standard_normal((2, c.n_t)) + 1j * rng.standard_normal((2, c.n_t))
     for snr in (0.1, 1.0, 10.0):
-        mm = fc.mmse_bounds_fixed_h(snr, h, c, d2_pairs=d2)
-        pe = fc.pe_bounds_fixed_h(snr, h, c, d2_pairs=d2)
+        mm = fc.mmse_bounds_fixed_h(snr, h, c)
+        pe = fc.pe_bounds_fixed_h(snr, h, c)
         assert mm.upper / mm.lower == pytest.approx(4 * (c.m - 1), rel=1e-12)
         assert pe.upper / pe.lower == pytest.approx(c.m - 1, rel=1e-12)
 
@@ -161,12 +164,12 @@ def test_pair_differences_asymmetric_has_no_merges():
                        np.sort_complex(ordered_pair_differences(c)[:, 0]), rtol=0, atol=0)
 
 
-@pytest.mark.parametrize("c", [
-    fc.make_constellation("qam16", 2),
-    fc.make_constellation("qpsk", 3),
-    # asymmetric, with some repeated differences (1 - 0 = 2 - 1, ...)
-    fc.make_constellation("custom", 1, points=[0.0, 1.0, 2.0, 2.0 + 1j, 3.0 + 1j, -0.5j]),
+MERGED_SETS = pytest.mark.parametrize("c", [
+    fc.make_constellation("qam16", 2), fc.make_constellation("qpsk", 3), CUSTOM_ASYM,
 ], ids=["qam16_nt2", "qpsk_nt3", "custom_asym"])
+
+
+@MERGED_SETS
 def test_pair_differences_match_unique_reference(c):
     ordered = ordered_pair_differences(c)
     parts = ordered.view(float)
@@ -177,29 +180,45 @@ def test_pair_differences_match_unique_reference(c):
     assert np.array_equal(got_counts, counts)
 
 
+def _ordered_pair_sums(kind, d2, snr, m):
+    """Reference (lower, upper) bound from ordered-pair distances `d2` along
+    the last axis."""
+    q = 0.5 * erfc(np.sqrt(d2 * snr / 4.0))
+    if kind == "mmse":
+        core = np.sum(d2 * q, axis=-1)
+        return core / (4.0 * m * (m - 1.0)), core / m
+    if kind == "pe":
+        core = np.sum(q, axis=-1)
+        return core / (m * (m - 1.0)), core / m
+    return (np.log(m) - np.sum(2.0 * np.exp(-d2 * snr / 4.0), axis=-1) / m,
+            np.log(m) - np.sum(0.5 * q, axis=-1) / (m * (m - 1.0)))
+
+
+@MERGED_SETS
+def test_fixed_h_bounds_match_ordered_pair_reference(c):
+    rng = np.random.default_rng(5)
+    h = rng.standard_normal((2, c.n_t)) + 1j * rng.standard_normal((2, c.n_t))
+    d2 = np.sum(np.abs(ordered_pair_differences(c) @ h.T) ** 2, axis=1)
+    for kind, fn in (("mmse", fc.mmse_bounds_fixed_h), ("mi", fc.mi_bounds_fixed_h),
+                     ("pe", fc.pe_bounds_fixed_h)):
+        for snr in (1.0, 100.0):
+            pair = fn(snr, h, c)
+            assert (pair.lower, pair.upper) == pytest.approx(
+                _ordered_pair_sums(kind, d2, snr, c.m), rel=1e-12), (kind, snr)
+
+
 def _ordered_pair_avg_bounds(kind, snr, model, c, cfg):
     """Reference: every ordered pair of every channel draw, each chunk's
     channels drawn whole from its channel stream."""
     diffs = ordered_pair_differences(c)
-    m = c.m
     lowers, uppers = [], []
     for size, (channel_rng, _) in zip(chunk_sizes(cfg.channel_draws, cfg.parallel_chunks),
                                       chunk_rngs(cfg.seed, cfg.parallel_chunks)):
         h = sample_channels(model, size, channel_rng)
         rec = np.einsum("pt,crt->cpr", diffs, h)
-        d2 = np.sum(np.abs(rec) ** 2, axis=2)
-        q = 0.5 * erfc(np.sqrt(d2 * snr / 4.0))
-        if kind == "mmse":
-            core = np.sum(d2 * q, axis=1)
-            lowers.append(core / (4.0 * m * (m - 1.0)))
-            uppers.append(core / m)
-        elif kind == "pe":
-            core = np.sum(q, axis=1)
-            lowers.append(core / (m * (m - 1.0)))
-            uppers.append(core / m)
-        else:
-            lowers.append(np.log(m) - np.sum(2.0 * np.exp(-d2 * snr / 4.0), axis=1) / m)
-            uppers.append(np.log(m) - np.sum(0.5 * q, axis=1) / (m * (m - 1.0)))
+        lower, upper = _ordered_pair_sums(kind, np.sum(np.abs(rec) ** 2, axis=2), snr, c.m)
+        lowers.append(lower)
+        uppers.append(upper)
     lo, up = np.concatenate(lowers), np.concatenate(uppers)
     return (lo.mean(), up.mean(), np.std(lo, ddof=1) / np.sqrt(lo.size),
             np.std(up, ddof=1) / np.sqrt(up.size))

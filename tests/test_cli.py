@@ -84,6 +84,24 @@ def test_oversized_constellation_is_a_config_error(tmp_path, capsys, n_t):
     assert f"n_t={n_t}" in capsys.readouterr().err
 
 
+ONE_POINT = {"family": "custom", "points": [[1]]}
+RAYLEIGH_1 = {"kind": "rayleigh", "variance": 1.0}
+
+
+@pytest.mark.parametrize("command,doc,field", [
+    ("curve", dict(CURVE_CFG, constellation=dict(ONE_POINT, n_t=1)), "constellation"),
+    ("palloc", {"budget": 1.0, "snr_db": 10, "numeric": False,
+                "subchannels": [dict(ONE_POINT, fading=RAYLEIGH_1),
+                                {"family": "bpsk", "fading": RAYLEIGH_1}]}, "subchannels[0]"),
+], ids=["curve", "palloc"])
+def test_one_point_constellation_is_a_config_error(tmp_path, capsys, command, doc, field):
+    cfg = write_cfg(tmp_path, doc)
+    assert run([command, "--config", cfg, "--seed", 1, "--out", tmp_path / "o.csv"]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "fewer than the 2" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_seed_is_mandatory(tmp_path):
     cfg = write_cfg(tmp_path, CURVE_CFG)
     assert run(["curve", "--config", cfg]) == 2

@@ -25,6 +25,15 @@ def test_palloc_rayleigh_reference_case():
     assert alloc.p.sum() == pytest.approx(2.0, abs=1e-12)
 
 
+def test_palloc_rayleigh_mixed_constellations():
+    # a zero-mean unit-energy M-point set has (1/M) sum over ordered pairs
+    # of |x_i - x_j|^2 = 2M, so weights go as 1/sqrt(2M): qpsk 2/3, qam16 1/3
+    subs = [designs.SubchannelSpec(c, designs.RayleighFading(1.0))
+            for c in (fc.make_constellation("qpsk", 1), QAM16)]
+    alloc = designs.palloc_rayleigh_highsnr(subs, 3.0)
+    assert alloc.p == pytest.approx([2.0, 1.0], rel=1e-12)
+
+
 def test_palloc_symmetry_and_scaling():
     alloc = designs.palloc_rayleigh_highsnr(ray_subs([2.0, 2.0]), 3.0)
     assert alloc.p == pytest.approx([1.5, 1.5], rel=1e-12)

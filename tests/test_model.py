@@ -94,8 +94,9 @@ def test_custom_constellation_and_errors():
     assert fc.pairwise_sq_distances(c)[0, 1] == pytest.approx(1.0)
     with pytest.raises(ValueError, match="duplicate"):
         fc.make_constellation("custom", 1, points=[[1.0], [1.0]])
-    with pytest.raises(ValueError):
-        fc.make_constellation("custom", 1, points=[[0.0]])
+    for points in ([[0.0]], [[1.0]], np.ones((1, 3))):
+        with pytest.raises(ValueError, match="M=1 points, fewer than the 2"):
+            fc.make_constellation("custom", np.shape(points)[1], points=points)
     with pytest.raises(ValueError, match="unknown"):
         fc.make_constellation("qam32", 1)
 

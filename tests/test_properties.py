@@ -1,4 +1,5 @@
-"""Property tests: grid level detection and the factorised grid kernel."""
+"""Property tests: grid level detection, the factorised grid kernel and the
+fixed-channel bounds."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -82,3 +83,40 @@ def test_factorised_stats_match_joint_kernel(levels, seed, snr_db):
     assert np.max(np.abs(lse - ref_lse)) <= 1e-14 * max(1.0, snr * scale)
     assert np.max(np.abs(mmse - ref_mmse)) <= 1e-11 * scale
     assert np.array_equal(pe, ref_pe)
+
+
+BOUNDS = {"mmse": fc.mmse_bounds_fixed_h, "mi": fc.mi_bounds_fixed_h,
+          "pe": fc.pe_bounds_fixed_h}
+
+
+@st.composite
+def fixed_h_cases(draw):
+    """A built-in constellation, a Gaussian H with 1-3 receive antennas and
+    a receive-side unitary U (QR of a Gaussian matrix), from a drawn seed."""
+    family, n_t = draw(st.sampled_from([("bpsk", 1), ("qpsk", 1), ("qam16", 1),
+                                        ("qpsk", 2), ("bpsk", 3)]))
+    n_r = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = _complex_normal(rng, (n_r, n_t))
+    u = np.linalg.qr(_complex_normal(rng, (n_r, n_r)))[0]
+    snr = 10.0 ** (draw(st.floats(-10.0, 30.0)) / 10.0)
+    return fc.make_constellation(family, n_t), h, u, snr
+
+
+@settings(max_examples=60, deadline=None)
+@given(fixed_h_cases())
+def test_fixed_h_bounds_ordered_and_unitarily_invariant(case):
+    """lower <= upper for every kind (BoundPair raises otherwise), and the
+    bounds depend on H only through ||H d||, so H -> UH leaves them equal
+    within rel 1e-12.  The mi values are log M minus a pair sum of at most
+    2(M-1), so their tolerance is taken relative to that scale; mmse and pe
+    sums below the smallest normal float (high SNR) lose relative precision,
+    so that float is their absolute floor."""
+    c, h, u, snr = case
+    for kind, bounds in BOUNDS.items():
+        ref = bounds(snr, h, c)
+        assert ref.lower <= ref.upper
+        got = bounds(snr, u @ h, c)
+        atol = 1e-12 * (c.log_m + 2.0 * (c.m - 1)) if kind == "mi" else np.finfo(float).tiny
+        assert np.allclose([got.lower, got.upper], [ref.lower, ref.upper],
+                           rtol=1e-12, atol=atol), kind
