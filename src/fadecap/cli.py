@@ -46,13 +46,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _blas() -> str:
+    """Name and version of the BLAS NumPy was built against, or unknown."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+
+
 def _write_csv(out_path, command, seed, digest, header, rows, meta=()):
     lines = [f"# fadecap {__version__}",
              f"# command: {command}",
              f"# seed: {seed}",
              f"# config_digest: {digest}",
              f"# numpy: {np.__version__}",
-             f"# scipy: {scipy.__version__}"]
+             f"# scipy: {scipy.__version__}",
+             f"# blas: {_blas()}"]
     lines.extend(f"# {m}" for m in meta)
     lines.append(",".join(header))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)

@@ -28,7 +28,6 @@ from .model import (
     check_psd,
     hermitian_sqrt,
     pair_differences,
-    pairwise_sq_distances,
 )
 
 __all__ = [
@@ -157,21 +156,27 @@ def palloc_ricean_highsnr(subs: Sequence[SubchannelSpec], budget: float) -> Powe
 class _SubchannelBank:
     """Common-random-number draw bank for one subchannel.
 
-    The per-hypothesis logits at power p factor as
-    2*sqrt(snr*p)*(base_g_k - base_g_i) - snr*p*base_nsq_ik, so the fading
-    and noise enter only through the power-independent tables below and
-    every candidate power is compared on identical randomness.  Both tables
-    are hypothesis-first, the layout `mc.kernel_stats` uses.
+    With w = conj(h) n, the logit of hypothesis k for true input i of a
+    point set q at power p is
+    2*sqrt(snr*p)*(Re(conj(q_k) w) - Re(conj(q_i) w)) - snr*p*|h|^2 |q_i - q_k|^2,
+    so the fading and noise enter only through power-independent tables and
+    every candidate power is compared on identical randomness.  A grid
+    R x I splits exactly into the point sets R and jI, whose logits add, so
+    the lse adds over them; any other constellation is one factor of all M
+    points.  Each factor's tables are hypothesis-first, the layout
+    `mc.kernel_stats` uses.
     """
 
-    base_nsq: np.ndarray   # (M, M, C): |h|^2 ||x_i - x_k||^2
-    base_g: np.ndarray     # (M, C, N): Re<h x_m, n>
+    # per factor of Q points: base_nsq (Q, Q, C) = |h|^2 |q_i - q_k|^2 and
+    # base_g (Q, C, N) = Re(conj(q_m h) n)
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
     log_m: float
 
     def half(self, which: int) -> "_SubchannelBank":
-        c_sz = self.base_g.shape[1]
+        c_sz = self.factors[0][1].shape[1]
         sel = slice(0, c_sz // 2) if which == 0 else slice(c_sz // 2, None)
-        return _SubchannelBank(self.base_nsq[:, :, sel], self.base_g[:, sel], self.log_m)
+        return _SubchannelBank(tuple((nsq[:, :, sel], g[:, sel]) for nsq, g in self.factors),
+                               self.log_m)
 
 
 def _subchannel_bank(sub: SubchannelSpec, cfg: mc.McConfig, stream: int) -> _SubchannelBank:
@@ -182,28 +187,38 @@ def _subchannel_bank(sub: SubchannelSpec, cfg: mc.McConfig, stream: int) -> _Sub
     if isinstance(fad, RiceanFading):
         h = h + complex(fad.mean)
     noise = _complex_normal(rng, (c_draws, n_draws))
-    pts = sub.constellation.points[:, 0]
-    base_nsq = pairwise_sq_distances(sub.constellation)[:, :, None] * np.abs(h) ** 2
-    hx = pts[:, None] * h[None, :]                       # (M, C)
-    base_g = (hx.real[:, :, None] * noise.real[None]
-              + hx.imag[:, :, None] * noise.imag[None])
-    return _SubchannelBank(base_nsq=base_nsq, base_g=base_g,
-                           log_m=sub.constellation.log_m)
+    # a factor of a single level has lse exactly 0 and is left out
+    levels = sub.constellation.grid_levels
+    point_sets = ([sub.constellation.points[:, 0]] if levels is None
+                  else [q for q in (levels[0], 1j * levels[1]) if q.size > 1])
+    gain = np.abs(h) ** 2
+    factors = []
+    for q in point_sets:
+        base_nsq = (np.abs(q[:, None] - q[None, :]) ** 2)[:, :, None] * gain
+        qh = q[:, None] * h[None, :]                     # (Q, C)
+        base_g = (qh.real[:, :, None] * noise.real[None]
+                  + qh.imag[:, :, None] * noise.imag[None])
+        factors.append((base_nsq, base_g))
+    return _SubchannelBank(factors=tuple(factors), log_m=sub.constellation.log_m)
 
 
 def _bank_mi(snr: float, bank: _SubchannelBank, power: float) -> float:
-    """Average mutual information of one subchannel evaluated on the bank."""
+    """Average mutual information of one subchannel evaluated on the bank:
+    log M minus the sum over factors of the mean lse of each."""
     if power <= 0.0:
         return 0.0
     scale = snr * power
     root = 2.0 * np.sqrt(scale)
-    m = bank.base_g.shape[0]
-    buf = np.empty(bank.base_g.shape)
-    lse_total = 0.0
-    for i in range(m):
-        a_max = mc._shifted_weights(bank.base_g, scale * bank.base_nsq[i], i, buf, root)
-        lse_total += float(np.mean(a_max + np.log(buf.sum(axis=0))))
-    return bank.log_m - lse_total / m
+    lse = 0.0
+    for base_nsq, base_g in bank.factors:
+        q = base_g.shape[0]
+        buf = np.empty(base_g.shape)
+        lse_total = 0.0
+        for i in range(q):
+            a_max = mc._shifted_weights(base_g, scale * base_nsq[i], i, buf, root)
+            lse_total += float(np.mean(a_max + np.log(buf.sum(axis=0))))
+        lse += lse_total / q
+    return bank.log_m - lse
 
 
 def _coordinate_search(objective, p0: np.ndarray, budget: float,

@@ -47,6 +47,8 @@ def test_curve_runs_and_is_deterministic(tmp_path):
     assert any("config_digest" in m for m in meta)
     assert f"# numpy: {np.__version__}" in meta
     assert f"# scipy: {scipy.__version__}" in meta
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert f"# blas: {blas['name']} {blas['version']}" in meta
     assert header[:7] == ["snr_db", "mc_mean", "mc_stderr", "bound_lb", "bound_ub",
                           "expansion_lb", "expansion_ub"]
     assert len(rows) == 7
@@ -57,6 +59,12 @@ def test_curve_runs_and_is_deterministic(tmp_path):
         assert lb - 4 * se <= mc_mean <= ub + 4 * se
         # bits columns are nats / ln 2
         assert float(row[7]) == pytest.approx(mc_mean / np.log(2), rel=1e-9)
+
+
+def test_blas_line_falls_back_to_unknown(monkeypatch):
+    from fadecap import cli
+    monkeypatch.setattr(np, "show_config", lambda mode: {})
+    assert cli._blas() == "unknown"
 
 
 def test_curve_unknown_key_rejected(tmp_path):

@@ -347,38 +347,63 @@ def test_kernel_stats_matches_brute_force(name):
         assert np.max(lse) > 1e-3 and np.max(pe) > 0.0   # the fades are resolved
 
 
-def test_bank_mi_matches_kernel_stats():
-    """The power-allocation bank and the MC kernel share the logit step: on
-    the bank's own draws, _bank_mi equals log M - mean(lse) of kernel_stats."""
-    variance = 2.0
-    sub = designs.SubchannelSpec(fc.make_constellation("qam16", 1),
-                                 designs.RayleighFading(variance=variance))
-    mc_cfg = McConfig(channel_draws=64, noise_draws_per_channel=12, seed=17)
-    stream, snr, power = 1, 30.0, 0.7
-    bank = designs._subchannel_bank(sub, mc_cfg, stream)
-    # the bank's draws, in its order: fading, then noise
+def _bank_draws(sub, mc_cfg, stream):
+    """The bank's fading and noise draws, in its order: fading, then noise."""
     rng = np.random.default_rng(np.random.SeedSequence(mc_cfg.seed).spawn(stream + 1)[-1])
     n_c = mc_cfg.channel_draws
-    h = _complex_normal(rng, (n_c,)) * np.sqrt(variance)
-    noise = _complex_normal(rng, (n_c, mc_cfg.noise_draws_per_channel))
-    received = np.sqrt(snr * power) * h[:, None, None] * sub.constellation.points[None]
-    _, lse, _ = kernel_stats(received, noise[:, :, None], snr * power)
-    half = n_c // 2
-    for part, sel in ((bank, slice(None)), (bank.half(0), slice(0, half)),
-                      (bank.half(1), slice(half, None))):
-        expected = sub.constellation.log_m - np.mean(lse[sel])
-        assert designs._bank_mi(snr, part, power) == pytest.approx(expected, rel=1e-12)
+    h = _complex_normal(rng, (n_c,)) * np.sqrt(sub.fading.variance)
+    if isinstance(sub.fading, designs.RiceanFading):
+        h = h + complex(sub.fading.mean)
+    return h, _complex_normal(rng, (n_c, mc_cfg.noise_draws_per_channel))
+
+
+# (constellation, fading, factors in its bank): a grid splits into its real
+# and imaginary levels, bpsk keeps only its real one, 8-PSK is one factor
+BANK_CASES = [
+    (fc.make_constellation("bpsk", 1), designs.RayleighFading(variance=2.0), 1),
+    (fc.make_constellation("qpsk", 1), designs.RayleighFading(variance=2.0), 2),
+    (fc.make_constellation("qam16", 1), designs.RayleighFading(variance=2.0), 2),
+    (fc.make_constellation("qam64", 1), designs.RayleighFading(variance=2.0), 2),
+    (fc.make_constellation("qam16", 1), designs.RiceanFading(mean=1.0 - 0.5j, variance=0.5), 2),
+    (fc.make_constellation("custom", 1, points=np.exp(0.25j * np.pi * np.arange(8))),
+     designs.RayleighFading(variance=2.0), 1),
+]
+
+
+def test_bank_mi_matches_kernel_stats():
+    """The power-allocation bank and the joint MC kernel agree: on the bank's
+    own draws, _bank_mi equals log M - mean(lse) of kernel_stats on all M
+    points, for the whole bank and for each half."""
+    mc_cfg = McConfig(channel_draws=64, noise_draws_per_channel=12, seed=17)
+    stream, snr, power = 1, 30.0, 0.7
+    half = mc_cfg.channel_draws // 2
+    for c, fading, n_factors in BANK_CASES:
+        sub = designs.SubchannelSpec(c, fading)
+        bank = designs._subchannel_bank(sub, mc_cfg, stream)
+        assert len(bank.factors) == n_factors
+        h, noise = _bank_draws(sub, mc_cfg, stream)
+        received = np.sqrt(snr * power) * h[:, None, None] * c.points[None]
+        _, lse, _ = kernel_stats(received, noise[:, :, None], snr * power)
+        for part, sel in ((bank, slice(None)), (bank.half(0), slice(0, half)),
+                          (bank.half(1), slice(half, None))):
+            expected = c.log_m - np.mean(lse[sel])
+            assert designs._bank_mi(snr, part, power) == pytest.approx(expected, rel=1e-12)
 
 
 def test_bank_halves_are_views():
-    sub = designs.SubchannelSpec(fc.make_constellation("qpsk", 1),
-                                 designs.RayleighFading(variance=1.0))
-    bank = designs._subchannel_bank(sub, McConfig(channel_draws=32,
-                                                  noise_draws_per_channel=4), 0)
-    for which in (0, 1):
-        part = bank.half(which)
-        assert np.shares_memory(part.base_g, bank.base_g)
-        assert np.shares_memory(part.base_nsq, bank.base_nsq)
+    """Each half slices the channel axis of both tables of every factor."""
+    for family in ("qpsk", "qam16"):
+        sub = designs.SubchannelSpec(fc.make_constellation(family, 1),
+                                     designs.RayleighFading(variance=1.0))
+        bank = designs._subchannel_bank(sub, McConfig(channel_draws=32,
+                                                      noise_draws_per_channel=4), 0)
+        for which in (0, 1):
+            part = bank.half(which)
+            assert len(part.factors) == len(bank.factors) == 2
+            for part_tables, tables in zip(part.factors, bank.factors):
+                for part_table, table in zip(part_tables, tables):
+                    assert np.shares_memory(part_table, table)
+                    assert 2 * part_table.size == table.size
 
 
 # ---------------------------------------------------------------------------

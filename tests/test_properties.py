@@ -1,12 +1,12 @@
-"""Property tests: grid level detection, the factorised grid kernel and the
-fixed-channel bounds."""
+"""Property tests: grid level detection, the factorised grid kernel, the
+factorised power-allocation bank and the fixed-channel bounds."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fadecap as fc
-from fadecap import mc
+from fadecap import designs, mc
 from fadecap.mc import kernel_stats
 from fadecap.model import _complex_normal
 
@@ -83,6 +83,34 @@ def test_factorised_stats_match_joint_kernel(levels, seed, snr_db):
     assert np.max(np.abs(lse - ref_lse)) <= 1e-14 * max(1.0, snr * scale)
     assert np.max(np.abs(mmse - ref_mmse)) <= 1e-11 * scale
     assert np.array_equal(pe, ref_pe)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid_levels(), st.integers(0, 2 ** 32 - 1), st.floats(0.05, 4.0),
+       st.floats(0.0, 45.0))
+def test_factorised_bank_matches_joint_kernel(levels, seed, power, snr_db):
+    """The power-allocation bank of a shuffled grid, split into its real and
+    imaginary levels, gives the mutual information of kernel_stats on all M
+    joint points over the bank's own draws, within 1e-15 nats times
+    max(1, snr p max|h|^2 max|x|^2): the joint kernel's rounding grows with
+    that product (see test_factorised_stats_match_joint_kernel)."""
+    re, im = levels
+    assume(re.size * im.size >= 2)
+    c = _custom(_grid_points(re, im, seed))
+    sub = designs.SubchannelSpec(c, designs.RayleighFading(variance=1.0))
+    mc_cfg = mc.McConfig(channel_draws=8, noise_draws_per_channel=6, seed=seed)
+    bank = designs._subchannel_bank(sub, mc_cfg, 0)
+    assert len(bank.factors) == (re.size > 1) + (im.size > 1)
+    # the bank's draws, in its order: fading, then noise
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[-1])
+    h = _complex_normal(rng, (8,))
+    noise = _complex_normal(rng, (8, 6))
+    scale = 10.0 ** (snr_db / 10.0) * power
+    _, lse, _ = kernel_stats(np.sqrt(scale) * h[:, None, None] * c.points[None],
+                             noise[:, :, None], scale)
+    got = designs._bank_mi(10.0 ** (snr_db / 10.0), bank, power)
+    x_max = np.max(np.abs(c.points) ** 2) * np.max(np.abs(h) ** 2)
+    assert abs(got - (c.log_m - np.mean(lse))) <= 1e-15 * max(1.0, scale * x_max)
 
 
 BOUNDS = {"mmse": fc.mmse_bounds_fixed_h, "mi": fc.mi_bounds_fixed_h,
