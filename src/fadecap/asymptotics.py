@@ -20,9 +20,9 @@ bound-predicted expansions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lgamma
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import (
     Constellation,
@@ -85,12 +85,12 @@ def expansion_constant(kind: str, n: int, m: int) -> float:
         raise ValueError(f"unknown constant kind {kind!r}")
     if kind.startswith("pe"):
         # 4^n Gamma(n+1/2) / (sqrt(pi) Gamma(n+1)), union/genie prefactors
-        shape = np.exp(n * np.log(4.0) + gammaln(n + 0.5) - 0.5 * np.log(np.pi) - gammaln(n + 1.0))
+        shape = np.exp(n * np.log(4.0) + lgamma(n + 0.5) - 0.5 * np.log(np.pi) - lgamma(n + 1.0))
         if kind == "pe_lb":
             return shape / (2.0 * m * (m - 1.0))
         return shape / (2.0 * m)
     # n 4^n Gamma(n+3/2) / (sqrt(pi) Gamma(n+2)) shared shape factor
-    shape = n * np.exp(n * np.log(4.0) + gammaln(n + 1.5) - 0.5 * np.log(np.pi) - gammaln(n + 2.0))
+    shape = n * np.exp(n * np.log(4.0) + lgamma(n + 1.5) - 0.5 * np.log(np.pi) - lgamma(n + 2.0))
     mmse_lb = shape / (2.0 * m * (m - 1.0))
     mmse_ub = 2.0 * shape / m
     if kind == "mmse_lb":
@@ -117,7 +117,7 @@ def expansion_constant_alt_form(kind: str, n: int, m: int) -> float:
         raise ValueError(f"unknown constant kind {kind!r}")
     if kind.startswith("pe"):
         return expansion_constant(kind, n, m)
-    shape = np.exp((n + 1) * np.log(4.0) + gammaln(n + 1.5) - 0.5 * np.log(np.pi) - gammaln(n + 0.5))
+    shape = np.exp((n + 1) * np.log(4.0) + lgamma(n + 1.5) - 0.5 * np.log(np.pi) - lgamma(n + 0.5))
     if kind == "mmse_lb":
         return n * shape / (8.0 * m * (m - 1.0))
     if kind == "mmse_ub":

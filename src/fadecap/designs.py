@@ -163,20 +163,21 @@ class _SubchannelBank:
     every candidate power is compared on identical randomness.  A grid
     R x I splits exactly into the point sets R and jI, whose logits add, so
     the lse adds over them; any other constellation is one factor of all M
-    points.  Each factor's tables are hypothesis-first, the layout
+    points.  Each factor's noise table is hypothesis-first, the layout
     `mc.kernel_stats` uses.
     """
 
-    # per factor of Q points: base_nsq (Q, Q, C) = |h|^2 |q_i - q_k|^2 and
-    # base_g (Q, C, N) = Re(conj(q_m h) n)
+    # per factor of Q points: d2 (Q, Q) = |q_i - q_k|^2 and
+    # base_g (Q, C, N) = Re(conj(q_m h) n); h2 (C,) = |h|^2
     factors: tuple[tuple[np.ndarray, np.ndarray], ...]
+    h2: np.ndarray
     log_m: float
 
     def half(self, which: int) -> "_SubchannelBank":
-        c_sz = self.factors[0][1].shape[1]
+        c_sz = self.h2.size
         sel = slice(0, c_sz // 2) if which == 0 else slice(c_sz // 2, None)
-        return _SubchannelBank(tuple((nsq[:, :, sel], g[:, sel]) for nsq, g in self.factors),
-                               self.log_m)
+        return _SubchannelBank(tuple((d2, g[:, sel]) for d2, g in self.factors),
+                               self.h2[sel], self.log_m)
 
 
 def _subchannel_bank(sub: SubchannelSpec, cfg: mc.McConfig, stream: int) -> _SubchannelBank:
@@ -191,15 +192,14 @@ def _subchannel_bank(sub: SubchannelSpec, cfg: mc.McConfig, stream: int) -> _Sub
     levels = sub.constellation.grid_levels
     point_sets = ([sub.constellation.points[:, 0]] if levels is None
                   else [q for q in (levels[0], 1j * levels[1]) if q.size > 1])
-    gain = np.abs(h) ** 2
     factors = []
     for q in point_sets:
-        base_nsq = (np.abs(q[:, None] - q[None, :]) ** 2)[:, :, None] * gain
         qh = q[:, None] * h[None, :]                     # (Q, C)
         base_g = (qh.real[:, :, None] * noise.real[None]
                   + qh.imag[:, :, None] * noise.imag[None])
-        factors.append((base_nsq, base_g))
-    return _SubchannelBank(factors=tuple(factors), log_m=sub.constellation.log_m)
+        factors.append((np.abs(q[:, None] - q[None, :]) ** 2, base_g))
+    return _SubchannelBank(factors=tuple(factors), h2=np.abs(h) ** 2,
+                           log_m=sub.constellation.log_m)
 
 
 def _bank_mi(snr: float, bank: _SubchannelBank, power: float) -> float:
@@ -210,12 +210,12 @@ def _bank_mi(snr: float, bank: _SubchannelBank, power: float) -> float:
     scale = snr * power
     root = 2.0 * np.sqrt(scale)
     lse = 0.0
-    for base_nsq, base_g in bank.factors:
+    for d2, base_g in bank.factors:
         q = base_g.shape[0]
         buf = np.empty(base_g.shape)
         lse_total = 0.0
         for i in range(q):
-            a_max = mc._shifted_weights(base_g, scale * base_nsq[i], i, buf, root)
+            a_max = mc._shifted_weights(base_g, scale * (d2[i][:, None] * bank.h2), i, buf, root)
             lse_total += float(np.mean(a_max + np.log(buf.sum(axis=0))))
         lse += lse_total / q
     return bank.log_m - lse

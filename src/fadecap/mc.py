@@ -147,9 +147,11 @@ def kernel_stats(received: np.ndarray, noise: np.ndarray, snr: float):
     noise    : (C, N, dim) complex CN(0, I) draws
     Returns (mmse, lse, pe) arrays of shape (C, N), each already averaged
     over the M equiprobable transmit hypotheses.  The mutual information is
-    log M - lse.  Overflow is handled by max-shifted exponentials, and
-    underflow by flooring the shifted logits at EXP_FLOOR, which keeps
-    `exp` on its fast path; the floored weights are absorbed in every sum.
+    log M - lse.  The distances ||r_i - r_k||^2 come from the differences
+    r_k - r_i, so their rounding scales with them, not with the points.
+    Overflow is handled by max-shifted exponentials, and underflow by
+    flooring the shifted logits at EXP_FLOOR, which keeps `exp` on its fast
+    path; the floored weights are absorbed in every sum.
     """
     c_sz, m, dim = received.shape
     n_sz = noise.shape[1]
@@ -157,24 +159,22 @@ def kernel_stats(received: np.ndarray, noise: np.ndarray, snr: float):
     pts = np.empty((c_sz, 2 * dim, m))
     pts[:, :dim] = received.real.transpose(0, 2, 1)
     pts[:, dim:] = received.imag.transpose(0, 2, 1)
-    rr_t, ri_t = pts[:, :dim], pts[:, dim:]
-    rr_, ri_ = rr_t.transpose(0, 2, 1), ri_t.transpose(0, 2, 1)
-    g = noise.real @ rr_t + noise.imag @ ri_t           # (C, N, M): Re<r_m, n>
+    g = noise.real @ pts[:, :dim] + noise.imag @ pts[:, dim:]   # (C, N, M): Re<r_m, n>
     g2 = np.empty((m, c_sz, n_sz))                      # (M, C, N): 2 Re<r_m, n>
     np.multiply(g.transpose(2, 0, 1), 2.0, out=g2)
-    gram = (rr_ @ rr_t + ri_ @ ri_t).transpose(1, 2, 0)  # (M, M, C) view: Re<r_m, r_k>
-    diag = np.einsum("mmc->mc", gram)
-    nsq = np.empty((m, m, c_sz))                        # (M_i, M_k, C): ||r_i - r_k||^2
-    np.add(diag[:, None, :], diag[None, :, :], out=nsq)
-    nsq -= 2.0 * gram
-    np.maximum(nsq, 0.0, out=nsq)
+    coords = np.ascontiguousarray(pts.transpose(1, 2, 0))      # (2 dim, M, C)
+    diff = np.empty_like(coords)          # reused: a new one per i is ~4x slower at M = 256
+    nsq_i = np.empty((m, c_sz))                         # ||r_i - r_k||^2 over k
 
     mmse = np.zeros((c_sz, n_sz))
     lse = np.zeros((c_sz, n_sz))
     pe = np.zeros((c_sz, n_sz))
     ea = np.empty((m, c_sz, n_sz))
     for i in range(m):
-        a_max = _shifted_weights(g2, nsq[i], i, ea)
+        np.subtract(coords, coords[:, i, None], out=diff)
+        diff *= diff
+        np.sum(diff, axis=0, out=nsq_i)
+        a_max = _shifted_weights(g2, nsq_i, i, ea)
         pe += a_max > 0.0
         s = ea.sum(axis=0)
         lse += a_max + np.log(s)
@@ -250,7 +250,7 @@ def fixed_h_all(snr: float, h, c: Constellation, cfg: McConfig) -> dict[str, Est
         return tuple(s.ravel() for s in stats)
 
     samples = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
-                          c.m * max(c.m, n_noise), step)
+                          c.m * n_noise, step)
     return _estimates(samples, c.log_m)
 
 
@@ -289,7 +289,7 @@ def _averaged(snr: float, model: ChannelModel, noise_dim: int, evaluate, m: int,
         return tuple(s.mean(axis=1) for s in evaluate(h, noise))
 
     samples = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
-                          m * max(m, n_noise), step, threads)   # (M, N) logits, (M, M) nsq
+                          m * n_noise, step, threads)   # (M, N) logits a channel
     return _estimates(samples, log_m)
 
 

@@ -44,11 +44,10 @@ HERMITIAN_TOL = 1e-12
 PSD_EIG_TOL = 1e-10
 DISTINCT_TOL = 1e-12
 NORM_TOL = 1e-9
-# Largest joint constellation accepted.  The Monte Carlo kernel and the pair
-# sums hold O(M^2) tables per channel; qam256 over two antennas (M = 65536)
-# would need ~137 GB for its (M, M, n_t) pairwise difference table alone.
+# Largest joint constellation accepted.  `ordered_pair_differences` builds an
+# (M, M, n_t) table: qam256 over two antennas (M = 65536) would need ~137 GB.
 MAX_POINTS = 4096
-# Complex entries per row block of the distinctness check (2 MB).
+# Entries per row block of the nearest-point search's distance table (1 MB).
 DISTINCT_BLOCK = 2 ** 17
 
 
@@ -148,21 +147,15 @@ class Constellation:
 
     def has_negation_symmetry(self) -> bool:
         """True when -x is in the set for every point x."""
-        return self._closed_under(lambda p: -p)
+        return self._closed_under(-self.points)
 
     def has_coordinate_sign_symmetry(self) -> bool:
         """True when flipping the sign of any single coordinate maps the set
         onto itself.  Product constellations of symmetric scalar alphabets
         satisfy this; it is the structure the isotropic-precoder argument
         needs."""
-        for k in range(self.n_t):
-            def flip(p, k=k):
-                q = p.copy()
-                q[:, k] = -q[:, k]
-                return q
-            if not self._closed_under(flip):
-                return False
-        return True
+        flips = 1.0 - 2.0 * np.eye(self.n_t)      # row k negates coordinate k
+        return all(self._closed_under(self.points * flip) for flip in flips)
 
     @cached_property
     def _pair_differences(self) -> tuple[np.ndarray, np.ndarray]:
@@ -201,25 +194,31 @@ class Constellation:
             shared.flags.writeable = False
         return levels
 
-    def _closed_under(self, transform) -> bool:
-        mapped = transform(self.points.copy())
-        for q in mapped:
-            if np.min(np.sum(np.abs(self.points - q) ** 2, axis=1)) > 1e-18:
-                return False
-        return True
+    def _closed_under(self, mapped: np.ndarray) -> bool:
+        """True when every row of `mapped` is one of the points."""
+        return bool(np.all(_nearest(mapped, self.points)[0] <= 1e-18))
+
+
+def _nearest(queries: np.ndarray, pts: np.ndarray, skip_self: bool = False):
+    """Squared distance from each row of `queries` (Q, n) to its nearest row
+    of `pts` (M, n), and that row's index; ``skip_self`` leaves out row q of
+    `pts` for query q.  The distances are formed from coordinate differences
+    in row blocks of DISTINCT_BLOCK entries, so memory stays O(M n)."""
+    rows = max(1, DISTINCT_BLOCK // pts.shape[0])
+    d2_min, index = np.empty(len(queries)), np.empty(len(queries), dtype=np.intp)
+    for start in range(0, len(queries), rows):
+        d2 = sum(np.abs(q[:, None] - p) ** 2 for q, p in zip(queries[start:start + rows].T, pts.T))
+        if skip_self:
+            np.fill_diagonal(d2[:, start:], np.inf)
+        index[start:start + rows] = d2.argmin(axis=1)
+        d2_min[start:start + rows] = d2.min(axis=1)
+    return d2_min, index
 
 
 def _check_distinct(pts: np.ndarray) -> None:
-    """Reject two points within DISTINCT_TOL in squared distance, comparing
-    each row block of the pairwise table so memory stays O(M n_t)."""
-    m, n_t = pts.shape
-    rows = max(1, DISTINCT_BLOCK // (m * n_t))
-    for start in range(0, m, rows):
-        block = pts[start:start + rows]
-        d2 = np.sum(np.abs(block[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        d2[np.arange(block.shape[0]), np.arange(start, start + block.shape[0])] = np.inf
-        if d2.min() <= DISTINCT_TOL:
-            raise ValueError("constellation has duplicate points")
+    """Reject two points within DISTINCT_TOL in squared distance."""
+    if _nearest(pts, pts, skip_self=True)[0].min() <= DISTINCT_TOL:
+        raise ValueError("constellation has duplicate points")
 
 
 _SCALAR_FAMILIES = ("bpsk", "qpsk", "qam16", "qam64", "qam256")
@@ -435,11 +434,11 @@ class SpaceTimeCode:
             raise ValueError("codewords must be a (M, n_t, t) array with M >= 2")
         _validate_finite(cw, "codewords")
         object.__setattr__(self, "codewords", cw)
-        m = cw.shape[0]
-        for i in range(m):
-            for j in range(i + 1, m):
-                if np.sum(np.abs(cw[i] - cw[j]) ** 2) <= DISTINCT_TOL:
-                    raise ValueError(f"codewords {i} and {j} coincide")
+        flat = cw.reshape(cw.shape[0], -1)
+        d2, nearest = _nearest(flat, flat, skip_self=True)
+        close = np.flatnonzero(d2 <= DISTINCT_TOL)
+        if close.size:
+            raise ValueError(f"codewords {close[0]} and {nearest[close[0]]} coincide")
 
     @property
     def m(self) -> int:

@@ -164,7 +164,7 @@ def test_criterion_4_diversity_slopes():
     # NOTE: the two-receive-antenna leg fails as specified.  The measured
     # gap curve only approaches its asymptotic slope -2 near the small-gap
     # edge of the window (local slope -1.2 at gap 1e-1, -1.87 at 1e-3), so
-    # the full-window regression is -1.69 +/- 0.01: outside -2 +/- 0.25.
+    # the full-window regression on these draws is -1.727: outside -2 +/- 0.25.
     # The tolerance is kept as stated rather than widened to force a pass;
     # the single-receive-antenna leg passes with margin.
     def body():

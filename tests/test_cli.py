@@ -1,10 +1,15 @@
 """CLI: config validation, CSV schema, determinism, exit codes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy
 import yaml
 
+import fadecap
 from fadecap.cli import main
 
 CURVE_CFG = {
@@ -216,6 +221,33 @@ def test_palloc_closed_form_columns(tmp_path):
     assert float(rows[1][1]) == pytest.approx(4 / 3, rel=1e-9)
     # capacities reported in nats and bits
     assert float(rows[0][4]) == pytest.approx(float(rows[0][3]) / np.log(2), rel=1e-9)
+
+
+def test_palloc_does_not_import_scipy_special(tmp_path):
+    """scipy.special is imported only where a bound evaluates erfc, so a
+    numeric palloc run, which evaluates none, never loads it."""
+    doc = {
+        "budget": 2.0,
+        "snr_db": 10,
+        "numeric": True,
+        "subchannels": [
+            {"family": "qpsk", "fading": {"kind": "rayleigh", "variance": 4.0}},
+            {"family": "qam16", "fading": {"kind": "rayleigh", "variance": 0.5}},
+        ],
+        "mc": {"channel_draws": 32, "noise_draws": 4, "chunks": 2},
+    }
+    cfg = write_cfg(tmp_path, doc)
+    script = ("import sys\n"
+              "from fadecap.cli import main\n"
+              f"code = main(['palloc', '--config', {cfg!r}, '--seed', '5',"
+              f" '--out', {str(tmp_path / 'p.csv')!r}])\n"
+              "print(code, 'scipy.special' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fadecap.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1].split() == ["0", "False"]
 
 
 def test_palloc_mixed_fading_rejected(tmp_path):

@@ -1,5 +1,7 @@
 """Monte Carlo oracle: limits, closed-form checks, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erfc
@@ -323,6 +325,11 @@ def _kernel_case(name):
         h = _complex_normal(rng, (3, 2, 2))
         received = np.sqrt(snr) * np.einsum("crt,mts->cmrs", h, code.codewords)
         return received.reshape(3, code.m, 4), _complex_normal(rng, (3, 15, 4)), snr
+    if name == "common_offset":            # M = 4, dim = 2, points of size 1e4
+        # the points lie ~1 apart around 1e4 (0.6 + 0.8j): distances formed
+        # as |r_i|^2 + |r_k|^2 - 2 Re<r_i, r_k> lose ~1e-8 to cancellation
+        received = _complex_normal(rng, (3, 4, 2)) + 1e4 * (0.6 + 0.8j)
+        return received, _complex_normal(rng, (3, 30, 2)), 1.0
     # snr = 1e8: the log-likelihoods are of order 1e8, so only exponentials
     # shifted to a reference hypothesis stay finite; deep fades on the later
     # channels keep some logits of order one
@@ -333,15 +340,24 @@ def _kernel_case(name):
     return received, _complex_normal(rng, (3, 40, 2)), snr
 
 
+# Relative tolerance against the brute-force reference.  With points of size
+# 1e4 the noise terms 2 Re<r_k, n> carry rounding of ~1e4 |n| eps ~ 1e-11,
+# and their differences keep it.  Distances formed from the differences
+# round at ~1e-16, so 1e-10 still fails a kernel that loses 1e-8 to
+# cancellation in the distances.
+KERNEL_REL_TOL = {"common_offset": 1e-10}
+
+
 @pytest.mark.parametrize("name", ["fixed_h_binary", "qam16_two_rx", "spacetime_dim4",
-                                  "high_snr"])
+                                  "high_snr", "common_offset"])
 def test_kernel_stats_matches_brute_force(name):
     received, noise, snr = _kernel_case(name)
     mmse, lse, pe = kernel_stats(received, noise, snr)
     ref_mmse, ref_lse, ref_pe = _reference_stats(received, noise, snr)
+    rel_tol = KERNEL_REL_TOL.get(name, 1e-12)
     for got, ref in ((mmse, ref_mmse), (lse, ref_lse)):
         assert np.all(np.isfinite(got))
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= rel_tol * np.max(np.abs(ref))
     assert np.array_equal(pe, ref_pe)
     if name == "high_snr":
         assert np.max(lse) > 1e-3 and np.max(pe) > 0.0   # the fades are resolved
@@ -391,7 +407,8 @@ def test_bank_mi_matches_kernel_stats():
 
 
 def test_bank_halves_are_views():
-    """Each half slices the channel axis of both tables of every factor."""
+    """Each half is a half-size view of every channel-indexed array of the
+    bank: each factor's noise table and |h|^2."""
     for family in ("qpsk", "qam16"):
         sub = designs.SubchannelSpec(fc.make_constellation(family, 1),
                                      designs.RayleighFading(variance=1.0))
@@ -400,10 +417,44 @@ def test_bank_halves_are_views():
         for which in (0, 1):
             part = bank.half(which)
             assert len(part.factors) == len(bank.factors) == 2
-            for part_tables, tables in zip(part.factors, bank.factors):
-                for part_table, table in zip(part_tables, tables):
-                    assert np.shares_memory(part_table, table)
-                    assert 2 * part_table.size == table.size
+            tables = [(p_g, g) for (_, p_g), (_, g) in zip(part.factors, bank.factors)]
+            for part_table, table in tables + [(part.h2, bank.h2)]:
+                assert np.shares_memory(part_table, table)
+                assert 2 * part_table.size == table.size
+
+
+def _traced_peak(fn):
+    """Peak traced allocation, in bytes, of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_stats_holds_no_pair_table():
+    """At M = 256 one (M, M, C) float table is 15.7 MB; the kernel forms
+    each hypothesis's distances from differences and stays below half that."""
+    c = fc.make_constellation("qam16", 2)
+    rng = np.random.default_rng(5)
+    c_sz, n_sz, snr = 30, 8, 10.0
+    received = np.sqrt(snr) * np.einsum("mt,crt->cmr", c.points,
+                                        _complex_normal(rng, (c_sz, 2, 2)))
+    noise = _complex_normal(rng, (c_sz, n_sz, 2))
+    peak = _traced_peak(lambda: kernel_stats(received, noise, snr))
+    assert peak < 0.5 * c.m * c.m * c_sz * 8
+
+
+def test_bank_holds_no_pair_table():
+    """A non-grid 64-point set is one factor of 64 points; its bank keeps
+    |h|^2 once and stays below half of one (Q, Q, C) float table (42 MB)."""
+    c = fc.make_constellation("custom", 1, points=np.exp(2j * np.pi * np.arange(64) / 64))
+    assert c.grid_levels is None
+    sub = designs.SubchannelSpec(c, designs.RayleighFading(variance=1.0))
+    mc_cfg = McConfig(channel_draws=1280, noise_draws_per_channel=4)
+    peak = _traced_peak(lambda: designs._subchannel_bank(sub, mc_cfg, 0))
+    assert peak < 0.5 * c.m * c.m * mc_cfg.channel_draws * 8
 
 
 # ---------------------------------------------------------------------------
