@@ -4,9 +4,9 @@
             [--threads N] [--out FILE]
 
 CSV files start with '#'-prefixed metadata (tool version, command, seed,
-config digest, NumPy and SciPy versions, and for curve and offsets the
-sample counts) followed by a fixed header per command; numbers carry 12
-significant digits.  The seed is an integer in [0, 2^64).  Exit codes: 0
+config digest, NumPy, SciPy and BLAS versions, and for curve, offsets and
+a confirming stcode the sample counts) followed by a fixed header per
+command; numbers carry 12 significant digits.  The seed is an integer in [0, 2^64).  Exit codes: 0
 success, 2 config error, 3 numeric failure, 4 flagged low-confidence result
 (output is still written).
 """
@@ -71,9 +71,14 @@ def _write_csv(out_path, command, seed, digest, header, rows, meta=()):
             fh.write(text)
 
 
-def _samples_line(mc_cfg) -> str:
+def _samples_line(mc_cfg, inputs) -> str:
+    """The sample counts, and for each of `inputs` (constellations or codes,
+    in row order) whether a noise draw evaluates all M true symbols or one
+    sampled symbol (`mc.sampled_true_symbol`)."""
+    symbols = ",".join("one_sampled" if mc.sampled_true_symbol(x) else "all" for x in inputs)
     return (f"samples: channel_draws={mc_cfg.channel_draws} "
-            f"noise_draws={mc_cfg.noise_draws_per_channel} chunks={mc_cfg.parallel_chunks}")
+            f"noise_draws={mc_cfg.noise_draws_per_channel} chunks={mc_cfg.parallel_chunks} "
+            f"true_symbols={symbols}")
 
 
 def _report(out_path, text):
@@ -141,7 +146,7 @@ def cmd_curve(cfg, seed, digest, out_path, threads):
         else:
             bits = [math.nan] * 6
         rows.append([snr_db] + nats + bits)
-    meta = [_samples_line(mc_cfg)]
+    meta = [_samples_line(mc_cfg, [c])]
     if flagged:
         meta.append("flagged: expansion-predicted gap exceeds measured gap by >10x; "
                     "the leading term is not descriptive at these SNRs")
@@ -183,7 +188,7 @@ def cmd_offsets(cfg, seed, digest, out_path, threads):
                      eps_hat, eps_p_hat, d_lb, d_ub, dp_lb, dp_ub,
                      spread_mmse, spread_mi, flag])
     _write_csv(out_path, "offsets", seed, digest, OFFSETS_HEADER, rows,
-               [_samples_line(mc_cfg)])
+               [_samples_line(mc_cfg, [s["constellation"] for s in cfg["systems"]])])
     return EXIT_FLAGGED if any_flag else EXIT_OK
 
 
@@ -298,19 +303,21 @@ def cmd_stcode(cfg, seed, digest, out_path, threads):
     books = cfg["codebooks"]
     reports = [(name, designs.st_criteria(code, n_r)) for name, code in books]
     pe = {}
+    meta = []
     if cfg["confirm_pe"] is not None:
         snr = cfg["confirm_pe"]["snr"]
         mc_cfg = cfg["confirm_pe"]["mc"]
         for name, code in books:
             est = mc.avg_all_spacetime(snr, code, n_r, mc_cfg, threads=threads)["pe"]
             pe[name] = est
+        meta.append(_samples_line(mc_cfg, [code for _, code in books]))
     rows = []
     for name, rep in reports:
         est = pe.get(name)
         rows.append([name, rep.r_min, rep.criterion, rep.d, rep.certified,
                      est.mean if est else math.nan,
                      est.std_error if est else math.nan])
-    _write_csv(out_path, "stcode", seed, digest, STCODE_HEADER, rows)
+    _write_csv(out_path, "stcode", seed, digest, STCODE_HEADER, rows, meta)
     order = sorted(range(len(books)),
                    key=lambda k: (-reports[k][1].r_min, reports[k][1].criterion))
     parts = [reports[order[0]][0]]

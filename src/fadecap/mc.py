@@ -14,9 +14,17 @@ noiseless receive points scaled by sqrt(snr), n ~ CN(0, I)):
 
 Only the noise is sampled at fixed H (no quadrature); channel averaging
 adds an outer Monte Carlo stage whose per-channel means drive the reported
-standard error.  Work is split into `parallel_chunks` independently seeded
-chunks reduced in fixed order, so results are bit-reproducible for a given
-(seed, config, inputs) and independent of worker scheduling and batching.
+standard error.  There, inputs of at least SAMPLED_MIN_M points that are
+not single-antenna grids sample the true input too: each noise draw takes
+one uniform i, so that
+
+  * I = log M - E_{i,n} logsumexp_j A_j, and likewise for mmse and pe,
+
+costs M logits a sample instead of M^2.  The variance between channels
+dominates, so this widens the error bars little.  Work is split into
+`parallel_chunks` independently seeded chunks reduced in fixed order, so
+results are bit-reproducible for a given (seed, config, inputs) and
+independent of worker scheduling and batching.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ __all__ = [
     "avg_quantity",
     "avg_all",
     "avg_all_spacetime",
+    "sampled_true_symbol",
     "empirical_epsilon",
     "distance_squared_samples",
     "suggested_total_draws",
@@ -62,6 +71,13 @@ EXP_FLOOR = -700.0
 
 # Elements in a batch's largest block (16 MB of float64); sets memory only.
 BATCH_ELEMENTS = 2_000_000
+
+# Inputs of at least this many points, single-antenna grids aside, evaluate
+# one sampled true symbol a noise draw in the channel-averaged estimators
+# (`sampled_true_symbol`).  Measured 1 / (std_error^2 * seconds), sampled
+# over full sum: 0.2-0.7 at M = 4, 0.6-1.2 at M = 8, 1.2-2.8 at M = 16
+# (a space-time code 0.4-1.4, even in geometric mean), 2.6-5.8 at M = 64.
+SAMPLED_MIN_M = 16
 
 
 @dataclass(frozen=True)
@@ -109,9 +125,11 @@ def chunk_sizes(total: int, chunks: int) -> list[int]:
     return [base + (1 if k < extra else 0) for k in range(chunks)]
 
 
-def chunk_rngs(seed: int, chunks: int) -> list[tuple[np.random.Generator, np.random.Generator]]:
-    """Per-chunk (channel, noise) generators spawned from (seed, chunk index)."""
-    return [tuple(np.random.default_rng(s) for s in chunk.spawn(2))
+def chunk_rngs(seed: int, chunks: int, streams: int = 2) -> list[tuple[np.random.Generator, ...]]:
+    """Per-chunk (channel, noise) generators spawned from (seed, chunk index);
+    ``streams=3`` adds a third, for sampled true symbols, and leaves the
+    first two unchanged."""
+    return [tuple(np.random.default_rng(s) for s in chunk.spawn(streams))
             for chunk in np.random.SeedSequence(seed).spawn(chunks)]
 
 
@@ -186,6 +204,48 @@ def kernel_stats(received: np.ndarray, noise: np.ndarray, snr: float):
     return mmse * (inv_m / snr), lse * inv_m, pe * inv_m
 
 
+def _sampled_stats(received: np.ndarray, noise: np.ndarray, true: np.ndarray, snr: float):
+    """Per-sample statistics of one true symbol a sample.
+
+    received : (C, M, dim) complex noiseless receive points, sqrt(snr) included
+    noise    : (C, N, dim) complex CN(0, I) draws
+    true     : (C, N) index i of the true symbol of each noise draw
+    Returns (mmse, lse, pe) arrays of shape (C, N) for that i alone.  With
+    d_k = r_k - r_i the logits are A_k = 2 Re<d_k, n> - ||d_k||^2 (A_i = 0
+    exactly), lse = logsumexp_k A_k, the detector errs iff max_k A_k > 0,
+    and E{Hx | y} - r_i = softmax(A) @ d.  Over a uniform i each statistic
+    averages to that of `kernel_stats`, from M logits a sample instead of
+    M^2.  The shifted logits are floored at EXP_FLOOR, as there.  The real
+    coordinates come first, so each is one (C, N, M) slab of d, formed
+    twice (logits, then weights) rather than held as a 2 dim times larger
+    block.
+    """
+    # (2 dim, C, M), (2 dim, C, N), (2 dim, C, N): coordinates of r, 2n, r_i
+    pts = np.concatenate((received.real, received.imag), axis=-1).transpose(2, 0, 1)
+    z2 = 2.0 * np.concatenate((noise.real, noise.imag), axis=-1).transpose(2, 0, 1)
+    pts_i = np.take_along_axis(pts, np.broadcast_to(true, (len(pts),) + true.shape), axis=2)
+    a = np.zeros(true.shape + received.shape[1:2])                    # (C, N, M) logits
+    d = np.empty_like(a)                                              # one coordinate of d
+    t = np.empty_like(a)
+    for x, x_i, z in zip(pts, pts_i, z2):
+        np.subtract(x[:, None, :], x_i[:, :, None], out=d)
+        np.subtract(z[:, :, None], d, out=t)
+        t *= d
+        a += t
+    a_max = a.max(axis=-1)
+    a -= a_max[..., None]
+    np.maximum(a, EXP_FLOOR, out=a)
+    np.exp(a, out=a)
+    s = a.sum(axis=-1)
+    mmse = np.zeros(true.shape)
+    for x, x_i in zip(pts, pts_i):
+        np.subtract(x[:, None, :], x_i[:, :, None], out=d)
+        d *= a
+        cm = d.sum(axis=-1) / s
+        mmse += cm * cm
+    return mmse / snr, a_max + np.log(s), (a_max > 0.0).astype(float)
+
+
 def _estimate(samples: np.ndarray) -> Estimate:
     n = samples.size
     se = float(np.std(samples, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
@@ -200,25 +260,27 @@ def _estimates(samples, log_m: float) -> dict[str, Estimate]:
     return {"mmse": mmse, "mi": mi, "pe": pe}
 
 
-def _run_chunks(total: int, seed: int, chunks: int, per_draw: int, step, threads: int = 1):
+def _run_chunks(total: int, seed: int, chunks: int, per_draw: int, step, threads: int = 1,
+                streams: int = 2):
     """The seeded draw loop of every Monte Carlo consumer.
 
-    Splits `total` draws into `chunks` parts, each with its (channel, noise)
-    generators, and calls ``step(channel_rng, noise_rng, batch)`` on
-    consecutive batches of each part, sized so that the step's largest
-    block (`per_draw` elements a draw) holds about `BATCH_ELEMENTS`.  Steps
-    draw in draw order, so the batch size never changes a draw.  Returns the
-    step outputs, arrays or tuples of arrays, concatenated in chunk order;
-    ``threads > 1`` runs the parts on a thread pool with the same result.
+    Splits `total` draws into `chunks` parts, each with its `streams`
+    generators (`chunk_rngs`), and calls ``step(channel_rng, noise_rng,
+    batch, *more_rngs)`` on consecutive batches of each part, sized so that
+    the step's largest block (`per_draw` elements a draw) holds about
+    `BATCH_ELEMENTS`.  Steps draw in draw order, so the batch size never
+    changes a draw.  Returns the step outputs, arrays or tuples of arrays,
+    concatenated in chunk order; ``threads > 1`` runs the parts on a thread
+    pool with the same result.
     """
     cap = max(1, BATCH_ELEMENTS // per_draw)
 
     def run_chunk(job):
-        size, (channel_rng, noise_rng) = job
-        return [step(channel_rng, noise_rng, min(cap, size - start))
+        size, (channel_rng, noise_rng, *more_rngs) = job
+        return [step(channel_rng, noise_rng, min(cap, size - start), *more_rngs)
                 for start in range(0, size, cap)]
 
-    jobs = list(zip(chunk_sizes(total, chunks), chunk_rngs(seed, chunks)))
+    jobs = list(zip(chunk_sizes(total, chunks), chunk_rngs(seed, chunks, streams)))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as ex:
             per_chunk = list(ex.map(run_chunk, jobs))
@@ -274,23 +336,41 @@ def pe_ml_fixed_h(snr: float, h, c: Constellation, cfg: McConfig) -> Estimate:
 # ---------------------------------------------------------------------------
 
 def _averaged(snr: float, model: ChannelModel, noise_dim: int, evaluate, m: int,
-              log_m: float, cfg: McConfig, threads: int) -> dict[str, Estimate]:
+              log_m: float, cfg: McConfig, threads: int, sampled: bool) -> dict[str, Estimate]:
     """Outer Monte Carlo over channel draws: H from the channel stream, as in
     `bounds.avg_bounds`, and (batch, N, noise_dim) noise from the noise
-    stream.  ``evaluate(h, noise)`` returns the per-sample (mmse, lse, pe) of
-    M hypotheses, each (batch, N); a channel's means are one sample."""
+    stream.  ``evaluate(h, noise, true)`` returns the per-sample (mmse, lse,
+    pe), each (batch, N); a channel's means are one sample.  Unless
+    `sampled`, `true` is None and the statistics average the M hypotheses.
+    If `sampled`, each chunk spawns a third stream, and `true` (batch, N)
+    holds the one uniform true symbol of each noise draw, drawn from it."""
     if snr <= 0:
         raise ValueError("snr must be positive")
     n_noise = cfg.noise_draws_per_channel
 
-    def step(channel_rng, noise_rng, batch):
+    def step(channel_rng, noise_rng, batch, symbol_rng=None):
         h = sample_channels(model, batch, channel_rng)
         noise = _complex_normal(noise_rng, (batch, n_noise, noise_dim))
-        return tuple(s.mean(axis=1) for s in evaluate(h, noise))
+        true = None if symbol_rng is None else symbol_rng.integers(m, size=(batch, n_noise))
+        return tuple(s.mean(axis=1) for s in evaluate(h, noise, true))
 
+    if sampled:     # (N, M) logits and one (N, M) coordinate slab a channel
+        per_draw, streams = 2 * n_noise * m, 3
+    else:           # (M, N) logits a channel
+        per_draw, streams = n_noise * m, 2
     samples = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
-                          m * n_noise, step, threads)   # (M, N) logits a channel
+                          per_draw, step, threads, streams)
     return _estimates(samples, log_m)
+
+
+def sampled_true_symbol(c: Constellation | SpaceTimeCode) -> bool:
+    """Whether `avg_all` (`avg_all_spacetime` for a code) evaluates one
+    uniformly drawn true symbol a noise draw rather than all M: space-time
+    codes and constellations of at least SAMPLED_MIN_M points that are not
+    single-antenna grids.  Grids take the factorised kernel where it pays
+    (`_grid_factors`); they, every other input and every fixed-H estimate
+    sum over all M."""
+    return c.m >= SAMPLED_MIN_M and (isinstance(c, SpaceTimeCode) or c.grid_levels is None)
 
 
 def _grid_factors(c: Constellation):
@@ -331,28 +411,33 @@ def _grid_stats(h: np.ndarray, noise: np.ndarray, levels, snr: float):
     return mmse_r + mmse_i, lse_r + lse_i, errors * (1.0 / (n_re * n_im))
 
 
-def _sample_stats(h: np.ndarray, noise: np.ndarray, c: Constellation, snr: float):
+def _sample_stats(h: np.ndarray, noise: np.ndarray, c: Constellation, snr: float, true=None):
     """Per-sample (mmse, lse, pe) of channels h (C, n_r, n_t) under noise
     (C, N, n_r).  A single-antenna grid constellation R x I with
     |R|^2 + |I|^2 <= M^2 / 4 (qam16, qam64, qam256) takes the factorised
     kernel of `_grid_stats`: the channel is rank one and projecting the
     noise onto h loses nothing, so the statistics are exact and need
     |R|^2 + |I|^2 rather than M^2 logits.  Other inputs (bpsk, qpsk,
-    n_t >= 2, custom non-grid points) take the joint kernel."""
+    n_t >= 2, custom non-grid points) take the joint kernel, over all M
+    true symbols or, given `true` (C, N), over one a sample."""
     levels = _grid_factors(c)
     if levels is not None:
         return _grid_stats(h[:, :, 0], noise, levels, snr)
-    return kernel_stats(np.sqrt(snr) * np.einsum("mt,crt->cmr", c.points, h), noise, snr)
+    received = np.sqrt(snr) * np.einsum("mt,crt->cmr", c.points, h)
+    return (kernel_stats(received, noise, snr) if true is None
+            else _sampled_stats(received, noise, true, snr))
 
 
 def avg_all(snr: float, model: ChannelModel, c: Constellation, cfg: McConfig,
             threads: int = 1) -> dict[str, Estimate]:
     """Averaged (mmse, mi, pe) estimates from one set of channel draws, the
-    one `bounds.avg_bounds` sees for the same config, by `_sample_stats`."""
+    one `bounds.avg_bounds` sees for the same config, by `_sample_stats`;
+    one sampled true symbol a noise draw if `sampled_true_symbol(c)`."""
     if model.n_t != c.n_t:
         raise ValueError("channel and constellation transmit sizes differ")
-    return _averaged(snr, model, model.n_r, lambda h, noise: _sample_stats(h, noise, c, snr),
-                     c.m, c.log_m, cfg, threads)
+    return _averaged(snr, model, model.n_r,
+                     lambda h, noise, true: _sample_stats(h, noise, c, snr, true),
+                     c.m, c.log_m, cfg, threads, sampled_true_symbol(c))
 
 
 def avg_quantity(kind: str, snr: float, model: ChannelModel, c: Constellation,
@@ -366,7 +451,8 @@ def avg_quantity(kind: str, snr: float, model: ChannelModel, c: Constellation,
 def avg_all_spacetime(snr: float, code: SpaceTimeCode, n_r: int, cfg: McConfig,
                       threads: int = 1) -> dict[str, Estimate]:
     """Averaged measures for codeword matrices over t symbol intervals under
-    i.i.d. fading constant within a codeword; receive points live in C^(n_r t)."""
+    i.i.d. fading constant within a codeword; receive points live in C^(n_r t).
+    One sampled true codeword a noise draw if `sampled_true_symbol(code)`."""
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
     model = CanonicalRayleigh(n_t=code.n_t, n_r=n_r)
@@ -374,11 +460,13 @@ def avg_all_spacetime(snr: float, code: SpaceTimeCode, n_r: int, cfg: McConfig,
     dim = n_r * code.t
     root_snr = np.sqrt(snr)
 
-    def evaluate(h, noise):
+    def evaluate(h, noise, true):
         received = root_snr * np.einsum("crt,mts->cmrs", h, cw).reshape(len(h), code.m, dim)
-        return kernel_stats(received, noise, snr)
+        return (kernel_stats(received, noise, snr) if true is None
+                else _sampled_stats(received, noise, true, snr))
 
-    return _averaged(snr, model, dim, evaluate, code.m, code.log_m, cfg, threads)
+    return _averaged(snr, model, dim, evaluate, code.m, code.log_m, cfg, threads,
+                     sampled_true_symbol(code))
 
 
 # ---------------------------------------------------------------------------

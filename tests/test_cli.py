@@ -140,27 +140,34 @@ def test_seed_range_ends_are_accepted(tmp_path, seed):
 
 def test_samples_line_is_deterministic(tmp_path):
     """curve and offsets name their sample counts in one metadata line that
-    is the same across repeats and --threads."""
-    samples = "# samples: channel_draws=80 noise_draws=6 chunks=3"
+    is the same across repeats and --threads, and say for each constellation
+    whether a noise draw evaluates all M true symbols or one sampled one."""
+    samples = "# samples: channel_draws=80 noise_draws=6 chunks=3 true_symbols="
     mc_doc = {"channel_draws": 80, "noise_draws": 6, "chunks": 3}
+    rayleigh = {"variant": "rayleigh", "n_r": 2}
     docs = {
-        "curve": dict(CURVE_CFG, constellation={"family": "qam16", "n_t": 1},
-                      snr_db={"points": [10, 20]}, mc=mc_doc),
-        "offsets": {"anchor_snr_db": 20, "mc": mc_doc,
-                    "systems": [{"constellation": {"family": "qpsk", "n_t": 1},
-                                 "channel": {"variant": "rayleigh", "n_r": 2}}]},
+        "curve": (dict(CURVE_CFG, constellation={"family": "qam16", "n_t": 1},
+                       snr_db={"points": [10, 20]}, mc=mc_doc), "all"),
+        "curve_sampled": (dict(CURVE_CFG, kind="pe", constellation={"family": "qpsk", "n_t": 2},
+                               channel=rayleigh, snr_db={"points": [10]}, mc=mc_doc),
+                          "one_sampled"),
+        "offsets": ({"anchor_snr_db": 20, "mc": mc_doc,
+                     "systems": [{"constellation": {"family": "qpsk", "n_t": n_t},
+                                  "channel": rayleigh} for n_t in (1, 2)]},
+                    "all,one_sampled"),
     }
-    for command, doc in docs.items():
-        cfg = write_cfg(tmp_path, doc, f"{command}.yaml")
+    for name, (doc, symbols) in docs.items():
+        command = name.split("_")[0]
+        cfg = write_cfg(tmp_path, doc, f"{name}.yaml")
         outs = []
         for k, threads in enumerate((1, 1, 2)):
-            out = tmp_path / f"{command}{k}.csv"
+            out = tmp_path / f"{name}{k}.csv"
             assert run([command, "--config", cfg, "--seed", 17, "--threads", threads,
                         "--out", out]) in (0, 4)
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1] == outs[2], command
-        meta = read_csv(tmp_path / f"{command}0.csv")[0]
-        assert [m for m in meta if m.startswith("# samples:")] == [samples], command
+        assert outs[0] == outs[1] == outs[2], name
+        meta = read_csv(tmp_path / f"{name}0.csv")[0]
+        assert [m for m in meta if m.startswith("# samples:")] == [samples + symbols], name
 
 
 def test_curve_pe_binary_bounds_identical(tmp_path):
@@ -401,10 +408,11 @@ def test_stcode_confirm_pe(tmp_path):
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / "stpe.csv"
     assert run(["stcode", "--config", cfg, "--seed", 6, "--out", out]) == 0
-    _, header, rows = read_csv(out)
+    meta, header, rows = read_csv(out)
     rec = dict(zip(header, rows[0]))
     assert 0.0 < float(rec["pe_mean"]) < 0.5
     assert float(rec["pe_stderr"]) > 0.0
+    assert "# samples: channel_draws=2000 noise_draws=16 chunks=2 true_symbols=all" in meta
 
 
 def test_curve_custom_constellation(tmp_path):

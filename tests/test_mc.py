@@ -363,6 +363,31 @@ def test_kernel_stats_matches_brute_force(name):
         assert np.max(lse) > 1e-3 and np.max(pe) > 0.0   # the fades are resolved
 
 
+@pytest.mark.parametrize("name", ["fixed_h_binary", "qam16_two_rx", "spacetime_dim4",
+                                  "high_snr", "common_offset"])
+def test_sampled_stats_over_every_true_symbol_match_brute_force(name):
+    """With every sample's true symbol forced to each i in turn, the mean
+    over i of `_sampled_stats` is the brute-force average over i: rel 1e-12
+    on every input, pe exactly.  On common_offset that is 100x tighter than
+    `kernel_stats` holds, since the noise term 2 Re<d_k, n> is formed from
+    the differences too.  A mixed index array picks each sample's forced
+    result bit for bit."""
+    received, noise, snr = _kernel_case(name)
+    m = received.shape[1]
+    forced = [mc._sampled_stats(received, noise, np.full(noise.shape[:2], i), snr)
+              for i in range(m)]
+    got = [np.sum(s, axis=0) / m for s in zip(*forced)]
+    ref_mmse, ref_lse, ref_pe = _reference_stats(received, noise, snr)
+    for g, ref in ((got[0], ref_mmse), (got[1], ref_lse)):
+        assert np.all(np.isfinite(g))
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(got[2], ref_pe)
+    true = np.random.default_rng(3).integers(m, size=noise.shape[:2])
+    rows, cols = np.indices(true.shape)
+    for mixed, per_i in zip(mc._sampled_stats(received, noise, true, snr), zip(*forced)):
+        assert np.array_equal(mixed, np.array(per_i)[true, rows, cols])
+
+
 def _bank_draws(sub, mc_cfg, stream):
     """The bank's fading and noise draws, in its order: fading, then noise."""
     rng = np.random.default_rng(np.random.SeedSequence(mc_cfg.seed).spawn(stream + 1)[-1])
@@ -444,6 +469,27 @@ def test_kernel_stats_holds_no_pair_table():
     noise = _complex_normal(rng, (c_sz, n_sz, 2))
     peak = _traced_peak(lambda: kernel_stats(received, noise, snr))
     assert peak < 0.5 * c.m * c.m * c_sz * 8
+
+
+def test_sampled_avg_all_holds_about_the_counted_block(monkeypatch):
+    """The sampled path's batch rule counts its (C, N, M) logits and one
+    coordinate slab of the differences, and one sampled avg_all call
+    (qam16, n_t = 2, C = 30, N = 8) stays below three such counts (1 MB
+    each) at peak, not the (C, N, M, 2 dim) difference block (2 MB)."""
+    c_sz, n_sz = 30, 8
+    block = 2 * n_sz * QAM16_2.m
+    counted = []
+    run_chunks = mc._run_chunks
+
+    def spy(total, seed, chunks, per_draw, *args):
+        counted.append(per_draw)
+        return run_chunks(total, seed, chunks, per_draw, *args)
+
+    monkeypatch.setattr(mc, "_run_chunks", spy)
+    mc_cfg = McConfig(channel_draws=c_sz, noise_draws_per_channel=n_sz, parallel_chunks=1)
+    peak = _traced_peak(lambda: fc.avg_all(10.0, CORRELATED_2X2, QAM16_2, mc_cfg))
+    assert counted == [block]
+    assert peak < 3 * c_sz * block * 8
 
 
 def test_bank_holds_no_pair_table():
@@ -773,10 +819,12 @@ CORRELATED_2X2 = fc.CorrelatedRayleigh(theta_t=[[1, 0.5], [0.5, 1]],
                                        theta_r=[[1, 0.8], [0.8, 1]])
 QPSK_2 = fc.make_constellation("qpsk", 2)
 QAM16 = fc.make_constellation("qam16", 1)
+QAM16_2 = fc.make_constellation("qam16", 2)
 BATCH_CFG = McConfig(channel_draws=30, noise_draws_per_channel=6, seed=5, parallel_chunks=3)
 
 BATCHED_ESTIMATORS = {
     "avg_all_joint": lambda: fc.avg_all(10.0, CORRELATED_2X2, QPSK_2, BATCH_CFG),
+    "avg_all_m256": lambda: fc.avg_all(10.0, CORRELATED_2X2, QAM16_2, BATCH_CFG),
     "avg_all_grid": lambda: fc.avg_all(30.0, fc.CanonicalRayleigh(1, 2), QAM16, BATCH_CFG),
     "avg_all_spacetime": lambda: fc.avg_all_spacetime(
         4.0, fc.SpaceTimeCode(codewords=np.stack([QPSK_2.points, QPSK_2.points[:, ::-1]],
@@ -799,13 +847,13 @@ def _batches_of(k, patch):
     run_chunks = mc._run_chunks
     sizes = []
 
-    def run_in_batches(total, seed, chunks, per_draw, step, threads=1):
-        def counted(channel_rng, noise_rng, batch):
+    def run_in_batches(total, seed, chunks, per_draw, step, *args):
+        def counted(channel_rng, noise_rng, batch, *more_rngs):
             sizes.append(batch)
-            return step(channel_rng, noise_rng, batch)
+            return step(channel_rng, noise_rng, batch, *more_rngs)
 
         patch.setattr(mc, "BATCH_ELEMENTS", k * per_draw)
-        return run_chunks(total, seed, chunks, per_draw, counted, threads)
+        return run_chunks(total, seed, chunks, per_draw, counted, *args)
 
     patch.setattr(mc, "_run_chunks", run_in_batches)
     patch.setattr(bounds, "_run_chunks", run_in_batches)
@@ -853,3 +901,73 @@ def test_avg_all_spacetime_threads_bit_for_bit():
     two = fc.avg_all_spacetime(4.0, code, 2, mc_cfg, threads=2)
     for k in one:
         assert (one[k].mean, one[k].std_error) == (two[k].mean, two[k].std_error)
+
+
+# ---------------------------------------------------------------------------
+# one sampled true symbol a noise draw on the joint channel-averaged path
+# ---------------------------------------------------------------------------
+
+ST16 = fc.SpaceTimeCode(codewords=np.stack([QPSK_2.points, QPSK_2.points[:, ::-1]], axis=2))
+
+
+@pytest.mark.parametrize("inputs,sampled", [
+    (QPSK_2, True), (QAM16_2, True), (ST16, True),
+    (fc.make_constellation("custom", 1, points=np.exp(0.125j * np.pi * np.arange(16))), True),
+    (fc.make_constellation("bpsk", 2), False), (QAM16, False),
+    (fc.make_constellation("custom", 1, points=np.exp(0.25j * np.pi * np.arange(8))), False),
+    (fc.SpaceTimeCode(codewords=fc.make_constellation("qpsk", 1).points[:, :, None]), False)],
+    ids=["qpsk_2", "qam16_2", "spacetime_16", "psk16_1", "bpsk_2", "qam16_1", "psk8_1",
+         "spacetime_4"])
+def test_sampled_true_symbol_inputs(inputs, sampled):
+    """Space-time codes and constellations of at least SAMPLED_MIN_M points
+    that are not single-antenna grids (such as qam16 over one antenna)
+    sample the true symbol; the rest sum over M."""
+    assert mc.sampled_true_symbol(inputs) == sampled
+
+
+def test_avg_all_sampled_draws_chunks_in_batches(monkeypatch):
+    """The sampled path draws H and the noise from the channel and noise
+    streams, as the full sum does, and each noise draw's true symbol from a
+    third stream of its chunk, spawn key (chunk, 2), in draw order."""
+    n_noise, snr, seed = 8, 10.0, 73
+    mc_cfg = McConfig(channel_draws=120, noise_draws_per_channel=n_noise, seed=seed,
+                      parallel_chunks=2)
+    monkeypatch.setattr(mc, "BATCH_ELEMENTS", 50 * 2 * n_noise * QAM16_2.m)
+
+    def draw(size, chunk):                      # 60 channels a chunk, batches of 50
+        channel_rng, noise_rng, symbol_rng = (
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk, s)))
+            for s in range(3))
+        h = sample_channels(CORRELATED_2X2, size, channel_rng)
+        noise = _complex_normal(noise_rng, (size, n_noise, 2))
+        true = symbol_rng.integers(QAM16_2.m, size=(size, n_noise))
+        received = np.sqrt(snr) * np.einsum("mt,crt->cmr", QAM16_2.points, h)
+        return tuple(s.mean(axis=1) for s in mc._sampled_stats(received, noise, true, snr))
+
+    expected = [draw(size, k) for k, size in enumerate(chunk_sizes(120, 2))]
+    for threads in (1, 2):
+        est = fc.avg_all(snr, CORRELATED_2X2, QAM16_2, mc_cfg, threads=threads)
+        _assert_estimates_equal(est, expected, QAM16_2.log_m)
+
+
+SAMPLED_CASES = {
+    "qam16_2x2_10dB": lambda mc_cfg: fc.avg_all(10.0, CORRELATED_2X2, QAM16_2, mc_cfg),
+    "qam16_2x2_20dB": lambda mc_cfg: fc.avg_all(100.0, CORRELATED_2X2, QAM16_2, mc_cfg),
+    "spacetime_16": lambda mc_cfg: fc.avg_all_spacetime(4.0, ST16, 2, mc_cfg),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_CASES))
+def test_sampled_true_symbol_agrees_with_full_sum(monkeypatch, name):
+    """On the same channel and noise draws, one sampled true symbol a noise
+    draw and the sum over all M true symbols agree within 4 combined
+    standard errors for mmse, mi and pe."""
+    mc_cfg = McConfig(channel_draws=200, noise_draws_per_channel=8, seed=2024,
+                      parallel_chunks=4)
+    sampled = SAMPLED_CASES[name](mc_cfg)
+    monkeypatch.setattr(mc, "sampled_true_symbol", lambda inputs: False)
+    full = SAMPLED_CASES[name](mc_cfg)
+    for kind in mc.KINDS:
+        a, b = sampled[kind], full[kind]
+        assert a.mean != b.mean, kind              # the two paths did run
+        assert abs(a.mean - b.mean) <= 4 * np.hypot(a.std_error, b.std_error), kind

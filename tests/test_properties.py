@@ -1,5 +1,6 @@
 """Property tests: grid level detection, the factorised grid kernel, the
-factorised power-allocation bank and the fixed-channel bounds."""
+factorised power-allocation bank, the one-symbol kernel and the
+fixed-channel bounds."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -111,6 +112,32 @@ def test_factorised_bank_matches_joint_kernel(levels, seed, power, snr_db):
     got = designs._bank_mi(10.0 ** (snr_db / 10.0), bank, power)
     x_max = np.max(np.abs(c.points) ** 2) * np.max(np.abs(h) ** 2)
     assert abs(got - (c.log_m - np.mean(lse))) <= 1e-15 * max(1.0, scale * x_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 2), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0, 15, 30, 45]))
+def test_sampled_stats_average_to_kernel_stats(m, n_t, n_r, seed, snr_db):
+    """Forcing every sample's true symbol to each i in turn, the mean over i
+    of the one-symbol kernel is `kernel_stats` on random Gaussian points,
+    channels and noise: lse within 1e-14 of the logits' scale
+    max(1, max||r|| (max||r|| + max||n||)), mmse within 1e-13 of
+    max||r||^2 / snr, and the error counts exactly (kernel_stats scales
+    them by 1/M, a sum over i divides by M)."""
+    rng = np.random.default_rng(seed)
+    points = _complex_normal(rng, (m, n_t))
+    h = _complex_normal(rng, (2, n_r, n_t))
+    noise = _complex_normal(rng, (2, 20, n_r))
+    snr = 10.0 ** (snr_db / 10.0)
+    received = np.sqrt(snr) * np.einsum("mt,crt->cmr", points, h)
+    forced = [mc._sampled_stats(received, noise, np.full((2, 20), i), snr) for i in range(m)]
+    mmse, lse, errors = (np.sum(s, axis=0) for s in zip(*forced))
+    ref_mmse, ref_lse, ref_pe = kernel_stats(received, noise, snr)
+    r_max = np.max(np.linalg.norm(received, axis=-1))
+    n_max = np.max(np.linalg.norm(noise, axis=-1))
+    assert np.max(np.abs(lse / m - ref_lse)) <= 1e-14 * max(1.0, r_max * (r_max + n_max))
+    assert np.max(np.abs(mmse / m - ref_mmse)) <= 1e-13 * r_max ** 2 / snr
+    assert np.array_equal(errors, np.rint(ref_pe * m))
 
 
 BOUNDS = {"mmse": fc.mmse_bounds_fixed_h, "mi": fc.mi_bounds_fixed_h,
