@@ -28,8 +28,10 @@ from .model import (
     Constellation,
     SnrGrid,
     SpaceTimeCode,
+    _distinct_rows,
     check_psd,
     hermitian_sqrt,
+    ordered_pair_differences,
     pair_differences,
 )
 
@@ -137,10 +139,10 @@ class DistanceDistribution:
     ordered pairs.
 
     Entry p is a class of ordered pairs whose distances share one law: the
-    pairs with one distinct difference x_i - x_j for constellations, a
-    single pair for space-time codes.  ``orders[p]`` is the smallest n with
-    p^(n)(0) != 0 for that law and ``values[p]`` that derivative summed over
-    the class, so ``values.sum()`` is the sum over ordered pairs.  Pairs
+    pairs with one distinct difference x_i - x_j (X_i - X_j for space-time
+    codes).  ``orders[p]`` is the smallest n with p^(n)(0) != 0 for that
+    law and ``values[p]`` that derivative summed over the class, so
+    ``values.sum()`` is the sum over ordered pairs.  Pairs
     whose received distance is identically zero (indistinguishable under the
     channel) are excluded and counted in ``n_excluded``; their effect is
     absorbed into ``effective_log_m``, the infinite-SNR mutual information
@@ -299,29 +301,23 @@ def distance_dist_spacetime(code: SpaceTimeCode, n_r: int) -> DistanceDistributi
     rank-r pair has order n_r*r - 1 and value prod lam^(-n_r)."""
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
-    orders, values = zip(*[pdf_zero_derivative_weighted([(lam, n_r) for lam in lams])
-                           for lams in _pair_gram_eigenvalues(code)])
-    return DistanceDistribution(orders=np.array(orders), values=np.array(values),
+    lams, counts = _difference_gram_eigenvalues(code)
+    orders, values = zip(*[pdf_zero_derivative_weighted([(lam, n_r) for lam in lam_d])
+                           for lam_d in lams])
+    return DistanceDistribution(orders=np.array(orders), values=counts * np.array(values),
                                 effective_log_m=code.log_m)
 
 
-def _pair_gram_eigenvalues(code: SpaceTimeCode) -> list[np.ndarray]:
-    """Nonzero eigenvalues of the difference Gram matrix of every ordered
-    pair (i, j), i != j, in row-major order.
-
-    (X_j - X_i)(X_j - X_i)^+ equals (X_i - X_j)(X_i - X_j)^+ bit for bit, so
-    each unordered pair is decomposed once and shared by both orders.
-    """
-    m = code.m
-    lams = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            lam = np.linalg.eigvalsh(code.difference_gram(i, j))
-            lam = lam[lam > EIG_ZERO_REL * max(lam[-1], 1e-300)]
-            if lam.size == 0:
-                raise ValueError(f"codewords {i} and {j} coincide")
-            lams[i, j] = lams[j, i] = lam
-    return [lams[i, j] for i in range(m) for j in range(m) if i != j]
+def _difference_gram_eigenvalues(code: SpaceTimeCode) -> tuple[list[np.ndarray], np.ndarray]:
+    """Nonzero eigenvalues of (X_i - X_j)(X_i - X_j)^+ for each distinct
+    codeword difference, and the number of ordered pairs (i != j) sharing
+    it; the differences are grouped as `model.pair_differences` groups a
+    constellation's.  Codewords are distinct, so every difference has a
+    positive largest eigenvalue."""
+    diffs, counts = _distinct_rows(ordered_pair_differences(code.codewords.reshape(code.m, -1)))
+    diffs = diffs.reshape(-1, code.n_t, code.t)
+    lam = np.linalg.eigvalsh(diffs @ diffs.conj().transpose(0, 2, 1))
+    return [row[row > EIG_ZERO_REL * row[-1]] for row in lam], counts
 
 
 # ---------------------------------------------------------------------------

@@ -171,21 +171,17 @@ def cmd_offsets(cfg, seed, digest, out_path, threads):
         dd = _distance_distribution(channel, c)
         eb = asymptotics.epsilon_bounds(dd, c.m)
         est = mc.avg_all(anchor, channel, c, mc_cfg, threads=threads)
-        eps_hat = anchor ** (eb.d + 1) * est["mmse"].mean
-        eps_se = anchor ** (eb.d + 1) * est["mmse"].std_error
-        gap = eb.log_m_limit - est["mi"].mean
-        eps_p_hat = anchor ** eb.d * gap
-        eps_p_se = anchor ** eb.d * est["mi"].std_error
-        flag = bool(eps_hat <= 0 or eps_p_hat <= 0
-                    or eps_se > 0.2 * abs(eps_hat) or eps_p_se > 0.2 * abs(eps_p_hat))
+        eps, eps_p = (mc._epsilon_point(kind, est[kind], anchor, eb.d, eb.log_m_limit)
+                      for kind in ("mmse", "mi"))
+        flag = eps.flagged or eps_p.flagged
         any_flag = any_flag or flag
-        if eps_hat > 0 and eps_p_hat > 0:
-            d_lb, d_ub, dp_lb, dp_ub = asymptotics.snr_offsets(eb, eps_hat, eps_p_hat)
+        if eps.value > 0 and eps_p.value > 0:
+            d_lb, d_ub, dp_lb, dp_ub = asymptotics.snr_offsets(eb, eps.value, eps_p.value)
         else:
             d_lb = d_ub = dp_lb = dp_ub = math.nan
         spread_mmse, spread_mi = asymptotics.analytic_spreads(eb.d, c.m)
         rows.append([c.family, c.n_t, channel.n_r, _channel_label(channel), c.m, eb.d,
-                     eps_hat, eps_p_hat, d_lb, d_ub, dp_lb, dp_ub,
+                     eps.value, eps_p.value, d_lb, d_ub, dp_lb, dp_ub,
                      spread_mmse, spread_mi, flag])
     _write_csv(out_path, "offsets", seed, digest, OFFSETS_HEADER, rows,
                [_samples_line(mc_cfg, [s["constellation"] for s in cfg["systems"]])])

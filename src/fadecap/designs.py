@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mc
-from .asymptotics import EIG_ZERO_REL, _pair_gram_eigenvalues
+from .asymptotics import EIG_ZERO_REL, _difference_gram_eigenvalues
 from .model import (
     Constellation,
     SpaceTimeCode,
@@ -152,9 +152,10 @@ def palloc_ricean_highsnr(subs: Sequence[SubchannelSpec], budget: float) -> Powe
     return PowerAllocation(p=p, budget=budget)
 
 
-@dataclass(frozen=True)
-class _SubchannelBank:
-    """Common-random-number draw bank for one subchannel.
+def _subchannel_banks(subs: Sequence[SubchannelSpec], cfg: mc.McConfig):
+    """Common-random-number draw banks, one a subchannel.  One
+    `mc._run_chunks` call draws the unit fading (C, K) from the channel
+    streams and the noise (C, N, K) from the noise streams.
 
     With w = conj(h) n, the logit of hypothesis k for true input i of a
     point set q at power p is
@@ -163,62 +164,59 @@ class _SubchannelBank:
     every candidate power is compared on identical randomness.  A grid
     R x I splits exactly into the point sets R and jI, whose logits add, so
     the lse adds over them; any other constellation is one factor of all M
-    points.  Each factor's noise table is hypothesis-first, the layout
-    `mc.kernel_stats` uses.
+    points.  A bank is (factors, |h|^2 (C,)), each factor of Q points a
+    pair of d2 (Q, Q) = |q_i - q_k|^2 and the hypothesis-first noise table
+    (Q, C, N) = Re(conj(q_m h) n), the layout `mc.kernel_stats` uses.
     """
+    k_sub, n_noise = len(subs), cfg.noise_draws_per_channel
 
-    # per factor of Q points: d2 (Q, Q) = |q_i - q_k|^2 and
-    # base_g (Q, C, N) = Re(conj(q_m h) n); h2 (C,) = |h|^2
-    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
-    h2: np.ndarray
-    log_m: float
+    def step(channel_rng, noise_rng, batch):
+        return (_complex_normal(channel_rng, (batch, k_sub)),
+                _complex_normal(noise_rng, (batch, n_noise, k_sub)))
 
-    def half(self, which: int) -> "_SubchannelBank":
-        c_sz = self.h2.size
-        sel = slice(0, c_sz // 2) if which == 0 else slice(c_sz // 2, None)
-        return _SubchannelBank(tuple((d2, g[:, sel]) for d2, g in self.factors),
-                               self.h2[sel], self.log_m)
-
-
-def _subchannel_bank(sub: SubchannelSpec, cfg: mc.McConfig, stream: int) -> _SubchannelBank:
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(stream + 1)[-1])
-    fad = sub.fading
-    c_draws, n_draws = cfg.channel_draws, cfg.noise_draws_per_channel
-    h = _complex_normal(rng, (c_draws,)) * np.sqrt(fad.variance)
-    if isinstance(fad, RiceanFading):
-        h = h + complex(fad.mean)
-    noise = _complex_normal(rng, (c_draws, n_draws))
-    # a factor of a single level has lse exactly 0 and is left out
-    levels = sub.constellation.grid_levels
-    point_sets = ([sub.constellation.points[:, 0]] if levels is None
-                  else [q for q in (levels[0], 1j * levels[1]) if q.size > 1])
-    factors = []
-    for q in point_sets:
-        qh = q[:, None] * h[None, :]                     # (Q, C)
-        base_g = (qh.real[:, :, None] * noise.real[None]
-                  + qh.imag[:, :, None] * noise.imag[None])
-        factors.append((np.abs(q[:, None] - q[None, :]) ** 2, base_g))
-    return _SubchannelBank(factors=tuple(factors), h2=np.abs(h) ** 2,
-                           log_m=sub.constellation.log_m)
+    fading, noise = mc._run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
+                                   n_noise * k_sub, step)
+    banks = []
+    for k, sub in enumerate(subs):
+        fad = sub.fading
+        h = fading[:, k] * np.sqrt(fad.variance)
+        if isinstance(fad, RiceanFading):
+            h = h + complex(fad.mean)
+        # a factor of a single level has lse exactly 0 and is left out
+        levels = sub.constellation.grid_levels
+        point_sets = ([sub.constellation.points[:, 0]] if levels is None
+                      else [q for q in (levels[0], 1j * levels[1]) if q.size > 1])
+        factors = []
+        for q in point_sets:
+            qh = q[:, None] * h[None, :]                     # (Q, C)
+            base_g = (qh.real[:, :, None] * noise[None, :, :, k].real
+                      + qh.imag[:, :, None] * noise[None, :, :, k].imag)
+            factors.append((np.abs(q[:, None] - q[None, :]) ** 2, base_g))
+        banks.append((tuple(factors), np.abs(h) ** 2))
+    return banks
 
 
-def _bank_mi(snr: float, bank: _SubchannelBank, power: float) -> float:
-    """Average mutual information of one subchannel evaluated on the bank:
-    log M minus the sum over factors of the mean lse of each."""
+def _bank_mi(snr: float, bank, power: float, rows: slice = slice(None)) -> float:
+    """Average mutual information of one subchannel over the channel `rows`
+    of its bank, read as views: the sum over factors of Q points of log Q
+    (log M in all) minus the mean lse."""
     if power <= 0.0:
         return 0.0
     scale = snr * power
     root = 2.0 * np.sqrt(scale)
-    lse = 0.0
-    for d2, base_g in bank.factors:
+    factors, h2 = bank
+    h2 = h2[rows]
+    mi = 0.0
+    for d2, base_g in factors:
+        base_g = base_g[:, rows]
         q = base_g.shape[0]
         buf = np.empty(base_g.shape)
         lse_total = 0.0
         for i in range(q):
-            a_max = mc._shifted_weights(base_g, scale * (d2[i][:, None] * bank.h2), i, buf, root)
+            a_max = mc._shifted_weights(base_g, scale * (d2[i][:, None] * h2), i, buf, root)
             lse_total += float(np.mean(a_max + np.log(buf.sum(axis=0))))
-        lse += lse_total / q
-    return bank.log_m - lse
+        mi += np.log(q) - lse_total / q
+    return float(mi)
 
 
 def _coordinate_search(objective, p0: np.ndarray, budget: float,
@@ -276,8 +274,7 @@ def subchannel_capacities(subs: Sequence[SubchannelSpec], p, snr: float,
     p = np.asarray(p, dtype=float)
     if p.size != len(subs):
         raise ValueError("power vector length must match the subchannel count")
-    banks = [_subchannel_bank(sub, cfg, k) for k, sub in enumerate(subs)]
-    return [_bank_mi(snr, bank, pk) for bank, pk in zip(banks, p)]
+    return [_bank_mi(snr, bank, pk) for bank, pk in zip(_subchannel_banks(subs, cfg), p)]
 
 
 def palloc_numeric(subs: Sequence[SubchannelSpec], budget: float, snr: float,
@@ -298,24 +295,23 @@ def palloc_numeric(subs: Sequence[SubchannelSpec], budget: float, snr: float,
     if len(subs) == 1:
         return PowerAllocation(p=np.array([budget]), budget=budget)
 
-    banks = [_subchannel_bank(sub, cfg, k) for k, sub in enumerate(subs)]
+    banks = _subchannel_banks(subs, cfg)
 
-    def objective_with(banks_):
+    def objective_on(rows):
         def obj(p):
             if np.any(p < 0):
                 return -np.inf
-            return sum(_bank_mi(snr, bank, pk) for bank, pk in zip(banks_, p))
+            return sum(_bank_mi(snr, bank, pk, rows) for bank, pk in zip(banks, p))
         return obj
 
     p0 = np.full(len(subs), budget / len(subs))
-    p_opt, _ = _coordinate_search(objective_with(banks), p0, budget)
+    p_opt, _ = _coordinate_search(objective_on(slice(None)), p0, budget)
 
     halves = []
     if cfg.channel_draws >= 16:
-        for which in (0, 1):
-            sub_banks = [b.half(which) for b in banks]
-            p_half, _ = _coordinate_search(objective_with(sub_banks), p0, budget,
-                                           sweeps=2)
+        c_half = cfg.channel_draws // 2
+        for rows in (slice(0, c_half), slice(c_half, None)):
+            p_half, _ = _coordinate_search(objective_on(rows), p0, budget, sweeps=2)
             halves.append(p_half)
     flagged = bool(halves and np.max(np.abs(halves[0] - halves[1])) > 0.05 * budget)
     return PowerAllocation(p=p_opt, budget=budget, flagged=flagged)
@@ -562,9 +558,9 @@ def st_criteria(code: SpaceTimeCode, n_r: int) -> SpaceTimeReport:
     """
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
-    lams = _pair_gram_eigenvalues(code)
+    lams, counts = _difference_gram_eigenvalues(code)
     ranks = np.array([lam.size for lam in lams])
-    crit = np.array([np.prod((1.0 / lam) ** n_r) for lam in lams])
+    crit = counts * np.array([np.prod((1.0 / lam) ** n_r) for lam in lams])
     r_min = int(ranks.min())
     criterion = float(np.sum(crit[ranks == r_min]))
     return SpaceTimeReport(r_min=r_min, criterion=criterion, d=n_r * r_min,

@@ -30,7 +30,7 @@ independent of worker scheduling and batching.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,8 +83,9 @@ SAMPLED_MIN_M = 16
 @dataclass(frozen=True)
 class McConfig:
     """Sampling plan.  (seed, parallel_chunks) fix every channel and noise
-    draw; each chunk has its own generators, so changing `parallel_chunks`
-    changes the draws and moves the estimates within their standard errors."""
+    draw, the power-allocation banks' included; each chunk has its own
+    generators, so changing `parallel_chunks` changes the draws and moves
+    the estimates within their standard errors."""
 
     channel_draws: int = 10_000
     noise_draws_per_channel: int = 100
@@ -507,25 +508,26 @@ def empirical_epsilon(kind: str, grid: SnrGrid, model: ChannelModel,
     points = []
     for snr in grid:
         est = avg_quantity(kind, snr, model, c, cfg, threads)
-        if kind == "mmse":
-            scale = snr ** (d + 1)
-            raw = est.mean
-        elif kind == "mi":
-            scale = snr ** d
-            raw = limit - est.mean
-        else:
-            scale = snr ** d
-            raw = est.mean
-        value = scale * raw
-        se = scale * est.std_error
-        flagged = (value <= 0.0) or (se > 0.2 * abs(value))
-        residual = None
+        point = _epsilon_point(kind, est, snr, d, limit)
         if leading is not None:
-            residual = snr * (value - leading)
-        points.append(EpsilonPoint(snr=float(snr), value=float(value),
-                                   std_error=float(se), flagged=bool(flagged),
-                                   residual=residual))
+            point = replace(point, residual=snr * (point.value - leading))
+        points.append(point)
     return points
+
+
+def _epsilon_point(kind: str, est: Estimate, snr: float, d: int, limit: float) -> EpsilonPoint:
+    """`est` of measure `kind` at `snr` on its scaled sequence, flagged when
+    the value is not positive or its standard error exceeds 20% of it."""
+    if kind == "mmse":
+        scale, raw = snr ** (d + 1), est.mean
+    elif kind == "mi":
+        scale, raw = snr ** d, limit - est.mean
+    else:
+        scale, raw = snr ** d, est.mean
+    value = scale * raw
+    se = scale * est.std_error
+    return EpsilonPoint(snr=float(snr), value=float(value), std_error=float(se),
+                        flagged=bool(value <= 0.0 or se > 0.2 * abs(value)))
 
 
 # ---------------------------------------------------------------------------

@@ -160,16 +160,7 @@ class Constellation:
     @cached_property
     def _pair_differences(self) -> tuple[np.ndarray, np.ndarray]:
         # built on first use, not in __post_init__, so construction stays cheap
-        diffs = ordered_pair_differences(self)
-        parts = diffs.view(float)
-        scale = 2.0 ** 40 / np.max(np.abs(parts))
-        keys = np.rint(parts * scale).astype(np.int64)
-        # stable lexicographic sort (first column primary), then cut into runs
-        order = np.lexsort(keys.T[::-1])
-        keys = keys[order]
-        starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
-        counts = np.diff(np.r_[starts, keys.shape[0]])
-        diffs = diffs[order[starts]]
+        diffs, counts = _distinct_rows(ordered_pair_differences(self))
         for shared in (diffs, counts):      # every caller gets these same arrays
             shared.flags.writeable = False
         return diffs, counts
@@ -274,13 +265,26 @@ def pairwise_sq_distances(c: Constellation | np.ndarray) -> np.ndarray:
     return np.sum(np.abs(diff) ** 2, axis=2)
 
 
-def ordered_pair_differences(c: Constellation) -> np.ndarray:
-    """All M(M-1) difference vectors x_i - x_j with i != j, shape (P, n_t)."""
-    pts = c.points
+def ordered_pair_differences(c: Constellation | np.ndarray) -> np.ndarray:
+    """All M(M-1) difference vectors x_i - x_j with i != j, shape (P, n), of
+    a constellation's points or of the rows of an (M, n) array."""
+    pts = c.points if isinstance(c, Constellation) else np.asarray(c, dtype=complex)
     m = pts.shape[0]
     idx = ~np.eye(m, dtype=bool)
     diff = pts[:, None, :] - pts[None, :, :]
     return diff[idx]
+
+
+def _distinct_rows(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of the complex (P, n) array `diffs`, in lexicographic
+    order, and their multiplicities, grouped as `pair_differences` says."""
+    parts = diffs.view(float)
+    keys = np.rint(parts * (2.0 ** 40 / np.max(np.abs(parts)))).astype(np.int64)
+    # stable lexicographic sort (first column primary), then cut into runs
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+    return diffs[order[starts]], np.diff(np.r_[starts, keys.shape[0]])
 
 
 def pair_differences(c: Constellation) -> tuple[np.ndarray, np.ndarray]:

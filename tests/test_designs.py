@@ -5,6 +5,7 @@ import pytest
 
 import fadecap as fc
 from fadecap import designs
+from fadecap.asymptotics import EIG_ZERO_REL
 from fadecap.mc import McConfig
 
 QAM16 = fc.make_constellation("qam16", 1)
@@ -300,6 +301,41 @@ def test_st_criteria_t1_reduces_to_distance_sum():
         off = d2[~np.eye(c.m, dtype=bool)]
         assert rep.r_min == 1
         assert rep.criterion == pytest.approx(np.sum((1.0 / off) ** n_r), rel=1e-10)
+
+
+def alamouti_qpsk():
+    """Alamouti's code over QPSK: 16 codewords [[s1, -s2*], [s2, s1*]] / sqrt 2,
+    whose 240 ordered pairs share far fewer distinct differences."""
+    q = fc.make_constellation("qpsk", 1).points[:, 0]
+    s1, s2 = (s.ravel() for s in np.meshgrid(q, q, indexing="ij"))
+    cws = np.stack([np.stack([s1, -s2.conj()], axis=1), np.stack([s2, s1.conj()], axis=1)],
+                   axis=1)
+    return fc.SpaceTimeCode(codewords=cws / np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("n_r", [1, 2])
+def test_spacetime_sums_match_ordered_pair_reference(n_r):
+    """st_criteria's criterion and the sum of distance_dist_spacetime's
+    values, grouped over distinct codeword differences, equal the sums over
+    every ordered pair of its own Gram eigenvalues within rel 1e-12."""
+    code = alamouti_qpsk()
+    ranks, terms = [], []
+    for i in range(code.m):
+        for j in range(code.m):
+            if i != j:
+                lam = np.linalg.eigvalsh(code.difference_gram(i, j))
+                lam = lam[lam > EIG_ZERO_REL * lam[-1]]
+                ranks.append(lam.size)
+                terms.append(np.prod(lam ** -float(n_r)))
+    ranks, terms = np.array(ranks), np.array(terms)
+    r_min = ranks.min()
+    rep = designs.st_criteria(code, n_r)
+    dd = fc.distance_dist_spacetime(code, n_r)
+    assert dd.values.size < code.m * (code.m - 1)        # the differences repeat
+    assert rep.r_min == r_min == 2
+    assert rep.criterion == pytest.approx(np.sum(terms[ranks == r_min]), rel=1e-12)
+    assert np.sum(dd.values) == pytest.approx(np.sum(terms), rel=1e-12)
+    assert dd.orders.min() == n_r * r_min - 1
 
 
 def test_st_criteria_flags_extrapolation():

@@ -388,14 +388,24 @@ def test_sampled_stats_over_every_true_symbol_match_brute_force(name):
         assert np.array_equal(mixed, np.array(per_i)[true, rows, cols])
 
 
-def _bank_draws(sub, mc_cfg, stream):
-    """The bank's fading and noise draws, in its order: fading, then noise."""
-    rng = np.random.default_rng(np.random.SeedSequence(mc_cfg.seed).spawn(stream + 1)[-1])
-    n_c = mc_cfg.channel_draws
-    h = _complex_normal(rng, (n_c,)) * np.sqrt(sub.fading.variance)
-    if isinstance(sub.fading, designs.RiceanFading):
-        h = h + complex(sub.fading.mean)
-    return h, _complex_normal(rng, (n_c, mc_cfg.noise_draws_per_channel))
+def _bank_draws(subs, mc_cfg):
+    """The banks' unit fading (C, K) and noise (C, N, K), chunk k drawn whole:
+    the fading from spawn key (k, 0), the noise from (k, 1).  Subchannel k's
+    fading is column k scaled by its standard deviation, plus its mean."""
+    fading, noise = [], []
+    for k, size in enumerate(chunk_sizes(mc_cfg.channel_draws, mc_cfg.parallel_chunks)):
+        channel_rng, noise_rng = (
+            np.random.default_rng(np.random.SeedSequence(mc_cfg.seed, spawn_key=(k, s)))
+            for s in range(2))
+        fading.append(_complex_normal(channel_rng, (size, len(subs))))
+        noise.append(_complex_normal(noise_rng, (size, mc_cfg.noise_draws_per_channel,
+                                                 len(subs))))
+    fading, noise = np.concatenate(fading), np.concatenate(noise)
+    for k, sub in enumerate(subs):
+        fading[:, k] *= np.sqrt(sub.fading.variance)
+        if isinstance(sub.fading, designs.RiceanFading):
+            fading[:, k] += complex(sub.fading.mean)
+    return fading, noise
 
 
 # (constellation, fading, factors in its bank): a grid splits into its real
@@ -412,40 +422,23 @@ BANK_CASES = [
 
 
 def test_bank_mi_matches_kernel_stats():
-    """The power-allocation bank and the joint MC kernel agree: on the bank's
-    own draws, _bank_mi equals log M - mean(lse) of kernel_stats on all M
-    points, for the whole bank and for each half."""
-    mc_cfg = McConfig(channel_draws=64, noise_draws_per_channel=12, seed=17)
-    stream, snr, power = 1, 30.0, 0.7
+    """The power-allocation banks and the joint MC kernel agree: on the
+    banks' own draws, _bank_mi equals log M - mean(lse) of kernel_stats on
+    all M points, over all channels and over each half of them."""
+    mc_cfg = McConfig(channel_draws=64, noise_draws_per_channel=12, seed=17, parallel_chunks=3)
+    snr, power = 30.0, 0.7
     half = mc_cfg.channel_draws // 2
-    for c, fading, n_factors in BANK_CASES:
-        sub = designs.SubchannelSpec(c, fading)
-        bank = designs._subchannel_bank(sub, mc_cfg, stream)
-        assert len(bank.factors) == n_factors
-        h, noise = _bank_draws(sub, mc_cfg, stream)
-        received = np.sqrt(snr * power) * h[:, None, None] * c.points[None]
-        _, lse, _ = kernel_stats(received, noise[:, :, None], snr * power)
-        for part, sel in ((bank, slice(None)), (bank.half(0), slice(0, half)),
-                          (bank.half(1), slice(half, None))):
-            expected = c.log_m - np.mean(lse[sel])
-            assert designs._bank_mi(snr, part, power) == pytest.approx(expected, rel=1e-12)
-
-
-def test_bank_halves_are_views():
-    """Each half is a half-size view of every channel-indexed array of the
-    bank: each factor's noise table and |h|^2."""
-    for family in ("qpsk", "qam16"):
-        sub = designs.SubchannelSpec(fc.make_constellation(family, 1),
-                                     designs.RayleighFading(variance=1.0))
-        bank = designs._subchannel_bank(sub, McConfig(channel_draws=32,
-                                                      noise_draws_per_channel=4), 0)
-        for which in (0, 1):
-            part = bank.half(which)
-            assert len(part.factors) == len(bank.factors) == 2
-            tables = [(p_g, g) for (_, p_g), (_, g) in zip(part.factors, bank.factors)]
-            for part_table, table in tables + [(part.h2, bank.h2)]:
-                assert np.shares_memory(part_table, table)
-                assert 2 * part_table.size == table.size
+    subs = [designs.SubchannelSpec(c, fading) for c, fading, _ in BANK_CASES]
+    banks = designs._subchannel_banks(subs, mc_cfg)
+    h, noise = _bank_draws(subs, mc_cfg)
+    for k, (c, _, n_factors) in enumerate(BANK_CASES):
+        assert len(banks[k][0]) == n_factors
+        received = np.sqrt(snr * power) * h[:, k, None, None] * c.points[None]
+        _, lse, _ = kernel_stats(received, noise[:, :, k, None], snr * power)
+        for rows in (slice(None), slice(0, half), slice(half, None)):
+            expected = c.log_m - np.mean(lse[rows])
+            got = designs._bank_mi(snr, banks[k], power, rows)
+            assert got == pytest.approx(expected, rel=1e-12)
 
 
 def _traced_peak(fn):
@@ -492,15 +485,30 @@ def test_sampled_avg_all_holds_about_the_counted_block(monkeypatch):
     assert peak < 3 * c_sz * block * 8
 
 
+PSK64 = fc.make_constellation("custom", 1, points=np.exp(2j * np.pi * np.arange(64) / 64))
+
+
 def test_bank_holds_no_pair_table():
     """A non-grid 64-point set is one factor of 64 points; its bank keeps
     |h|^2 once and stays below half of one (Q, Q, C) float table (42 MB)."""
-    c = fc.make_constellation("custom", 1, points=np.exp(2j * np.pi * np.arange(64) / 64))
-    assert c.grid_levels is None
-    sub = designs.SubchannelSpec(c, designs.RayleighFading(variance=1.0))
+    assert PSK64.grid_levels is None
+    subs = [designs.SubchannelSpec(PSK64, designs.RayleighFading(variance=1.0))]
     mc_cfg = McConfig(channel_draws=1280, noise_draws_per_channel=4)
-    peak = _traced_peak(lambda: designs._subchannel_bank(sub, mc_cfg, 0))
-    assert peak < 0.5 * c.m * c.m * mc_cfg.channel_draws * 8
+    peak = _traced_peak(lambda: designs._subchannel_banks(subs, mc_cfg))
+    assert peak < 0.5 * PSK64.m * PSK64.m * mc_cfg.channel_draws * 8
+
+
+def test_bank_half_copies_no_table():
+    """Evaluating half of a bank reads views of its channel-indexed tables:
+    at peak it holds its (Q, C/2, N) weight buffer (64 points, 1 MB) and
+    less than half of a second such block, not a copy of the noise table."""
+    subs = [designs.SubchannelSpec(PSK64, designs.RayleighFading(variance=1.0))]
+    mc_cfg = McConfig(channel_draws=64, noise_draws_per_channel=64)
+    bank = designs._subchannel_banks(subs, mc_cfg)[0]
+    block = PSK64.m * (mc_cfg.channel_draws // 2) * mc_cfg.noise_draws_per_channel * 8
+    for rows in (slice(0, 32), slice(32, None)):
+        peak = _traced_peak(lambda: designs._bank_mi(100.0, bank, 1.0, rows))
+        assert block <= peak < 1.5 * block
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +565,8 @@ def test_exp_floor_leaves_kernel_stats_unchanged(monkeypatch, name, snr_db):
 def test_exp_floor_leaves_bank_mi_unchanged(monkeypatch):
     sub = designs.SubchannelSpec(fc.make_constellation("qpsk", 1),
                                  designs.RayleighFading(variance=4.0))
-    bank = designs._subchannel_bank(sub, McConfig(channel_draws=160,
-                                                  noise_draws_per_channel=16), 0)
+    bank = designs._subchannel_banks([sub], McConfig(channel_draws=160,
+                                                     noise_draws_per_channel=16))[0]
     snr, powers = 100.0, (0.5, 1.0, 1.5)
     floored = [designs._bank_mi(snr, bank, p) for p in powers]
     lowest = []
@@ -820,6 +828,9 @@ CORRELATED_2X2 = fc.CorrelatedRayleigh(theta_t=[[1, 0.5], [0.5, 1]],
 QPSK_2 = fc.make_constellation("qpsk", 2)
 QAM16 = fc.make_constellation("qam16", 1)
 QAM16_2 = fc.make_constellation("qam16", 2)
+PALLOC_SUBS = [designs.SubchannelSpec(fc.make_constellation("qpsk", 1),
+                                      designs.RayleighFading(variance=4.0)),
+               designs.SubchannelSpec(QAM16, designs.RiceanFading(mean=1.0, variance=0.5))]
 BATCH_CFG = McConfig(channel_draws=30, noise_draws_per_channel=6, seed=5, parallel_chunks=3)
 
 BATCHED_ESTIMATORS = {
@@ -837,6 +848,8 @@ BATCHED_ESTIMATORS = {
                            for kind in ("mmse", "mi", "pe")],
     "distance_squared_samples": lambda: distance_squared_samples(
         CORRELATED_2X2, [1.0, 0.5j], 31, seed=2, chunks=3).tolist(),
+    "palloc": lambda: [designs.palloc_numeric(PALLOC_SUBS, 2.0, 100.0, BATCH_CFG).p.tolist(),
+                       designs.subchannel_capacities(PALLOC_SUBS, [0.5, 1.5], 100.0, BATCH_CFG)],
 }
 
 

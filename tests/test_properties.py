@@ -99,13 +99,20 @@ def test_factorised_bank_matches_joint_kernel(levels, seed, power, snr_db):
     assume(re.size * im.size >= 2)
     c = _custom(_grid_points(re, im, seed))
     sub = designs.SubchannelSpec(c, designs.RayleighFading(variance=1.0))
-    mc_cfg = mc.McConfig(channel_draws=8, noise_draws_per_channel=6, seed=seed)
-    bank = designs._subchannel_bank(sub, mc_cfg, 0)
-    assert len(bank.factors) == (re.size > 1) + (im.size > 1)
-    # the bank's draws, in its order: fading, then noise
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[-1])
-    h = _complex_normal(rng, (8,))
-    noise = _complex_normal(rng, (8, 6))
+    mc_cfg = mc.McConfig(channel_draws=8, noise_draws_per_channel=6, seed=seed,
+                         parallel_chunks=2)
+    bank = designs._subchannel_banks([sub], mc_cfg)[0]
+    assert len(bank[0]) == (re.size > 1) + (im.size > 1)
+    # the bank's draws: chunk k's 4 channels from spawn key (k, 0), its
+    # noise from (k, 1)
+    h, noise = [], []
+    for k in range(2):
+        channel_rng, noise_rng = (
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k, s)))
+            for s in range(2))
+        h.append(_complex_normal(channel_rng, (4,)))
+        noise.append(_complex_normal(noise_rng, (4, 6)))
+    h, noise = np.concatenate(h), np.concatenate(noise)
     scale = 10.0 ** (snr_db / 10.0) * power
     _, lse, _ = kernel_stats(np.sqrt(scale) * h[:, None, None] * c.points[None],
                              noise[:, :, None], scale)
