@@ -250,23 +250,17 @@ def _distinguishable_class_entropy(c: Constellation, theta_t: np.ndarray) -> flo
     With equiprobable inputs this is the infinite-SNR mutual information a
     receiver can extract when some inputs collapse onto each other.
     """
-    root = hermitian_sqrt(theta_t)
-    pts = c.points
-    m = pts.shape[0]
-    labels = -np.ones(m, dtype=int)
-    images = (root @ pts.T).T
-    scale = max(float(np.max(np.abs(images))), 1.0)
-    next_label = 0
-    for i in range(m):
-        if labels[i] >= 0:
-            continue
-        labels[i] = next_label
-        for j in range(i + 1, m):
-            if labels[j] < 0 and np.sum(np.abs(images[i] - images[j]) ** 2) <= EIG_ZERO_REL * scale ** 2:
-                labels[j] = next_label
-        next_label += 1
-    counts = np.bincount(labels)
-    probs = counts / m
+    images = (hermitian_sqrt(theta_t) @ c.points.T).T
+    tol = EIG_ZERO_REL * max(float(np.max(np.abs(images))), 1.0) ** 2
+    # greedy: the first unlabelled point takes every unlabelled point near it
+    labels = np.full(c.m, -1)
+    for label in range(c.m):
+        free = np.flatnonzero(labels < 0)
+        if not free.size:
+            break
+        d2 = np.sum(np.abs(images[free] - images[free[0]]) ** 2, axis=1)
+        labels[free[d2 <= tol]] = label
+    probs = np.bincount(labels) / c.m
     return float(-np.sum(probs * np.log(probs)))
 
 

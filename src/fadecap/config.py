@@ -321,6 +321,10 @@ def validate_command_config(command: str, doc: dict, seed: int) -> dict[str, Any
         if not isinstance(books_obj, list) or not books_obj:
             raise ConfigError("codebooks", "expected a nonempty list")
         books = [build_spacetime(b, f"codebooks[{k}]") for k, b in enumerate(books_obj)]
+        names = [name for name, _ in books]
+        for k, name in enumerate(names):
+            if name in names[:k]:     # rows and error rates are keyed by name
+                raise ConfigError(f"codebooks[{k}].name", f"duplicate codebook name {name!r}")
         confirm = None
         if "confirm_pe" in doc:
             conf_obj = doc["confirm_pe"]

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mc
-from .asymptotics import EIG_ZERO_REL, _difference_gram_eigenvalues
+from .asymptotics import EIG_ZERO_REL, distance_dist_spacetime, epsilon_bounds
 from .model import (
     Constellation,
     SpaceTimeCode,
@@ -551,19 +551,14 @@ class SpaceTimeReport:
 def st_criteria(code: SpaceTimeCode, n_r: int) -> SpaceTimeReport:
     """(minimum difference rank, leading-coefficient criterion, diversity).
 
-    criterion = sum over ordered pairs at minimal rank of
-    prod_r (1/lambda_r)^n_r; d = n_r * r_min.  Certified for n_t = 2;
-    other transmit sizes are computed by the same eigenvalue engine but
-    flagged as extrapolation.
+    The criterion is the leading coefficient sum of the code's distance
+    distribution (`distance_dist_spacetime`): the sum over ordered pairs at
+    minimal rank of prod_r (1/lambda_r)^n_r, with d = n_r * r_min.
+    Certified for n_t = 2; other transmit sizes are computed by the same
+    eigenvalue engine but flagged as extrapolation.
     """
-    if n_r < 1:
-        raise ValueError("n_r must be >= 1")
-    lams, counts = _difference_gram_eigenvalues(code)
-    ranks = np.array([lam.size for lam in lams])
-    crit = counts * np.array([np.prod((1.0 / lam) ** n_r) for lam in lams])
-    r_min = int(ranks.min())
-    criterion = float(np.sum(crit[ranks == r_min]))
-    return SpaceTimeReport(r_min=r_min, criterion=criterion, d=n_r * r_min,
+    eb = epsilon_bounds(distance_dist_spacetime(code, n_r), code.m)
+    return SpaceTimeReport(r_min=eb.d // n_r, criterion=eb.sum_s, d=eb.d,
                            certified=(code.n_t == 2))
 
 

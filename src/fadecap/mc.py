@@ -306,10 +306,11 @@ def fixed_h_all(snr: float, h, c: Constellation, cfg: McConfig) -> dict[str, Est
     if h.ndim != 2 or h.shape[1] != c.n_t:
         raise ValueError("H must have shape (n_r, n_t)")
     n_noise = cfg.noise_draws_per_channel
+    blocks, levels = c.points[:, :, None], _grid_factors(c)
 
     def step(channel_rng, noise_rng, batch):
         noise = _complex_normal(noise_rng, (batch, n_noise, h.shape[0]))
-        stats = _sample_stats(np.broadcast_to(h, (batch, *h.shape)), noise, c, snr)
+        stats = _sample_stats(np.broadcast_to(h, (batch, *h.shape)), noise, blocks, levels, snr)
         return tuple(s.ravel() for s in stats)
 
     samples = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
@@ -336,24 +337,24 @@ def pe_ml_fixed_h(snr: float, h, c: Constellation, cfg: McConfig) -> Estimate:
 # channel-averaged estimators
 # ---------------------------------------------------------------------------
 
-def _averaged(snr: float, model: ChannelModel, noise_dim: int, evaluate, m: int,
-              log_m: float, cfg: McConfig, threads: int, sampled: bool) -> dict[str, Estimate]:
-    """Outer Monte Carlo over channel draws: H from the channel stream, as in
-    `bounds.avg_bounds`, and (batch, N, noise_dim) noise from the noise
-    stream.  ``evaluate(h, noise, true)`` returns the per-sample (mmse, lse,
-    pe), each (batch, N); a channel's means are one sample.  Unless
-    `sampled`, `true` is None and the statistics average the M hypotheses.
-    If `sampled`, each chunk spawns a third stream, and `true` (batch, N)
-    holds the one uniform true symbol of each noise draw, drawn from it."""
+def _averaged(snr: float, model: ChannelModel, blocks: np.ndarray, levels, sampled: bool,
+              cfg: McConfig, threads: int) -> dict[str, Estimate]:
+    """Outer Monte Carlo over channel draws for the input `blocks` and grid
+    `levels` of `_sample_stats`: H from the channel stream, as in
+    `bounds.avg_bounds`, and (batch, N, n_r t) noise from the noise stream;
+    a channel's means are one sample.  Unless `sampled`, the statistics
+    average the M hypotheses.  If `sampled`, each chunk spawns a third
+    stream, and each noise draw's one uniform true symbol is drawn from it."""
     if snr <= 0:
         raise ValueError("snr must be positive")
     n_noise = cfg.noise_draws_per_channel
+    m, noise_dim = len(blocks), model.n_r * blocks.shape[2]
 
     def step(channel_rng, noise_rng, batch, symbol_rng=None):
         h = sample_channels(model, batch, channel_rng)
         noise = _complex_normal(noise_rng, (batch, n_noise, noise_dim))
         true = None if symbol_rng is None else symbol_rng.integers(m, size=(batch, n_noise))
-        return tuple(s.mean(axis=1) for s in evaluate(h, noise, true))
+        return tuple(s.mean(axis=1) for s in _sample_stats(h, noise, blocks, levels, snr, true))
 
     if sampled:     # (N, M) logits and one (N, M) coordinate slab a channel
         per_draw, streams = 2 * n_noise * m, 3
@@ -361,7 +362,7 @@ def _averaged(snr: float, model: ChannelModel, noise_dim: int, evaluate, m: int,
         per_draw, streams = n_noise * m, 2
     samples = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
                           per_draw, step, threads, streams)
-    return _estimates(samples, log_m)
+    return _estimates(samples, float(np.log(m)))
 
 
 def sampled_true_symbol(c: Constellation | SpaceTimeCode) -> bool:
@@ -412,19 +413,20 @@ def _grid_stats(h: np.ndarray, noise: np.ndarray, levels, snr: float):
     return mmse_r + mmse_i, lse_r + lse_i, errors * (1.0 / (n_re * n_im))
 
 
-def _sample_stats(h: np.ndarray, noise: np.ndarray, c: Constellation, snr: float, true=None):
+def _sample_stats(h: np.ndarray, noise: np.ndarray, blocks: np.ndarray, levels, snr: float,
+                  true=None):
     """Per-sample (mmse, lse, pe) of channels h (C, n_r, n_t) under noise
-    (C, N, n_r).  A single-antenna grid constellation R x I with
-    |R|^2 + |I|^2 <= M^2 / 4 (qam16, qam64, qam256) takes the factorised
-    kernel of `_grid_stats`: the channel is rank one and projecting the
-    noise onto h loses nothing, so the statistics are exact and need
-    |R|^2 + |I|^2 rather than M^2 logits.  Other inputs (bpsk, qpsk,
-    n_t >= 2, custom non-grid points) take the joint kernel, over all M
-    true symbols or, given `true` (C, N), over one a sample."""
-    levels = _grid_factors(c)
+    (C, N, n_r t) for the M equiprobable (n_t, t) input `blocks`: a
+    constellation's points as (M, n_t, 1), or a space-time code's codewords.
+    Given the level sets `levels` of a single-antenna grid R x I
+    (`_grid_factors`), it takes the factorised kernel of `_grid_stats`: the
+    channel is rank one and projecting the noise onto h loses nothing, so
+    the statistics are exact and need |R|^2 + |I|^2 rather than M^2 logits.
+    Otherwise it takes the joint kernel on the receive points in C^(n_r t),
+    over all M true symbols or, given `true` (C, N), over one a sample."""
     if levels is not None:
         return _grid_stats(h[:, :, 0], noise, levels, snr)
-    received = np.sqrt(snr) * np.einsum("mt,crt->cmr", c.points, h)
+    received = np.sqrt(snr) * np.einsum("crt,mts->cmrs", h, blocks).reshape(len(h), len(blocks), -1)
     return (kernel_stats(received, noise, snr) if true is None
             else _sampled_stats(received, noise, true, snr))
 
@@ -436,9 +438,8 @@ def avg_all(snr: float, model: ChannelModel, c: Constellation, cfg: McConfig,
     one sampled true symbol a noise draw if `sampled_true_symbol(c)`."""
     if model.n_t != c.n_t:
         raise ValueError("channel and constellation transmit sizes differ")
-    return _averaged(snr, model, model.n_r,
-                     lambda h, noise, true: _sample_stats(h, noise, c, snr, true),
-                     c.m, c.log_m, cfg, threads, sampled_true_symbol(c))
+    return _averaged(snr, model, c.points[:, :, None], _grid_factors(c),
+                     sampled_true_symbol(c), cfg, threads)
 
 
 def avg_quantity(kind: str, snr: float, model: ChannelModel, c: Constellation,
@@ -454,20 +455,8 @@ def avg_all_spacetime(snr: float, code: SpaceTimeCode, n_r: int, cfg: McConfig,
     """Averaged measures for codeword matrices over t symbol intervals under
     i.i.d. fading constant within a codeword; receive points live in C^(n_r t).
     One sampled true codeword a noise draw if `sampled_true_symbol(code)`."""
-    if n_r < 1:
-        raise ValueError("n_r must be >= 1")
-    model = CanonicalRayleigh(n_t=code.n_t, n_r=n_r)
-    cw = code.codewords
-    dim = n_r * code.t
-    root_snr = np.sqrt(snr)
-
-    def evaluate(h, noise, true):
-        received = root_snr * np.einsum("crt,mts->cmrs", h, cw).reshape(len(h), code.m, dim)
-        return (kernel_stats(received, noise, snr) if true is None
-                else _sampled_stats(received, noise, true, snr))
-
-    return _averaged(snr, model, dim, evaluate, code.m, code.log_m, cfg, threads,
-                     sampled_true_symbol(code))
+    return _averaged(snr, CanonicalRayleigh(n_t=code.n_t, n_r=n_r), code.codewords, None,
+                     sampled_true_symbol(code), cfg, threads)
 
 
 # ---------------------------------------------------------------------------

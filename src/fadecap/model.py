@@ -44,16 +44,17 @@ HERMITIAN_TOL = 1e-12
 PSD_EIG_TOL = 1e-10
 DISTINCT_TOL = 1e-12
 NORM_TOL = 1e-9
-# Largest joint constellation accepted.  `ordered_pair_differences` builds an
-# (M, M, n_t) table: qam256 over two antennas (M = 65536) would need ~137 GB.
+# Largest constellation or space-time code accepted.  `ordered_pair_differences`
+# builds an (M, M, n_t) table: qam256 over two antennas (M = 65536) would need
+# ~137 GB.
 MAX_POINTS = 4096
 # Entries per row block of the nearest-point search's distance table (1 MB).
 DISTINCT_BLOCK = 2 ** 17
 
 
-def _check_size(m: int, n_t: int) -> None:
+def _check_size(m: int, n_t: int, what: str = "constellation") -> None:
     if m > MAX_POINTS:
-        raise ValueError(f"constellation with n_t={n_t} has M={m} points, "
+        raise ValueError(f"{what} with n_t={n_t} has M={m} points, "
                          f"more than the {MAX_POINTS} supported")
 
 
@@ -127,7 +128,7 @@ class Constellation:
         _validate_finite(pts, "constellation points")
         _check_size(*pts.shape)
         object.__setattr__(self, "points", pts)
-        _check_distinct(pts)
+        _check_distinct(pts, "constellation points")
 
     @property
     def m(self) -> int:
@@ -206,10 +207,13 @@ def _nearest(queries: np.ndarray, pts: np.ndarray, skip_self: bool = False):
     return d2_min, index
 
 
-def _check_distinct(pts: np.ndarray) -> None:
-    """Reject two points within DISTINCT_TOL in squared distance."""
-    if _nearest(pts, pts, skip_self=True)[0].min() <= DISTINCT_TOL:
-        raise ValueError("constellation has duplicate points")
+def _check_distinct(rows: np.ndarray, what: str) -> None:
+    """Reject two rows within DISTINCT_TOL in squared distance, naming the
+    first such pair of `what`."""
+    d2, nearest = _nearest(rows, rows, skip_self=True)
+    close = np.flatnonzero(d2 <= DISTINCT_TOL)
+    if close.size:
+        raise ValueError(f"duplicate {what}: {close[0]} and {nearest[close[0]]} coincide")
 
 
 _SCALAR_FAMILIES = ("bpsk", "qpsk", "qam16", "qam64", "qam256")
@@ -437,12 +441,9 @@ class SpaceTimeCode:
         if cw.ndim != 3 or cw.shape[0] < 2:
             raise ValueError("codewords must be a (M, n_t, t) array with M >= 2")
         _validate_finite(cw, "codewords")
+        _check_size(*cw.shape[:2], "space-time code")
         object.__setattr__(self, "codewords", cw)
-        flat = cw.reshape(cw.shape[0], -1)
-        d2, nearest = _nearest(flat, flat, skip_self=True)
-        close = np.flatnonzero(d2 <= DISTINCT_TOL)
-        if close.size:
-            raise ValueError(f"codewords {close[0]} and {nearest[close[0]]} coincide")
+        _check_distinct(cw.reshape(cw.shape[0], -1), "codewords")
 
     @property
     def m(self) -> int:

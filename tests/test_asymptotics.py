@@ -8,6 +8,7 @@ from scipy.special import erfc, factorial, iv
 import fadecap as fc
 from fadecap.asymptotics import (
     BoundPair,
+    _distinguishable_class_entropy,
     analytic_spreads,
     expansion_constant,
     expansion_constant_alt_form,
@@ -208,6 +209,22 @@ def test_correlated_degenerate_pair_exclusion():
     expected = -(2 / 3) * np.log(2 / 3) - (1 / 3) * np.log(1 / 3)
     assert dd.effective_log_m == pytest.approx(expected, rel=1e-12)
     assert dd.effective_log_m < np.log(3)
+
+
+def test_class_entropy_counts_distinct_images():
+    """qam16 on two antennas under the all-ones Theta_T: x and x' collapse
+    iff x_1 + x_2 = x'_1 + x'_2, so the classes are the 49 distinct sums,
+    counted here independently of the greedy labelling."""
+    c = fc.make_constellation("qam16", 2)
+    theta_t = np.ones((2, 2))
+    sums = np.round(c.points.sum(axis=1) * np.sqrt(10.0) * np.sqrt(2.0)).astype(complex)
+    _, counts = np.unique(sums, return_counts=True)
+    assert counts.size == 49 and counts.sum() == c.m
+    probs = counts / c.m
+    expected = float(-np.sum(probs * np.log(probs)))
+    assert _distinguishable_class_entropy(c, theta_t) == pytest.approx(expected, rel=1e-12)
+    assert fc.distance_dist_correlated(c, theta_t, np.eye(2)).effective_log_m \
+        == pytest.approx(expected, rel=1e-12)
 
 
 def test_degenerate_receive_correlation_drops_order():

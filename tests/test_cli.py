@@ -441,6 +441,31 @@ def test_stcode_mismatched_codebooks_numeric_failure(tmp_path):
     assert run(["stcode", "--config", cfg, "--seed", 1]) == 3
 
 
+def test_stcode_duplicate_codebook_names_config_error(tmp_path, capsys):
+    """Rows and confirming error rates are keyed by name, so a name used
+    twice is a config error naming the second book."""
+    books = [[[[1, 0]]], [[[-1, 0]]]]
+    doc = {
+        "n_r": 1,
+        "codebooks": [{"name": "a", "codewords": books},
+                      {"name": "b", "codewords": books},
+                      {"name": "a", "codewords": books}],
+    }
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["stcode", "--config", cfg, "--seed", 1]) == 2
+    assert "codebooks[2].name" in capsys.readouterr().err
+
+
+def test_stcode_oversized_codebook_config_error(tmp_path, capsys):
+    """More than 4096 codewords is a config error naming the codewords."""
+    doc = {"n_r": 1,
+           "codebooks": [{"name": "big", "codewords": [[[k]] for k in range(4097)]}]}
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["stcode", "--config", cfg, "--seed", 1]) == 2
+    err = capsys.readouterr().err
+    assert "codebooks[0].codewords" in err and "M=4097" in err
+
+
 def test_missing_config_file():
     assert run(["curve", "--config", "/nonexistent.yaml", "--seed", 1]) == 2
 

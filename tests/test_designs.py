@@ -115,6 +115,23 @@ def test_palloc_numeric_single_and_symmetric():
     assert sym.p.sum() == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("snr", [10.0, 100.0])
+def test_palloc_numeric_three_subchannels(snr):
+    """Three subchannels take the multi-pair sweeps of the coordinate search:
+    the numeric split stays on the simplex and, on the common draws, gives
+    at least the summed capacity of the closed-form split."""
+    subs = [designs.SubchannelSpec(fc.make_constellation("qpsk", 1), designs.RayleighFading(4.0)),
+            designs.SubchannelSpec(fc.make_constellation("qpsk", 1), designs.RayleighFading(1.0)),
+            designs.SubchannelSpec(QAM16, designs.RayleighFading(0.5))]
+    cfg = McConfig(channel_draws=400, noise_draws_per_channel=8, seed=3)
+    numeric = designs.palloc_numeric(subs, 3.0, snr, cfg)
+    closed = designs.palloc_rayleigh_highsnr(subs, 3.0)
+    assert np.all(numeric.p >= 0.0)
+    assert numeric.p.sum() == pytest.approx(3.0, abs=1e-9)
+    assert sum(designs.subchannel_capacities(subs, numeric.p, snr, cfg)) \
+        >= sum(designs.subchannel_capacities(subs, closed.p, snr, cfg))
+
+
 def test_palloc_numeric_validation():
     with pytest.raises(ValueError):
         designs.palloc_numeric(ray_subs([1.0] * 5), 1.0, 10.0, McConfig())

@@ -232,6 +232,20 @@ def test_spacetime_pe_reduces_to_vector_channel():
     assert abs(a.mean - b.mean) < 3 * np.hypot(a.std_error, b.std_error)
 
 
+@pytest.mark.parametrize("family", ["bpsk", "qpsk"])
+def test_one_interval_code_matches_constellation_bit_for_bit(family):
+    """A code of one-interval codewords and its constellation take the same
+    averaged path: the same estimates bit for bit, from the full sum over
+    M = 4 (bpsk) and from one sampled true symbol over M = 16 (qpsk)."""
+    c = fc.make_constellation(family, 2)
+    code = fc.SpaceTimeCode(codewords=c.points[:, :, None])
+    assert mc.sampled_true_symbol(code) == mc.sampled_true_symbol(c) == (family == "qpsk")
+    mc_cfg = McConfig(channel_draws=60, noise_draws_per_channel=6, seed=19, parallel_chunks=3)
+    a = fc.avg_all_spacetime(5.0, code, 2, mc_cfg)
+    b = fc.avg_all(5.0, fc.CanonicalRayleigh(2, 2), c, mc_cfg)
+    assert a == b
+
+
 def test_degenerate_transmit_correlation_limits_mi():
     """When a pair difference falls in the null space of the transmit
     correlation, the receiver cannot separate those points and the

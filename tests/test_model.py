@@ -207,6 +207,27 @@ def test_spacetime_code_validation():
         fc.SpaceTimeCode(codewords=np.zeros((2, 2, 2), dtype=complex))
 
 
+def test_oversized_spacetime_code_rejected_before_distinctness(monkeypatch):
+    """A code is capped at MAX_POINTS codewords, as a constellation is, and
+    the cap is checked before the codeword distances."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the size check must come before the distinctness check")
+
+    monkeypatch.setattr(model, "_check_distinct", must_not_run)
+    cw = np.arange(model.MAX_POINTS + 1, dtype=complex).reshape(-1, 1, 1)
+    with pytest.raises(ValueError, match=f"n_t=1 has M={model.MAX_POINTS + 1} points"):
+        fc.SpaceTimeCode(codewords=cw)
+
+
+def test_distinctness_check_names_the_pair():
+    with pytest.raises(ValueError, match="duplicate constellation points: 1 and 3 coincide"):
+        fc.make_constellation("custom", 1, points=[0.0, 1.0, 2.0, 1.0])
+    cw = np.arange(4, dtype=complex).reshape(-1, 1, 1)
+    cw[2] = cw[0]
+    with pytest.raises(ValueError, match="duplicate codewords: 0 and 2 coincide"):
+        fc.SpaceTimeCode(codewords=cw)
+
+
 def test_snr_grid():
     grid = fc.SnrGrid.from_db(0, 30, 5)
     assert len(grid) == 7
