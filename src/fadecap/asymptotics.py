@@ -292,26 +292,21 @@ def distance_dist_ricean(c: Constellation, k_factor: float,
 def distance_dist_spacetime(code: SpaceTimeCode, n_r: int) -> DistanceDistribution:
     """Codeword matrices over t symbol intervals: each nonzero eigenvalue of
     the difference Gram matrix contributes n_r squared-Gaussian degrees, so a
-    rank-r pair has order n_r*r - 1 and value prod lam^(-n_r)."""
+    rank-r pair has order n_r*r - 1 and value prod lam^(-n_r).  One entry per
+    distinct codeword difference (grouped as `model.pair_differences` groups
+    a constellation's); codewords are distinct, so each has a positive
+    largest eigenvalue."""
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
-    lams, counts = _difference_gram_eigenvalues(code)
-    orders, values = zip(*[pdf_zero_derivative_weighted([(lam, n_r) for lam in lam_d])
-                           for lam_d in lams])
-    return DistanceDistribution(orders=np.array(orders), values=counts * np.array(values),
-                                effective_log_m=code.log_m)
-
-
-def _difference_gram_eigenvalues(code: SpaceTimeCode) -> tuple[list[np.ndarray], np.ndarray]:
-    """Nonzero eigenvalues of (X_i - X_j)(X_i - X_j)^+ for each distinct
-    codeword difference, and the number of ordered pairs (i != j) sharing
-    it; the differences are grouped as `model.pair_differences` groups a
-    constellation's.  Codewords are distinct, so every difference has a
-    positive largest eigenvalue."""
     diffs, counts = _distinct_rows(ordered_pair_differences(code.codewords.reshape(code.m, -1)))
     diffs = diffs.reshape(-1, code.n_t, code.t)
     lam = np.linalg.eigvalsh(diffs @ diffs.conj().transpose(0, 2, 1))
-    return [row[row > EIG_ZERO_REL * row[-1]] for row in lam], counts
+    nonzero = lam > EIG_ZERO_REL * lam[:, -1:]
+    # cumsum adds the ascending eigenvalues' logs in order, as the scalar form does
+    log_terms = n_r * np.log(np.where(nonzero, lam, 1.0))
+    values = counts * np.exp(-np.cumsum(log_terms, axis=1)[:, -1])
+    return DistanceDistribution(orders=n_r * nonzero.sum(axis=1) - 1, values=values,
+                                effective_log_m=code.log_m)
 
 
 # ---------------------------------------------------------------------------

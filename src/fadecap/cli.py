@@ -296,30 +296,25 @@ STCODE_HEADER = ["name", "r_min", "criterion", "d", "certified", "pe_mean", "pe_
 
 def cmd_stcode(cfg, seed, digest, out_path, threads):
     n_r = cfg["n_r"]
-    books = cfg["codebooks"]
-    reports = [(name, designs.st_criteria(code, n_r)) for name, code in books]
-    pe = {}
+    names, codes = zip(*cfg["codebooks"])
+    designs._check_comparable(codes)
+    reports = [designs.st_criteria(code, n_r) for code in codes]
+    confirm = cfg["confirm_pe"]
+    pe = [None] * len(codes)
     meta = []
-    if cfg["confirm_pe"] is not None:
-        snr = cfg["confirm_pe"]["snr"]
-        mc_cfg = cfg["confirm_pe"]["mc"]
-        for name, code in books:
-            est = mc.avg_all_spacetime(snr, code, n_r, mc_cfg, threads=threads)["pe"]
-            pe[name] = est
-        meta.append(_samples_line(mc_cfg, [code for _, code in books]))
-    rows = []
-    for name, rep in reports:
-        est = pe.get(name)
-        rows.append([name, rep.r_min, rep.criterion, rep.d, rep.certified,
-                     est.mean if est else math.nan,
-                     est.std_error if est else math.nan])
+    if confirm is not None:
+        pe = [mc.avg_all_spacetime(confirm["snr"], code, n_r, confirm["mc"], threads=threads)["pe"]
+              for code in codes]
+        meta.append(_samples_line(confirm["mc"], codes))
+    rows = [[name, rep.r_min, rep.criterion, rep.d, rep.certified,
+             est.mean if est else math.nan, est.std_error if est else math.nan]
+            for name, rep, est in zip(names, reports, pe)]
     _write_csv(out_path, "stcode", seed, digest, STCODE_HEADER, rows, meta)
-    order = sorted(range(len(books)),
-                   key=lambda k: (-reports[k][1].r_min, reports[k][1].criterion))
-    parts = [reports[order[0]][0]]
+    order = sorted(range(len(codes)), key=lambda k: (-reports[k].r_min, reports[k].criterion))
+    parts = [names[order[0]]]
     for prev, cur in zip(order, order[1:]):
-        cmp = designs.st_compare(books[prev][1], books[cur][1], n_r)
-        parts.append(("= " if cmp == 0 else "> ") + reports[cur][0])
+        tied = designs._st_rank(reports[prev], reports[cur]) == 0
+        parts.append(("= " if tied else "> ") + names[cur])
     _report(out_path, "ranking: " + " ".join(parts))
     return EXIT_OK
 

@@ -10,13 +10,14 @@ lists.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
 import yaml
 
 from . import designs
-from .mc import McConfig
+from .mc import KINDS, McConfig
 from .model import (
     CanonicalRayleigh,
     ChannelModel,
@@ -107,6 +108,18 @@ def _complex_matrix(obj, path) -> np.ndarray:
     return np.vstack(rows)
 
 
+@contextmanager
+def _field(path):
+    """Report a ValueError raised in the block as a ConfigError at `path`;
+    a ConfigError naming a field inside the block passes through."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -124,17 +137,15 @@ def build_constellation(obj, path) -> Constellation:
         points = _complex_matrix(obj["points"], f"{path}.points")
     elif "points" in obj:
         raise ConfigError(f"{path}.points", "points only apply to the custom family")
-    try:
+    with _field(path):
         return make_constellation(family, n_t, points=points)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
 
 
 def build_channel(obj, path, n_t: int) -> ChannelModel:
     if not isinstance(obj, dict) or "variant" not in obj:
         raise ConfigError(f"{path}.variant", "missing channel variant")
     variant = obj["variant"]
-    try:
+    with _field(path):
         if variant == "rayleigh":
             _require_keys(obj, path, {"variant", "n_r"})
             return CanonicalRayleigh(n_t=n_t, n_r=_int(obj["n_r"], f"{path}.n_r", 1))
@@ -154,8 +165,6 @@ def build_channel(obj, path, n_t: int) -> ChannelModel:
             if model.n_t != n_t:
                 raise ConfigError(f"{path}.a_t", "length does not match constellation n_t")
             return model
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
     raise ConfigError(f"{path}.variant",
                       f"unknown variant {variant!r} (rayleigh | correlated | ricean)")
 
@@ -163,7 +172,7 @@ def build_channel(obj, path, n_t: int) -> ChannelModel:
 def build_snr_grid(obj, path) -> SnrGrid:
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected a mapping")
-    try:
+    with _field(path):
         if "points" in obj:
             _require_keys(obj, path, {"points"})
             pts = obj["points"]
@@ -175,8 +184,6 @@ def build_snr_grid(obj, path) -> SnrGrid:
         return SnrGrid.from_db(_number(obj["start"], f"{path}.start"),
                                _number(obj["stop"], f"{path}.stop"),
                                _number(obj["step"], f"{path}.step", positive=True))
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
 
 
 def build_mc(obj, path, seed: int) -> McConfig:
@@ -193,7 +200,7 @@ def build_mc(obj, path, seed: int) -> McConfig:
 def build_fading(obj, path):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{path}.kind", "missing fading kind")
-    try:
+    with _field(path):
         if obj["kind"] == "rayleigh":
             _require_keys(obj, path, {"kind", "variance"})
             return designs.RayleighFading(variance=_number(obj["variance"],
@@ -203,8 +210,6 @@ def build_fading(obj, path):
             return designs.RiceanFading(
                 mean=_complex_scalar(obj["mean"], f"{path}.mean"),
                 variance=_number(obj["variance"], f"{path}.variance", positive=True))
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
     raise ConfigError(f"{path}.kind", f"unknown fading kind {obj['kind']!r}")
 
 
@@ -229,10 +234,8 @@ def build_spacetime(obj, path) -> tuple[str, SpaceTimeCode]:
     mats = [_complex_matrix(m, f"{path}.codewords[{k}]") for k, m in enumerate(cw_obj)]
     if len({m.shape for m in mats}) != 1:
         raise ConfigError(f"{path}.codewords", "codewords have inconsistent shapes")
-    try:
+    with _field(f"{path}.codewords"):
         return name, SpaceTimeCode(codewords=np.stack(mats))
-    except ValueError as exc:
-        raise ConfigError(f"{path}.codewords", str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +247,7 @@ def validate_command_config(command: str, doc: dict, seed: int) -> dict[str, Any
     if command == "curve":
         _require_keys(doc, "<root>", {"kind", "constellation", "channel", "snr_db"}, {"mc"})
         kind = doc["kind"]
-        if kind not in ("mi", "mmse", "pe"):
+        if kind not in KINDS:
             raise ConfigError("kind", f"unknown kind {kind!r} (mi | mmse | pe)")
         c = build_constellation(doc["constellation"], "constellation")
         return {
@@ -301,9 +304,8 @@ def validate_command_config(command: str, doc: dict, seed: int) -> dict[str, Any
             _require_keys(chan, "channel", {"variant"})
             theta = None
         elif chan["variant"] == "correlated":
-            _require_keys(chan, "channel", {"variant", "theta_t", "theta_r"})
-            theta = (_complex_matrix(chan["theta_t"], "channel.theta_t"),
-                     _complex_matrix(chan["theta_r"], "channel.theta_r"))
+            model = build_channel(chan, "channel", c.n_t)
+            theta = (model.theta_t, model.theta_r)
         else:
             raise ConfigError("channel.variant",
                               f"unknown variant {chan['variant']!r} (rayleigh | correlated)")
@@ -323,7 +325,7 @@ def validate_command_config(command: str, doc: dict, seed: int) -> dict[str, Any
         books = [build_spacetime(b, f"codebooks[{k}]") for k, b in enumerate(books_obj)]
         names = [name for name, _ in books]
         for k, name in enumerate(names):
-            if name in names[:k]:     # rows and error rates are keyed by name
+            if name in names[:k]:     # the ranking line tells books apart by name
                 raise ConfigError(f"codebooks[{k}].name", f"duplicate codebook name {name!r}")
         confirm = None
         if "confirm_pe" in doc:

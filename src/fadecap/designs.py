@@ -563,15 +563,22 @@ def st_criteria(code: SpaceTimeCode, n_r: int) -> SpaceTimeReport:
 
 
 def st_compare(code_a: SpaceTimeCode, code_b: SpaceTimeCode, n_r: int) -> int:
-    """Rank two codebooks: +1 if a is better, -1 if b is better, 0 if tied.
+    """Rank two codebooks by `_st_rank`: +1 if a is better, -1 if b, 0 if tied."""
+    _check_comparable([code_a, code_b])
+    return _st_rank(st_criteria(code_a, n_r), st_criteria(code_b, n_r))
+
+
+def _check_comparable(codes: Sequence[SpaceTimeCode]) -> None:
+    if len({(code.n_t, code.t, code.m) for code in codes}) > 1:
+        raise ValueError("codebooks must share (n_t, t, M) to be comparable")
+
+
+def _st_rank(ra: SpaceTimeReport, rb: SpaceTimeReport) -> int:
+    """+1 if report a ranks above b, -1 if below, 0 if tied.
 
     Higher minimum rank wins; on equal rank the smaller criterion wins
     (smaller high-SNR capacity gap).  Criteria within relative 1e-12 tie.
     """
-    if (code_a.n_t, code_a.t, code_a.m) != (code_b.n_t, code_b.t, code_b.m):
-        raise ValueError("codebooks must share (n_t, t, M) to be comparable")
-    ra = st_criteria(code_a, n_r)
-    rb = st_criteria(code_b, n_r)
     if ra.r_min != rb.r_min:
         return 1 if ra.r_min > rb.r_min else -1
     if np.isclose(ra.criterion, rb.criterion, rtol=1e-12, atol=0.0):

@@ -7,13 +7,14 @@ from scipy.special import erfc, factorial, iv
 
 import fadecap as fc
 from fadecap.asymptotics import (
+    EIG_ZERO_REL,
     BoundPair,
     _distinguishable_class_entropy,
     analytic_spreads,
     expansion_constant,
     expansion_constant_alt_form,
 )
-from fadecap.model import ordered_pair_differences
+from fadecap.model import _distinct_rows, ordered_pair_differences
 
 ALL_KINDS = ("mmse_lb", "mmse_ub", "mi_lb", "mi_ub", "pe_lb", "pe_ub")
 
@@ -308,6 +309,30 @@ def test_spacetime_t1_reduces_to_rayleigh():
         assert np.all(dd_ray.orders == n_r - 1)
         assert np.array_equal(dd_code.orders, dd_ray.orders)
         assert np.allclose(dd_code.values, dd_ray.values, rtol=1e-12, atol=0.0)
+
+
+def test_spacetime_distribution_matches_scalar_form_bit_for_bit():
+    """The batched pass equals `pdf_zero_derivative_weighted` applied to each
+    distinct difference's nonzero Gram eigenvalues at multiplicity n_r, bit
+    for bit, on random codes with and without rank-deficient differences."""
+    rng = np.random.default_rng(15)
+    for trial in range(60):
+        n_t, t = rng.integers(1, 4, size=2)
+        m = int(rng.integers(2, 24))
+        cws = rng.standard_normal((m, n_t, t)) + 1j * rng.standard_normal((m, n_t, t))
+        if trial % 3 == 0:
+            cws[:, -1, :] = (0.5 - 0.25j) * cws[:, 0, :]     # rank <= n_t - 1 for n_t >= 2
+        code = fc.SpaceTimeCode(codewords=cws)
+        n_r = trial % 3 + 1
+        diffs, counts = _distinct_rows(ordered_pair_differences(cws.reshape(m, -1)))
+        diffs = diffs.reshape(-1, n_t, t)
+        lam = np.linalg.eigvalsh(diffs @ diffs.conj().transpose(0, 2, 1))
+        oracle = [fc.pdf_zero_derivative_weighted(
+            [(x, n_r) for x in row[row > EIG_ZERO_REL * row[-1]]])
+            for row in lam]
+        dd = fc.distance_dist_spacetime(code, n_r)
+        assert dd.orders.tolist() == [order for order, _ in oracle]
+        assert np.array_equal(dd.values, counts * np.array([value for _, value in oracle]))
 
 
 @pytest.mark.parametrize("c", [

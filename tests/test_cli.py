@@ -10,6 +10,7 @@ import scipy
 import yaml
 
 import fadecap
+from fadecap import designs
 from fadecap.cli import main
 
 CURVE_CFG = {
@@ -322,7 +323,35 @@ def test_precode_degenerate_theta_is_numeric_failure(tmp_path):
     assert run(["precode", "--config", cfg, "--seed", 1]) == 3
 
 
-def test_stcode_ranking(tmp_path, capsys):
+def correlated_precode_doc(theta_t):
+    return {
+        "constellation": {"family": "qpsk", "n_t": 2},
+        "n_r": 2,
+        "p_total": 2.0,
+        "channel": {"variant": "correlated", "theta_t": theta_t,
+                    "theta_r": [[1.0, 0.8], [0.8, 1.0]]},
+        "restarts": 1,
+    }
+
+
+def test_precode_theta_size_mismatch_config_error(tmp_path, capsys):
+    """The correlated channel is built as curve builds it: a Theta_T sized
+    for another n_t names the field, once."""
+    theta_t = [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    cfg = write_cfg(tmp_path, correlated_precode_doc(theta_t))
+    assert run(["precode", "--config", cfg, "--seed", 1]) == 2
+    assert capsys.readouterr().err == \
+        "error: config field 'channel.theta_t': size does not match constellation n_t\n"
+
+
+def test_precode_non_unit_diagonal_theta_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, correlated_precode_doc([[2.0, 0.5], [0.5, 2.0]]))
+    assert run(["precode", "--config", cfg, "--seed", 1]) == 2
+    assert "theta_t must have unit diagonal" in capsys.readouterr().err
+
+
+def alamouti_repetition_doc():
+    """Alamouti over BPSK (full rank) and a rank-one repetition code, n_r = 1."""
     a = 2.0 ** -0.5
     alamouti = []
     for s1 in (a, -a):
@@ -332,14 +361,17 @@ def test_stcode_ranking(tmp_path, capsys):
     for v0, v1 in [(a, a), (a, -a), (-a, a), (-a, -a)]:
         w = 2.0 ** -0.5
         repetition.append([[[v0 * w, 0], [v0 * w, 0]], [[v1 * w, 0], [v1 * w, 0]]])
-    doc = {
+    return {
         "n_r": 1,
         "codebooks": [
             {"name": "orthogonal", "codewords": alamouti},
             {"name": "repetition", "codewords": repetition},
         ],
     }
-    cfg = write_cfg(tmp_path, doc)
+
+
+def test_stcode_ranking(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, alamouti_repetition_doc())
     out = tmp_path / "stcode.csv"
     assert run(["stcode", "--config", cfg, "--seed", 2, "--out", out]) == 0
     _, header, rows = read_csv(out)
@@ -347,6 +379,44 @@ def test_stcode_ranking(tmp_path, capsys):
     assert int(recs["orthogonal"]["r_min"]) == 2
     assert int(recs["repetition"]["r_min"]) == 1
     assert "ranking: orthogonal > repetition" in capsys.readouterr().out
+
+
+def test_stcode_computes_criteria_once_per_codebook(tmp_path, monkeypatch):
+    """The rows and the ranking share one report per codebook."""
+    calls = []
+    original = designs.st_criteria
+
+    def counted(code, n_r):
+        calls.append(code)
+        return original(code, n_r)
+
+    monkeypatch.setattr(designs, "st_criteria", counted)
+    cfg = write_cfg(tmp_path, alamouti_repetition_doc())
+    assert run(["stcode", "--config", cfg, "--seed", 2, "--out", tmp_path / "st.csv"]) == 0
+    assert len(calls) == 2
+
+
+def test_stcode_near_tie_ranking(tmp_path, capsys):
+    """A rotated copy of a code has the same criterion up to rounding, so it
+    ties with the code (`=`) and both rank above the rank-one code."""
+    qpsk = [complex(re, im) / 2 for re in (1, -1) for im in (1, -1)]
+
+    def entries(x):
+        return [[[float(v.real), float(v.imag)] for v in row] for row in x]
+
+    alamouti = [np.array([[s1, -np.conj(s2)], [s2, np.conj(s1)]]) for s1 in qpsk for s2 in qpsk]
+    repetition = [np.array([[v0, v0], [v1, v1]]) for v0 in qpsk for v1 in qpsk]
+    doc = {
+        "n_r": 2,
+        "codebooks": [
+            {"name": "alamouti", "codewords": [entries(x) for x in alamouti]},
+            {"name": "rotated", "codewords": [entries(x * np.exp(0.3j)) for x in alamouti]},
+            {"name": "repetition", "codewords": [entries(x) for x in repetition]},
+        ],
+    }
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["stcode", "--config", cfg, "--seed", 2, "--out", tmp_path / "st.csv"]) == 0
+    assert capsys.readouterr().out == "ranking: alamouti = rotated > repetition\n"
 
 
 def test_curve_ricean_channel(tmp_path):
@@ -439,6 +509,28 @@ def test_stcode_mismatched_codebooks_numeric_failure(tmp_path):
     }
     cfg = write_cfg(tmp_path, doc)
     assert run(["stcode", "--config", cfg, "--seed", 1]) == 3
+
+
+def test_stcode_mismatched_codebooks_write_nothing(tmp_path, monkeypatch):
+    """Codebooks of different shapes fail before the criteria, the Monte
+    Carlo and the CSV."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached after the shape check")
+
+    monkeypatch.setattr(designs, "st_criteria", unreachable)
+    monkeypatch.setattr(fadecap.mc, "avg_all_spacetime", unreachable)
+    doc = {
+        "n_r": 1,
+        "codebooks": [
+            {"name": "a", "codewords": [[[[0, 0], [0, 0]]], [[[1, 0], [0, 0]]]]},
+            {"name": "b", "codewords": [[[[0, 0]], [[0, 0]]], [[[1, 0]], [[1, 0]]]]},
+        ],
+        "confirm_pe": {"snr_db": 10, "mc": {"channel_draws": 100, "noise_draws": 4}},
+    }
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "st.csv"
+    assert run(["stcode", "--config", cfg, "--seed", 1, "--out", out]) == 3
+    assert not out.exists()
 
 
 def test_stcode_duplicate_codebook_names_config_error(tmp_path, capsys):
