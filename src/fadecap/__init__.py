@@ -8,6 +8,7 @@ from .asymptotics import (
     DistanceDistribution,
     ExpansionBounds,
     analytic_spreads,
+    distance_dist,
     distance_dist_correlated,
     distance_dist_rayleigh,
     distance_dist_ricean,

@@ -12,9 +12,10 @@ p^(d-1)(0), then
     pe(snr)   ~ eps''/ snr^d        with  k''_lb * S <= eps'' <= k''_ub * S
 
 where S sums p^(d-1)(0) over ordered pairs.  This module computes the
-constants, the (order, leading derivative) data per class of ordered pairs
-for each channel family, and the dB offsets between measured and
-bound-predicted expansions.
+constants, the (order, leading derivative) data per class of ordered pairs,
+and the dB offsets between measured and bound-predicted expansions.  The
+data come from one law of the distance per channel family (`distance_dist`);
+the four `distance_dist_*` builders are calls to it.
 """
 
 from __future__ import annotations
@@ -25,11 +26,14 @@ from math import lgamma
 import numpy as np
 
 from .model import (
+    CanonicalRayleigh,
+    ChannelModel,
     Constellation,
+    CorrelatedRayleigh,
+    Ricean,
     SnrGrid,
     SpaceTimeCode,
     _distinct_rows,
-    check_psd,
     hermitian_sqrt,
     ordered_pair_differences,
     pair_differences,
@@ -42,6 +46,7 @@ __all__ = [
     "expansion_constant",
     "expansion_constant_alt_form",
     "pdf_zero_derivative_weighted",
+    "distance_dist",
     "distance_dist_rayleigh",
     "distance_dist_correlated",
     "distance_dist_ricean",
@@ -193,55 +198,80 @@ def pdf_zero_derivative_weighted(eigenvalues) -> tuple[int, float]:
     return total_mu - 1, float(np.exp(log_value))
 
 
+def distance_dist(channel: ChannelModel,
+                  inputs: Constellation | SpaceTimeCode) -> DistanceDistribution:
+    """Density behavior at zero of ||H Delta||^2 under `channel`, one entry
+    per distinct difference Delta of `inputs` (a constellation, or a
+    space-time code under i.i.d. Rayleigh fading).
+
+    With N nonzero-weight terms in the law (`_law`), the Laplace transform
+    decays as s^(-N) prod lam^(-terms) e^(-sum |m|^2): order N - 1 and that
+    value.  Weights below EIG_ZERO_REL of a difference's largest count as
+    zero; a difference with none left is indistinguishable and excluded.
+    """
+    lam, m2, terms, counts = _law(channel, inputs)
+    nonzero = lam > EIG_ZERO_REL * lam[:, -1:]
+    keep = nonzero[:, -1]
+    # cumsum adds the ascending weights' logs in order, as the scalar form does
+    log_terms = terms * np.log(np.where(nonzero, lam, 1.0))
+    log_values = -np.cumsum(log_terms, axis=1)[:, -1] - np.sum(m2 * nonzero, axis=1)
+    n_excluded = int(np.sum(counts[~keep]))
+    # only a singular Theta_T nulls a difference
+    eff = _distinguishable_class_entropy(inputs, channel.theta_t) if n_excluded else inputs.log_m
+    return DistanceDistribution(orders=terms * nonzero[keep].sum(axis=1) - 1,
+                                values=counts[keep] * np.exp(log_values[keep]),
+                                effective_log_m=eff, n_excluded=n_excluded)
+
+
+def _law(channel: ChannelModel, inputs: Constellation | SpaceTimeCode):
+    """(lam, m2, terms, counts): ||H Delta||^2 = sum_l lam[:, l] * chi_l for
+    each distinct difference Delta, chi_l independent sums of `terms`
+    squared magnitudes |z + m|^2, z ~ CN(0, 1), whose |m|^2 add up to
+    m2[:, l].  lam (D, L) ascends along l; it is 0 where Theta_T nulls Delta."""
+    if channel.n_t != inputs.n_t:
+        raise ValueError(f"channel has n_t={channel.n_t}, the inputs n_t={inputs.n_t}")
+    if isinstance(inputs, SpaceTimeCode):
+        if not isinstance(channel, CanonicalRayleigh):
+            raise ValueError("space-time codes are analysed under i.i.d. Rayleigh fading only")
+        # eig((X_i - X_j)(X_i - X_j)^+), each on n_r terms
+        flat = inputs.codewords.reshape(inputs.m, -1)
+        diffs, counts = _distinct_rows(ordered_pair_differences(flat))
+        diffs = diffs.reshape(-1, inputs.n_t, inputs.t)
+        lam = np.linalg.eigvalsh(diffs @ diffs.conj().transpose(0, 2, 1))
+        return lam, np.zeros_like(lam), channel.n_r, counts
+    diffs, counts = pair_differences(inputs)
+    d2 = np.sum(np.abs(diffs) ** 2, axis=1)[:, None]
+    if isinstance(channel, CanonicalRayleigh):
+        return d2, np.zeros_like(d2), channel.n_r, counts
+    if isinstance(channel, CorrelatedRayleigh):
+        # Delta^+ Theta_T Delta * lam_R,k, one term each; a form below
+        # EIG_ZERO_REL of the largest over all differences counts as nulled
+        lam_t = np.real(np.einsum("pi,ij,pj->p", diffs.conj(), channel.theta_t, diffs))
+        lam_t = np.where(lam_t < EIG_ZERO_REL * max(lam_t.max(), 1e-300), 0.0, lam_t)
+        lam = lam_t[:, None] * np.linalg.eigvalsh(channel.theta_r)
+        return lam, np.zeros_like(lam), 1, counts
+    if isinstance(channel, Ricean):
+        # H Delta = sqrt(||Delta||^2/(K+1)) (z + m) with m = sqrt(K) a_R a_T^+ Delta / ||Delta||
+        k = channel.k_factor
+        los = np.sum(np.abs(channel.a_r) ** 2) * np.abs(diffs @ channel.a_t.conj())[:, None] ** 2
+        return d2 / (k + 1.0), k * los / d2, channel.n_r, counts
+    raise TypeError(f"unknown channel model {type(channel)!r}")
+
+
 def distance_dist_rayleigh(c: Constellation, n_r: int) -> DistanceDistribution:
-    """Uncorrelated Rayleigh: per pair, d_ij^2 is Gamma(n_r, scale=dbar_ij^2),
-    so the first n_r - 1 derivatives vanish and p^(n_r-1)(0) = dbar^(-2 n_r)."""
-    if n_r < 1:
-        raise ValueError("n_r must be >= 1")
-    diffs, counts = pair_differences(c)
-    d2 = np.sum(np.abs(diffs) ** 2, axis=1)
-    orders = np.full(d2.size, n_r - 1, dtype=int)
-    values = counts * d2 ** (-float(n_r))
-    return DistanceDistribution(orders=orders, values=values, effective_log_m=c.log_m)
+    """Uncorrelated Rayleigh, `distance_dist` under `CanonicalRayleigh`: per
+    pair d_ij^2 is Gamma(n_r, scale=dbar_ij^2), so the first n_r - 1
+    derivatives vanish and p^(n_r-1)(0) = dbar^(-2 n_r)."""
+    return distance_dist(CanonicalRayleigh(n_t=c.n_t, n_r=n_r), c)
 
 
 def distance_dist_correlated(c: Constellation, theta_t, theta_r) -> DistanceDistribution:
-    """Separable correlation.  Per pair the distance is a weighted sum of
-    n_r squared Gaussians with weights lam_T_ij * lam_R_k, where lam_T_ij is
-    the transmit-side quadratic form (x_i-x_j)^+ Theta_T (x_i-x_j).
-
-    Zero receive-side eigenvalues reduce the decay exponent; pairs whose
-    difference falls in the null space of Theta_T become indistinguishable
-    and are removed, lowering the infinite-SNR limit to the entropy of the
-    distinguishable classes.
-    """
-    theta_t = np.asarray(theta_t, dtype=complex)
-    theta_r = np.asarray(theta_r, dtype=complex)
-    lam_r = check_psd(theta_r)
-    check_psd(theta_t)
-    lam_r = np.where(lam_r < EIG_ZERO_REL * max(lam_r[-1], 1e-300), 0.0, lam_r)
-    lam_r_pos = lam_r[lam_r > 0]
-    n_prime = lam_r_pos.size
-    if n_prime == 0:
-        raise ValueError("theta_r has no nonzero eigenvalues")
-
-    diffs, counts = pair_differences(c)
-    lam_t = np.real(np.einsum("pi,ij,pj->p", diffs.conj(), theta_t, diffs))
-    lam_t = np.where(lam_t < EIG_ZERO_REL * max(lam_t.max(), 1e-300), 0.0, lam_t)
-    keep = lam_t > 0
-    n_excluded = int(np.sum(counts[~keep]))
-    if not np.any(keep):
-        raise ValueError("all pairs are indistinguishable under theta_t")
-
-    values = counts[keep] * (1.0 / lam_t[keep]) ** n_prime * np.prod(1.0 / lam_r_pos)
-    orders = np.full(values.size, n_prime - 1, dtype=int)
-
-    if n_excluded:
-        eff = _distinguishable_class_entropy(c, theta_t)
-    else:
-        eff = c.log_m
-    return DistanceDistribution(orders=orders, values=values,
-                                effective_log_m=eff, n_excluded=n_excluded)
+    """Separable correlation, `distance_dist` under `CorrelatedRayleigh`:
+    per pair n_r squared Gaussians with weights lam_T_ij * lam_R_k, lam_T_ij
+    = (x_i-x_j)^+ Theta_T (x_i-x_j).  Zero lam_R_k lower the order; pairs
+    Theta_T nulls are excluded, and the infinite-SNR limit drops to the
+    entropy of the distinguishable classes."""
+    return distance_dist(CorrelatedRayleigh(theta_t=theta_t, theta_r=theta_r), c)
 
 
 def _distinguishable_class_entropy(c: Constellation, theta_t: np.ndarray) -> float:
@@ -266,47 +296,18 @@ def _distinguishable_class_entropy(c: Constellation, theta_t: np.ndarray) -> flo
 
 def distance_dist_ricean(c: Constellation, k_factor: float,
                          a_t, a_r) -> DistanceDistribution:
-    """Rank-one line of sight.  Per pair the distance is a noncentral
-    chi-square-type sum; the leading derivative keeps the Rayleigh shape
-    scaled by (K+1)^n_r and an exponential penalty exp(-K ||H0 u||^2) where
-    u is the unit difference direction (the line-of-sight component only
-    helps when it projects onto the difference)."""
-    if k_factor < 0:
-        raise ValueError("K factor must be >= 0")
-    a_t = np.asarray(a_t, dtype=complex).ravel()
-    a_r = np.asarray(a_r, dtype=complex).ravel()
-    n_r = a_r.size
-    if a_t.size != c.n_t:
-        raise ValueError("a_t must match the constellation antenna count")
-
-    diffs, counts = pair_differences(c)
-    d2 = np.sum(np.abs(diffs) ** 2, axis=1)
-    # ||H0 u||^2 = ||a_r||^2 |a_t^+ u|^2 for the rank-one H0 = a_r a_t^+
-    proj = np.abs(diffs @ a_t.conj()) ** 2 / d2
-    trace_term = np.sum(np.abs(a_r) ** 2) * proj
-    values = counts * ((k_factor + 1.0) / d2) ** n_r * np.exp(-k_factor * trace_term)
-    orders = np.full(values.size, n_r - 1, dtype=int)
-    return DistanceDistribution(orders=orders, values=values, effective_log_m=c.log_m)
+    """Rank-one line of sight, `distance_dist` under `Ricean`: the Rayleigh
+    shape scaled by (K+1)^n_r and a penalty exp(-K ||H0 u||^2), u the unit
+    difference direction (line of sight helps only along the difference)."""
+    return distance_dist(Ricean(k_factor=k_factor, a_t=a_t, a_r=a_r), c)
 
 
 def distance_dist_spacetime(code: SpaceTimeCode, n_r: int) -> DistanceDistribution:
-    """Codeword matrices over t symbol intervals: each nonzero eigenvalue of
-    the difference Gram matrix contributes n_r squared-Gaussian degrees, so a
-    rank-r pair has order n_r*r - 1 and value prod lam^(-n_r).  One entry per
-    distinct codeword difference (grouped as `model.pair_differences` groups
-    a constellation's); codewords are distinct, so each has a positive
-    largest eigenvalue."""
-    if n_r < 1:
-        raise ValueError("n_r must be >= 1")
-    diffs, counts = _distinct_rows(ordered_pair_differences(code.codewords.reshape(code.m, -1)))
-    diffs = diffs.reshape(-1, code.n_t, code.t)
-    lam = np.linalg.eigvalsh(diffs @ diffs.conj().transpose(0, 2, 1))
-    nonzero = lam > EIG_ZERO_REL * lam[:, -1:]
-    # cumsum adds the ascending eigenvalues' logs in order, as the scalar form does
-    log_terms = n_r * np.log(np.where(nonzero, lam, 1.0))
-    values = counts * np.exp(-np.cumsum(log_terms, axis=1)[:, -1])
-    return DistanceDistribution(orders=n_r * nonzero.sum(axis=1) - 1, values=values,
-                                effective_log_m=code.log_m)
+    """Codeword matrices over t symbol intervals, `distance_dist` under
+    `CanonicalRayleigh`: each nonzero eigenvalue of a distinct difference's
+    Gram matrix contributes n_r squared-Gaussian degrees, so a rank-r pair
+    has order n_r*r - 1 and value prod lam^(-n_r)."""
+    return distance_dist(CanonicalRayleigh(n_t=code.n_t, n_r=n_r), code)
 
 
 # ---------------------------------------------------------------------------

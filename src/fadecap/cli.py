@@ -22,7 +22,7 @@ import scipy
 
 from . import __version__, asymptotics, bounds, designs, mc
 from .config import ConfigError, load_config, validate_command_config
-from .model import CanonicalRayleigh, CorrelatedRayleigh, Ricean, SnrGrid
+from .model import CanonicalRayleigh, CorrelatedRayleigh, SnrGrid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,18 +86,6 @@ def _report(out_path, text):
     stream.write(text + "\n")
 
 
-def _distance_distribution(channel, constellation):
-    if isinstance(channel, CanonicalRayleigh):
-        return asymptotics.distance_dist_rayleigh(constellation, channel.n_r)
-    if isinstance(channel, CorrelatedRayleigh):
-        return asymptotics.distance_dist_correlated(constellation, channel.theta_t,
-                                                    channel.theta_r)
-    if isinstance(channel, Ricean):
-        return asymptotics.distance_dist_ricean(constellation, channel.k_factor,
-                                                channel.a_t, channel.a_r)
-    raise NumericFailure(f"unsupported channel {type(channel)!r}")
-
-
 def _channel_label(channel):
     if isinstance(channel, CanonicalRayleigh):
         return "rayleigh"
@@ -122,7 +110,7 @@ def cmd_curve(cfg, seed, digest, out_path, threads):
     channel = cfg["channel"]
     grid: SnrGrid = cfg["grid"]
     mc_cfg = cfg["mc"]
-    dd = _distance_distribution(channel, c)
+    dd = asymptotics.distance_dist(channel, c)
     eb = asymptotics.epsilon_bounds(dd, c.m)
     curves = asymptotics.evaluate_expansion(eb, grid)
     rows = []
@@ -168,7 +156,7 @@ def cmd_offsets(cfg, seed, digest, out_path, threads):
     for system in cfg["systems"]:
         c = system["constellation"]
         channel = system["channel"]
-        dd = _distance_distribution(channel, c)
+        dd = asymptotics.distance_dist(channel, c)
         eb = asymptotics.epsilon_bounds(dd, c.m)
         est = mc.avg_all(anchor, channel, c, mc_cfg, threads=threads)
         eps, eps_p = (mc._epsilon_point(kind, est[kind], anchor, eb.d, eb.log_m_limit)

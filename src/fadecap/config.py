@@ -305,6 +305,9 @@ def validate_command_config(command: str, doc: dict, seed: int) -> dict[str, Any
             theta = None
         elif chan["variant"] == "correlated":
             model = build_channel(chan, "channel", c.n_t)
+            if model.n_r != n_r:
+                raise ConfigError("n_r", f"{n_r} receive antennas, but channel.theta_r "
+                                         f"is {model.n_r} x {model.n_r}")
             theta = (model.theta_t, model.theta_r)
         else:
             raise ConfigError("channel.variant",

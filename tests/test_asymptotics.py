@@ -1,5 +1,7 @@
 """Expansion constants, distance-density engines and offset identities."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,11 +12,12 @@ from fadecap.asymptotics import (
     EIG_ZERO_REL,
     BoundPair,
     _distinguishable_class_entropy,
+    _law,
     analytic_spreads,
     expansion_constant,
     expansion_constant_alt_form,
 )
-from fadecap.model import _distinct_rows, ordered_pair_differences
+from fadecap.model import _distinct_rows, ordered_pair_differences, pair_differences
 
 ALL_KINDS = ("mmse_lb", "mmse_ub", "mi_lb", "mi_ub", "pe_lb", "pe_ub")
 
@@ -342,34 +345,86 @@ def test_spacetime_distribution_matches_scalar_form_bit_for_bit():
 @pytest.mark.parametrize("theta_t", ["banded", "singular"])
 def test_distance_builders_match_ordered_pair_reference(c, theta_t):
     """Each builder's sum, exclusions, diversity order and coefficient sum
-    equal the ordered-pair formulas.  The all-ones Theta_T is singular for
-    n_t >= 2 and removes every difference whose entries sum to zero."""
+    equal the ordered-pair formulas, and each class's order and value equal
+    its closed form.  The all-ones Theta_T is singular for n_t >= 2 and
+    removes every difference whose entries sum to zero."""
     n_t, n_r = c.n_t, 2
     idx = np.arange(n_t)
     theta = (0.5 ** np.abs(idx[:, None] - idx[None, :]) if theta_t == "banded"
              else np.ones((n_t, n_t)))
     theta_r = np.array([[1.0, 0.8], [0.8, 1.0]])
-    a_t, a_r, k = np.exp(0.7j * idx), np.array([1.0, 1j]), 1.5
+    a_t, a_r = np.exp(0.7j * idx), np.array([1.0, 1j])
     diffs = ordered_pair_differences(c)
     d2 = np.sum(np.abs(diffs) ** 2, axis=1)
     lam_t = np.real(np.einsum("pi,ij,pj->p", diffs.conj(), theta, diffs))
     keep = lam_t >= 1e-10 * lam_t.max()
     los = np.sum(np.abs(a_r) ** 2) * np.abs(diffs @ a_t.conj()) ** 2 / d2
+    # per class: one entry per distinct difference, in pair_differences order
+    u, counts = pair_differences(c)
+    u2 = np.sum(np.abs(u) ** 2, axis=1)
+    u_t = np.real(np.einsum("pi,ij,pj->p", u.conj(), theta, u))
+    u_keep = u_t >= 1e-10 * u_t.max()
+    u_los = np.sum(np.abs(a_r) ** 2) * np.abs(u @ a_t.conj()) ** 2 / u2
+    rayleigh = counts * u2 ** -float(n_r)
+    code = fc.SpaceTimeCode(codewords=c.points[:, :, None])
     cases = [
-        (fc.distance_dist_rayleigh(c, n_r), np.sum(d2 ** -float(n_r)), 0),
+        (fc.distance_dist_rayleigh(c, n_r), np.sum(d2 ** -float(n_r)), 0, rayleigh, 1e-13),
         (fc.distance_dist_correlated(c, theta, theta_r),
          np.sum(lam_t[keep] ** -float(n_r)) / np.prod(np.linalg.eigvalsh(theta_r)),
-         int(np.sum(~keep))),
-        (fc.distance_dist_ricean(c, k, a_t, a_r),
-         np.sum(((k + 1.0) / d2) ** n_r * np.exp(-k * los)), 0),
+         int(np.sum(~keep)),
+         counts[u_keep] * u_t[u_keep] ** -float(n_r) / np.prod(np.linalg.eigvalsh(theta_r)), 1e-13),
+        (fc.distance_dist(fc.CanonicalRayleigh(n_t=n_t, n_r=n_r), code),
+         np.sum(d2 ** -float(n_r)), 0, rayleigh, 1e-12),
     ]
+    for k in (1.5, 10.0):
+        cases.append((fc.distance_dist_ricean(c, k, a_t, a_r),
+                      np.sum(((k + 1.0) / d2) ** n_r * np.exp(-k * los)), 0,
+                      counts * ((k + 1.0) / u2) ** n_r * np.exp(-k * u_los), 1e-13))
     if theta_t == "singular" and n_t > 1:
         assert cases[1][2] > 0
-    for dd, sum_s, n_excluded in cases:
+    for dd, sum_s, n_excluded, per_class, rtol in cases:
         assert np.sum(dd.values) == pytest.approx(sum_s, rel=1e-12)
         assert dd.n_excluded == n_excluded
         assert fc.diversity_order(dd) == n_r
         assert fc.epsilon_bounds(dd, c.m).sum_s == pytest.approx(sum_s, rel=1e-12)
+        assert dd.orders.tolist() == [n_r - 1] * per_class.size
+        np.testing.assert_allclose(dd.values, per_class, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("channel, delta", [
+    (fc.CanonicalRayleigh(n_t=1, n_r=2), [1.3 - 0.4j]),
+    (fc.CorrelatedRayleigh(theta_t=[[1.0, 0.5], [0.5, 1.0]], theta_r=np.ones((2, 2))),
+     [1.0, -0.5j]),
+    (fc.Ricean(k_factor=1.5, a_t=[1.0, 1j], a_r=[1.0, -1.0]), [1.0, 0.5]),
+], ids=["rayleigh_1x2", "correlated_rank_one_theta_r", "ricean_k1.5"])
+def test_distance_law_mean_matches_samples(channel, delta):
+    """The law's mean, sum_l lam_l (terms + sum |m|^2), and variance,
+    sum_l lam_l^2 (terms + 2 sum |m|^2), equal the sample moments of
+    ||H Delta||^2 within 4 standard errors, for Delta and -Delta.  The
+    variance tells a rank-one Theta_R from the identity, the mean cannot."""
+    delta = np.asarray(delta, dtype=complex)
+    if isinstance(channel, fc.Ricean):
+        assert abs(channel.a_t.conj() @ delta) > 0.5
+    c = fc.make_constellation("custom", delta.size, points=[np.zeros_like(delta), delta])
+    lam, m2, terms, counts = _law(channel, c)
+    assert counts.tolist() == [1, 1]
+    x = fc.mc.distance_squared_samples(channel, delta, 20_000, seed=16)
+    mean = np.sum(lam * (terms + m2), axis=1)
+    assert np.all(np.abs(mean - x.mean()) <= 4.0 * x.std(ddof=1) / np.sqrt(x.size))
+    dev2 = (x - x.mean()) ** 2
+    var = np.sum(lam ** 2 * (terms + 2.0 * m2), axis=1)
+    assert np.all(np.abs(var - dev2.mean()) <= 4.0 * dev2.std(ddof=1) / np.sqrt(x.size))
+
+
+def test_distance_dist_rejects_unsupported_inputs():
+    c = fc.make_constellation("qpsk", 2)
+    code = fc.SpaceTimeCode(codewords=c.points[:, :, None])
+    with pytest.raises(ValueError, match="n_t"):
+        fc.distance_dist(fc.CanonicalRayleigh(n_t=3, n_r=1), c)
+    with pytest.raises(ValueError, match="i.i.d. Rayleigh"):
+        fc.distance_dist(fc.CorrelatedRayleigh(theta_t=np.eye(2), theta_r=np.eye(2)), code)
+    with pytest.raises(TypeError, match="unknown channel"):
+        fc.distance_dist(SimpleNamespace(n_t=1, n_r=1), fc.make_constellation("bpsk", 1))
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,7 @@ def test_precode_correlated(tmp_path):
 def test_precode_degenerate_theta_is_numeric_failure(tmp_path):
     doc = {
         "constellation": {"family": "qpsk", "n_t": 2},
-        "n_r": 1,
+        "n_r": 2,
         "p_total": 2.0,
         "channel": {"variant": "correlated",
                     "theta_t": [[1.0, 1.0], [1.0, 1.0]],
@@ -342,6 +342,15 @@ def test_precode_theta_size_mismatch_config_error(tmp_path, capsys):
     assert run(["precode", "--config", cfg, "--seed", 1]) == 2
     assert capsys.readouterr().err == \
         "error: config field 'channel.theta_t': size does not match constellation n_t\n"
+
+
+def test_precode_receive_size_mismatch_config_error(tmp_path, capsys):
+    """n_r must match the correlated channel's Theta_R: 3 receive antennas
+    on a 2 x 2 Theta_R is a config error naming n_r."""
+    doc = dict(correlated_precode_doc([[1.0, 0.5], [0.5, 1.0]]), n_r=3)
+    assert run(["precode", "--config", write_cfg(tmp_path, doc), "--seed", 1]) == 2
+    assert capsys.readouterr().err == ("error: config field 'n_r': 3 receive antennas, "
+                                       "but channel.theta_r is 2 x 2\n")
 
 
 def test_precode_non_unit_diagonal_theta_config_error(tmp_path, capsys):
