@@ -9,10 +9,6 @@ from .asymptotics import (
     ExpansionBounds,
     analytic_spreads,
     distance_dist,
-    distance_dist_correlated,
-    distance_dist_rayleigh,
-    distance_dist_ricean,
-    distance_dist_spacetime,
     diversity_order,
     epsilon_bounds,
     evaluate_expansion,
@@ -23,9 +19,7 @@ from .asymptotics import (
 from .bounds import (
     AveragedBoundPair,
     avg_bounds,
-    mi_bounds_fixed_h,
-    mmse_bounds_fixed_h,
-    pe_bounds_fixed_h,
+    fixed_h_bounds,
 )
 from .mc import (
     Estimate,
@@ -35,9 +29,6 @@ from .mc import (
     avg_quantity,
     empirical_epsilon,
     fixed_h_all,
-    mi_fixed_h,
-    mmse_fixed_h,
-    pe_ml_fixed_h,
 )
 from .model import (
     CanonicalRayleigh,

@@ -14,8 +14,8 @@ p^(d-1)(0), then
 where S sums p^(d-1)(0) over ordered pairs.  This module computes the
 constants, the (order, leading derivative) data per class of ordered pairs,
 and the dB offsets between measured and bound-predicted expansions.  The
-data come from one law of the distance per channel family (`distance_dist`);
-the four `distance_dist_*` builders are calls to it.
+data come from one law of the distance per channel family, read off by
+`distance_dist(channel, inputs)`.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ __all__ = [
     "expansion_constant_alt_form",
     "pdf_zero_derivative_weighted",
     "distance_dist",
-    "distance_dist_rayleigh",
-    "distance_dist_correlated",
-    "distance_dist_ricean",
-    "distance_dist_spacetime",
     "diversity_order",
     "epsilon_bounds",
     "evaluate_expansion",
@@ -208,6 +204,13 @@ def distance_dist(channel: ChannelModel,
     decays as s^(-N) prod lam^(-terms) e^(-sum |m|^2): order N - 1 and that
     value.  Weights below EIG_ZERO_REL of a difference's largest count as
     zero; a difference with none left is indistinguishable and excluded.
+
+    Uncorrelated Rayleigh thus gives order n_r - 1 and value
+    ||Delta||^(-2 n_r); a zero eigenvalue of Theta_R lowers the correlated
+    order; Ricean scales the Rayleigh value by (K+1)^n_r e^(-K ||H0 u||^2),
+    u = Delta/||Delta||; a rank-r codeword difference has order n_r*r - 1.
+    Excluded pairs drop the infinite-SNR limit to the entropy of the
+    distinguishable classes.
     """
     lam, m2, terms, counts = _law(channel, inputs)
     nonzero = lam > EIG_ZERO_REL * lam[:, -1:]
@@ -258,22 +261,6 @@ def _law(channel: ChannelModel, inputs: Constellation | SpaceTimeCode):
     raise TypeError(f"unknown channel model {type(channel)!r}")
 
 
-def distance_dist_rayleigh(c: Constellation, n_r: int) -> DistanceDistribution:
-    """Uncorrelated Rayleigh, `distance_dist` under `CanonicalRayleigh`: per
-    pair d_ij^2 is Gamma(n_r, scale=dbar_ij^2), so the first n_r - 1
-    derivatives vanish and p^(n_r-1)(0) = dbar^(-2 n_r)."""
-    return distance_dist(CanonicalRayleigh(n_t=c.n_t, n_r=n_r), c)
-
-
-def distance_dist_correlated(c: Constellation, theta_t, theta_r) -> DistanceDistribution:
-    """Separable correlation, `distance_dist` under `CorrelatedRayleigh`:
-    per pair n_r squared Gaussians with weights lam_T_ij * lam_R_k, lam_T_ij
-    = (x_i-x_j)^+ Theta_T (x_i-x_j).  Zero lam_R_k lower the order; pairs
-    Theta_T nulls are excluded, and the infinite-SNR limit drops to the
-    entropy of the distinguishable classes."""
-    return distance_dist(CorrelatedRayleigh(theta_t=theta_t, theta_r=theta_r), c)
-
-
 def _distinguishable_class_entropy(c: Constellation, theta_t: np.ndarray) -> float:
     """Entropy of the partition x_i ~ x_j iff Theta_T^{1/2}(x_i - x_j) = 0.
 
@@ -292,22 +279,6 @@ def _distinguishable_class_entropy(c: Constellation, theta_t: np.ndarray) -> flo
         labels[free[d2 <= tol]] = label
     probs = np.bincount(labels) / c.m
     return float(-np.sum(probs * np.log(probs)))
-
-
-def distance_dist_ricean(c: Constellation, k_factor: float,
-                         a_t, a_r) -> DistanceDistribution:
-    """Rank-one line of sight, `distance_dist` under `Ricean`: the Rayleigh
-    shape scaled by (K+1)^n_r and a penalty exp(-K ||H0 u||^2), u the unit
-    difference direction (line of sight helps only along the difference)."""
-    return distance_dist(Ricean(k_factor=k_factor, a_t=a_t, a_r=a_r), c)
-
-
-def distance_dist_spacetime(code: SpaceTimeCode, n_r: int) -> DistanceDistribution:
-    """Codeword matrices over t symbol intervals, `distance_dist` under
-    `CanonicalRayleigh`: each nonzero eigenvalue of a distinct difference's
-    Gram matrix contributes n_r squared-Gaussian degrees, so a rank-r pair
-    has order n_r*r - 1 and value prod lam^(-n_r)."""
-    return distance_dist(CanonicalRayleigh(n_t=code.n_t, n_r=n_r), code)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,8 @@ from .mc import KINDS, Estimate, McConfig, _estimate, _run_chunks
 from .model import ChannelModel, Constellation, pair_differences, sample_channels
 
 __all__ = [
-    "BoundPair",
     "AveragedBoundPair",
-    "mmse_bounds_fixed_h",
-    "mi_bounds_fixed_h",
-    "pe_bounds_fixed_h",
+    "fixed_h_bounds",
     "avg_bounds",
 ]
 
@@ -63,32 +60,28 @@ def _bound_sums(d2: np.ndarray, counts: np.ndarray, snr: float, m: int, kind: st
             log_m - total(0.5 * q) / (m * (m - 1.0)))
 
 
-def _fixed_h(kind: str, snr: float, h, c: Constellation) -> BoundPair:
+def _check(kind: str, snr: float) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown bound kind {kind!r}")
     if snr <= 0:
         raise ValueError("snr must be positive")
+
+
+def fixed_h_bounds(kind: str, snr: float, h, c: Constellation) -> BoundPair:
+    """Bounds on one measure at fixed H; kind in {mmse, mi, pe}: the
+    estimation error of the noiseless receive point, the mutual information
+    in nats, or the ML symbol error probability.
+
+    Upper/lower ratios are exactly 4(M-1) for mmse and M-1 for pe, so the
+    pe bounds coincide for binary inputs.  At low SNR the mi lower bound can
+    go negative and the pe union upper bound can exceed one; both are
+    reported raw rather than clamped.
+    """
+    _check(kind, snr)
     diffs, counts = pair_differences(c)
     d2 = _received_sq_distances(np.asarray(h, dtype=complex), diffs)
     lower, upper = _bound_sums(d2, counts, snr, c.m, kind)
     return BoundPair(lower=float(lower), upper=float(upper))
-
-
-def mmse_bounds_fixed_h(snr: float, h, c: Constellation) -> BoundPair:
-    """Estimation error of the noiseless receive point.  Upper/lower ratio
-    is exactly 4(M-1)."""
-    return _fixed_h("mmse", snr, h, c)
-
-
-def mi_bounds_fixed_h(snr: float, h, c: Constellation) -> BoundPair:
-    """Mutual information in nats.  The lower bound can go negative at low
-    SNR; it is reported raw rather than clamped."""
-    return _fixed_h("mi", snr, h, c)
-
-
-def pe_bounds_fixed_h(snr: float, h, c: Constellation) -> BoundPair:
-    """ML symbol error probability.  Upper/lower ratio is exactly M-1, so
-    the bounds coincide for binary inputs.  The union upper bound may exceed
-    one at low SNR and is reported raw."""
-    return _fixed_h("pe", snr, h, c)
 
 
 @dataclass(frozen=True)
@@ -108,10 +101,7 @@ def avg_bounds(kind: str, snr: float, model: ChannelModel, c: Constellation,
     Reusing the same draws for both sides keeps the exact fixed-H ratios
     (4(M-1) for mmse, M-1 for pe) intact in the averaged estimates.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown bound kind {kind!r}")
-    if snr <= 0:
-        raise ValueError("snr must be positive")
+    _check(kind, snr)
     diffs, counts = pair_differences(c)
 
     def step(channel_rng, noise_rng, batch):

@@ -194,9 +194,9 @@ def cmd_palloc(cfg, seed, digest, out_path, threads):
     else:
         raise ConfigError("subchannels", "fading kinds must not be mixed")
     numeric = designs.palloc_numeric(subs, budget, snr, mc_cfg) if cfg["numeric"] else None
-    cap_high = designs.subchannel_capacities(subs, alloc.p, snr, mc_cfg)
-    cap_num = designs.subchannel_capacities(subs, numeric.p, snr, mc_cfg) \
-        if numeric is not None else [math.nan] * len(subs)
+    allocations = [alloc.p] if numeric is None else [alloc.p, numeric.p]
+    cap_high, *cap_num = designs.subchannel_capacities(subs, allocations, snr, mc_cfg)
+    cap_num = cap_num[0] if cap_num else [math.nan] * len(subs)
     rows = []
     for k in range(len(subs)):
         p_num = numeric.p[k] if numeric is not None else math.nan

@@ -20,8 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from . import mc
-from .asymptotics import EIG_ZERO_REL, distance_dist_spacetime, epsilon_bounds
+from .asymptotics import EIG_ZERO_REL, distance_dist, epsilon_bounds
 from .model import (
+    CanonicalRayleigh,
     Constellation,
     SpaceTimeCode,
     _complex_normal,
@@ -266,15 +267,17 @@ def _coordinate_search(objective, p0: np.ndarray, budget: float,
     return p, best
 
 
-def subchannel_capacities(subs: Sequence[SubchannelSpec], p, snr: float,
-                          cfg: mc.McConfig) -> list[float]:
-    """Per-subchannel average mutual information (nats) for a given power
-    split, on the same common-random-number banks the numeric optimizer
-    uses, so designs are compared on identical draws."""
-    p = np.asarray(p, dtype=float)
-    if p.size != len(subs):
+def subchannel_capacities(subs: Sequence[SubchannelSpec], allocations, snr: float,
+                          cfg: mc.McConfig) -> list[list[float]]:
+    """Per-subchannel average mutual information (nats) for each power split
+    in `allocations`, on the same common-random-number banks the numeric
+    optimizer uses, so designs are compared on identical draws.  The banks
+    are drawn once for all splits."""
+    allocations = [np.asarray(p, dtype=float) for p in allocations]
+    if any(p.size != len(subs) for p in allocations):
         raise ValueError("power vector length must match the subchannel count")
-    return [_bank_mi(snr, bank, pk) for bank, pk in zip(_subchannel_banks(subs, cfg), p)]
+    banks = _subchannel_banks(subs, cfg)
+    return [[_bank_mi(snr, bank, pk) for bank, pk in zip(banks, p)] for p in allocations]
 
 
 def palloc_numeric(subs: Sequence[SubchannelSpec], budget: float, snr: float,
@@ -552,12 +555,12 @@ def st_criteria(code: SpaceTimeCode, n_r: int) -> SpaceTimeReport:
     """(minimum difference rank, leading-coefficient criterion, diversity).
 
     The criterion is the leading coefficient sum of the code's distance
-    distribution (`distance_dist_spacetime`): the sum over ordered pairs at
-    minimal rank of prod_r (1/lambda_r)^n_r, with d = n_r * r_min.
-    Certified for n_t = 2; other transmit sizes are computed by the same
-    eigenvalue engine but flagged as extrapolation.
+    distribution under i.i.d. Rayleigh (`distance_dist`): the sum over
+    ordered pairs at minimal rank of prod_r (1/lambda_r)^n_r, with
+    d = n_r * r_min.  Certified for n_t = 2; other transmit sizes are
+    computed by the same eigenvalue engine but flagged as extrapolation.
     """
-    eb = epsilon_bounds(distance_dist_spacetime(code, n_r), code.m)
+    eb = epsilon_bounds(distance_dist(CanonicalRayleigh(n_t=code.n_t, n_r=n_r), code), code.m)
     return SpaceTimeReport(r_min=eb.d // n_r, criterion=eb.sum_s, d=eb.d,
                            certified=(code.n_t == 2))
 

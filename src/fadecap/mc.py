@@ -48,9 +48,6 @@ __all__ = [
     "McConfig",
     "Estimate",
     "EpsilonPoint",
-    "mmse_fixed_h",
-    "mi_fixed_h",
-    "pe_ml_fixed_h",
     "fixed_h_all",
     "avg_quantity",
     "avg_all",
@@ -298,8 +295,10 @@ def _run_chunks(total: int, seed: int, chunks: int, per_draw: int, step, threads
 # ---------------------------------------------------------------------------
 
 def fixed_h_all(snr: float, h, c: Constellation, cfg: McConfig) -> dict[str, Estimate]:
-    """All three fixed-H estimates from channel_draws blocks of
-    noise_draws_per_channel noise samples, each block a copy of H."""
+    """The fixed-H estimates {mmse: E||Hx - H E{x|y}||^2, mi: I(x; sqrt(snr)
+    H x + n) in nats, pe: minimum-distance (ML) symbol error probability}
+    from channel_draws blocks of noise_draws_per_channel noise samples, each
+    block a copy of H."""
     if snr <= 0:
         raise ValueError("snr must be positive")
     h = np.asarray(h, dtype=complex)
@@ -316,21 +315,6 @@ def fixed_h_all(snr: float, h, c: Constellation, cfg: McConfig) -> dict[str, Est
     samples = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
                           c.m * n_noise, step)
     return _estimates(samples, c.log_m)
-
-
-def mmse_fixed_h(snr: float, h, c: Constellation, cfg: McConfig) -> Estimate:
-    """E||Hx - H E{x|y}||^2 at fixed H."""
-    return fixed_h_all(snr, h, c, cfg)["mmse"]
-
-
-def mi_fixed_h(snr: float, h, c: Constellation, cfg: McConfig) -> Estimate:
-    """I(x; sqrt(snr) H x + n) at fixed H, in nats."""
-    return fixed_h_all(snr, h, c, cfg)["mi"]
-
-
-def pe_ml_fixed_h(snr: float, h, c: Constellation, cfg: McConfig) -> Estimate:
-    """Minimum-distance (ML) symbol error probability at fixed H."""
-    return fixed_h_all(snr, h, c, cfg)["pe"]
 
 
 # ---------------------------------------------------------------------------

@@ -176,19 +176,19 @@ def test_pdf_zero_validation():
 
 def test_rayleigh_distribution_bpsk():
     c = fc.make_constellation("bpsk", 1)
-    dd = fc.distance_dist_rayleigh(c, 1)
+    dd = fc.distance_dist(fc.CanonicalRayleigh(c.n_t, 1), c)
     assert np.all(dd.orders == 0)
     assert np.allclose(dd.values, 0.25)
     assert np.sum(dd.values) == pytest.approx(0.5)
-    dd2 = fc.distance_dist_rayleigh(c, 2)
+    dd2 = fc.distance_dist(fc.CanonicalRayleigh(c.n_t, 2), c)
     assert np.all(dd2.orders == 1)
     assert np.allclose(dd2.values, 1 / 16)
 
 
 def test_correlated_identity_reduces_to_rayleigh():
     c = fc.make_constellation("qpsk", 2)
-    dd_ray = fc.distance_dist_rayleigh(c, 2)
-    dd_cor = fc.distance_dist_correlated(c, np.eye(2), np.eye(2))
+    dd_ray = fc.distance_dist(fc.CanonicalRayleigh(c.n_t, 2), c)
+    dd_cor = fc.distance_dist(fc.CorrelatedRayleigh(theta_t=np.eye(2), theta_r=np.eye(2)), c)
     assert np.array_equal(dd_ray.orders, dd_cor.orders)
     assert np.allclose(dd_ray.values, dd_cor.values, rtol=1e-12)
 
@@ -196,8 +196,8 @@ def test_correlated_identity_reduces_to_rayleigh():
 def test_correlated_receive_eigenvalue_multiplier():
     c = fc.make_constellation("bpsk", 2)
     theta_r = np.array([[1.0, 0.8], [0.8, 1.0]])   # eigenvalues 1.8, 0.2
-    dd_cor = fc.distance_dist_correlated(c, np.eye(2), theta_r)
-    dd_ray = fc.distance_dist_rayleigh(c, 2)
+    dd_cor = fc.distance_dist(fc.CorrelatedRayleigh(theta_t=np.eye(2), theta_r=theta_r), c)
+    dd_ray = fc.distance_dist(fc.CanonicalRayleigh(c.n_t, 2), c)
     assert np.allclose(dd_cor.values / dd_ray.values, 1.0 / 0.36, rtol=1e-10)
 
 
@@ -207,7 +207,7 @@ def test_correlated_degenerate_pair_exclusion():
     c = fc.make_constellation("custom", 2, points=pts)
     theta_t = np.array([[1.0, -1.0], [-1.0, 1.0]])   # kills [1,1] directions
     theta_r = np.eye(2)
-    dd = fc.distance_dist_correlated(c, theta_t, theta_r)
+    dd = fc.distance_dist(fc.CorrelatedRayleigh(theta_t=theta_t, theta_r=theta_r), c)
     assert dd.n_excluded == 2           # the ordered pair (0,1) and its mirror
     assert dd.orders.size == 4
     expected = -(2 / 3) * np.log(2 / 3) - (1 / 3) * np.log(1 / 3)
@@ -227,14 +227,14 @@ def test_class_entropy_counts_distinct_images():
     probs = counts / c.m
     expected = float(-np.sum(probs * np.log(probs)))
     assert _distinguishable_class_entropy(c, theta_t) == pytest.approx(expected, rel=1e-12)
-    assert fc.distance_dist_correlated(c, theta_t, np.eye(2)).effective_log_m \
-        == pytest.approx(expected, rel=1e-12)
+    dd = fc.distance_dist(fc.CorrelatedRayleigh(theta_t=theta_t, theta_r=np.eye(2)), c)
+    assert dd.effective_log_m == pytest.approx(expected, rel=1e-12)
 
 
 def test_degenerate_receive_correlation_drops_order():
     c = fc.make_constellation("bpsk", 1)
     theta_r = np.array([[1.0, 1.0], [1.0, 1.0]])    # rank one: n' = 1
-    dd = fc.distance_dist_correlated(c, np.eye(1), theta_r)
+    dd = fc.distance_dist(fc.CorrelatedRayleigh(theta_t=np.eye(1), theta_r=theta_r), c)
     assert np.all(dd.orders == 0)
     # single surviving receive eigenvalue is 2
     assert np.allclose(dd.values, (1 / 4) * (1 / 2))
@@ -243,8 +243,8 @@ def test_degenerate_receive_correlation_drops_order():
 
 def test_ricean_k0_reduces_to_rayleigh():
     c = fc.make_constellation("qam16", 1)
-    dd_ray = fc.distance_dist_rayleigh(c, 2)
-    dd_ric = fc.distance_dist_ricean(c, 0.0, [1.0], [1.0, 1.0])
+    dd_ray = fc.distance_dist(fc.CanonicalRayleigh(c.n_t, 2), c)
+    dd_ric = fc.distance_dist(fc.Ricean(k_factor=0.0, a_t=[1.0], a_r=[1.0, 1.0]), c)
     assert np.array_equal(dd_ray.orders, dd_ric.orders)
     assert np.allclose(dd_ray.values, dd_ric.values, rtol=1e-12)
 
@@ -253,7 +253,7 @@ def test_ricean_orthogonal_line_of_sight_example():
     pts = np.array([[1.0, 0.0], [0.0, 1.0]])
     c = fc.make_constellation("custom", 2, points=pts)
     for k in (0.0, 2.0, 5.0):
-        dd = fc.distance_dist_ricean(c, k, [1, 1], [1, 1])
+        dd = fc.distance_dist(fc.Ricean(k_factor=k, a_t=[1, 1], a_r=[1, 1]), c)
         # difference is orthogonal to the transmit response: no exponential
         # penalty, each ordered pair contributes ((K+1)/2)^2
         assert np.allclose(dd.values, ((k + 1) / 2.0) ** 2, rtol=1e-12)
@@ -263,8 +263,8 @@ def test_ricean_orthogonal_line_of_sight_example():
 def test_ricean_scalar_scaling():
     c = fc.make_constellation("qam16", 1)
     k = 2.0
-    dd_ray = fc.distance_dist_rayleigh(c, 1)
-    dd_ric = fc.distance_dist_ricean(c, k, [1.0], [1.0])
+    dd_ray = fc.distance_dist(fc.CanonicalRayleigh(c.n_t, 1), c)
+    dd_ric = fc.distance_dist(fc.Ricean(k_factor=k, a_t=[1.0], a_r=[1.0]), c)
     assert np.allclose(dd_ric.values, dd_ray.values * (k + 1) * np.exp(-k), rtol=1e-12)
 
 
@@ -289,26 +289,26 @@ def test_spacetime_distribution_cases():
     cws = np.zeros((2, 2, 2), dtype=complex)
     cws[1, 0, :] = [1.0, 1.0]
     code = fc.SpaceTimeCode(codewords=cws)
-    dd = fc.distance_dist_spacetime(code, 1)
+    dd = fc.distance_dist(fc.CanonicalRayleigh(code.n_t, 1), code)
     assert np.all(dd.orders == 0)
     assert np.allclose(dd.values, 0.5)
     # full-rank pair with eigenvalues (2, 2), n_r = 2: order 3, value 1/16
     cws2 = np.zeros((2, 2, 2), dtype=complex)
     cws2[1] = np.sqrt(2.0) * np.eye(2)
     code2 = fc.SpaceTimeCode(codewords=cws2)
-    dd2 = fc.distance_dist_spacetime(code2, 2)
+    dd2 = fc.distance_dist(fc.CanonicalRayleigh(code2.n_t, 2), code2)
     assert np.all(dd2.orders == 3)
     assert np.allclose(dd2.values, 1.0 / 16.0)
 
 
 def test_spacetime_t1_reduces_to_rayleigh():
     # a t = 1 code groups its codeword differences as the constellation
-    # groups its point differences, so the two builders agree class by class
+    # groups its point differences, so the two distributions agree class by class
     c = fc.make_constellation("qpsk", 2)
     code = fc.SpaceTimeCode(codewords=c.points[:, :, None])
     for n_r in (1, 2):
-        dd_code = fc.distance_dist_spacetime(code, n_r)
-        dd_ray = fc.distance_dist_rayleigh(c, n_r)
+        dd_code = fc.distance_dist(fc.CanonicalRayleigh(code.n_t, n_r), code)
+        dd_ray = fc.distance_dist(fc.CanonicalRayleigh(c.n_t, n_r), c)
         assert np.all(dd_ray.orders == n_r - 1)
         assert np.array_equal(dd_code.orders, dd_ray.orders)
         assert np.allclose(dd_code.values, dd_ray.values, rtol=1e-12, atol=0.0)
@@ -333,7 +333,7 @@ def test_spacetime_distribution_matches_scalar_form_bit_for_bit():
         oracle = [fc.pdf_zero_derivative_weighted(
             [(x, n_r) for x in row[row > EIG_ZERO_REL * row[-1]]])
             for row in lam]
-        dd = fc.distance_dist_spacetime(code, n_r)
+        dd = fc.distance_dist(fc.CanonicalRayleigh(code.n_t, n_r), code)
         assert dd.orders.tolist() == [order for order, _ in oracle]
         assert np.array_equal(dd.values, counts * np.array([value for _, value in oracle]))
 
@@ -344,7 +344,7 @@ def test_spacetime_distribution_matches_scalar_form_bit_for_bit():
 ], ids=["qam16_nt2", "qpsk_nt3", "custom_asym"])
 @pytest.mark.parametrize("theta_t", ["banded", "singular"])
 def test_distance_builders_match_ordered_pair_reference(c, theta_t):
-    """Each builder's sum, exclusions, diversity order and coefficient sum
+    """Each family's sum, exclusions, diversity order and coefficient sum
     equal the ordered-pair formulas, and each class's order and value equal
     its closed form.  The all-ones Theta_T is singular for n_t >= 2 and
     removes every difference whose entries sum to zero."""
@@ -368,8 +368,9 @@ def test_distance_builders_match_ordered_pair_reference(c, theta_t):
     rayleigh = counts * u2 ** -float(n_r)
     code = fc.SpaceTimeCode(codewords=c.points[:, :, None])
     cases = [
-        (fc.distance_dist_rayleigh(c, n_r), np.sum(d2 ** -float(n_r)), 0, rayleigh, 1e-13),
-        (fc.distance_dist_correlated(c, theta, theta_r),
+        (fc.distance_dist(fc.CanonicalRayleigh(n_t, n_r), c),
+         np.sum(d2 ** -float(n_r)), 0, rayleigh, 1e-13),
+        (fc.distance_dist(fc.CorrelatedRayleigh(theta_t=theta, theta_r=theta_r), c),
          np.sum(lam_t[keep] ** -float(n_r)) / np.prod(np.linalg.eigvalsh(theta_r)),
          int(np.sum(~keep)),
          counts[u_keep] * u_t[u_keep] ** -float(n_r) / np.prod(np.linalg.eigvalsh(theta_r)), 1e-13),
@@ -377,7 +378,7 @@ def test_distance_builders_match_ordered_pair_reference(c, theta_t):
          np.sum(d2 ** -float(n_r)), 0, rayleigh, 1e-12),
     ]
     for k in (1.5, 10.0):
-        cases.append((fc.distance_dist_ricean(c, k, a_t, a_r),
+        cases.append((fc.distance_dist(fc.Ricean(k_factor=k, a_t=a_t, a_r=a_r), c),
                       np.sum(((k + 1.0) / d2) ** n_r * np.exp(-k * los)), 0,
                       counts * ((k + 1.0) / u2) ** n_r * np.exp(-k * u_los), 1e-13))
     if theta_t == "singular" and n_t > 1:
@@ -433,18 +434,18 @@ def test_distance_dist_rejects_unsupported_inputs():
 
 def test_diversity_order_rules():
     c = fc.make_constellation("bpsk", 1)
-    assert fc.diversity_order(fc.distance_dist_rayleigh(c, 2)) == 2
+    assert fc.diversity_order(fc.distance_dist(fc.CanonicalRayleigh(c.n_t, 2), c)) == 2
     # mixed-rank space-time set: rank-1 pairs dominate
     cws = np.zeros((3, 2, 2), dtype=complex)
     cws[1, 0, :] = [1.0, 0.0]
     cws[2] = np.eye(2)
-    dd = fc.distance_dist_spacetime(fc.SpaceTimeCode(codewords=cws), 1)
+    dd = fc.distance_dist(fc.CanonicalRayleigh(2, 1), fc.SpaceTimeCode(codewords=cws))
     assert fc.diversity_order(dd) == 1
 
 
 def test_epsilon_bounds_bpsk_rayleigh():
     c = fc.make_constellation("bpsk", 1)
-    eb = fc.epsilon_bounds(fc.distance_dist_rayleigh(c, 1), c.m)
+    eb = fc.epsilon_bounds(fc.distance_dist(fc.CanonicalRayleigh(c.n_t, 1), c), c.m)
     assert eb.d == 1 and eb.sum_s == pytest.approx(0.5)
     assert eb.mi.lower == pytest.approx(0.1875, rel=1e-12)
     assert eb.mi.upper == pytest.approx(0.75, rel=1e-12)
@@ -458,12 +459,13 @@ def test_epsilon_bounds_ricean_examples():
     pts = np.array([[1.0, 0.0], [0.0, 1.0]])
     c = fc.make_constellation("custom", 2, points=pts)
     k = 2.0
-    eb_ric = fc.epsilon_bounds(fc.distance_dist_ricean(c, k, [1, 1], [1, 1]), c.m)
+    ricean = fc.Ricean(k_factor=k, a_t=[1, 1], a_r=[1, 1])
+    eb_ric = fc.epsilon_bounds(fc.distance_dist(ricean, c), c.m)
     assert eb_ric.d == 2
     assert eb_ric.sum_s == pytest.approx((k + 1) ** 2 / 2, rel=1e-12)
     assert eb_ric.mi.lower == pytest.approx(1.25 * 4.5, rel=1e-12)
     assert eb_ric.mi.upper == pytest.approx(5.0 * 4.5, rel=1e-12)
-    eb_ray = fc.epsilon_bounds(fc.distance_dist_rayleigh(c, 2), c.m)
+    eb_ray = fc.epsilon_bounds(fc.distance_dist(fc.CanonicalRayleigh(c.n_t, 2), c), c.m)
     assert eb_ric.sum_s / eb_ray.sum_s == pytest.approx((k + 1) ** 2, rel=1e-12)
 
 
@@ -477,7 +479,7 @@ def test_only_minimal_order_pairs_contribute():
 
 def test_evaluate_expansion_power_law():
     c = fc.make_constellation("bpsk", 1)
-    eb = fc.epsilon_bounds(fc.distance_dist_rayleigh(c, 2), c.m)
+    eb = fc.epsilon_bounds(fc.distance_dist(fc.CanonicalRayleigh(c.n_t, 2), c), c.m)
     grid = fc.SnrGrid(points=np.array([50.0, 100.0]))
     curves = fc.evaluate_expansion(eb, grid)
     gap0 = eb.log_m_limit - curves["mi_lb"][0]
@@ -487,7 +489,7 @@ def test_evaluate_expansion_power_law():
 
 def test_evaluate_expansion_bpsk_values():
     c = fc.make_constellation("bpsk", 1)
-    eb = fc.epsilon_bounds(fc.distance_dist_rayleigh(c, 1), c.m)
+    eb = fc.epsilon_bounds(fc.distance_dist(fc.CanonicalRayleigh(c.n_t, 1), c), c.m)
     grid = fc.SnrGrid(points=np.array([100.0]))
     curves = fc.evaluate_expansion(eb, grid)
     assert np.log(2) - curves["mi_lb"][0] == pytest.approx(7.5e-3, rel=1e-12)
@@ -497,7 +499,7 @@ def test_evaluate_expansion_bpsk_values():
 
 def test_snr_offsets_identities_and_tables():
     c16 = fc.make_constellation("qam16", 1)
-    eb = fc.epsilon_bounds(fc.distance_dist_rayleigh(c16, 1), c16.m)
+    eb = fc.epsilon_bounds(fc.distance_dist(fc.CanonicalRayleigh(c16.n_t, 1), c16), c16.m)
     d_lb, d_ub, dp_lb, dp_ub = fc.snr_offsets(eb, 0.1, 0.1)
     assert d_ub - d_lb == pytest.approx(5 * np.log10(60), rel=1e-12)
     assert dp_lb - dp_ub == pytest.approx(10 * np.log10(60), rel=1e-12)
@@ -506,7 +508,7 @@ def test_snr_offsets_identities_and_tables():
     assert dp_lb - dp_ub == pytest.approx(3.9 - (-13.8), abs=0.1)
     # binary-input row: 1.1 - (-4.9) = 6.0 dB
     c2 = fc.make_constellation("bpsk", 1)
-    eb2 = fc.epsilon_bounds(fc.distance_dist_rayleigh(c2, 1), c2.m)
+    eb2 = fc.epsilon_bounds(fc.distance_dist(fc.CanonicalRayleigh(c2.n_t, 1), c2), c2.m)
     _, _, dp_lb2, dp_ub2 = fc.snr_offsets(eb2, 0.3, 0.3)
     assert dp_lb2 - dp_ub2 == pytest.approx(6.0, abs=0.1)
     # coefficient measured exactly at its upper bound: zero offset there
@@ -526,7 +528,8 @@ def test_analytic_spreads_match_offset_differences():
 def test_scalar_ricean_coefficient_decreases_with_k():
     c = fc.make_constellation("qam16", 1)
     ks = np.linspace(0.0, 10.0, 21)
-    sums = [np.sum(fc.distance_dist_ricean(c, k, [1.0], [1.0]).values) for k in ks]
+    sums = [np.sum(fc.distance_dist(fc.Ricean(k_factor=k, a_t=[1.0], a_r=[1.0]), c).values)
+            for k in ks]
     assert np.all(np.diff(sums) <= 1e-12)
 
 

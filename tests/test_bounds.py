@@ -16,7 +16,7 @@ CUSTOM_ASYM = fc.make_constellation("custom", 1,
 
 def test_mmse_bounds_binary_values():
     c = fc.make_constellation("bpsk", 1)
-    pair = fc.mmse_bounds_fixed_h(1.0, H1, c)
+    pair = fc.fixed_h_bounds("mmse", 1.0, H1, c)
     assert pair.lower == pytest.approx(0.5 * erfc(1.0), rel=1e-12)
     assert pair.upper == pytest.approx(2.0 * erfc(1.0), rel=1e-12)
     assert pair.lower == pytest.approx(0.0786496, rel=1e-5)
@@ -31,40 +31,40 @@ def test_exact_bound_ratios(c):
     rng = np.random.default_rng(0)
     h = rng.standard_normal((2, c.n_t)) + 1j * rng.standard_normal((2, c.n_t))
     for snr in (0.1, 1.0, 10.0):
-        mm = fc.mmse_bounds_fixed_h(snr, h, c)
-        pe = fc.pe_bounds_fixed_h(snr, h, c)
+        mm = fc.fixed_h_bounds("mmse", snr, h, c)
+        pe = fc.fixed_h_bounds("pe", snr, h, c)
         assert mm.upper / mm.lower == pytest.approx(4 * (c.m - 1), rel=1e-12)
         assert pe.upper / pe.lower == pytest.approx(c.m - 1, rel=1e-12)
 
 
 def test_mi_lower_bound_value():
     c = fc.make_constellation("bpsk", 1)
-    pair = fc.mi_bounds_fixed_h(4.0, H1, c)
+    pair = fc.fixed_h_bounds("mi", 4.0, H1, c)
     assert pair.lower == pytest.approx(np.log(2) - 2 * np.exp(-4.0), rel=1e-12)
 
 
 def test_mi_bounds_limits_and_sign():
     c = fc.make_constellation("bpsk", 1)
-    hi = fc.mi_bounds_fixed_h(1e4, H1, c)
+    hi = fc.fixed_h_bounds("mi", 1e4, H1, c)
     assert hi.lower == pytest.approx(np.log(2), abs=1e-8)
     assert hi.upper == pytest.approx(np.log(2), abs=1e-8)
-    lo = fc.mi_bounds_fixed_h(1e-3, H1, c)
+    lo = fc.fixed_h_bounds("mi", 1e-3, H1, c)
     assert lo.lower < 0.0          # reported raw, not clamped
     assert lo.upper <= np.log(2)
 
 
 def test_mmse_bounds_vanish_at_high_snr():
     c = fc.make_constellation("qpsk", 1)
-    pair = fc.mmse_bounds_fixed_h(1e4, H1, c)
+    pair = fc.fixed_h_bounds("mmse", 1e4, H1, c)
     assert pair.upper < 1e-8
 
 
 def test_pe_bounds_binary_coincide_and_low_snr():
     c2 = fc.make_constellation("bpsk", 1)
-    pair = fc.pe_bounds_fixed_h(1.0, H1, c2)
+    pair = fc.fixed_h_bounds("pe", 1.0, H1, c2)
     assert pair.lower == pytest.approx(pair.upper, rel=1e-12)
     c4 = fc.make_constellation("qpsk", 1)
-    vac = fc.pe_bounds_fixed_h(1e-12, H1, c4)
+    vac = fc.fixed_h_bounds("pe", 1e-12, H1, c4)
     assert vac.upper == pytest.approx((4 - 1) / 2.0, rel=1e-6)   # vacuous, raw
 
 
@@ -73,9 +73,9 @@ def test_bounds_monotone_in_snr():
     rng = np.random.default_rng(1)
     h = rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
     grid = np.logspace(-1, 3, 20)
-    mmse_ub = [fc.mmse_bounds_fixed_h(s, h, c).upper for s in grid]
-    mi_lb = [fc.mi_bounds_fixed_h(s, h, c).lower for s in grid]
-    pe_ub = [fc.pe_bounds_fixed_h(s, h, c).upper for s in grid]
+    mmse_ub = [fc.fixed_h_bounds("mmse", s, h, c).upper for s in grid]
+    mi_lb = [fc.fixed_h_bounds("mi", s, h, c).lower for s in grid]
+    pe_ub = [fc.fixed_h_bounds("pe", s, h, c).upper for s in grid]
     # non-strict at the top of the grid where the bounds saturate exactly
     assert np.all(np.diff(mmse_ub) <= 0) and mmse_ub[0] > mmse_ub[-1]
     assert np.all(np.diff(mi_lb) >= 0) and mi_lb[0] < mi_lb[-1]
@@ -84,9 +84,19 @@ def test_bounds_monotone_in_snr():
 
 def test_snr_must_be_positive():
     c = fc.make_constellation("bpsk", 1)
-    for fn in (fc.mmse_bounds_fixed_h, fc.mi_bounds_fixed_h, fc.pe_bounds_fixed_h):
+    for kind in ("mmse", "mi", "pe"):
         with pytest.raises(ValueError):
-            fn(0.0, H1, c)
+            fc.fixed_h_bounds(kind, 0.0, H1, c)
+
+
+def test_fixed_h_bounds_checks_kind_and_snr():
+    """An unknown kind is an error, not the mi bounds; a negative snr is
+    rejected as zero is."""
+    c = fc.make_constellation("bpsk", 1)
+    with pytest.raises(ValueError, match="unknown bound kind"):
+        fc.fixed_h_bounds("nope", 1.0, H1, c)
+    with pytest.raises(ValueError, match="snr must be positive"):
+        fc.fixed_h_bounds("mi", -1.0, H1, c)
 
 
 def test_avg_bounds_ratio_exact_with_shared_draws():
@@ -199,10 +209,9 @@ def test_fixed_h_bounds_match_ordered_pair_reference(c):
     rng = np.random.default_rng(5)
     h = rng.standard_normal((2, c.n_t)) + 1j * rng.standard_normal((2, c.n_t))
     d2 = np.sum(np.abs(ordered_pair_differences(c) @ h.T) ** 2, axis=1)
-    for kind, fn in (("mmse", fc.mmse_bounds_fixed_h), ("mi", fc.mi_bounds_fixed_h),
-                     ("pe", fc.pe_bounds_fixed_h)):
+    for kind in ("mmse", "mi", "pe"):
         for snr in (1.0, 100.0):
-            pair = fn(snr, h, c)
+            pair = fc.fixed_h_bounds(kind, snr, h, c)
             assert (pair.lower, pair.upper) == pytest.approx(
                 _ordered_pair_sums(kind, d2, snr, c.m), rel=1e-12), (kind, snr)
 

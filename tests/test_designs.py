@@ -128,8 +128,8 @@ def test_palloc_numeric_three_subchannels(snr):
     closed = designs.palloc_rayleigh_highsnr(subs, 3.0)
     assert np.all(numeric.p >= 0.0)
     assert numeric.p.sum() == pytest.approx(3.0, abs=1e-9)
-    assert sum(designs.subchannel_capacities(subs, numeric.p, snr, cfg)) \
-        >= sum(designs.subchannel_capacities(subs, closed.p, snr, cfg))
+    cap_numeric, cap_closed = designs.subchannel_capacities(subs, [numeric.p, closed.p], snr, cfg)
+    assert sum(cap_numeric) >= sum(cap_closed)
 
 
 def test_palloc_numeric_validation():
@@ -142,7 +142,7 @@ def test_palloc_numeric_validation():
 def test_subchannel_capacities_monotone_in_power():
     subs = ray_subs([1.0])
     cfg = McConfig(channel_draws=2000, noise_draws_per_channel=16, seed=3)
-    caps = [designs.subchannel_capacities(subs, [p], 10.0, cfg)[0]
+    caps = [designs.subchannel_capacities(subs, [[p]], 10.0, cfg)[0][0]
             for p in (0.25, 1.0, 4.0)]
     assert caps[0] < caps[1] < caps[2] <= QAM16.log_m
 
@@ -332,7 +332,7 @@ def alamouti_qpsk():
 
 @pytest.mark.parametrize("n_r", [1, 2])
 def test_spacetime_sums_match_ordered_pair_reference(n_r):
-    """st_criteria's criterion and the sum of distance_dist_spacetime's
+    """st_criteria's criterion and the sum of distance_dist's code
     values, grouped over distinct codeword differences, equal the sums over
     every ordered pair of its own Gram eigenvalues within rel 1e-12."""
     code = alamouti_qpsk()
@@ -347,7 +347,7 @@ def test_spacetime_sums_match_ordered_pair_reference(n_r):
     ranks, terms = np.array(ranks), np.array(terms)
     r_min = ranks.min()
     rep = designs.st_criteria(code, n_r)
-    dd = fc.distance_dist_spacetime(code, n_r)
+    dd = fc.distance_dist(fc.CanonicalRayleigh(code.n_t, n_r), code)
     assert dd.values.size < code.m * (code.m - 1)        # the differences repeat
     assert rep.r_min == r_min == 2
     assert rep.criterion == pytest.approx(np.sum(terms[ranks == r_min]), rel=1e-12)

@@ -26,60 +26,60 @@ def cfg(total, chunks=8, noise=None):
 
 
 def test_mmse_fixed_h_high_snr_vanishes():
-    est = fc.mmse_fixed_h(1e6, H1, BPSK, cfg(200_000))
+    est = fc.fixed_h_all(1e6, H1, BPSK, cfg(200_000))["mmse"]
     assert est.mean < 1e-6
 
 
 def test_mmse_fixed_h_low_snr_prior_variance():
-    est = fc.mmse_fixed_h(1e-6, H1, BPSK, cfg(100_000))
+    est = fc.fixed_h_all(1e-6, H1, BPSK, cfg(100_000))["mmse"]
     assert abs(est.mean - 1.0) < 3 * est.std_error + 1e-3
 
 
 def test_mmse_fixed_h_within_bounds():
-    est = fc.mmse_fixed_h(1.0, H1, BPSK, cfg(200_000))
-    pair = fc.mmse_bounds_fixed_h(1.0, H1, BPSK)
+    est = fc.fixed_h_all(1.0, H1, BPSK, cfg(200_000))["mmse"]
+    pair = fc.fixed_h_bounds("mmse", 1.0, H1, BPSK)
     assert pair.lower - 3 * est.std_error <= est.mean <= pair.upper + 3 * est.std_error
 
 
 def test_mi_fixed_h_limits():
-    lo = fc.mi_fixed_h(1e-6, H1, BPSK, cfg(50_000))
+    lo = fc.fixed_h_all(1e-6, H1, BPSK, cfg(50_000))["mi"]
     assert abs(lo.mean) < 1e-3
-    hi = fc.mi_fixed_h(1e6, H1, BPSK, cfg(50_000))
+    hi = fc.fixed_h_all(1e6, H1, BPSK, cfg(50_000))["mi"]
     assert abs(hi.mean - np.log(2)) < 1e-3
 
 
 def test_mi_fixed_h_within_bounds():
-    est = fc.mi_fixed_h(1.0, H1, BPSK, cfg(200_000))
-    pair = fc.mi_bounds_fixed_h(1.0, H1, BPSK)
+    est = fc.fixed_h_all(1.0, H1, BPSK, cfg(200_000))["mi"]
+    pair = fc.fixed_h_bounds("mi", 1.0, H1, BPSK)
     assert pair.lower - 3 * est.std_error <= est.mean <= pair.upper + 3 * est.std_error
 
 
 def test_pe_fixed_h_binary_closed_form():
     for snr in (0.25, 1.0, 4.0):
-        est = fc.pe_ml_fixed_h(snr, H1, BPSK, cfg(400_000))
+        est = fc.fixed_h_all(snr, H1, BPSK, cfg(400_000))["pe"]
         exact = 0.5 * erfc(np.sqrt(snr))
         assert abs(est.mean - exact) < 3 * est.std_error
 
 
 def test_pe_fixed_h_low_snr_guessing():
     snr = 1e-6
-    est = fc.pe_ml_fixed_h(snr, H1, BPSK, cfg(200_000))
+    est = fc.fixed_h_all(snr, H1, BPSK, cfg(200_000))["pe"]
     # approaches the guessing floor (M-1)/M from below as erfc(sqrt(snr))/2
     assert abs(est.mean - 0.5 * erfc(np.sqrt(snr))) < 3 * est.std_error
     assert abs(est.mean - 0.5) < 3 * est.std_error + 1e-3
 
 
 def test_pe_fixed_h_binary_bounds_coincide():
-    est = fc.pe_ml_fixed_h(2.0, H1, BPSK, cfg(400_000))
-    pair = fc.pe_bounds_fixed_h(2.0, H1, BPSK)
+    est = fc.fixed_h_all(2.0, H1, BPSK, cfg(400_000))["pe"]
+    pair = fc.fixed_h_bounds("pe", 2.0, H1, BPSK)
     assert pair.lower == pair.upper
     assert abs(est.mean - pair.lower) < 3 * est.std_error
 
 
 def test_pe_within_bounds_quaternary():
     c = fc.make_constellation("qpsk", 1)
-    est = fc.pe_ml_fixed_h(2.0, H1, c, cfg(400_000))
-    pair = fc.pe_bounds_fixed_h(2.0, H1, c)
+    est = fc.fixed_h_all(2.0, H1, c, cfg(400_000))["pe"]
+    pair = fc.fixed_h_bounds("pe", 2.0, H1, c)
     assert pair.lower - 3 * est.std_error <= est.mean <= pair.upper + 3 * est.std_error
 
 
@@ -130,12 +130,12 @@ def test_i_mmse_integral_consistency():
     error over SNR (trapezoid on a dense log grid), within 2% + 3 s.e."""
     snr0 = 1.0
     mc_cfg = McConfig(channel_draws=400, noise_draws_per_channel=100, seed=51)
-    mi = fc.mi_fixed_h(snr0, H1, BPSK, mc_cfg)
+    mi = fc.fixed_h_all(snr0, H1, BPSK, mc_cfg)["mi"]
     gap = np.log(2) - mi.mean
     grid = np.logspace(np.log10(snr0), np.log10(25.0), 60)
     vals, errs = [], []
     for s in grid:
-        est = fc.mmse_fixed_h(s, H1, BPSK, mc_cfg)
+        est = fc.fixed_h_all(s, H1, BPSK, mc_cfg)["mmse"]
         vals.append(est.mean)
         errs.append(est.std_error)
     integral = np.trapezoid(vals, grid)
@@ -255,7 +255,7 @@ def test_degenerate_transmit_correlation_limits_mi():
     c = fc.make_constellation("custom", 2, points=pts)
     theta_t = np.array([[1.0, -1.0], [-1.0, 1.0]])
     model = fc.CorrelatedRayleigh(theta_t=theta_t, theta_r=np.eye(2))
-    dd = fc.distance_dist_correlated(c, theta_t, np.eye(2))
+    dd = fc.distance_dist(model, c)
     est = fc.avg_quantity("mi", 1000.0, model, c,
                           McConfig(channel_draws=4000, noise_draws_per_channel=50,
                                    seed=97))
@@ -863,7 +863,7 @@ BATCHED_ESTIMATORS = {
     "distance_squared_samples": lambda: distance_squared_samples(
         CORRELATED_2X2, [1.0, 0.5j], 31, seed=2, chunks=3).tolist(),
     "palloc": lambda: [designs.palloc_numeric(PALLOC_SUBS, 2.0, 100.0, BATCH_CFG).p.tolist(),
-                       designs.subchannel_capacities(PALLOC_SUBS, [0.5, 1.5], 100.0, BATCH_CFG)],
+                       designs.subchannel_capacities(PALLOC_SUBS, [[0.5, 1.5]], 100.0, BATCH_CFG)],
 }
 
 

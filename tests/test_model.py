@@ -1,5 +1,7 @@
 """Constellations, channel models, sampling and distance primitives."""
 
+import importlib
+import pkgutil
 import tracemalloc
 
 import numpy as np
@@ -240,3 +242,12 @@ def test_snr_grid():
         fc.SnrGrid(points=[-1.0, 2.0])
     with pytest.raises(ValueError):
         fc.SnrGrid.from_db(0, 10, -1)
+
+
+@pytest.mark.parametrize("name", ["fadecap"] + [f"fadecap.{m.name}"
+                                                for m in pkgutil.iter_modules(fc.__path__)])
+def test_every_exported_name_resolves(name):
+    """A name left in a module's __all__ after its definition is gone fails
+    only at `from module import *`; catch it here."""
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
