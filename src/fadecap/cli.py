@@ -186,13 +186,7 @@ def cmd_palloc(cfg, seed, digest, out_path, threads):
     budget = cfg["budget"]
     snr = cfg["snr"]
     mc_cfg = cfg["mc"]
-    kinds = {type(s.fading) for s in subs}
-    if kinds == {designs.RayleighFading}:
-        alloc = designs.palloc_rayleigh_highsnr(subs, budget)
-    elif kinds == {designs.RiceanFading}:
-        alloc = designs.palloc_ricean_highsnr(subs, budget)
-    else:
-        raise ConfigError("subchannels", "fading kinds must not be mixed")
+    alloc = designs.palloc_highsnr(subs, budget)
     numeric = designs.palloc_numeric(subs, budget, snr, mc_cfg) if cfg["numeric"] else None
     allocations = [alloc.p] if numeric is None else [alloc.p, numeric.p]
     cap_high, *cap_num = designs.subchannel_capacities(subs, allocations, snr, mc_cfg)
@@ -225,16 +219,16 @@ PRECODE_HEADER = ["method", "objective", "iterations", "stationarity_residual",
 
 def cmd_precode(cfg, seed, digest, out_path, threads):
     c = cfg["constellation"]
-    n_r = cfg["n_r"]
+    channel = cfg["channel"]
     p_total = cfg["p_total"]
     rng = np.random.default_rng(seed)
-    if cfg["theta"] is None:
-        precoder, report = designs.precoder_canonical(c, n_r, p_total)
+    precoder, report = designs.optimal_precoder(channel, c, p_total)
+    if isinstance(channel, CanonicalRayleigh):
         worse = 0
         best_probe = math.inf
         for _ in range(cfg["probes"]):
             z = _random_feasible_gram(rng, c.n_t, p_total)
-            val = designs.precoder_objective(z, c, n_r)
+            val = designs.precoder_objective(z, channel, c)
             best_probe = min(best_probe, val)
             if val >= report.objective - 1e-12:
                 worse += 1
@@ -250,13 +244,10 @@ def cmd_precode(cfg, seed, digest, out_path, threads):
         if not certified:
             raise NumericFailure("random probe beat the closed-form precoder")
     else:
-        theta_t, theta_r = cfg["theta"]
-        precoder, report = designs.precoder_correlated(c, theta_t, theta_r, n_r, p_total)
         objectives = [report.objective]
         for _ in range(cfg["restarts"]):
             z0 = _random_feasible_gram(rng, c.n_t, p_total)
-            prec_k, rep_k = designs.precoder_correlated(c, theta_t, theta_r, n_r,
-                                                        p_total, z0=z0)
+            prec_k, rep_k = designs.optimal_precoder(channel, c, p_total, z0=z0)
             objectives.append(rep_k.objective)
             if rep_k.objective < report.objective:
                 precoder, report = prec_k, rep_k

@@ -197,20 +197,20 @@ def build_mc(obj, path, seed: int) -> McConfig:
         parallel_chunks=_int(obj.get("chunks", 8), f"{path}.chunks", 1))
 
 
-def build_fading(obj, path):
+def build_fading(obj, path) -> designs.Fading:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{path}.kind", "missing fading kind")
     with _field(path):
         if obj["kind"] == "rayleigh":
             _require_keys(obj, path, {"kind", "variance"})
-            return designs.RayleighFading(variance=_number(obj["variance"],
-                                                           f"{path}.variance", positive=True))
-        if obj["kind"] == "ricean":
+            mean = 0
+        elif obj["kind"] == "ricean":
             _require_keys(obj, path, {"kind", "mean", "variance"})
-            return designs.RiceanFading(
-                mean=_complex_scalar(obj["mean"], f"{path}.mean"),
-                variance=_number(obj["variance"], f"{path}.variance", positive=True))
-    raise ConfigError(f"{path}.kind", f"unknown fading kind {obj['kind']!r}")
+            mean = _complex_scalar(obj["mean"], f"{path}.mean")
+        else:
+            raise ConfigError(f"{path}.kind", f"unknown fading kind {obj['kind']!r}")
+        return designs.Fading(variance=_number(obj["variance"], f"{path}.variance",
+                                               positive=True), mean=mean)
 
 
 def build_subchannel(obj, path) -> designs.SubchannelSpec:
@@ -293,30 +293,17 @@ def validate_command_config(command: str, doc: dict, seed: int) -> dict[str, Any
             "mc": build_mc(doc.get("mc"), "mc", seed),
         }
     if command == "precode":
-        _require_keys(doc, "<root>", {"constellation", "n_r", "p_total", "channel"},
+        _require_keys(doc, "<root>", {"constellation", "p_total", "channel"},
                       {"probes", "restarts"})
         c = build_constellation(doc["constellation"], "constellation")
-        chan = doc["channel"]
-        if not isinstance(chan, dict) or "variant" not in chan:
-            raise ConfigError("channel.variant", "missing channel variant")
-        n_r = _int(doc["n_r"], "n_r", 1)
-        if chan["variant"] == "rayleigh":
-            _require_keys(chan, "channel", {"variant"})
-            theta = None
-        elif chan["variant"] == "correlated":
-            model = build_channel(chan, "channel", c.n_t)
-            if model.n_r != n_r:
-                raise ConfigError("n_r", f"{n_r} receive antennas, but channel.theta_r "
-                                         f"is {model.n_r} x {model.n_r}")
-            theta = (model.theta_t, model.theta_r)
-        else:
+        channel = build_channel(doc["channel"], "channel", c.n_t)
+        if isinstance(channel, Ricean):
             raise ConfigError("channel.variant",
-                              f"unknown variant {chan['variant']!r} (rayleigh | correlated)")
+                              "unknown variant 'ricean' (rayleigh | correlated)")
         return {
             "constellation": c,
-            "n_r": n_r,
+            "channel": channel,
             "p_total": _number(doc["p_total"], "p_total", positive=True),
-            "theta": theta,
             "probes": _int(doc.get("probes", 200), "probes", 0),
             "restarts": _int(doc.get("restarts", 10), "restarts", 0),
         }

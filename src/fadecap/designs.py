@@ -1,9 +1,17 @@
 """System design procedures driven by the high-SNR expansion coefficients.
 
-Covers power allocation across parallel scalar fading subchannels (closed
-forms plus a Monte Carlo validation optimizer), precoder optimization for
-uncorrelated and transmit-correlated channels, and ranking of space-time
-codebooks by (minimum difference rank, leading coefficient).
+One entry point per job, each reading the channel family off its input:
+
+- `palloc_highsnr(subs, budget)`: closed-form power allocation across
+  parallel scalar subchannels, each with its own `Fading(variance, mean)`
+  (Rayleigh at mean 0, Ricean otherwise); `palloc_numeric` and
+  `subchannel_capacities` validate it by Monte Carlo on common draws.
+- `optimal_precoder(channel, c, p_total)`: the gap-minimizing precoder for
+  a `CanonicalRayleigh` (closed form for sign-symmetric constellations) or
+  a `CorrelatedRayleigh` channel (projected gradient on the Gram matrix),
+  and `precoder_objective(z, channel, c)` the objective it minimizes.
+- `st_criteria` / `st_compare`: ranking of space-time codebooks by
+  (minimum difference rank, leading coefficient).
 
 Sign convention for the space-time criterion: we *minimize*
 sum over minimal-rank pairs of prod(1/lambda)^n_r, equivalently maximize
@@ -24,27 +32,24 @@ from .asymptotics import EIG_ZERO_REL, distance_dist, epsilon_bounds
 from .model import (
     CanonicalRayleigh,
     Constellation,
+    CorrelatedRayleigh,
     SpaceTimeCode,
     _complex_normal,
-    check_psd,
     hermitian_sqrt,
     pair_differences,
 )
 
 __all__ = [
-    "RayleighFading",
-    "RiceanFading",
+    "Fading",
     "SubchannelSpec",
     "PowerAllocation",
     "Precoder",
     "PrecoderReport",
     "PrecoderConvergenceError",
-    "palloc_rayleigh_highsnr",
-    "palloc_ricean_highsnr",
+    "palloc_highsnr",
     "palloc_numeric",
     "subchannel_capacities",
-    "precoder_canonical",
-    "precoder_correlated",
+    "optimal_precoder",
     "precoder_objective",
     "st_criteria",
     "st_compare",
@@ -59,18 +64,12 @@ BUDGET_TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RayleighFading:
+class Fading:
+    """Scalar fading h ~ CN(mean, variance): Rayleigh at mean 0, Ricean
+    (line of sight) otherwise."""
+
     variance: float
-
-    def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("fading variance must be positive")
-
-
-@dataclass(frozen=True)
-class RiceanFading:
-    mean: complex
-    variance: float
+    mean: complex = 0
 
     def __post_init__(self):
         if self.variance <= 0:
@@ -83,7 +82,7 @@ class SubchannelSpec:
     CN(mean, variance) and x from a unit-power scalar constellation."""
 
     constellation: Constellation
-    fading: RayleighFading | RiceanFading
+    fading: Fading
 
     def __post_init__(self):
         if self.constellation.n_t != 1:
@@ -111,44 +110,21 @@ def _mean_pair_energy(c: Constellation) -> float:
     return float(np.sum(np.abs(diffs) ** 2, axis=1) @ counts / c.m)
 
 
-def _highsnr_weights(subs: Sequence[SubchannelSpec], ricean: bool) -> np.ndarray:
-    w = np.empty(len(subs))
-    for k, sub in enumerate(subs):
-        fad = sub.fading
-        if ricean:
-            if not isinstance(fad, RiceanFading):
-                raise ValueError("all subchannels must be Ricean")
-            mu2 = abs(complex(fad.mean)) ** 2
-            los = np.exp(-mu2 / (2.0 * fad.variance))
-        else:
-            if not isinstance(fad, RayleighFading):
-                raise ValueError("all subchannels must be Rayleigh")
-            los = 1.0
-        w[k] = los / np.sqrt(_mean_pair_energy(sub.constellation) * fad.variance)
-    return w
-
-
-def palloc_rayleigh_highsnr(subs: Sequence[SubchannelSpec], budget: float) -> PowerAllocation:
+def palloc_highsnr(subs: Sequence[SubchannelSpec], budget: float) -> PowerAllocation:
     """Closed-form high-SNR allocation p_k proportional to
-    1/sqrt((1/M_k) sum_pairs dbar^2 * sigma_k^2), using the full budget.
+    exp(-|mu_k|^2 / (2 sigma_k^2)) / sqrt((1/M_k) sum_pairs dbar^2 * sigma_k^2),
+    using the full budget.
 
     Stronger subchannels (larger fading variance) get less power: they
-    already close their capacity gap faster.
+    already close their capacity gap faster.  A line-of-sight mean mu_k
+    damps the weight, so it diverts power to the other subchannels; at
+    mu_k = 0 the factor is exactly 1 (the Rayleigh rule).
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    w = _highsnr_weights(subs, ricean=False)
-    p = budget * w / w.sum()
-    return PowerAllocation(p=p, budget=budget)
-
-
-def palloc_ricean_highsnr(subs: Sequence[SubchannelSpec], budget: float) -> PowerAllocation:
-    """Ricean variant: each weight is damped by exp(-|mu|^2 / (2 sigma^2)),
-    so a stronger line-of-sight component diverts power to the other
-    subchannels.  Reduces to the Rayleigh rule at mu = 0."""
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    w = _highsnr_weights(subs, ricean=True)
+    w = np.array([np.exp(-abs(complex(s.fading.mean)) ** 2 / (2.0 * s.fading.variance))
+                  / np.sqrt(_mean_pair_energy(s.constellation) * s.fading.variance)
+                  for s in subs])
     p = budget * w / w.sum()
     return PowerAllocation(p=p, budget=budget)
 
@@ -181,7 +157,7 @@ def _subchannel_banks(subs: Sequence[SubchannelSpec], cfg: mc.McConfig):
     for k, sub in enumerate(subs):
         fad = sub.fading
         h = fading[:, k] * np.sqrt(fad.variance)
-        if isinstance(fad, RiceanFading):
+        if fad.mean:
             h = h + complex(fad.mean)
         # a factor of a single level has lse exactly 0 and is left out
         levels = sub.constellation.grid_levels
@@ -381,15 +357,31 @@ def _gap_gradient(z: np.ndarray, diffs: np.ndarray, counts: np.ndarray,
     return np.einsum("p,pi,pj->ij", coef, diffs, diffs.conj())
 
 
-def precoder_objective(z, c: Constellation, n_r: int, theta_t=None) -> float:
+def _transmit_correlation(channel: CanonicalRayleigh | CorrelatedRayleigh,
+                          c: Constellation) -> np.ndarray | None:
+    """Theta_T of a correlated channel, None for the canonical one.  Any
+    other channel, or one whose n_t differs from the constellation's, is a
+    ValueError."""
+    if not isinstance(channel, (CanonicalRayleigh, CorrelatedRayleigh)):
+        raise ValueError("precoders are designed for the canonical or the "
+                         "transmit-correlated Rayleigh channel")
+    if channel.n_t != c.n_t:
+        raise ValueError(f"channel n_t = {channel.n_t} does not match the "
+                         f"constellation's n_t = {c.n_t}")
+    return channel.theta_t if isinstance(channel, CorrelatedRayleigh) else None
+
+
+def precoder_objective(z, channel: CanonicalRayleigh | CorrelatedRayleigh,
+                       c: Constellation) -> float:
     """Pairwise-distance gap objective evaluated at a Gram matrix Z:
-    sum over ordered pairs of quadratic-form^(-n_r), with an optional
-    transmit-correlation whitening.  The objective depends on a precoder
-    only through its Gram matrix."""
+    sum over ordered pairs of quadratic-form^(-n_r), whitened by the
+    channel's transmit correlation if it has one.  The objective depends on
+    a precoder only through its Gram matrix."""
+    theta_t = _transmit_correlation(channel, c)
     diffs, counts = pair_differences(c)
     if theta_t is not None:
-        diffs = diffs @ hermitian_sqrt(np.asarray(theta_t, dtype=complex)).T
-    return _gap_objective(np.asarray(z, dtype=complex), diffs, counts, n_r)
+        diffs = diffs @ hermitian_sqrt(theta_t).T
+    return _gap_objective(np.asarray(z, dtype=complex), diffs, counts, channel.n_r)
 
 
 def _project_trace_psd(z: np.ndarray, budget: float) -> np.ndarray:
@@ -403,59 +395,32 @@ def _project_trace_psd(z: np.ndarray, budget: float) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-def precoder_canonical(c: Constellation, n_r: int, p_total: float):
-    """Isotropic precoder for the uncorrelated channel.
+def optimal_precoder(channel: CanonicalRayleigh | CorrelatedRayleigh, c: Constellation,
+                     p_total: float, z0: np.ndarray | None = None,
+                     max_iter: int = 10_000, rel_tol: float = 1e-10):
+    """Transmit precoder minimizing the high-SNR gap coefficient
+    f(Z) = sum over ordered pairs of tr(e^+ Theta_T^{1/2} Z Theta_T^{1/2} e)^(-n_r)
+    over the Gram variable Z in {Z PSD, tr Z <= P}, with n_r and Theta_T
+    from `channel` (Theta_T = I for `CanonicalRayleigh`).  The receive
+    correlation only scales the coefficient and cannot move the optimum, so
+    it is omitted from f.  Returns (Precoder, PrecoderReport).
 
-    For constellations closed under per-coordinate sign flips the
-    scaled identity is a global optimizer of the pairwise-distance
-    objective (the flip pairing cancels every off-diagonal gradient entry
-    and equalizes the diagonal), which is verified here through the
-    first-order stationarity residual.  Asymmetric constellations fall
-    through to the numeric correlated-channel path with identity
-    correlation.
-    """
-    if p_total <= 0:
-        raise ValueError("power budget must be positive")
-    n_t = c.n_t
-    if not c.has_coordinate_sign_symmetry():
-        return precoder_correlated(c, np.eye(n_t), np.eye(n_r), n_r, p_total)
-    diffs, counts = pair_differences(c)
-    z_star = (p_total / n_t) * np.eye(n_t, dtype=complex)
-    objective = _gap_objective(z_star, diffs, counts, n_r)
-    grad = _gap_gradient(z_star, diffs, counts, n_r)
-    iso = np.trace(grad).real / n_t * np.eye(n_t)
-    residual = float(np.linalg.norm(grad - iso) / max(np.linalg.norm(grad), 1e-300))
-    if residual > 1e-8:
-        raise AssertionError(
-            f"stationarity residual {residual:.3e} exceeds 1e-8 for a "
-            "sign-symmetric constellation")
-    precoder = Precoder(matrix=np.sqrt(p_total / n_t) * np.eye(n_t, dtype=complex),
-                        budget=p_total)
-    report = PrecoderReport(objective=objective, iterations=0,
-                            stationarity_residual=residual, method="closed_form")
-    return precoder, report
+    Closed form: on the canonical channel, for constellations closed under
+    per-coordinate sign flips and without a starting point `z0`, the
+    scaled identity is a global optimizer (the flip pairing cancels every
+    off-diagonal gradient entry and equalizes the diagonal), verified here
+    through the first-order stationarity residual.
 
-
-def precoder_correlated(c: Constellation, theta_t, theta_r, n_r: int,
-                        p_total: float, z0: np.ndarray | None = None,
-                        max_iter: int = 10_000, rel_tol: float = 1e-10):
-    """Transmit-side precoder for the correlated channel by projected
-    gradient descent on the Gram variable.
-
-    Minimizes f(Z) = sum over ordered pairs of
-    tr(e^+ Theta_T^{1/2} Z Theta_T^{1/2} e)^(-n_r) over {Z PSD,
-    tr Z <= P}; the receive correlation only scales the coefficient and
-    cannot move the optimum, so it is omitted from f.  The optimizer
-    aligns the eigenvectors of Z with those of Theta_T (reported as
-    principal angles).
-
-    The returned precoder is the Hermitian square root of the optimal
-    Gram matrix, P = U diag(sqrt q) U^+, so that P^+ P equals the
-    certified optimizer variable exactly.  The right unitary factor is
-    not a free reporting choice: it rotates the constellation before the
-    channel, and only this (commuting) choice makes the realized pair
-    forms e^+ P^+ Theta_T P e coincide with the certified objective at
-    the aligned optimum.
+    Otherwise projected gradient descent runs from `z0` (default the scaled
+    identity).  On a correlated channel the optimizer aligns the
+    eigenvectors of Z with those of Theta_T (reported as principal angles).
+    The returned precoder is the Hermitian square root of the optimal Gram
+    matrix, P = U diag(sqrt q) U^+, so that P^+ P equals the certified
+    optimizer variable exactly.  The right unitary factor is not a free
+    reporting choice: it rotates the constellation before the channel, and
+    only this (commuting) choice makes the realized pair forms
+    e^+ P^+ Theta_T P e coincide with the certified objective at the
+    aligned optimum.
 
     Degenerate Theta_T is rejected: with perfectly correlated transmit
     paths the objective itself changes form (some pairs stop contributing
@@ -464,16 +429,17 @@ def precoder_correlated(c: Constellation, theta_t, theta_r, n_r: int,
     """
     if p_total <= 0:
         raise ValueError("power budget must be positive")
-    theta_t = np.asarray(theta_t, dtype=complex)
-    theta_r = np.asarray(theta_r, dtype=complex)
-    w_t = check_psd(theta_t)
-    check_psd(theta_r)
+    theta_t = _transmit_correlation(channel, c)
+    n_t, n_r = c.n_t, channel.n_r
+    if theta_t is None:
+        if z0 is None and c.has_coordinate_sign_symmetry():
+            return _isotropic_precoder(c, n_r, p_total)
+        theta_t = np.eye(n_t, dtype=complex)
+    w_t = np.linalg.eigvalsh(theta_t)
     if w_t[0] <= EIG_ZERO_REL * w_t[-1]:
         raise ValueError("theta_t is singular; the degenerate case is out of scope here")
-    root_t = hermitian_sqrt(theta_t)
     diffs, counts = pair_differences(c)
-    diffs = diffs @ root_t.T              # whiten each difference vector
-    n_t = c.n_t
+    diffs = diffs @ hermitian_sqrt(theta_t).T      # whiten each difference vector
 
     z = (p_total / n_t) * np.eye(n_t, dtype=complex) if z0 is None \
         else _project_trace_psd(np.asarray(z0, dtype=complex), p_total)
@@ -522,6 +488,26 @@ def precoder_correlated(c: Constellation, theta_t, theta_r, n_r: int,
                             stationarity_residual=residual,
                             method="projected_gradient",
                             principal_angles=angles)
+    return precoder, report
+
+
+def _isotropic_precoder(c: Constellation, n_r: int, p_total: float):
+    """The scaled identity, certified by its stationarity residual."""
+    n_t = c.n_t
+    diffs, counts = pair_differences(c)
+    z_star = (p_total / n_t) * np.eye(n_t, dtype=complex)
+    objective = _gap_objective(z_star, diffs, counts, n_r)
+    grad = _gap_gradient(z_star, diffs, counts, n_r)
+    iso = np.trace(grad).real / n_t * np.eye(n_t)
+    residual = float(np.linalg.norm(grad - iso) / max(np.linalg.norm(grad), 1e-300))
+    if residual > 1e-8:
+        raise AssertionError(
+            f"stationarity residual {residual:.3e} exceeds 1e-8 for a "
+            "sign-symmetric constellation")
+    precoder = Precoder(matrix=np.sqrt(p_total / n_t) * np.eye(n_t, dtype=complex),
+                        budget=p_total)
+    report = PrecoderReport(objective=objective, iterations=0,
+                            stationarity_residual=residual, method="closed_form")
     return precoder, report
 
 

@@ -309,9 +309,9 @@ def test_criterion_8_line_of_sight_reversal():
 def test_criterion_9_power_allocation():
     def body():
         qam16 = fc.make_constellation("qam16", 1)
-        subs = [designs.SubchannelSpec(qam16, designs.RayleighFading(4.0)),
-                designs.SubchannelSpec(qam16, designs.RayleighFading(1.0))]
-        alloc = designs.palloc_rayleigh_highsnr(subs, 2.0)
+        subs = [designs.SubchannelSpec(qam16, designs.Fading(4.0)),
+                designs.SubchannelSpec(qam16, designs.Fading(1.0))]
+        alloc = designs.palloc_highsnr(subs, 2.0)
         assert alloc.p == pytest.approx([2 / 3, 4 / 3], rel=1e-12)
 
         num = designs.palloc_numeric(
@@ -321,9 +321,9 @@ def test_criterion_9_power_allocation():
         print(f"    numeric allocation {np.round(num.p, 4)} vs closed form "
               f"{np.round(alloc.p, 4)}")
 
-        subs_r = [designs.SubchannelSpec(qam16, designs.RiceanFading(1 + 1j, 4.0)),
-                  designs.SubchannelSpec(qam16, designs.RiceanFading(1 + 1j, 1.0))]
-        ricean = designs.palloc_ricean_highsnr(subs_r, 2.0)
+        subs_r = [designs.SubchannelSpec(qam16, designs.Fading(4.0, 1 + 1j)),
+                  designs.SubchannelSpec(qam16, designs.Fading(1.0, 1 + 1j))]
+        ricean = designs.palloc_highsnr(subs_r, 2.0)
         assert ricean.p[0] / ricean.p[1] == pytest.approx(np.exp(0.75) / 2.0, rel=1e-12)
 
     gate(9, "closed-form allocation (2/3, 4/3); numeric optimum at 25 dB "
@@ -337,25 +337,27 @@ def test_criterion_9_power_allocation():
 def test_criterion_10_precoders():
     def body():
         qpsk2 = fc.make_constellation("qpsk", 2)
-        prec, report = designs.precoder_canonical(qpsk2, 2, 2.0)
+        canonical = fc.CanonicalRayleigh(2, 2)
+        prec, report = designs.optimal_precoder(canonical, qpsk2, 2.0)
         assert np.allclose(prec.matrix, np.eye(2))
         rng = np.random.default_rng(1001)
         for _ in range(200):
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             z = g @ g.conj().T
             z *= 2.0 / np.trace(z).real
-            assert designs.precoder_objective(z, qpsk2, 2) >= report.objective - 1e-12
+            assert designs.precoder_objective(z, canonical, qpsk2) >= report.objective - 1e-12
 
         theta_t = np.array([[1.0, 0.5], [0.5, 1.0]])
         theta_r = np.array([[1.0, 0.8], [0.8, 1.0]])
-        _, base = designs.precoder_correlated(qpsk2, theta_t, theta_r, 2, 2.0)
+        correlated = fc.CorrelatedRayleigh(theta_t, theta_r)
+        _, base = designs.optimal_precoder(correlated, qpsk2, 2.0)
         assert np.max(base.principal_angles) <= 1e-3
         objectives = [base.objective]
         for k in range(10):
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             z0 = g @ g.conj().T
             z0 *= 2.0 / np.trace(z0).real
-            _, rep = designs.precoder_correlated(qpsk2, theta_t, theta_r, 2, 2.0, z0=z0)
+            _, rep = designs.optimal_precoder(correlated, qpsk2, 2.0, z0=z0)
             objectives.append(rep.objective)
         assert base.objective <= min(objectives) + 1e-6, objectives
         print(f"    correlated objective {base.objective:.9f}, restart spread "

@@ -258,26 +258,31 @@ def test_palloc_does_not_import_scipy_special(tmp_path):
     assert done.stdout.splitlines()[-1].split() == ["0", "False"]
 
 
-def test_palloc_mixed_fading_rejected(tmp_path):
+def test_palloc_mixed_fading_one_rule(tmp_path):
+    """Rayleigh and Ricean subchannels mix under the one closed form: for
+    qam16 with variance 4 and with mean 1+1j, variance 1, p0/p1 = e/2."""
     doc = {
-        "budget": 1.0,
+        "budget": 2.0,
         "snr_db": 10,
         "numeric": False,
         "subchannels": [
-            {"family": "bpsk", "fading": {"kind": "rayleigh", "variance": 1.0}},
-            {"family": "bpsk", "fading": {"kind": "ricean", "mean": [1, 1], "variance": 1.0}},
+            {"family": "qam16", "fading": {"kind": "rayleigh", "variance": 4.0}},
+            {"family": "qam16", "fading": {"kind": "ricean", "mean": [1, 1], "variance": 1.0}},
         ],
+        "mc": {"channel_draws": 40, "noise_draws": 4, "chunks": 2},
     }
-    cfg = write_cfg(tmp_path, doc)
-    assert run(["palloc", "--config", cfg, "--seed", 9]) == 2
+    out = tmp_path / "palloc.csv"
+    assert run(["palloc", "--config", write_cfg(tmp_path, doc), "--seed", 9,
+                "--out", out]) == 0
+    _, _, rows = read_csv(out)
+    assert float(rows[0][1]) / float(rows[1][1]) == pytest.approx(np.e / 2.0, rel=1e-9)
 
 
 def test_precode_canonical_report(tmp_path):
     doc = {
         "constellation": {"family": "qpsk", "n_t": 2},
-        "n_r": 2,
         "p_total": 2.0,
-        "channel": {"variant": "rayleigh"},
+        "channel": {"variant": "rayleigh", "n_r": 2},
         "probes": 50,
     }
     cfg = write_cfg(tmp_path, doc)
@@ -293,7 +298,6 @@ def test_precode_canonical_report(tmp_path):
 def test_precode_correlated(tmp_path):
     doc = {
         "constellation": {"family": "qpsk", "n_t": 2},
-        "n_r": 2,
         "p_total": 2.0,
         "channel": {"variant": "correlated",
                     "theta_t": [[1.0, 0.5], [0.5, 1.0]],
@@ -313,7 +317,6 @@ def test_precode_correlated(tmp_path):
 def test_precode_degenerate_theta_is_numeric_failure(tmp_path):
     doc = {
         "constellation": {"family": "qpsk", "n_t": 2},
-        "n_r": 2,
         "p_total": 2.0,
         "channel": {"variant": "correlated",
                     "theta_t": [[1.0, 1.0], [1.0, 1.0]],
@@ -326,7 +329,6 @@ def test_precode_degenerate_theta_is_numeric_failure(tmp_path):
 def correlated_precode_doc(theta_t):
     return {
         "constellation": {"family": "qpsk", "n_t": 2},
-        "n_r": 2,
         "p_total": 2.0,
         "channel": {"variant": "correlated", "theta_t": theta_t,
                     "theta_r": [[1.0, 0.8], [0.8, 1.0]]},
@@ -344,13 +346,20 @@ def test_precode_theta_size_mismatch_config_error(tmp_path, capsys):
         "error: config field 'channel.theta_t': size does not match constellation n_t\n"
 
 
-def test_precode_receive_size_mismatch_config_error(tmp_path, capsys):
-    """n_r must match the correlated channel's Theta_R: 3 receive antennas
-    on a 2 x 2 Theta_R is a config error naming n_r."""
-    doc = dict(correlated_precode_doc([[1.0, 0.5], [0.5, 1.0]]), n_r=3)
+def test_precode_root_receive_count_is_unknown_key(tmp_path, capsys):
+    """n_r belongs to the channel: the correlated channel reads it off
+    Theta_R, so a root n_r is an unknown key."""
+    doc = dict(correlated_precode_doc([[1.0, 0.5], [0.5, 1.0]]), n_r=2)
     assert run(["precode", "--config", write_cfg(tmp_path, doc), "--seed", 1]) == 2
-    assert capsys.readouterr().err == ("error: config field 'n_r': 3 receive antennas, "
-                                       "but channel.theta_r is 2 x 2\n")
+    assert capsys.readouterr().err == "error: config field '<root>.n_r': unknown key\n"
+
+
+def test_precode_ricean_channel_config_error(tmp_path, capsys):
+    doc = dict(correlated_precode_doc([[1.0, 0.5], [0.5, 1.0]]),
+               channel={"variant": "ricean", "k_factor": 2.0, "a_t": [1, 1], "a_r": [1]})
+    assert run(["precode", "--config", write_cfg(tmp_path, doc), "--seed", 1]) == 2
+    assert capsys.readouterr().err == ("error: config field 'channel.variant': unknown "
+                                       "variant 'ricean' (rayleigh | correlated)\n")
 
 
 def test_precode_non_unit_diagonal_theta_config_error(tmp_path, capsys):

@@ -13,7 +13,7 @@ QPSK2 = fc.make_constellation("qpsk", 2)
 
 
 def ray_subs(variances):
-    return [designs.SubchannelSpec(QAM16, designs.RayleighFading(v)) for v in variances]
+    return [designs.SubchannelSpec(QAM16, designs.Fading(v)) for v in variances]
 
 
 # ---------------------------------------------------------------------------
@@ -21,7 +21,7 @@ def ray_subs(variances):
 # ---------------------------------------------------------------------------
 
 def test_palloc_rayleigh_reference_case():
-    alloc = designs.palloc_rayleigh_highsnr(ray_subs([4.0, 1.0]), 2.0)
+    alloc = designs.palloc_highsnr(ray_subs([4.0, 1.0]), 2.0)
     assert alloc.p == pytest.approx([2 / 3, 4 / 3], rel=1e-12)
     assert alloc.p.sum() == pytest.approx(2.0, abs=1e-12)
 
@@ -29,57 +29,58 @@ def test_palloc_rayleigh_reference_case():
 def test_palloc_rayleigh_mixed_constellations():
     # a zero-mean unit-energy M-point set has (1/M) sum over ordered pairs
     # of |x_i - x_j|^2 = 2M, so weights go as 1/sqrt(2M): qpsk 2/3, qam16 1/3
-    subs = [designs.SubchannelSpec(c, designs.RayleighFading(1.0))
+    subs = [designs.SubchannelSpec(c, designs.Fading(1.0))
             for c in (fc.make_constellation("qpsk", 1), QAM16)]
-    alloc = designs.palloc_rayleigh_highsnr(subs, 3.0)
+    alloc = designs.palloc_highsnr(subs, 3.0)
     assert alloc.p == pytest.approx([2.0, 1.0], rel=1e-12)
 
 
 def test_palloc_symmetry_and_scaling():
-    alloc = designs.palloc_rayleigh_highsnr(ray_subs([2.0, 2.0]), 3.0)
+    alloc = designs.palloc_highsnr(ray_subs([2.0, 2.0]), 3.0)
     assert alloc.p == pytest.approx([1.5, 1.5], rel=1e-12)
-    a1 = designs.palloc_rayleigh_highsnr(ray_subs([4.0, 1.0]), 1.0)
-    a5 = designs.palloc_rayleigh_highsnr(ray_subs([4.0, 1.0]), 5.0)
+    a1 = designs.palloc_highsnr(ray_subs([4.0, 1.0]), 1.0)
+    a5 = designs.palloc_highsnr(ray_subs([4.0, 1.0]), 5.0)
     assert a5.p == pytest.approx(5.0 * a1.p, rel=1e-12)
 
 
 def test_palloc_permutation_equivariance():
     variances = [4.0, 1.0, 2.5]
-    a = designs.palloc_rayleigh_highsnr(ray_subs(variances), 2.0)
-    b = designs.palloc_rayleigh_highsnr(ray_subs(variances[::-1]), 2.0)
+    a = designs.palloc_highsnr(ray_subs(variances), 2.0)
+    b = designs.palloc_highsnr(ray_subs(variances[::-1]), 2.0)
     assert a.p == pytest.approx(b.p[::-1], rel=1e-12)
 
 
 def test_palloc_ricean_reference_case():
-    subs = [designs.SubchannelSpec(QAM16, designs.RiceanFading(1 + 1j, 4.0)),
-            designs.SubchannelSpec(QAM16, designs.RiceanFading(1 + 1j, 1.0))]
-    alloc = designs.palloc_ricean_highsnr(subs, 2.0)
+    subs = [designs.SubchannelSpec(QAM16, designs.Fading(4.0, 1 + 1j)),
+            designs.SubchannelSpec(QAM16, designs.Fading(1.0, 1 + 1j))]
+    alloc = designs.palloc_highsnr(subs, 2.0)
     assert alloc.p[0] / alloc.p[1] == pytest.approx(np.exp(0.75) / 2.0, rel=1e-12)
     assert alloc.p == pytest.approx([1.0284, 0.9716], abs=2e-4)
 
 
 def test_palloc_ricean_zero_mean_reduces_to_rayleigh():
-    subs_r = [designs.SubchannelSpec(QAM16, designs.RiceanFading(0.0, v))
+    subs_r = [designs.SubchannelSpec(QAM16, designs.Fading(v, 0.0))
               for v in (4.0, 1.0)]
-    a = designs.palloc_ricean_highsnr(subs_r, 2.0)
-    b = designs.palloc_rayleigh_highsnr(ray_subs([4.0, 1.0]), 2.0)
-    assert a.p == pytest.approx(b.p, rel=1e-12)
+    a = designs.palloc_highsnr(subs_r, 2.0)
+    b = designs.palloc_highsnr(ray_subs([4.0, 1.0]), 2.0)
+    assert np.array_equal(a.p, b.p)
 
 
 def test_palloc_stronger_line_of_sight_gets_less_power():
-    base = designs.SubchannelSpec(QAM16, designs.RiceanFading(1.0, 1.0))
-    strong = designs.SubchannelSpec(QAM16, designs.RiceanFading(2.0, 1.0))
-    alloc = designs.palloc_ricean_highsnr([base, strong], 2.0)
+    base = designs.SubchannelSpec(QAM16, designs.Fading(1.0, 1.0))
+    strong = designs.SubchannelSpec(QAM16, designs.Fading(1.0, 2.0))
+    alloc = designs.palloc_highsnr([base, strong], 2.0)
     assert alloc.p[1] < alloc.p[0]
 
 
-def test_palloc_mixed_variants_rejected():
-    subs = [designs.SubchannelSpec(QAM16, designs.RayleighFading(1.0)),
-            designs.SubchannelSpec(QAM16, designs.RiceanFading(1.0, 1.0))]
-    with pytest.raises(ValueError):
-        designs.palloc_rayleigh_highsnr(subs, 1.0)
-    with pytest.raises(ValueError):
-        designs.palloc_ricean_highsnr(subs, 1.0)
+def test_palloc_mixed_fading_one_rule():
+    """Rayleigh and Ricean subchannels mix under one rule: the weights
+    1/sqrt(4 E) and exp(-|1+j|^2 / 2)/sqrt(E) give p0/p1 = e/2."""
+    subs = [designs.SubchannelSpec(QAM16, designs.Fading(4.0)),
+            designs.SubchannelSpec(QAM16, designs.Fading(1.0, 1 + 1j))]
+    alloc = designs.palloc_highsnr(subs, 2.0)
+    assert alloc.p[0] / alloc.p[1] == pytest.approx(np.e / 2.0, rel=1e-12)
+    assert alloc.p.sum() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_palloc_matches_waterline_bisection_oracle():
@@ -88,7 +89,7 @@ def test_palloc_matches_waterline_bisection_oracle():
     p_k = sqrt(c_k / lam) for the budget-matching lam by bisection."""
     variances = [4.0, 1.0, 2.5, 0.3]
     budget = 3.0
-    alloc = designs.palloc_rayleigh_highsnr(ray_subs(variances), budget)
+    alloc = designs.palloc_highsnr(ray_subs(variances), budget)
     d2 = fc.pairwise_sq_distances(QAM16)
     mean_pair = d2.sum() / QAM16.m
     c = np.array([1.0 / (mean_pair * v) for v in variances])
@@ -120,12 +121,12 @@ def test_palloc_numeric_three_subchannels(snr):
     """Three subchannels take the multi-pair sweeps of the coordinate search:
     the numeric split stays on the simplex and, on the common draws, gives
     at least the summed capacity of the closed-form split."""
-    subs = [designs.SubchannelSpec(fc.make_constellation("qpsk", 1), designs.RayleighFading(4.0)),
-            designs.SubchannelSpec(fc.make_constellation("qpsk", 1), designs.RayleighFading(1.0)),
-            designs.SubchannelSpec(QAM16, designs.RayleighFading(0.5))]
+    subs = [designs.SubchannelSpec(fc.make_constellation("qpsk", 1), designs.Fading(4.0)),
+            designs.SubchannelSpec(fc.make_constellation("qpsk", 1), designs.Fading(1.0)),
+            designs.SubchannelSpec(QAM16, designs.Fading(0.5))]
     cfg = McConfig(channel_draws=400, noise_draws_per_channel=8, seed=3)
     numeric = designs.palloc_numeric(subs, 3.0, snr, cfg)
-    closed = designs.palloc_rayleigh_highsnr(subs, 3.0)
+    closed = designs.palloc_highsnr(subs, 3.0)
     assert np.all(numeric.p >= 0.0)
     assert numeric.p.sum() == pytest.approx(3.0, abs=1e-9)
     cap_numeric, cap_closed = designs.subchannel_capacities(subs, [numeric.p, closed.p], snr, cfg)
@@ -151,8 +152,14 @@ def test_subchannel_capacities_monotone_in_power():
 # precoders
 # ---------------------------------------------------------------------------
 
+CANONICAL_2X2 = fc.CanonicalRayleigh(2, 2)
+THETA_T = np.array([[1.0, 0.5], [0.5, 1.0]])
+CORRELATED_2X2 = fc.CorrelatedRayleigh(THETA_T, np.array([[1.0, 0.8], [0.8, 1.0]]))
+CORRELATED_2X1 = fc.CorrelatedRayleigh(THETA_T, np.eye(1))
+
+
 def test_precoder_canonical_identity():
-    prec, report = designs.precoder_canonical(QPSK2, 2, 2.0)
+    prec, report = designs.optimal_precoder(CANONICAL_2X2, QPSK2, 2.0)
     assert np.allclose(prec.matrix, np.eye(2))
     assert report.stationarity_residual <= 1e-8
     assert report.method == "closed_form"
@@ -163,57 +170,71 @@ def test_precoder_canonical_identity():
 
 
 def test_precoder_canonical_beats_random_probes():
-    prec, report = designs.precoder_canonical(QPSK2, 2, 2.0)
+    prec, report = designs.optimal_precoder(CANONICAL_2X2, QPSK2, 2.0)
     rng = np.random.default_rng(17)
     for _ in range(200):
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         z = g @ g.conj().T
         z *= 2.0 / np.trace(z).real
-        assert designs.precoder_objective(z, QPSK2, 2) >= report.objective - 1e-12
+        assert designs.precoder_objective(z, CANONICAL_2X2, QPSK2) >= report.objective - 1e-12
 
 
 def test_precoder_scalar_case():
     c = fc.make_constellation("qam16", 1)
-    prec, _ = designs.precoder_canonical(c, 1, 3.0)
+    prec, _ = designs.optimal_precoder(fc.CanonicalRayleigh(1, 1), c, 3.0)
     assert prec.matrix == pytest.approx(np.sqrt(3.0))
 
 
 def test_precoder_objective_invariant_under_left_unitary():
-    prec, report = designs.precoder_canonical(QPSK2, 2, 2.0)
+    prec, report = designs.optimal_precoder(CANONICAL_2X2, QPSK2, 2.0)
     rng = np.random.default_rng(23)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     rotated = q @ prec.matrix
     z1 = prec.gram
     z2 = rotated.conj().T @ rotated
     assert np.allclose(z1, z2, atol=1e-12)
-    assert designs.precoder_objective(z1, QPSK2, 2) == pytest.approx(
-        designs.precoder_objective(z2, QPSK2, 2), rel=1e-12)
+    assert designs.precoder_objective(z1, CANONICAL_2X2, QPSK2) == pytest.approx(
+        designs.precoder_objective(z2, CANONICAL_2X2, QPSK2), rel=1e-12)
 
 
 def test_precoder_asymmetric_falls_through_to_numeric():
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) / np.sqrt(1.5)
     c = fc.make_constellation("custom", 2, points=pts)
     assert not c.has_coordinate_sign_symmetry()
-    prec, report = designs.precoder_canonical(c, 1, 2.0)
+    prec, report = designs.optimal_precoder(fc.CanonicalRayleigh(2, 1), c, 2.0)
     assert report.method == "projected_gradient"
     assert np.trace(prec.matrix @ prec.matrix.conj().T).real <= 2.0 + 1e-9
 
 
 def test_precoder_correlated_identity_reduction():
-    prec, report = designs.precoder_correlated(QPSK2, np.eye(2), np.eye(2), 2, 2.0)
-    _, closed = designs.precoder_canonical(QPSK2, 2, 2.0)
-    assert report.objective <= closed.objective + 1e-6
-    assert report.objective >= closed.objective - 1e-6
+    """Theta_T = I, and a starting point on the canonical channel, both run
+    projected gradient and reach the closed-form objective."""
+    _, closed = designs.optimal_precoder(CANONICAL_2X2, QPSK2, 2.0)
+    _, report = designs.optimal_precoder(fc.CorrelatedRayleigh(np.eye(2), np.eye(2)),
+                                         QPSK2, 2.0)
+    z0 = np.array([[1.5, 0.2], [0.2, 0.5]])
+    _, started = designs.optimal_precoder(CANONICAL_2X2, QPSK2, 2.0, z0=z0)
+    assert started.method == "projected_gradient"
+    for rep in (report, started):
+        assert rep.objective <= closed.objective + 1e-6
+        assert rep.objective >= closed.objective - 1e-6
+
+
+def test_precoder_rejects_ricean_and_transmit_size_mismatch():
+    with pytest.raises(ValueError, match="canonical or the transmit-correlated"):
+        designs.optimal_precoder(fc.Ricean(1.0, [1.0, 1.0], [1.0]), QPSK2, 2.0)
+    with pytest.raises(ValueError, match="n_t"):
+        designs.optimal_precoder(fc.CanonicalRayleigh(3, 2), QPSK2, 2.0)
+    with pytest.raises(ValueError, match="n_t"):
+        designs.precoder_objective(np.eye(2), fc.CanonicalRayleigh(1, 2), QPSK2)
 
 
 def test_precoder_correlated_aligns_with_transmit_correlation():
-    theta_t = np.array([[1.0, 0.5], [0.5, 1.0]])
-    theta_r = np.array([[1.0, 0.8], [0.8, 1.0]])
-    prec, report = designs.precoder_correlated(QPSK2, theta_t, theta_r, 2, 2.0)
+    prec, report = designs.optimal_precoder(CORRELATED_2X2, QPSK2, 2.0)
     assert np.max(report.principal_angles) <= 1e-3
     # left singular vectors of the returned precoder match the eigenvectors
     u, _, _ = np.linalg.svd(prec.matrix)
-    overlaps = np.abs(u.conj().T @ np.linalg.eigh(theta_t)[1])
+    overlaps = np.abs(u.conj().T @ np.linalg.eigh(THETA_T)[1])
     assert np.max(np.min(1 - overlaps, axis=1)) < 1e-6
 
 
@@ -223,49 +244,43 @@ def test_precoder_correlated_realizes_certified_objective():
     reproduce the reported objective.  (A right-rotated recovery such as
     U diag(sqrt q) with identity right factor realizes a different,
     strictly worse coefficient for this geometry.)"""
-    theta_t = np.array([[1.0, 0.5], [0.5, 1.0]])
-    theta_r = np.array([[1.0, 0.8], [0.8, 1.0]])
-    prec, report = designs.precoder_correlated(QPSK2, theta_t, theta_r, 2, 2.0)
+    prec, report = designs.optimal_precoder(CORRELATED_2X2, QPSK2, 2.0)
     from fadecap.model import ordered_pair_differences
     diffs = ordered_pair_differences(QPSK2) @ prec.matrix.T
-    forms = np.real(np.einsum("pi,ij,pj->p", diffs.conj(), theta_t, diffs))
+    forms = np.real(np.einsum("pi,ij,pj->p", diffs.conj(), THETA_T, diffs))
     realized = np.sum(forms ** -2.0)
     assert realized == pytest.approx(report.objective, rel=1e-6)
     assert np.allclose(prec.gram, prec.matrix @ prec.matrix.conj().T, atol=1e-12)
 
 
 def test_precoder_correlated_convexity_probes():
-    theta_t = np.array([[1.0, 0.5], [0.5, 1.0]])
-    theta_r = np.array([[1.0, 0.8], [0.8, 1.0]])
-    _, report = designs.precoder_correlated(QPSK2, theta_t, theta_r, 2, 2.0)
+    _, report = designs.optimal_precoder(CORRELATED_2X2, QPSK2, 2.0)
     rng = np.random.default_rng(29)
     for _ in range(100):
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         z = g @ g.conj().T
         z *= 2.0 / np.trace(z).real
-        val = designs.precoder_objective(z, QPSK2, 2, theta_t=theta_t)
+        val = designs.precoder_objective(z, CORRELATED_2X2, QPSK2)
         assert val >= report.objective - 1e-6
 
 
 def test_precoder_correlated_rejects_degenerate_transmit_correlation():
-    theta_t = np.array([[1.0, 1.0], [1.0, 1.0]])
+    channel = fc.CorrelatedRayleigh(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
     with pytest.raises(ValueError, match="singular"):
-        designs.precoder_correlated(QPSK2, theta_t, np.eye(2), 2, 2.0)
+        designs.optimal_precoder(channel, QPSK2, 2.0)
 
 
 def test_precoder_budget_tightness():
     # the objective strictly improves with power, so the budget is saturated
-    theta_t = np.array([[1.0, 0.5], [0.5, 1.0]])
-    prec, _ = designs.precoder_correlated(QPSK2, theta_t, np.eye(2), 1, 2.0)
+    prec, _ = designs.optimal_precoder(CORRELATED_2X1, QPSK2, 2.0)
     assert np.trace(prec.matrix @ prec.matrix.conj().T).real == pytest.approx(2.0, abs=1e-9)
-    prec2, _ = designs.precoder_canonical(QPSK2, 2, 2.0)
+    prec2, _ = designs.optimal_precoder(CANONICAL_2X2, QPSK2, 2.0)
     assert np.trace(prec2.gram).real == pytest.approx(2.0, abs=1e-12)
 
 
 def test_precoder_correlated_nonconvergence_carries_best_iterate():
-    theta_t = np.array([[1.0, 0.5], [0.5, 1.0]])
     with pytest.raises(designs.PrecoderConvergenceError) as exc:
-        designs.precoder_correlated(QPSK2, theta_t, np.eye(2), 1, 2.0, max_iter=0)
+        designs.optimal_precoder(CORRELATED_2X1, QPSK2, 2.0, max_iter=0)
     assert exc.value.best_gram is not None
     assert np.isfinite(exc.value.best_objective)
 

@@ -417,7 +417,7 @@ def _bank_draws(subs, mc_cfg):
     fading, noise = np.concatenate(fading), np.concatenate(noise)
     for k, sub in enumerate(subs):
         fading[:, k] *= np.sqrt(sub.fading.variance)
-        if isinstance(sub.fading, designs.RiceanFading):
+        if sub.fading.mean:
             fading[:, k] += complex(sub.fading.mean)
     return fading, noise
 
@@ -425,13 +425,13 @@ def _bank_draws(subs, mc_cfg):
 # (constellation, fading, factors in its bank): a grid splits into its real
 # and imaginary levels, bpsk keeps only its real one, 8-PSK is one factor
 BANK_CASES = [
-    (fc.make_constellation("bpsk", 1), designs.RayleighFading(variance=2.0), 1),
-    (fc.make_constellation("qpsk", 1), designs.RayleighFading(variance=2.0), 2),
-    (fc.make_constellation("qam16", 1), designs.RayleighFading(variance=2.0), 2),
-    (fc.make_constellation("qam64", 1), designs.RayleighFading(variance=2.0), 2),
-    (fc.make_constellation("qam16", 1), designs.RiceanFading(mean=1.0 - 0.5j, variance=0.5), 2),
+    (fc.make_constellation("bpsk", 1), designs.Fading(variance=2.0), 1),
+    (fc.make_constellation("qpsk", 1), designs.Fading(variance=2.0), 2),
+    (fc.make_constellation("qam16", 1), designs.Fading(variance=2.0), 2),
+    (fc.make_constellation("qam64", 1), designs.Fading(variance=2.0), 2),
+    (fc.make_constellation("qam16", 1), designs.Fading(variance=0.5, mean=1.0 - 0.5j), 2),
     (fc.make_constellation("custom", 1, points=np.exp(0.25j * np.pi * np.arange(8))),
-     designs.RayleighFading(variance=2.0), 1),
+     designs.Fading(variance=2.0), 1),
 ]
 
 
@@ -506,7 +506,7 @@ def test_bank_holds_no_pair_table():
     """A non-grid 64-point set is one factor of 64 points; its bank keeps
     |h|^2 once and stays below half of one (Q, Q, C) float table (42 MB)."""
     assert PSK64.grid_levels is None
-    subs = [designs.SubchannelSpec(PSK64, designs.RayleighFading(variance=1.0))]
+    subs = [designs.SubchannelSpec(PSK64, designs.Fading(variance=1.0))]
     mc_cfg = McConfig(channel_draws=1280, noise_draws_per_channel=4)
     peak = _traced_peak(lambda: designs._subchannel_banks(subs, mc_cfg))
     assert peak < 0.5 * PSK64.m * PSK64.m * mc_cfg.channel_draws * 8
@@ -516,7 +516,7 @@ def test_bank_half_copies_no_table():
     """Evaluating half of a bank reads views of its channel-indexed tables:
     at peak it holds its (Q, C/2, N) weight buffer (64 points, 1 MB) and
     less than half of a second such block, not a copy of the noise table."""
-    subs = [designs.SubchannelSpec(PSK64, designs.RayleighFading(variance=1.0))]
+    subs = [designs.SubchannelSpec(PSK64, designs.Fading(variance=1.0))]
     mc_cfg = McConfig(channel_draws=64, noise_draws_per_channel=64)
     bank = designs._subchannel_banks(subs, mc_cfg)[0]
     block = PSK64.m * (mc_cfg.channel_draws // 2) * mc_cfg.noise_draws_per_channel * 8
@@ -578,7 +578,7 @@ def test_exp_floor_leaves_kernel_stats_unchanged(monkeypatch, name, snr_db):
 
 def test_exp_floor_leaves_bank_mi_unchanged(monkeypatch):
     sub = designs.SubchannelSpec(fc.make_constellation("qpsk", 1),
-                                 designs.RayleighFading(variance=4.0))
+                                 designs.Fading(variance=4.0))
     bank = designs._subchannel_banks([sub], McConfig(channel_draws=160,
                                                      noise_draws_per_channel=16))[0]
     snr, powers = 100.0, (0.5, 1.0, 1.5)
@@ -843,8 +843,8 @@ QPSK_2 = fc.make_constellation("qpsk", 2)
 QAM16 = fc.make_constellation("qam16", 1)
 QAM16_2 = fc.make_constellation("qam16", 2)
 PALLOC_SUBS = [designs.SubchannelSpec(fc.make_constellation("qpsk", 1),
-                                      designs.RayleighFading(variance=4.0)),
-               designs.SubchannelSpec(QAM16, designs.RiceanFading(mean=1.0, variance=0.5))]
+                                      designs.Fading(variance=4.0)),
+               designs.SubchannelSpec(QAM16, designs.Fading(variance=0.5, mean=1.0))]
 BATCH_CFG = McConfig(channel_draws=30, noise_draws_per_channel=6, seed=5, parallel_chunks=3)
 
 BATCHED_ESTIMATORS = {

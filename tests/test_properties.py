@@ -98,7 +98,7 @@ def test_factorised_bank_matches_joint_kernel(levels, seed, power, snr_db):
     re, im = levels
     assume(re.size * im.size >= 2)
     c = _custom(_grid_points(re, im, seed))
-    sub = designs.SubchannelSpec(c, designs.RayleighFading(variance=1.0))
+    sub = designs.SubchannelSpec(c, designs.Fading(variance=1.0))
     mc_cfg = mc.McConfig(channel_draws=8, noise_draws_per_channel=6, seed=seed,
                          parallel_chunks=2)
     bank = designs._subchannel_banks([sub], mc_cfg)[0]
