@@ -385,13 +385,18 @@ def precoder_objective(z, channel: CanonicalRayleigh | CorrelatedRayleigh,
 
 
 def _project_trace_psd(z: np.ndarray, budget: float) -> np.ndarray:
-    """Clamp negative eigenvalues, then scale onto the trace budget."""
+    """Euclidean projection onto {Z PSD, tr Z <= budget}: the eigenvalues
+    go onto the capped simplex, shifted down by the threshold tau >= 0 that
+    meets the budget and clamped at 0.  (Rescaling them onto the budget
+    instead is not the projection: its fixed points have gradient
+    proportional to Z, not to I.)"""
     z = 0.5 * (z + z.conj().T)
     w, v = np.linalg.eigh(z)
+    if np.maximum(w, 0.0).sum() > budget:
+        desc = w[::-1]
+        tau = (np.cumsum(desc) - budget) / np.arange(1, w.size + 1)
+        w = w - tau[np.flatnonzero(desc > tau)[-1]]
     w = np.maximum(w, 0.0)
-    total = w.sum()
-    if total > budget:
-        w *= budget / total
     return (v * w) @ v.conj().T
 
 

@@ -264,6 +264,34 @@ def test_precoder_correlated_convexity_probes():
         assert val >= report.objective - 1e-6
 
 
+# a skewed 4-point set on which rescaling the eigenvalues onto the budget,
+# in place of the Euclidean projection, never converged at n_r = 1
+SKEW4_RAW = np.array([[-0.5 + 0.6j, -0.1 - 0.6j], [0.3 - 0.7j, -0.3 + 2.0j],
+                      [-1.9 + 0.8j, -0.1 + 1.8j], [0.2 + 2.1j, 1.1 - 0.8j]])
+SKEW4 = fc.make_constellation(
+    "custom", 2, points=SKEW4_RAW / np.sqrt(np.mean(np.sum(np.abs(SKEW4_RAW) ** 2, axis=1))))
+
+
+@pytest.mark.parametrize("c,n_r,optimum", [(QPSK2, 2, 104.658498648),
+                                           (SKEW4, 1, 7.500101882)],
+                         ids=["qpsk", "skew4"])
+def test_precoder_correlated_meets_kkt_at_interior_optimum(c, n_r, optimum):
+    """At an interior optimum of f over {Z PSD, tr Z <= P} the gradient is a
+    multiple of I (KKT).  The gradient is formed here from the ordered pairs;
+    the optima come from an independent BFGS over Z = L L^+ scaled to P."""
+    prec, report = designs.optimal_precoder(fc.CorrelatedRayleigh(THETA_T, np.eye(n_r)),
+                                            c, 2.0)
+    z = prec.gram
+    assert np.min(np.linalg.eigvalsh(z)) > 0.1
+    from fadecap.model import hermitian_sqrt, ordered_pair_differences
+    w = ordered_pair_differences(c) @ hermitian_sqrt(THETA_T).T
+    forms = np.real(np.einsum("pi,ij,pj->p", w.conj(), z, w))
+    grad = np.einsum("p,pi,pj->ij", -n_r * forms ** (-n_r - 1.0), w, w.conj())
+    iso = np.trace(grad).real / c.n_t * np.eye(c.n_t)
+    assert np.linalg.norm(grad - iso) <= 1e-4 * np.linalg.norm(grad)
+    assert report.objective == pytest.approx(optimum, rel=1e-9)
+
+
 def test_precoder_correlated_rejects_degenerate_transmit_correlation():
     channel = fc.CorrelatedRayleigh(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
     with pytest.raises(ValueError, match="singular"):
