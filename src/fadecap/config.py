@@ -4,12 +4,13 @@ Every command takes a single YAML document.  Validation is strict: unknown
 keys are rejected and every error names the offending field path, so a
 config typo fails fast instead of silently running the wrong experiment.
 Complex scalars are written as plain reals or as two-element [re, im]
-lists.
+lists, and every number must be finite.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from contextlib import contextmanager
 from typing import Any
 
@@ -71,6 +72,8 @@ def _require_keys(obj: dict, path: str, required: set[str], optional: set[str] =
 def _number(obj, path, positive=False):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(path, "expected a number")
+    if not math.isfinite(obj):
+        raise ConfigError(path, "must be finite")
     if positive and obj <= 0:
         raise ConfigError(path, "must be positive")
     return float(obj)
@@ -85,12 +88,12 @@ def _int(obj, path, minimum=None):
 
 
 def _complex_scalar(obj, path) -> complex:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(obj)
-    if isinstance(obj, list) and len(obj) == 2 \
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
-        return complex(obj[0], obj[1])
-    raise ConfigError(path, "expected a real number or [re, im] pair")
+    parts = obj if isinstance(obj, list) and len(obj) == 2 else [obj]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+        raise ConfigError(path, "expected a real number or [re, im] pair")
+    if not all(math.isfinite(v) for v in parts):
+        raise ConfigError(path, "must be finite")
+    return complex(*parts)
 
 
 def _complex_vector(obj, path) -> np.ndarray:

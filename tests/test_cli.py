@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import yaml
 import fadecap
 from fadecap import designs
 from fadecap.cli import main
+from fadecap.config import validate_command_config
 
 CURVE_CFG = {
     "kind": "mi",
@@ -362,6 +364,35 @@ def test_precode_ricean_channel_config_error(tmp_path, capsys):
                                        "variant 'ricean' (rayleigh | correlated)\n")
 
 
+PALLOC_2SUB = {
+    "budget": 2.0,
+    "snr_db": 20,
+    "numeric": False,
+    "subchannels": [{"family": "qpsk", "fading": {"kind": "rayleigh", "variance": 4.0}},
+                    {"family": "qam16", "fading": {"kind": "rayleigh", "variance": 0.5}}],
+    "mc": {"channel_draws": 40, "noise_draws": 4, "chunks": 2},
+}
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command,doc,field", [
+    ("palloc", dict(PALLOC_2SUB, budget=NAN), "budget"),
+    ("palloc", dict(PALLOC_2SUB, snr_db=NAN), "snr_db"),
+    ("palloc", dict(PALLOC_2SUB, budget=INF), "budget"),
+    ("palloc", dict(PALLOC_2SUB, subchannels=[
+        {"family": "qpsk", "fading": {"kind": "ricean", "mean": [1.0, NAN], "variance": 1.0}},
+        PALLOC_2SUB["subchannels"][1]]), "subchannels[0].fading.mean"),
+    ("curve", dict(CURVE_CFG, snr_db={"start": 0, "stop": INF, "step": 5}), "snr_db.stop"),
+    ("precode", dict(correlated_precode_doc([[1.0, 0.5], [0.5, 1.0]]), p_total=INF), "p_total"),
+], ids=["palloc-budget-nan", "palloc-snr-nan", "palloc-budget-inf", "palloc-mean-nan",
+        "curve-stop-inf", "precode-p-total-inf"])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, doc, field):
+    out = tmp_path / "o.csv"
+    assert run([command, "--config", write_cfg(tmp_path, doc), "--seed", 1, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: config field '{field}': must be finite\n"
+    assert not out.exists()
+
+
 def test_precode_non_unit_diagonal_theta_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, correlated_precode_doc([[2.0, 0.5], [0.5, 2.0]]))
     assert run(["precode", "--config", cfg, "--seed", 1]) == 2
@@ -618,3 +649,13 @@ def test_curve_non_finite_estimate_names_snr_point(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert "snr_db=10" in err
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("command", ["curve", "offsets", "palloc", "precode"])
+def test_readme_config_example_validates(command):
+    """The README's example config for each command passes validation, so
+    an example left stale by a schema change fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"\n### {command} -- ", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    validate_command_config(command, yaml.safe_load(block), seed=0)
