@@ -385,11 +385,11 @@ def precoder_objective(z, channel: CanonicalRayleigh | CorrelatedRayleigh,
 
 
 def _project_trace_psd(z: np.ndarray, budget: float) -> np.ndarray:
-    """Euclidean projection onto {Z PSD, tr Z <= budget}: the eigenvalues
-    go onto the capped simplex, shifted down by the threshold tau >= 0 that
-    meets the budget and clamped at 0.  (Rescaling them onto the budget
-    instead is not the projection: its fixed points have gradient
-    proportional to Z, not to I.)"""
+    """Euclidean projection onto {Z PSD, tr Z <= budget}: shift the
+    eigenvalues down by the simplex threshold tau >= 0 that meets the
+    budget, then clamp them at 0.  Only the projection makes the fixed
+    points of the gradient step the KKT points (a rescaling onto the budget
+    stalls where the gradient is proportional to Z, not to I)."""
     z = 0.5 * (z + z.conj().T)
     w, v = np.linalg.eigh(z)
     if np.maximum(w, 0.0).sum() > budget:
