@@ -79,6 +79,21 @@ def _number(obj, path, positive=False):
     return float(obj)
 
 
+def _snr_db(obj, path):
+    """The linear SNR 10^(dB/10) of the dB number at `path`, or of an array
+    of checked dB numbers listed at `path`; a value whose linear SNR
+    overflows or underflows is a ConfigError naming its field."""
+    # a NumPy scalar overflows to inf like an array, with a Python float's pow
+    db = obj if isinstance(obj, np.ndarray) else np.float64(_number(obj, path))
+    with np.errstate(over="ignore", under="ignore"):
+        snr = 10.0 ** (db / 10.0)
+    bad = np.flatnonzero(~np.isfinite(snr) | (snr <= 0))
+    if bad.size:
+        raise ConfigError(path if np.ndim(db) == 0 else f"{path}[{bad[0]}]",
+                          "dB value out of range: its linear SNR is 0 or not finite")
+    return snr
+
+
 def _int(obj, path, minimum=None):
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise ConfigError(path, "expected an integer")
@@ -182,7 +197,7 @@ def build_snr_grid(obj, path) -> SnrGrid:
             if not isinstance(pts, list) or not pts:
                 raise ConfigError(f"{path}.points", "expected a nonempty list of dB values")
             db = np.array([_number(v, f"{path}.points[{k}]") for k, v in enumerate(pts)])
-            return SnrGrid(points=10.0 ** (db / 10.0))
+            return SnrGrid(points=_snr_db(db, f"{path}.points"))
         _require_keys(obj, path, {"start", "stop", "step"})
         return SnrGrid.from_db(_number(obj["start"], f"{path}.start"),
                                _number(obj["stop"], f"{path}.stop"),
@@ -276,7 +291,7 @@ def validate_command_config(command: str, doc: dict, seed: int) -> dict[str, Any
             })
         return {
             "systems": built,
-            "anchor_snr": 10.0 ** (_number(doc["anchor_snr_db"], "anchor_snr_db") / 10.0),
+            "anchor_snr": _snr_db(doc["anchor_snr_db"], "anchor_snr_db"),
             "mc": build_mc(doc.get("mc"), "mc", seed),
         }
     if command == "palloc":
@@ -290,7 +305,7 @@ def validate_command_config(command: str, doc: dict, seed: int) -> dict[str, Any
             raise ConfigError("numeric", "expected a boolean")
         return {
             "budget": _number(doc["budget"], "budget", positive=True),
-            "snr": 10.0 ** (_number(doc["snr_db"], "snr_db") / 10.0),
+            "snr": _snr_db(doc["snr_db"], "snr_db"),
             "subchannels": subs,
             "numeric": numeric,
             "mc": build_mc(doc.get("mc"), "mc", seed),
@@ -325,7 +340,7 @@ def validate_command_config(command: str, doc: dict, seed: int) -> dict[str, Any
             conf_obj = doc["confirm_pe"]
             _require_keys(conf_obj, "confirm_pe", {"snr_db"}, {"mc"})
             confirm = {
-                "snr": 10.0 ** (_number(conf_obj["snr_db"], "confirm_pe.snr_db") / 10.0),
+                "snr": _snr_db(conf_obj["snr_db"], "confirm_pe.snr_db"),
                 "mc": build_mc(conf_obj.get("mc"), "confirm_pe.mc", seed),
             }
         return {

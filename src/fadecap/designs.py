@@ -97,8 +97,8 @@ class PowerAllocation:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        if np.any(p < -BUDGET_TOL):
-            raise ValueError("powers must be nonnegative")
+        if not np.all(np.isfinite(p) & (p >= -BUDGET_TOL)):
+            raise ValueError("powers must be finite and nonnegative")
         if p.sum() > self.budget * (1.0 + BUDGET_TOL):
             raise ValueError("allocation exceeds the budget")
         object.__setattr__(self, "p", np.maximum(p, 0.0))
@@ -118,13 +118,16 @@ def palloc_highsnr(subs: Sequence[SubchannelSpec], budget: float) -> PowerAlloca
     Stronger subchannels (larger fading variance) get less power: they
     already close their capacity gap faster.  A line-of-sight mean mu_k
     damps the weight, so it diverts power to the other subchannels; at
-    mu_k = 0 the factor is exactly 1 (the Rayleigh rule).
+    mu_k = 0 the factor is exactly 1 (the Rayleigh rule).  Exponents count
+    from the smallest (0 with any Rayleigh subchannel), so the largest
+    factor is 1 and strong lines of sight cannot underflow every weight.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    w = np.array([np.exp(-abs(complex(s.fading.mean)) ** 2 / (2.0 * s.fading.variance))
-                  / np.sqrt(_mean_pair_energy(s.constellation) * s.fading.variance)
-                  for s in subs])
+    los = np.array([abs(complex(s.fading.mean)) ** 2 / (2.0 * s.fading.variance)
+                    for s in subs])
+    w = np.exp(-(los - los.min())) / np.sqrt(
+        [_mean_pair_energy(s.constellation) * s.fading.variance for s in subs])
     p = budget * w / w.sum()
     return PowerAllocation(p=p, budget=budget)
 
@@ -173,41 +176,36 @@ def _subchannel_banks(subs: Sequence[SubchannelSpec], cfg: mc.McConfig):
     return banks
 
 
-def _bank_mi(snr: float, bank, power: float, rows: slice = slice(None)) -> float:
-    """Average mutual information of one subchannel over the channel `rows`
-    of its bank, read as views: the sum over factors of Q points of log Q
-    (log M in all) minus the mean lse."""
-    if power <= 0.0:
-        return 0.0
-    scale = snr * power
-    root = 2.0 * np.sqrt(scale)
+def _bank_mi(snr: float, bank, power: float) -> np.ndarray:
+    """Mutual information of one subchannel on each channel c of its bank,
+    (C,): the sum over factors of Q points of log Q (log M in all) minus
+    the mean lse over c's noise draws.  Every bank's row c is draw c."""
     factors, h2 = bank
-    h2 = h2[rows]
-    mi = 0.0
+    mi = np.zeros(h2.size)
+    if power <= 0.0:
+        return mi
+    scale = snr * power
     for d2, base_g in factors:
-        base_g = base_g[:, rows]
         q = base_g.shape[0]
+        g2 = base_g * (2.0 * np.sqrt(scale))
         buf = np.empty(base_g.shape)
-        lse_total = 0.0
+        lse = np.zeros(h2.size)
         for i in range(q):
-            a_max = mc._shifted_weights(base_g, scale * (d2[i][:, None] * h2), i, buf, root)
-            lse_total += float(np.mean(a_max + np.log(buf.sum(axis=0))))
-        mi += np.log(q) - lse_total / q
-    return float(mi)
+            a_max = mc._shifted_weights(g2, scale * (d2[i][:, None] * h2), i, buf)
+            lse += np.mean(a_max + np.log(buf.sum(axis=0)), axis=1)
+        mi += np.log(q) - lse / q
+    return mi
 
 
-def _coordinate_search(objective, p0: np.ndarray, budget: float,
-                       sweeps: int = 4, tol: float = 1e-3):
+def _coordinate_search(objective, p0: np.ndarray, budget: float, tol: float = 1e-3):
     """Pairwise power transfers with golden-section line search on a
     deterministic (bank-backed) objective; stays on the simplex sum p = P.
-    A single sweep resolves the two-subchannel case exactly."""
+    One sweep resolves two subchannels exactly; more take up to 4."""
     gold = (np.sqrt(5.0) - 1.0) / 2.0
     p = p0.copy()
     best = objective(p)
     k_sub = p.size
-    if k_sub == 2:
-        sweeps = 1
-    for _ in range(sweeps):
+    for _ in range(1 if k_sub == 2 else 4):
         moved = 0.0
         for a in range(k_sub):
             for b in range(a + 1, k_sub):
@@ -253,7 +251,8 @@ def subchannel_capacities(subs: Sequence[SubchannelSpec], allocations, snr: floa
     if any(p.size != len(subs) for p in allocations):
         raise ValueError("power vector length must match the subchannel count")
     banks = _subchannel_banks(subs, cfg)
-    return [[_bank_mi(snr, bank, pk) for bank, pk in zip(banks, p)] for p in allocations]
+    return [[float(_bank_mi(snr, bank, pk).mean()) for bank, pk in zip(banks, p)]
+            for p in allocations]
 
 
 def palloc_numeric(subs: Sequence[SubchannelSpec], budget: float, snr: float,
@@ -262,10 +261,12 @@ def palloc_numeric(subs: Sequence[SubchannelSpec], budget: float, snr: float,
 
     Limited to 4 subchannels.  Uses one frozen draw bank per subchannel
     (common random numbers) so candidate allocations are compared on the
-    same randomness, then resolves the optimum by pairwise golden-section
-    transfers.  The result is flagged low-confidence when two half-bank
-    optimizations disagree by more than 5% of the budget, i.e. when the MC
-    noise is comparable to the objective differences.
+    same randomness, then resolves the optimum p by one search of pairwise
+    golden-section transfers.  The result is flagged low-confidence when the
+    MC noise is comparable to the objective differences: when C < 2, or when
+    for some transfer of t = 5% of the budget the per-channel summed capacity
+    loss D has mean(D) < std(D)/sqrt(C).  As mean(D) ~ kappa t^2/2 and se(D)
+    ~ t se(J'), with kappa the curvature, that is se(p) = se(J')/kappa > t/2.
     """
     if not 1 <= len(subs) <= 4:
         raise ValueError("numeric allocation supports 1 to 4 subchannels")
@@ -276,23 +277,20 @@ def palloc_numeric(subs: Sequence[SubchannelSpec], budget: float, snr: float,
 
     banks = _subchannel_banks(subs, cfg)
 
-    def objective_on(rows):
-        def obj(p):
-            if np.any(p < 0):
-                return -np.inf
-            return sum(_bank_mi(snr, bank, pk, rows) for bank, pk in zip(banks, p))
-        return obj
+    def objective(p):
+        if np.any(p < 0):
+            return -np.inf
+        return sum(_bank_mi(snr, bank, pk).mean() for bank, pk in zip(banks, p))
 
     p0 = np.full(len(subs), budget / len(subs))
-    p_opt, _ = _coordinate_search(objective_on(slice(None)), p0, budget)
-
-    halves = []
-    if cfg.channel_draws >= 16:
-        c_half = cfg.channel_draws // 2
-        for rows in (slice(0, c_half), slice(c_half, None)):
-            p_half, _ = _coordinate_search(objective_on(rows), p0, budget, sweeps=2)
-            halves.append(p_half)
-    flagged = bool(halves and np.max(np.abs(halves[0] - halves[1])) > 0.05 * budget)
+    p_opt, _ = _coordinate_search(objective, p0, budget)
+    t, n_ch = 0.05 * budget, cfg.channel_draws
+    at, up, down = (np.array([_bank_mi(snr, bank, pk + dp) for bank, pk in zip(banks, p_opt)])
+                    for dp in (0.0, t, -t))                       # (K, C) each
+    loss = (at - up)[:, None] + (at - down)[None, :]   # (a, b, C): t moved from b to a
+    moves = (p_opt >= t)[None, :] & ~np.eye(len(subs), dtype=bool)
+    flagged = n_ch < 2 or bool(np.any(
+        (loss.mean(axis=2) < loss.std(axis=2, ddof=1) / np.sqrt(n_ch))[moves]))
     return PowerAllocation(p=p_opt, budget=budget, flagged=flagged)
 
 

@@ -135,19 +135,18 @@ def chunk_rngs(seed: int, chunks: int, streams: int = 2) -> list[tuple[np.random
 # core kernel
 # ---------------------------------------------------------------------------
 
-def _shifted_weights(g2: np.ndarray, nsq_i: np.ndarray, i: int, out: np.ndarray,
-                     gain: float = 1.0) -> np.ndarray:
+def _shifted_weights(g2: np.ndarray, nsq_i: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
     """Max-shifted exponential weights for true hypothesis i, hypothesis-first.
 
-    g2    : (M, C, N) per-hypothesis noise terms, g2[k] ~ 2 Re<r_k, n>
+    g2    : (M, C, N) per-hypothesis noise terms, g2[k] ~ 2 Re<r_k, n>, at
+            the scale of the points (callers scale their tables before the
+            loop over i, not once per hypothesis)
     nsq_i : (M, C) squared distances ||r_i - r_k||^2 at the same scale
     Fills ``out`` (M, C, N) with exp(max(A_k - max_k A_k, EXP_FLOOR)), where
-    A_k = gain * (g2[k] - g2[i]) - nsq_i[k], and returns the (C, N) max.
+    A_k = g2[k] - g2[i] - nsq_i[k], and returns the (C, N) max.
     Reductions over k then run as M elementwise passes over (C, N) slabs.
     """
     np.subtract(g2, g2[i], out=out)
-    if gain != 1.0:
-        out *= gain
     out -= nsq_i[:, :, None]
     a_max = out.max(axis=0)
     out -= a_max

@@ -48,6 +48,8 @@ NORM_TOL = 1e-9
 # builds an (M, M, n_t) table: qam256 over two antennas (M = 65536) would need
 # ~137 GB.
 MAX_POINTS = 4096
+# Largest SNR grid accepted; every point is a Monte Carlo run in `curve`.
+MAX_SNR_POINTS = 1000
 # Entries per row block of the nearest-point search's distance table (1 MB).
 DISTINCT_BLOCK = 2 ** 17
 
@@ -475,10 +477,10 @@ class SnrGrid:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).ravel()
-        if pts.size == 0:
-            raise ValueError("empty SNR grid")
-        if np.any(pts <= 0):
-            raise ValueError("SNR values must be positive")
+        if not 1 <= pts.size <= MAX_SNR_POINTS:
+            raise ValueError(f"SNR grid needs 1 to {MAX_SNR_POINTS} points, got {pts.size}")
+        if not np.all((pts > 0) & np.isfinite(pts)):
+            raise ValueError("SNR values must be positive and finite")
         if np.any(np.diff(pts) <= 0):
             raise ValueError("SNR grid must be strictly increasing")
         object.__setattr__(self, "points", pts)
@@ -487,11 +489,12 @@ class SnrGrid:
     def from_db(cls, start_db: float, stop_db: float, step_db: float = 1.0) -> "SnrGrid":
         if step_db <= 0:
             raise ValueError("step_db must be positive")
-        n = int(np.floor((stop_db - start_db) / step_db + 1e-9)) + 1
-        if n < 1:
-            raise ValueError("empty dB range")
-        db = start_db + step_db * np.arange(n)
-        return cls(points=db_to_linear(db))
+        n = np.floor((stop_db - start_db) / step_db + 1e-9) + 1
+        if not 1 <= n <= MAX_SNR_POINTS:     # before the grid is allocated
+            raise ValueError(f"dB range needs 1 to {MAX_SNR_POINTS} points, got {n:g}")
+        db = start_db + step_db * np.arange(int(n))
+        with np.errstate(over="ignore"):    # an overflow is rejected as non-finite
+            return cls(points=db_to_linear(db))
 
     @property
     def db(self) -> np.ndarray:

@@ -393,6 +393,22 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, doc, fie
     assert not out.exists()
 
 
+def test_palloc_strong_lines_of_sight_stay_finite(tmp_path):
+    """Two Ricean subchannels with means 40 and 50 at variance 1 underflow
+    both line-of-sight factors; the split is still finite and uses the
+    whole budget."""
+    doc = dict(PALLOC_2SUB, subchannels=[
+        {"family": "qam16", "fading": {"kind": "ricean", "mean": mean, "variance": 1.0}}
+        for mean in (40, 50)])
+    out = tmp_path / "palloc.csv"
+    assert run(["palloc", "--config", write_cfg(tmp_path, doc), "--seed", 1,
+                "--out", out]) == 0
+    _, _, rows = read_csv(out)
+    p = np.array([float(r[1]) for r in rows])
+    assert np.all(np.isfinite(p))
+    assert p.sum() == pytest.approx(2.0, rel=1e-9)
+
+
 def test_precode_non_unit_diagonal_theta_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, correlated_precode_doc([[2.0, 0.5], [0.5, 2.0]]))
     assert run(["precode", "--config", cfg, "--seed", 1]) == 2
@@ -510,6 +526,45 @@ def test_curve_flags_pre_asymptotic_request(tmp_path):
     out = tmp_path / "flagged.csv"
     assert run(["curve", "--config", cfg, "--seed", 8, "--out", out]) == 4
     assert any("flagged" in m for m in read_csv(out)[0])
+
+
+OFFSETS_DOC = {
+    "anchor_snr_db": 20,
+    "systems": [{"constellation": {"family": "bpsk", "n_t": 1},
+                 "channel": {"variant": "rayleigh", "n_r": 1}}],
+    "mc": {"channel_draws": 40, "noise_draws": 4, "chunks": 2},
+}
+
+
+@pytest.mark.parametrize("command,doc,field", [
+    ("palloc", dict(PALLOC_2SUB, snr_db=4000), "snr_db"),
+    ("palloc", dict(PALLOC_2SUB, snr_db=-4000), "snr_db"),
+    ("offsets", dict(OFFSETS_DOC, anchor_snr_db=4000), "anchor_snr_db"),
+    ("stcode", dict(alamouti_repetition_doc(), confirm_pe={"snr_db": 4000}),
+     "confirm_pe.snr_db"),
+    ("curve", dict(CURVE_CFG, snr_db={"points": [10, 4000]}), "snr_db.points[1]"),
+], ids=["palloc-overflow", "palloc-underflow", "offsets-anchor", "stcode-confirm",
+        "curve-points"])
+def test_snr_db_out_of_range_is_a_config_error(tmp_path, capsys, command, doc, field):
+    """A dB value whose linear SNR is not a positive finite number fails
+    validation, before any Monte Carlo runs."""
+    out = tmp_path / "o.csv"
+    assert run([command, "--config", write_cfg(tmp_path, doc), "--seed", 1, "--out", out]) == 2
+    assert capsys.readouterr().err == (f"error: config field '{field}': dB value out of "
+                                       "range: its linear SNR is 0 or not finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr_db,message", [
+    ({"start": 0, "stop": 1e6, "step": 1}, "dB range needs 1 to 1000 points, got 1e+06"),
+    ({"start": 0, "stop": 4000, "step": 10}, "SNR values must be positive and finite"),
+], ids=["oversized", "overflow"])
+def test_snr_grid_range_is_a_config_error(tmp_path, capsys, snr_db, message):
+    """An oversized dB range is rejected before its grid is allocated, and
+    a range reaching past the largest float is rejected as non-finite."""
+    doc = dict(CURVE_CFG, snr_db=snr_db)
+    assert run(["curve", "--config", write_cfg(tmp_path, doc), "--seed", 1]) == 2
+    assert capsys.readouterr().err == f"error: config field 'snr_db': {message}\n"
 
 
 def test_stcode_confirm_pe(tmp_path):

@@ -1,5 +1,9 @@
 """Power allocation, precoders and space-time code ranking."""
 
+import importlib.util
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from fadecap.asymptotics import EIG_ZERO_REL
 from fadecap.mc import McConfig
 
 QAM16 = fc.make_constellation("qam16", 1)
+QPSK = fc.make_constellation("qpsk", 1)
 QPSK2 = fc.make_constellation("qpsk", 2)
 
 
@@ -83,6 +88,24 @@ def test_palloc_mixed_fading_one_rule():
     assert alloc.p.sum() == pytest.approx(2.0, abs=1e-12)
 
 
+def test_palloc_strong_lines_of_sight_stay_finite():
+    """Means 40 and 50 at variance 1 underflow the factors exp(-800) and
+    exp(-1250) to 0; relative to the smaller exponent they are 1 and
+    exp(-450), so the split is finite and all but exp(-450) of it goes to
+    the first subchannel."""
+    subs = [designs.SubchannelSpec(QAM16, designs.Fading(1.0, mean)) for mean in (40.0, 50.0)]
+    alloc = designs.palloc_highsnr(subs, 2.0)
+    assert np.all(np.isfinite(alloc.p))
+    assert alloc.p.sum() == pytest.approx(2.0, abs=1e-12)
+    assert alloc.p[1] / alloc.p[0] == pytest.approx(np.exp(-450.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [[np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0]])
+def test_power_allocation_rejects_non_finite_powers(p):
+    with pytest.raises(ValueError, match="powers must be finite"):
+        designs.PowerAllocation(p=np.array(p), budget=2.0)
+
+
 def test_palloc_matches_waterline_bisection_oracle():
     """The closed form is the exact argmin of sum c_k / p_k with
     c_k = weight_k^2; the oracle solves the stationarity condition
@@ -138,6 +161,60 @@ def test_palloc_numeric_validation():
         designs.palloc_numeric(ray_subs([1.0] * 5), 1.0, 10.0, McConfig())
     with pytest.raises(ValueError):
         designs.palloc_numeric(ray_subs([1.0]), -1.0, 10.0, McConfig())
+
+
+PALLOC_2SUB = [designs.SubchannelSpec(QPSK, designs.Fading(4.0)),
+               designs.SubchannelSpec(QAM16, designs.Fading(0.5))]
+
+
+def test_palloc_numeric_runs_one_search(monkeypatch):
+    """The optimum and its low-confidence flag come from one search on the
+    full bank."""
+    calls = []
+    search = designs._coordinate_search
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(designs, "_coordinate_search", counted)
+    designs.palloc_numeric(PALLOC_2SUB, 2.0, 100.0,
+                           McConfig(channel_draws=64, noise_draws_per_channel=4, seed=1))
+    assert len(calls) == 1
+
+
+def test_palloc_numeric_resolution_flag():
+    """Two equal qpsk subchannels leave the summed capacity flat near the
+    optimum, and 200 x 8 draws cannot tell it from a transfer of 5% of the
+    budget; the palloc-2sub subchannels at 1280 x 16 draws can.  At 0 dB a
+    subchannel of variance 0.001 gets almost nothing (0.0007 of 2), and a
+    transfer of 5% from it is no move at all.  A single channel has no
+    standard error and is always flagged."""
+    equal = [designs.SubchannelSpec(QPSK, designs.Fading(2.0))] * 2
+    assert designs.palloc_numeric(equal, 2.0, 100.0,
+                                  McConfig(channel_draws=200, noise_draws_per_channel=8,
+                                           seed=1)).flagged
+    corner = designs.palloc_numeric([equal[0], designs.SubchannelSpec(QPSK, designs.Fading(1e-3))],
+                                    2.0, 1.0, McConfig(channel_draws=400,
+                                                       noise_draws_per_channel=8, seed=1))
+    assert corner.p[1] < 0.05 * 2.0 and not corner.flagged
+    assert not designs.palloc_numeric(PALLOC_2SUB, 2.0, 100.0,
+                                      McConfig(channel_draws=1280, noise_draws_per_channel=16,
+                                               seed=1)).flagged
+    assert designs.palloc_numeric(PALLOC_2SUB, 2.0, 100.0,
+                                  McConfig(channel_draws=1, noise_draws_per_channel=16,
+                                           seed=1, parallel_chunks=1)).flagged
+
+
+def test_perfbench_search_tol_is_the_search_default():
+    """perfbench's palloc margin (`checks.SEARCH_TOL`) is derived from the
+    coordinate search's resolution, so the two must not drift apart."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    tol = inspect.signature(designs._coordinate_search).parameters["tol"].default
+    assert checks.SEARCH_TOL == tol
 
 
 def test_subchannel_capacities_monotone_in_power():

@@ -437,11 +437,11 @@ BANK_CASES = [
 
 def test_bank_mi_matches_kernel_stats():
     """The power-allocation banks and the joint MC kernel agree: on the
-    banks' own draws, _bank_mi equals log M - mean(lse) of kernel_stats on
-    all M points, over all channels and over each half of them."""
+    banks' own draws, _bank_mi on each channel equals log M minus that
+    channel's mean lse over its noise draws from kernel_stats on all M
+    points."""
     mc_cfg = McConfig(channel_draws=64, noise_draws_per_channel=12, seed=17, parallel_chunks=3)
     snr, power = 30.0, 0.7
-    half = mc_cfg.channel_draws // 2
     subs = [designs.SubchannelSpec(c, fading) for c, fading, _ in BANK_CASES]
     banks = designs._subchannel_banks(subs, mc_cfg)
     h, noise = _bank_draws(subs, mc_cfg)
@@ -449,10 +449,9 @@ def test_bank_mi_matches_kernel_stats():
         assert len(banks[k][0]) == n_factors
         received = np.sqrt(snr * power) * h[:, k, None, None] * c.points[None]
         _, lse, _ = kernel_stats(received, noise[:, :, k, None], snr * power)
-        for rows in (slice(None), slice(0, half), slice(half, None)):
-            expected = c.log_m - np.mean(lse[rows])
-            got = designs._bank_mi(snr, banks[k], power, rows)
-            assert got == pytest.approx(expected, rel=1e-12)
+        got = designs._bank_mi(snr, banks[k], power)
+        assert got.shape == (mc_cfg.channel_draws,)
+        assert got == pytest.approx(c.log_m - np.mean(lse, axis=1), rel=1e-12)
 
 
 def _traced_peak(fn):
@@ -512,17 +511,16 @@ def test_bank_holds_no_pair_table():
     assert peak < 0.5 * PSK64.m * PSK64.m * mc_cfg.channel_draws * 8
 
 
-def test_bank_half_copies_no_table():
-    """Evaluating half of a bank reads views of its channel-indexed tables:
-    at peak it holds its (Q, C/2, N) weight buffer (64 points, 1 MB) and
-    less than half of a second such block, not a copy of the noise table."""
+def test_bank_mi_holds_two_tables():
+    """One bank evaluation holds its (Q, C, N) weight buffer and the noise
+    table scaled to the candidate power (64 points, 2 MB each), and less
+    than half of a third such block at peak."""
     subs = [designs.SubchannelSpec(PSK64, designs.Fading(variance=1.0))]
     mc_cfg = McConfig(channel_draws=64, noise_draws_per_channel=64)
     bank = designs._subchannel_banks(subs, mc_cfg)[0]
-    block = PSK64.m * (mc_cfg.channel_draws // 2) * mc_cfg.noise_draws_per_channel * 8
-    for rows in (slice(0, 32), slice(32, None)):
-        peak = _traced_peak(lambda: designs._bank_mi(100.0, bank, 1.0, rows))
-        assert block <= peak < 1.5 * block
+    block = PSK64.m * mc_cfg.channel_draws * mc_cfg.noise_draws_per_channel * 8
+    peak = _traced_peak(lambda: designs._bank_mi(100.0, bank, 1.0))
+    assert 2 * block <= peak < 2.5 * block
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +530,8 @@ def test_bank_half_copies_no_table():
 def _unfloored_weights(lowest):
     """The logit step without the floor; appends each call's lowest shifted
     logit to `lowest`."""
-    def shifted_weights(g2, nsq_i, i, out, gain=1.0):
+    def shifted_weights(g2, nsq_i, i, out):
         np.subtract(g2, g2[i], out=out)
-        if gain != 1.0:
-            out *= gain
         out -= nsq_i[:, :, None]
         a_max = out.max(axis=0)
         out -= a_max
@@ -585,7 +581,8 @@ def test_exp_floor_leaves_bank_mi_unchanged(monkeypatch):
     floored = [designs._bank_mi(snr, bank, p) for p in powers]
     lowest = []
     monkeypatch.setattr(mc, "_shifted_weights", _unfloored_weights(lowest))
-    assert [designs._bank_mi(snr, bank, p) for p in powers] == floored
+    for p, ref in zip(powers, floored):
+        assert np.array_equal(designs._bank_mi(snr, bank, p), ref)
     assert min(lowest) < EXP_FLOOR
 
 

@@ -244,6 +244,35 @@ def test_snr_grid():
         fc.SnrGrid.from_db(0, 10, -1)
 
 
+@pytest.mark.parametrize("points", [[1.0, np.inf], [np.nan], [1.0, np.nan, 2.0]])
+def test_snr_grid_rejects_non_finite_points(points):
+    with pytest.raises(ValueError, match="positive and finite"):
+        fc.SnrGrid(points=points)
+
+
+def test_snr_grid_size_is_bounded():
+    n = model.MAX_SNR_POINTS
+    assert len(fc.SnrGrid(points=np.arange(1.0, n + 1))) == n
+    with pytest.raises(ValueError, match=f"1 to {n} points"):
+        fc.SnrGrid(points=np.arange(1.0, n + 2))
+    assert len(fc.SnrGrid.from_db(0, n - 1)) == n
+    with pytest.raises(ValueError, match=f"1 to {n} points"):
+        fc.SnrGrid.from_db(0, n)
+
+
+def test_snr_grid_from_db_checks_the_count_first():
+    """A ten-million-point range (80 MB a table) fails before any array is
+    allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="got 1e\\+07"):
+            fc.SnrGrid.from_db(0, 1e7, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 @pytest.mark.parametrize("name", ["fadecap"] + [f"fadecap.{m.name}"
                                                 for m in pkgutil.iter_modules(fc.__path__)])
 def test_every_exported_name_resolves(name):
