@@ -25,8 +25,6 @@ from .mc import (
     Estimate,
     McConfig,
     avg_all,
-    avg_all_spacetime,
-    avg_quantity,
     empirical_epsilon,
     fixed_h_all,
 )

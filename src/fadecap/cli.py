@@ -149,7 +149,7 @@ OFFSETS_HEADER = ["family", "n_t", "n_r", "channel", "m", "d",
 
 
 def cmd_offsets(cfg, seed, digest, out_path, threads):
-    anchor = cfg["anchor_snr"]
+    anchor = SnrGrid(points=[cfg["anchor_snr"]])
     mc_cfg = cfg["mc"]
     rows = []
     any_flag = False
@@ -158,9 +158,9 @@ def cmd_offsets(cfg, seed, digest, out_path, threads):
         channel = system["channel"]
         dd = asymptotics.distance_dist(channel, c)
         eb = asymptotics.epsilon_bounds(dd, c.m)
-        est = mc.avg_all(anchor, channel, c, mc_cfg, threads=threads)
-        eps, eps_p = (mc._epsilon_point(kind, est[kind], anchor, eb.d, eb.log_m_limit)
-                      for kind in ("mmse", "mi"))
+        points = mc.empirical_epsilon(anchor, channel, c, mc_cfg, eb.d, eb.log_m_limit,
+                                      threads=threads)
+        eps, eps_p = points["mmse"][0], points["mi"][0]
         flag = eps.flagged or eps_p.flagged
         any_flag = any_flag or flag
         if eps.value > 0 and eps_p.value > 0:
@@ -282,7 +282,8 @@ def cmd_stcode(cfg, seed, digest, out_path, threads):
     pe = [None] * len(codes)
     meta = []
     if confirm is not None:
-        pe = [mc.avg_all_spacetime(confirm["snr"], code, n_r, confirm["mc"], threads=threads)["pe"]
+        pe = [mc.avg_all(confirm["snr"], CanonicalRayleigh(code.n_t, n_r), code, confirm["mc"],
+                         threads=threads)["pe"]
               for code in codes]
         meta.append(_samples_line(confirm["mc"], codes))
     rows = [[name, rep.r_min, rep.criterion, rep.d, rep.certified,

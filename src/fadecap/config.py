@@ -27,6 +27,7 @@ from .model import (
     Ricean,
     SnrGrid,
     SpaceTimeCode,
+    db_to_linear,
     make_constellation,
 )
 
@@ -83,15 +84,13 @@ def _snr_db(obj, path):
     """The linear SNR 10^(dB/10) of the dB number at `path`, or of an array
     of checked dB numbers listed at `path`; a value whose linear SNR
     overflows or underflows is a ConfigError naming its field."""
-    # a NumPy scalar overflows to inf like an array, with a Python float's pow
-    db = obj if isinstance(obj, np.ndarray) else np.float64(_number(obj, path))
-    with np.errstate(over="ignore", under="ignore"):
-        snr = 10.0 ** (db / 10.0)
+    db = obj if isinstance(obj, np.ndarray) else _number(obj, path)
+    snr = db_to_linear(db)
     bad = np.flatnonzero(~np.isfinite(snr) | (snr <= 0))
     if bad.size:
         raise ConfigError(path if np.ndim(db) == 0 else f"{path}[{bad[0]}]",
                           "dB value out of range: its linear SNR is 0 or not finite")
-    return snr
+    return snr[()]
 
 
 def _int(obj, path, minimum=None):
@@ -303,6 +302,10 @@ def validate_command_config(command: str, doc: dict, seed: int) -> dict[str, Any
         numeric = doc.get("numeric", True)
         if not isinstance(numeric, bool):
             raise ConfigError("numeric", "expected a boolean")
+        if numeric and len(subs) > designs.MAX_NUMERIC_SUBCHANNELS:
+            raise ConfigError("subchannels", f"numeric allocation supports at most "
+                              f"{designs.MAX_NUMERIC_SUBCHANNELS} subchannels, got "
+                              f"{len(subs)}; set numeric: false for the closed form alone")
         return {
             "budget": _number(doc["budget"], "budget", positive=True),
             "snr": _snr_db(doc["snr_db"], "snr_db"),

@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 BUDGET_TOL = 1e-9
+# Most subchannels `palloc_numeric` searches over; each sweep of its
+# coordinate search makes one line search per pair of subchannels.
+MAX_NUMERIC_SUBCHANNELS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +262,19 @@ def palloc_numeric(subs: Sequence[SubchannelSpec], budget: float, snr: float,
                    cfg: mc.McConfig) -> PowerAllocation:
     """Direct maximization of the Monte Carlo capacity over the simplex.
 
-    Limited to 4 subchannels.  Uses one frozen draw bank per subchannel
-    (common random numbers) so candidate allocations are compared on the
-    same randomness, then resolves the optimum p by one search of pairwise
-    golden-section transfers.  The result is flagged low-confidence when the
-    MC noise is comparable to the objective differences: when C < 2, or when
-    for some transfer of t = 5% of the budget the per-channel summed capacity
-    loss D has mean(D) < std(D)/sqrt(C).  As mean(D) ~ kappa t^2/2 and se(D)
-    ~ t se(J'), with kappa the curvature, that is se(p) = se(J')/kappa > t/2.
+    Limited to MAX_NUMERIC_SUBCHANNELS.  Uses one frozen draw bank per
+    subchannel (common random numbers) so candidate allocations are compared
+    on the same randomness, then resolves the optimum p by one search of
+    pairwise golden-section transfers.  The result is flagged low-confidence
+    when the MC noise is comparable to the objective differences: when C < 2,
+    or when for some transfer of t = 5% of the budget the per-channel summed
+    capacity loss D has mean(D) < std(D)/sqrt(C).  As mean(D) ~ kappa t^2/2
+    and se(D) ~ t se(J'), with kappa the curvature, that is
+    se(p) = se(J')/kappa > t/2.
     """
-    if not 1 <= len(subs) <= 4:
-        raise ValueError("numeric allocation supports 1 to 4 subchannels")
+    if not 1 <= len(subs) <= MAX_NUMERIC_SUBCHANNELS:
+        raise ValueError(f"numeric allocation supports 1 to {MAX_NUMERIC_SUBCHANNELS} "
+                         "subchannels")
     if budget <= 0 or snr <= 0:
         raise ValueError("budget and snr must be positive")
     if len(subs) == 1:

@@ -30,12 +30,11 @@ independent of worker scheduling and batching.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
-    CanonicalRayleigh,
     ChannelModel,
     Constellation,
     SnrGrid,
@@ -49,13 +48,10 @@ __all__ = [
     "Estimate",
     "EpsilonPoint",
     "fixed_h_all",
-    "avg_quantity",
     "avg_all",
-    "avg_all_spacetime",
     "sampled_true_symbol",
     "empirical_epsilon",
     "distance_squared_samples",
-    "suggested_total_draws",
 ]
 
 KINDS = ("mmse", "mi", "pe")
@@ -107,14 +103,6 @@ class Estimate:
             raise ValueError("estimate mean is not finite")
         if self.std_error < 0:
             raise ValueError("std_error must be >= 0")
-
-
-def suggested_total_draws(gap_target: float) -> int:
-    """Total sample count keeping the relative error of a gap-sized mean
-    bounded: max(1e4, 10/gap)."""
-    if gap_target <= 0:
-        raise ValueError("gap_target must be positive")
-    return int(max(1e4, 10.0 / gap_target))
 
 
 def chunk_sizes(total: int, chunks: int) -> list[int]:
@@ -320,41 +308,12 @@ def fixed_h_all(snr: float, h, c: Constellation, cfg: McConfig) -> dict[str, Est
 # channel-averaged estimators
 # ---------------------------------------------------------------------------
 
-def _averaged(snr: float, model: ChannelModel, blocks: np.ndarray, levels, sampled: bool,
-              cfg: McConfig, threads: int) -> dict[str, Estimate]:
-    """Outer Monte Carlo over channel draws for the input `blocks` and grid
-    `levels` of `_sample_stats`: H from the channel stream, as in
-    `bounds.avg_bounds`, and (batch, N, n_r t) noise from the noise stream;
-    a channel's means are one sample.  Unless `sampled`, the statistics
-    average the M hypotheses.  If `sampled`, each chunk spawns a third
-    stream, and each noise draw's one uniform true symbol is drawn from it."""
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    n_noise = cfg.noise_draws_per_channel
-    m, noise_dim = len(blocks), model.n_r * blocks.shape[2]
-
-    def step(channel_rng, noise_rng, batch, symbol_rng=None):
-        h = sample_channels(model, batch, channel_rng)
-        noise = _complex_normal(noise_rng, (batch, n_noise, noise_dim))
-        true = None if symbol_rng is None else symbol_rng.integers(m, size=(batch, n_noise))
-        return tuple(s.mean(axis=1) for s in _sample_stats(h, noise, blocks, levels, snr, true))
-
-    if sampled:     # (N, M) logits and one (N, M) coordinate slab a channel
-        per_draw, streams = 2 * n_noise * m, 3
-    else:           # (M, N) logits a channel
-        per_draw, streams = n_noise * m, 2
-    samples = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
-                          per_draw, step, threads, streams)
-    return _estimates(samples, float(np.log(m)))
-
-
 def sampled_true_symbol(c: Constellation | SpaceTimeCode) -> bool:
-    """Whether `avg_all` (`avg_all_spacetime` for a code) evaluates one
-    uniformly drawn true symbol a noise draw rather than all M: space-time
-    codes and constellations of at least SAMPLED_MIN_M points that are not
-    single-antenna grids.  Grids take the factorised kernel where it pays
-    (`_grid_factors`); they, every other input and every fixed-H estimate
-    sum over all M."""
+    """Whether `avg_all` evaluates one uniformly drawn true symbol a noise
+    draw rather than all M: space-time codes and constellations of at least
+    SAMPLED_MIN_M points that are not single-antenna grids.  Grids take the
+    factorised kernel where it pays (`_grid_factors`); they, every other
+    input and every fixed-H estimate sum over all M."""
     return c.m >= SAMPLED_MIN_M and (isinstance(c, SpaceTimeCode) or c.grid_levels is None)
 
 
@@ -414,32 +373,42 @@ def _sample_stats(h: np.ndarray, noise: np.ndarray, blocks: np.ndarray, levels, 
             else _sampled_stats(received, noise, true, snr))
 
 
-def avg_all(snr: float, model: ChannelModel, c: Constellation, cfg: McConfig,
-            threads: int = 1) -> dict[str, Estimate]:
-    """Averaged (mmse, mi, pe) estimates from one set of channel draws, the
-    one `bounds.avg_bounds` sees for the same config, by `_sample_stats`;
-    one sampled true symbol a noise draw if `sampled_true_symbol(c)`."""
-    if model.n_t != c.n_t:
-        raise ValueError("channel and constellation transmit sizes differ")
-    return _averaged(snr, model, c.points[:, :, None], _grid_factors(c),
-                     sampled_true_symbol(c), cfg, threads)
+def avg_all(snr: float, channel: ChannelModel, inputs: Constellation | SpaceTimeCode,
+            cfg: McConfig, threads: int = 1) -> dict[str, Estimate]:
+    """Averaged (mmse, mi, pe) estimates of a constellation or of a
+    space-time code (codewords over t intervals, fading constant within a
+    codeword, receive points in C^(n_r t); pass a code with
+    `CanonicalRayleigh(code.n_t, n_r)`).  Outer Monte Carlo over channel
+    draws, by `_sample_stats`: H from the channel stream, the one
+    `bounds.avg_bounds` sees for the same config, and (batch, N, n_r t)
+    noise from the noise stream; a channel's means are one sample.  Unless
+    `sampled_true_symbol(inputs)`, the statistics average the M
+    hypotheses; otherwise each chunk spawns a third stream, and each noise
+    draw's one uniform true symbol is drawn from it."""
+    if channel.n_t != inputs.n_t:
+        raise ValueError("channel and input transmit sizes differ")
+    if snr <= 0:
+        raise ValueError("snr must be positive")
+    if isinstance(inputs, SpaceTimeCode):
+        blocks, levels = inputs.codewords, None
+    else:
+        blocks, levels = inputs.points[:, :, None], _grid_factors(inputs)
+    n_noise = cfg.noise_draws_per_channel
+    m, noise_dim = len(blocks), channel.n_r * blocks.shape[2]
 
+    def step(channel_rng, noise_rng, batch, symbol_rng=None):
+        h = sample_channels(channel, batch, channel_rng)
+        noise = _complex_normal(noise_rng, (batch, n_noise, noise_dim))
+        true = None if symbol_rng is None else symbol_rng.integers(m, size=(batch, n_noise))
+        return tuple(s.mean(axis=1) for s in _sample_stats(h, noise, blocks, levels, snr, true))
 
-def avg_quantity(kind: str, snr: float, model: ChannelModel, c: Constellation,
-                 cfg: McConfig, threads: int = 1) -> Estimate:
-    """Averaged estimate of one measure; kind in {mmse, mi, pe}."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    return avg_all(snr, model, c, cfg, threads)[kind]
-
-
-def avg_all_spacetime(snr: float, code: SpaceTimeCode, n_r: int, cfg: McConfig,
-                      threads: int = 1) -> dict[str, Estimate]:
-    """Averaged measures for codeword matrices over t symbol intervals under
-    i.i.d. fading constant within a codeword; receive points live in C^(n_r t).
-    One sampled true codeword a noise draw if `sampled_true_symbol(code)`."""
-    return _averaged(snr, CanonicalRayleigh(n_t=code.n_t, n_r=n_r), code.codewords, None,
-                     sampled_true_symbol(code), cfg, threads)
+    if sampled_true_symbol(inputs):     # (N, M) logits and one (N, M) coordinate slab a channel
+        per_draw, streams = 2 * n_noise * m, 3
+    else:                               # (M, N) logits a channel
+        per_draw, streams = n_noise * m, 2
+    samples = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
+                          per_draw, step, threads, streams)
+    return _estimates(samples, float(np.log(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -456,34 +425,23 @@ class EpsilonPoint:
     value: float
     std_error: float
     flagged: bool
-    residual: float | None = None
 
 
-def empirical_epsilon(kind: str, grid: SnrGrid, model: ChannelModel,
-                      c: Constellation, cfg: McConfig, d: int,
-                      log_m_limit: float | None = None,
-                      leading: float | None = None,
-                      threads: int = 1) -> list[EpsilonPoint]:
-    """Scaled sequences whose limits are the expansion coefficients:
-    snr^(d+1) * mmse, snr^d * (log M - mi) or snr^d * pe per grid point.
-
-    ``log_m_limit`` overrides the infinite-SNR mutual-information limit for
-    degenerate channels.  If ``leading`` is supplied, each point also
-    carries the next-order residual obtained by subtracting the leading
-    term (exploratory; the residual inherits the scaled MC noise).
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
+def empirical_epsilon(grid: SnrGrid, channel: ChannelModel,
+                      inputs: Constellation | SpaceTimeCode, cfg: McConfig, d: int,
+                      limit: float, threads: int = 1) -> dict[str, list[EpsilonPoint]]:
+    """Scaled sequences whose limits are the expansion coefficients, each
+    grid point from one `avg_all` call: {mmse: snr^(d+1) * mmse,
+    mi: snr^d * (limit - mi), pe: snr^d * pe}.  `limit` is the
+    infinite-SNR mutual information, below log M on degenerate channels
+    (`asymptotics.ExpansionBounds.log_m_limit`)."""
     if d < 1:
         raise ValueError("diversity order d must be >= 1")
-    limit = c.log_m if log_m_limit is None else float(log_m_limit)
-    points = []
+    points = {kind: [] for kind in KINDS}
     for snr in grid:
-        est = avg_quantity(kind, snr, model, c, cfg, threads)
-        point = _epsilon_point(kind, est, snr, d, limit)
-        if leading is not None:
-            point = replace(point, residual=snr * (point.value - leading))
-        points.append(point)
+        est = avg_all(snr, channel, inputs, cfg, threads)
+        for kind in KINDS:
+            points[kind].append(_epsilon_point(kind, est[kind], snr, d, limit))
     return points
 
 

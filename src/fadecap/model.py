@@ -60,8 +60,14 @@ def _check_size(m: int, n_t: int, what: str = "constellation") -> None:
                          f"more than the {MAX_POINTS} supported")
 
 
-def db_to_linear(x_db):
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+def db_to_linear(x_db) -> np.ndarray:
+    """10^(x/10) of each dB value, one float64 scalar pow (libm's) at a
+    time, so a value maps to the same float alone and in a grid: NumPy's
+    vectorised pow can differ in the last bit.  An overflow gives inf, as
+    for an array, not an OverflowError."""
+    db = np.asarray(x_db, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.array([10.0 ** (x / 10.0) for x in db.ravel()]).reshape(db.shape)
 
 
 def linear_to_db(x):
@@ -492,9 +498,8 @@ class SnrGrid:
         n = np.floor((stop_db - start_db) / step_db + 1e-9) + 1
         if not 1 <= n <= MAX_SNR_POINTS:     # before the grid is allocated
             raise ValueError(f"dB range needs 1 to {MAX_SNR_POINTS} points, got {n:g}")
-        db = start_db + step_db * np.arange(int(n))
-        with np.errstate(over="ignore"):    # an overflow is rejected as non-finite
-            return cls(points=db_to_linear(db))
+        # an overflow is rejected as non-finite
+        return cls(points=db_to_linear(start_db + step_db * np.arange(int(n))))
 
     @property
     def db(self) -> np.ndarray:

@@ -149,7 +149,7 @@ def fit_gap_slope(n_r, db_lo, db_hi, step, seed):
     log_snr, log_gap = [], []
     for db in np.arange(db_lo, db_hi + 1e-9, step):
         snr = 10.0 ** (db / 10.0)
-        est = fc.avg_quantity("mi", snr, model, c, cfg)
+        est = fc.avg_all(snr, model, c, cfg)["mi"]
         gap = np.log(2) - est.mean
         if gap - 3 * est.std_error <= 0:
             continue
@@ -189,7 +189,7 @@ def test_criterion_5_scaled_gap_interval():
         model = fc.CanonicalRayleigh(1, 1)
         cfg = McConfig(channel_draws=200_000, noise_draws_per_channel=50, seed=501)
         grid = fc.SnrGrid.from_db(25, 30, 2.5)
-        pts = fc.empirical_epsilon("mi", grid, model, c, cfg, d=1)
+        pts = fc.empirical_epsilon(grid, model, c, cfg, d=1, limit=c.log_m)["mi"]
         for p in pts:
             assert 0.1875 - 3 * p.std_error <= p.value <= 0.75 + 3 * p.std_error, \
                 (p.snr, p.value, p.std_error)
@@ -216,7 +216,7 @@ def test_criterion_6_error_rate_asymptote():
         c = fc.make_constellation("bpsk", 1)
         model = fc.CanonicalRayleigh(1, 1)
         cfg = McConfig(channel_draws=300_000, noise_draws_per_channel=100, seed=601)
-        est = fc.avg_quantity("pe", snr, model, c, cfg)
+        est = fc.avg_all(snr, model, c, cfg)["pe"]
         assert abs(est.mean - exact) <= 3 * est.std_error
         assert snr * est.mean == pytest.approx(0.25, rel=0.05)
         print(f"    snr * Pe = {snr * est.mean:.4f} (exact {snr * exact:.4f})")
@@ -279,20 +279,20 @@ def test_criterion_8_line_of_sight_reversal():
         pts = np.array([[1.0, 0.0], [0.0, 1.0]])
         c2 = fc.make_constellation("custom", 2, points=pts)
         cfg = McConfig(channel_draws=40_000, noise_draws_per_channel=50, seed=801)
-        ric = fc.avg_quantity("mi", snr, fc.Ricean(2.0, [1, 1], [1, 1]), c2, cfg)
-        ray = fc.avg_quantity(
-            "mi", snr, fc.CanonicalRayleigh(2, 2), c2,
-            McConfig(channel_draws=40_000, noise_draws_per_channel=50, seed=802))
+        ric = fc.avg_all(snr, fc.Ricean(2.0, [1, 1], [1, 1]), c2, cfg)["mi"]
+        ray = fc.avg_all(
+            snr, fc.CanonicalRayleigh(2, 2), c2,
+            McConfig(channel_draws=40_000, noise_draws_per_channel=50, seed=802))["mi"]
         sep = joint_sigma(ric, ray)
         assert ray.mean - ric.mean > 3 * sep, (ray.mean, ric.mean, sep)
 
         # scalar channel: line of sight helps
         c16 = fc.make_constellation("qam16", 1)
         cfg1 = McConfig(channel_draws=40_000, noise_draws_per_channel=50, seed=803)
-        ric1 = fc.avg_quantity("mi", snr, fc.Ricean(2.0, [1.0], [1.0]), c16, cfg1)
-        ray1 = fc.avg_quantity(
-            "mi", snr, fc.CanonicalRayleigh(1, 1), c16,
-            McConfig(channel_draws=40_000, noise_draws_per_channel=50, seed=804))
+        ric1 = fc.avg_all(snr, fc.Ricean(2.0, [1.0], [1.0]), c16, cfg1)["mi"]
+        ray1 = fc.avg_all(
+            snr, fc.CanonicalRayleigh(1, 1), c16,
+            McConfig(channel_draws=40_000, noise_draws_per_channel=50, seed=804))["mi"]
         sep1 = joint_sigma(ric1, ray1)
         assert ric1.mean - ray1.mean > 3 * sep1, (ric1.mean, ray1.mean, sep1)
         print(f"    2x2 orthogonal geometry: {ric.mean:.4f} < {ray.mean:.4f}; "
@@ -411,9 +411,9 @@ def test_criterion_11_space_time():
 
         snr = 100.0
         cfg = McConfig(channel_draws=30_000, noise_draws_per_channel=50, seed=1101)
-        pe_full = fc.avg_all_spacetime(snr, full, 1, cfg)["pe"]
-        pe_rep = fc.avg_all_spacetime(
-            snr, rep, 1,
+        pe_full = fc.avg_all(snr, fc.CanonicalRayleigh(2, 1), full, cfg)["pe"]
+        pe_rep = fc.avg_all(
+            snr, fc.CanonicalRayleigh(2, 1), rep,
             McConfig(channel_draws=30_000, noise_draws_per_channel=50, seed=1102))["pe"]
         sep = joint_sigma(pe_full, pe_rep)
         assert pe_rep.mean - pe_full.mean > 3 * sep, (pe_rep.mean, pe_full.mean)

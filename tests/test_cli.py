@@ -1,6 +1,8 @@
 """CLI: config validation, CSV schema, determinism, exit codes."""
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -409,6 +411,36 @@ def test_palloc_strong_lines_of_sight_stay_finite(tmp_path):
     assert p.sum() == pytest.approx(2.0, rel=1e-9)
 
 
+FIVE_SUBCHANNELS = [{"family": "qpsk", "fading": {"kind": "rayleigh", "variance": v}}
+                    for v in (0.5, 1.0, 2.0, 4.0, 8.0)]
+
+
+def test_palloc_numeric_over_four_subchannels_config_error(tmp_path, capsys, monkeypatch):
+    """The numeric optimizer takes at most designs.MAX_NUMERIC_SUBCHANNELS;
+    more is a config error naming `subchannels`, raised before any draw."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew after the subchannel check")
+
+    monkeypatch.setattr(fadecap.mc, "_run_chunks", unreachable)
+    doc = dict(PALLOC_2SUB, numeric=True, subchannels=FIVE_SUBCHANNELS)
+    out = tmp_path / "palloc.csv"
+    assert run(["palloc", "--config", write_cfg(tmp_path, doc), "--seed", 1,
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'subchannels': ") and "at most 4" in err
+    assert not out.exists()
+
+
+def test_palloc_closed_form_takes_five_subchannels(tmp_path):
+    """With numeric: false the subchannel cap does not apply."""
+    doc = dict(PALLOC_2SUB, numeric=False, subchannels=FIVE_SUBCHANNELS)
+    out = tmp_path / "palloc.csv"
+    assert run(["palloc", "--config", write_cfg(tmp_path, doc), "--seed", 1,
+                "--out", out]) == 0
+    _, _, rows = read_csv(out)
+    assert sum(float(r[1]) for r in rows) == pytest.approx(2.0, rel=1e-9)
+
+
 def test_precode_non_unit_diagonal_theta_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, correlated_precode_doc([[2.0, 0.5], [0.5, 2.0]]))
     assert run(["precode", "--config", cfg, "--seed", 1]) == 2
@@ -555,6 +587,18 @@ def test_snr_db_out_of_range_is_a_config_error(tmp_path, capsys, command, doc, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("db", [7.5, 25.0])
+def test_snr_db_converts_alike_as_scalar_and_grid(db):
+    """A dB value gives the same float as a scalar field, as a listed grid
+    point and as a one-point range (NumPy's vectorised pow can differ from
+    the scalar pow in the last bit at these values)."""
+    scalar = validate_command_config("offsets", dict(OFFSETS_DOC, anchor_snr_db=db),
+                                     seed=0)["anchor_snr"]
+    grids = [validate_command_config("curve", dict(CURVE_CFG, snr_db=snr_db), seed=0)["grid"]
+             for snr_db in ({"points": [db]}, {"start": db, "stop": db, "step": 1})]
+    assert [g.points[0].hex() for g in grids] == [float(scalar).hex()] * 2
+
+
 @pytest.mark.parametrize("snr_db,message", [
     ({"start": 0, "stop": 1e6, "step": 1}, "dB range needs 1 to 1000 points, got 1e+06"),
     ({"start": 0, "stop": 4000, "step": 10}, "SNR values must be positive and finite"),
@@ -622,7 +666,7 @@ def test_stcode_mismatched_codebooks_write_nothing(tmp_path, monkeypatch):
         raise AssertionError("reached after the shape check")
 
     monkeypatch.setattr(designs, "st_criteria", unreachable)
-    monkeypatch.setattr(fadecap.mc, "avg_all_spacetime", unreachable)
+    monkeypatch.setattr(fadecap.mc, "avg_all", unreachable)
     doc = {
         "n_r": 1,
         "codebooks": [
@@ -714,3 +758,23 @@ def test_readme_config_example_validates(command):
     section = readme.split(f"\n### {command} -- ", 1)[1]
     block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
     validate_command_config(command, yaml.safe_load(block), seed=0)
+
+
+README_MODULES = ("fc", "mc", "designs", "bounds", "asymptotics", "model", "config")
+
+
+def test_readme_dotted_names_resolve():
+    """Every dotted API name in the README (`fc.avg_all`, `mc._run_chunks`,
+    `fc.SnrGrid.from_db`, ...) resolves, so a renamed or removed function
+    fails here; `mc.py` and the other file names are skipped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    names = set(re.findall(rf"(?<![\w.])(?:{'|'.join(README_MODULES)})(?:\.[A-Za-z_]\w*)+",
+                           readme))
+    names = {n for n in names if not n.endswith(".py")}
+    assert "fc.avg_all" in names
+    for name in sorted(names):
+        head, *attrs = name.split(".")
+        obj = fadecap if head == "fc" else importlib.import_module(f"fadecap.{head}")
+        for attr in attrs:
+            assert hasattr(obj, attr), f"README names {name}, which does not resolve"
+            obj = getattr(obj, attr)

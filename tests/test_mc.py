@@ -10,8 +10,7 @@ import fadecap as fc
 from fadecap import bounds, designs, mc
 from fadecap.bounds import _bound_sums
 from fadecap.mc import (EXP_FLOOR, Estimate, McConfig, _estimates, chunk_rngs,
-                        chunk_sizes, distance_squared_samples, kernel_stats,
-                        suggested_total_draws)
+                        chunk_sizes, distance_squared_samples, kernel_stats)
 from fadecap.model import _complex_normal, pair_differences, sample_channels
 
 H1 = np.array([[1.0 + 0j]])
@@ -98,9 +97,9 @@ def test_avg_pe_rayleigh_binary_closed_form():
     model = fc.CanonicalRayleigh(1, 1)
     snr = 1000.0
     exact = 0.5 * (1.0 - np.sqrt(snr / (1.0 + snr)))
-    est = fc.avg_quantity("pe", snr, model, BPSK,
-                          McConfig(channel_draws=150_000, noise_draws_per_channel=100,
-                                   seed=21))
+    est = fc.avg_all(snr, model, BPSK,
+                     McConfig(channel_draws=150_000, noise_draws_per_channel=100,
+                              seed=21))["pe"]
     assert abs(est.mean - exact) < 3 * est.std_error
 
 
@@ -109,9 +108,9 @@ def test_avg_identity_correlation_matches_canonical():
     canon = fc.CanonicalRayleigh(1, 2)
     corr = fc.CorrelatedRayleigh(theta_t=np.eye(1), theta_r=np.eye(2))
     mc_cfg = McConfig(channel_draws=20_000, noise_draws_per_channel=50, seed=31)
-    a = fc.avg_quantity("mi", 5.0, canon, c, mc_cfg)
-    b = fc.avg_quantity("mi", 5.0, corr, c,
-                        McConfig(channel_draws=20_000, noise_draws_per_channel=50, seed=32))
+    a = fc.avg_all(5.0, canon, c, mc_cfg)["mi"]
+    b = fc.avg_all(5.0, corr, c,
+                   McConfig(channel_draws=20_000, noise_draws_per_channel=50, seed=32))["mi"]
     assert abs(a.mean - b.mean) < 3 * np.hypot(a.std_error, b.std_error)
 
 
@@ -120,7 +119,7 @@ def test_avg_mi_nondecreasing_in_snr():
     model = fc.CanonicalRayleigh(1, 1)
     mc_cfg = McConfig(channel_draws=20_000, noise_draws_per_channel=40, seed=41)
     grid = fc.SnrGrid.from_db(-5, 25, 5)
-    ests = [fc.avg_quantity("mi", s, model, c, mc_cfg) for s in grid]
+    ests = [fc.avg_all(s, model, c, mc_cfg)["mi"] for s in grid]
     for a, b in zip(ests, ests[1:]):
         assert b.mean >= a.mean - 3 * np.hypot(a.std_error, b.std_error)
 
@@ -160,9 +159,9 @@ def test_avg_mi_matches_gauss_quadrature_oracle():
     for n_r, weight in ((1, wl), (2, wl * xl)):
         snr = 10.0
         oracle = np.sum(weight * np.array([i_binary(snr * t) for t in xl]))
-        est = fc.avg_quantity("mi", snr, fc.CanonicalRayleigh(1, n_r), BPSK,
-                              McConfig(channel_draws=60_000,
-                                       noise_draws_per_channel=50, seed=101 + n_r))
+        est = fc.avg_all(snr, fc.CanonicalRayleigh(1, n_r), BPSK,
+                         McConfig(channel_draws=60_000,
+                                  noise_draws_per_channel=50, seed=101 + n_r))["mi"]
         assert abs(est.mean - oracle) < 3 * est.std_error
 
 
@@ -194,12 +193,11 @@ def test_empirical_epsilon_scaled_sequence():
     model = fc.CanonicalRayleigh(1, 1)
     grid = fc.SnrGrid.from_db(20, 30, 5)
     mc_cfg = McConfig(channel_draws=60_000, noise_draws_per_channel=50, seed=61)
-    pts = fc.empirical_epsilon("mi", grid, model, BPSK, mc_cfg, d=1)
-    for p in pts:
+    pts = fc.empirical_epsilon(grid, model, BPSK, mc_cfg, d=1, limit=BPSK.log_m)
+    for p in pts["mi"]:
         assert 0.1875 - 3 * p.std_error <= p.value <= 0.75 + 3 * p.std_error
         assert not p.flagged
-    pe_pts = fc.empirical_epsilon("pe", grid, model, BPSK, mc_cfg, d=1)
-    last = pe_pts[-1]
+    last = pts["pe"][-1]
     snr = last.snr
     exact = snr * 0.5 * (1.0 - np.sqrt(snr / (1.0 + snr)))
     assert abs(last.value - exact) <= 3 * last.std_error
@@ -209,16 +207,30 @@ def test_empirical_epsilon_flags_underresolved():
     model = fc.CanonicalRayleigh(1, 1)
     grid = fc.SnrGrid(points=np.array([1e4]))
     tiny = McConfig(channel_draws=50, noise_draws_per_channel=2, seed=71)
-    pts = fc.empirical_epsilon("mi", grid, model, BPSK, tiny, d=1)
-    assert pts[0].flagged
+    pts = fc.empirical_epsilon(grid, model, BPSK, tiny, d=1, limit=BPSK.log_m)
+    assert pts["mi"][0].flagged
 
 
-def test_empirical_epsilon_residual():
-    model = fc.CanonicalRayleigh(1, 1)
-    grid = fc.SnrGrid(points=np.array([100.0]))
-    mc_cfg = McConfig(channel_draws=5_000, noise_draws_per_channel=20, seed=81)
-    pts = fc.empirical_epsilon("mmse", grid, model, BPSK, mc_cfg, d=1, leading=0.5)
-    assert pts[0].residual == pytest.approx(100.0 * (pts[0].value - 0.5), rel=1e-12)
+def test_empirical_epsilon_reads_one_avg_all_call():
+    """Each kind's point is `_epsilon_point` on the one `avg_all` call at
+    that grid point, bit for bit; an n_t = 2 code takes the same path."""
+    mc_cfg = McConfig(channel_draws=40, noise_draws_per_channel=4, seed=17, parallel_chunks=2)
+    grid = fc.SnrGrid(points=np.array([10.0, 100.0]))
+    cases = [(fc.CanonicalRayleigh(1, 2), BPSK, 1, BPSK.log_m),
+             (fc.CanonicalRayleigh(2, 1), ST16, 2, 0.9 * ST16.log_m)]
+    for channel, inputs, d, limit in cases:
+        pts = fc.empirical_epsilon(grid, channel, inputs, mc_cfg, d, limit)
+        assert sorted(pts) == sorted(mc.KINDS)
+        for k, snr in enumerate(grid):
+            est = fc.avg_all(snr, channel, inputs, mc_cfg)
+            for kind in mc.KINDS:
+                assert pts[kind][k] == mc._epsilon_point(kind, est[kind], snr, d, limit)
+
+
+def test_avg_all_rejects_code_of_other_transmit_size():
+    """A code passes its channel in, so the two transmit sizes can differ."""
+    with pytest.raises(ValueError, match="transmit sizes differ"):
+        fc.avg_all(4.0, fc.CanonicalRayleigh(1, 2), ST16, McConfig(channel_draws=4))
 
 
 def test_spacetime_pe_reduces_to_vector_channel():
@@ -226,9 +238,9 @@ def test_spacetime_pe_reduces_to_vector_channel():
     c = fc.make_constellation("qpsk", 2)
     code = fc.SpaceTimeCode(codewords=c.points[:, :, None])
     mc_cfg = McConfig(channel_draws=4000, noise_draws_per_channel=30, seed=91)
-    a = fc.avg_all_spacetime(5.0, code, 2, mc_cfg)["pe"]
-    b = fc.avg_quantity("pe", 5.0, fc.CanonicalRayleigh(2, 2), c,
-                        McConfig(channel_draws=4000, noise_draws_per_channel=30, seed=92))
+    a = fc.avg_all(5.0, fc.CanonicalRayleigh(2, 2), code, mc_cfg)["pe"]
+    b = fc.avg_all(5.0, fc.CanonicalRayleigh(2, 2), c,
+                   McConfig(channel_draws=4000, noise_draws_per_channel=30, seed=92))["pe"]
     assert abs(a.mean - b.mean) < 3 * np.hypot(a.std_error, b.std_error)
 
 
@@ -241,7 +253,7 @@ def test_one_interval_code_matches_constellation_bit_for_bit(family):
     code = fc.SpaceTimeCode(codewords=c.points[:, :, None])
     assert mc.sampled_true_symbol(code) == mc.sampled_true_symbol(c) == (family == "qpsk")
     mc_cfg = McConfig(channel_draws=60, noise_draws_per_channel=6, seed=19, parallel_chunks=3)
-    a = fc.avg_all_spacetime(5.0, code, 2, mc_cfg)
+    a = fc.avg_all(5.0, fc.CanonicalRayleigh(2, 2), code, mc_cfg)
     b = fc.avg_all(5.0, fc.CanonicalRayleigh(2, 2), c, mc_cfg)
     assert a == b
 
@@ -256,9 +268,9 @@ def test_degenerate_transmit_correlation_limits_mi():
     theta_t = np.array([[1.0, -1.0], [-1.0, 1.0]])
     model = fc.CorrelatedRayleigh(theta_t=theta_t, theta_r=np.eye(2))
     dd = fc.distance_dist(model, c)
-    est = fc.avg_quantity("mi", 1000.0, model, c,
-                          McConfig(channel_draws=4000, noise_draws_per_channel=50,
-                                   seed=97))
+    est = fc.avg_all(1000.0, model, c,
+                     McConfig(channel_draws=4000, noise_draws_per_channel=50,
+                              seed=97))["mi"]
     assert abs(est.mean - dd.effective_log_m) < 3 * est.std_error + 1e-3
     assert est.mean < np.log(3) - 0.4
 
@@ -285,10 +297,6 @@ def test_config_validation():
         McConfig(parallel_chunks=0)
     with pytest.raises(ValueError):
         Estimate(mean=np.nan, std_error=0.0, n_samples=1)
-    with pytest.raises(ValueError):
-        fc.avg_quantity("nope", 1.0, fc.CanonicalRayleigh(1, 1), BPSK, McConfig())
-    assert suggested_total_draws(1e-3) == 10_000
-    assert suggested_total_draws(1e-6) == 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -848,9 +856,10 @@ BATCHED_ESTIMATORS = {
     "avg_all_joint": lambda: fc.avg_all(10.0, CORRELATED_2X2, QPSK_2, BATCH_CFG),
     "avg_all_m256": lambda: fc.avg_all(10.0, CORRELATED_2X2, QAM16_2, BATCH_CFG),
     "avg_all_grid": lambda: fc.avg_all(30.0, fc.CanonicalRayleigh(1, 2), QAM16, BATCH_CFG),
-    "avg_all_spacetime": lambda: fc.avg_all_spacetime(
-        4.0, fc.SpaceTimeCode(codewords=np.stack([QPSK_2.points, QPSK_2.points[:, ::-1]],
-                                                 axis=2)), 2, BATCH_CFG),
+    "avg_all_code": lambda: fc.avg_all(
+        4.0, fc.CanonicalRayleigh(2, 2),
+        fc.SpaceTimeCode(codewords=np.stack([QPSK_2.points, QPSK_2.points[:, ::-1]], axis=2)),
+        BATCH_CFG),
     "fixed_h_all_joint": lambda: fc.fixed_h_all(
         10.0, np.array([[0.8 - 0.3j, 0.1], [0.2j, 0.5]]), QPSK_2, BATCH_CFG),
     "fixed_h_all_grid": lambda: fc.fixed_h_all(
@@ -916,13 +925,13 @@ def test_avg_all_and_avg_bounds_draw_the_same_channels(monkeypatch):
     assert np.array_equal(np.concatenate(drawn[mc]), np.concatenate(drawn[bounds]))
 
 
-def test_avg_all_spacetime_threads_bit_for_bit():
+def test_avg_all_code_threads_bit_for_bit():
     c = fc.make_constellation("qpsk", 2)
     code = fc.SpaceTimeCode(codewords=np.stack([c.points, c.points[:, ::-1]], axis=2))
     mc_cfg = McConfig(channel_draws=300, noise_draws_per_channel=20, seed=59,
                       parallel_chunks=4)
-    one = fc.avg_all_spacetime(4.0, code, 2, mc_cfg)
-    two = fc.avg_all_spacetime(4.0, code, 2, mc_cfg, threads=2)
+    one = fc.avg_all(4.0, fc.CanonicalRayleigh(2, 2), code, mc_cfg)
+    two = fc.avg_all(4.0, fc.CanonicalRayleigh(2, 2), code, mc_cfg, threads=2)
     for k in one:
         assert (one[k].mean, one[k].std_error) == (two[k].mean, two[k].std_error)
 
@@ -977,7 +986,7 @@ def test_avg_all_sampled_draws_chunks_in_batches(monkeypatch):
 SAMPLED_CASES = {
     "qam16_2x2_10dB": lambda mc_cfg: fc.avg_all(10.0, CORRELATED_2X2, QAM16_2, mc_cfg),
     "qam16_2x2_20dB": lambda mc_cfg: fc.avg_all(100.0, CORRELATED_2X2, QAM16_2, mc_cfg),
-    "spacetime_16": lambda mc_cfg: fc.avg_all_spacetime(4.0, ST16, 2, mc_cfg),
+    "spacetime_16": lambda mc_cfg: fc.avg_all(4.0, fc.CanonicalRayleigh(2, 2), ST16, mc_cfg),
 }
 
 
