@@ -36,8 +36,6 @@ from .model import (
     SnrGrid,
     SpaceTimeCode,
     make_constellation,
-    pairwise_sq_distances,
-    received_sq_distance,
     sample_channels,
 )
 

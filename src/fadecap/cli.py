@@ -7,14 +7,17 @@ CSV files start with '#'-prefixed metadata (tool version, command, seed,
 config digest, NumPy, SciPy and BLAS versions, and for curve, offsets and
 a confirming stcode the sample counts) followed by a fixed header per
 command; numbers carry 12 significant digits.  The seed is an integer in [0, 2^64).  Exit codes: 0
-success, 2 config error, 3 numeric failure, 4 flagged low-confidence result
-(output is still written).
+success, 2 config error or an --out path that cannot be written (checked
+before any work), 3 numeric failure, 4 flagged low-confidence result (output
+is still written).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -34,6 +37,20 @@ LN2 = math.log(2.0)
 
 class NumericFailure(RuntimeError):
     pass
+
+
+class OutError(Exception):
+    """An --out path that cannot be written."""
+
+
+def _check_out(path) -> None:
+    """Raise OutError unless `path` can be written as a file: it is not a
+    directory, and its directory exists and is writable."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise OutError(f"--out {path}: is a directory")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise OutError(f"--out {path}: directory {directory} is missing or not writable")
 
 
 def _fmt(value) -> str:
@@ -67,8 +84,11 @@ def _write_csv(out_path, command, seed, digest, header, rows, meta=()):
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutError(f"--out {out_path}: {exc.strerror}") from exc
 
 
 def _samples_line(mc_cfg, inputs) -> str:
@@ -290,7 +310,9 @@ def cmd_stcode(cfg, seed, digest, out_path, threads):
              est.mean if est else math.nan, est.std_error if est else math.nan]
             for name, rep, est in zip(names, reports, pe)]
     _write_csv(out_path, "stcode", seed, digest, STCODE_HEADER, rows, meta)
-    order = sorted(range(len(codes)), key=lambda k: (-reports[k].r_min, reports[k].criterion))
+    # best first; sorted is stable, so tied books keep their config order
+    order = sorted(range(len(codes)), key=functools.cmp_to_key(
+        lambda i, k: -designs._st_rank(reports[i], reports[k])))
     parts = [names[order[0]]]
     for prev, cur in zip(order, order[1:]):
         tied = designs._st_rank(reports[prev], reports[cur]) == 0
@@ -343,15 +365,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.out is not None:
+            _check_out(args.out)
         doc, digest = load_config(args.config)
         cfg = validate_command_config(args.command, doc, args.seed)
-    except ConfigError as exc:
+    except (ConfigError, OutError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg, args.seed, digest, args.out,
                                        max(args.threads, 1))
-    except ConfigError as exc:
+    except (ConfigError, OutError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     except (NumericFailure, designs.PrecoderConvergenceError, ValueError,

@@ -60,6 +60,11 @@ BUDGET_TOL = 1e-9
 # Most subchannels `palloc_numeric` searches over; each sweep of its
 # coordinate search makes one line search per pair of subchannels.
 MAX_NUMERIC_SUBCHANNELS = 4
+# The precoder's projected gradient stops when one step lowers the objective
+# by less than PRECODER_REL_TOL of its value, and fails after
+# PRECODER_MAX_ITER steps.
+PRECODER_MAX_ITER = 10_000
+PRECODER_REL_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +321,6 @@ class Precoder:
             raise ValueError("precoder exceeds the power budget")
         object.__setattr__(self, "matrix", p)
 
-    @property
-    def gram(self) -> np.ndarray:
-        return self.matrix.conj().T @ self.matrix
-
 
 @dataclass(frozen=True)
 class PrecoderReport:
@@ -331,13 +332,7 @@ class PrecoderReport:
 
 
 class PrecoderConvergenceError(RuntimeError):
-    """Raised when the projected-gradient loop exhausts its iteration budget;
-    carries the best iterate found."""
-
-    def __init__(self, message, best_gram=None, best_objective=None):
-        super().__init__(message)
-        self.best_gram = best_gram
-        self.best_objective = best_objective
+    """Raised when the projected-gradient loop exhausts its iteration budget."""
 
 
 def _pair_forms(z: np.ndarray, diffs: np.ndarray) -> np.ndarray:
@@ -404,8 +399,7 @@ def _project_trace_psd(z: np.ndarray, budget: float) -> np.ndarray:
 
 
 def optimal_precoder(channel: CanonicalRayleigh | CorrelatedRayleigh, c: Constellation,
-                     p_total: float, z0: np.ndarray | None = None,
-                     max_iter: int = 10_000, rel_tol: float = 1e-10):
+                     p_total: float, z0: np.ndarray | None = None):
     """Transmit precoder minimizing the high-SNR gap coefficient
     f(Z) = sum over ordered pairs of tr(e^+ Theta_T^{1/2} Z Theta_T^{1/2} e)^(-n_r)
     over the Gram variable Z in {Z PSD, tr Z <= P}, with n_r and Theta_T
@@ -452,11 +446,10 @@ def optimal_precoder(channel: CanonicalRayleigh | CorrelatedRayleigh, c: Constel
     z = (p_total / n_t) * np.eye(n_t, dtype=complex) if z0 is None \
         else _project_trace_psd(np.asarray(z0, dtype=complex), p_total)
     f_z = _gap_objective(z, diffs, counts, n_r)
-    best_z, best_f = z, f_z
     step = p_total / max(np.linalg.norm(_gap_gradient(z, diffs, counts, n_r)), 1e-300)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, PRECODER_MAX_ITER + 1):
         grad = _gap_gradient(z, diffs, counts, n_r)
         # backtracking on the prox decrease condition
         while True:
@@ -467,18 +460,15 @@ def optimal_precoder(channel: CanonicalRayleigh | CorrelatedRayleigh, c: Constel
             if f_new <= quad + 1e-15 * abs(f_z) or step < 1e-18:
                 break
             step *= 0.5
-        if f_new < best_f:
-            best_z, best_f = z_new, f_new
         rel_drop = (f_z - f_new) / max(abs(f_new), 1e-300)
         z, f_z = z_new, f_new
         step *= 1.25
-        if 0 <= rel_drop < rel_tol:
+        if 0 <= rel_drop < PRECODER_REL_TOL:
             converged = True
             break
     if not converged:
         raise PrecoderConvergenceError(
-            f"projected gradient did not converge in {max_iter} iterations",
-            best_gram=best_z, best_objective=best_f)
+            f"projected gradient did not converge in {PRECODER_MAX_ITER} iterations")
 
     grad = _gap_gradient(z, diffs, counts, n_r)
     t_chk = min(step, 1.0)

@@ -29,6 +29,7 @@ independent of worker scheduling and batching.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -245,6 +246,11 @@ def _estimates(samples, log_m: float) -> dict[str, Estimate]:
     return {"mmse": mmse, "mi": mi, "pe": pe}
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _run_chunks(total: int, seed: int, chunks: int, per_draw: int, step, threads: int = 1,
                 streams: int = 2):
     """The seeded draw loop of every Monte Carlo consumer.
@@ -256,7 +262,8 @@ def _run_chunks(total: int, seed: int, chunks: int, per_draw: int, step, threads
     `BATCH_ELEMENTS`.  Steps draw in draw order, so the batch size never
     changes a draw.  Returns the step outputs, arrays or tuples of arrays,
     concatenated in chunk order; ``threads > 1`` runs the parts on a thread
-    pool with the same result.
+    pool of at most `threads`, chunks and `_available_cpus()` workers, with
+    the same result.
     """
     cap = max(1, BATCH_ELEMENTS // per_draw)
 
@@ -266,8 +273,9 @@ def _run_chunks(total: int, seed: int, chunks: int, per_draw: int, step, threads
                 for start in range(0, size, cap)]
 
     jobs = list(zip(chunk_sizes(total, chunks), chunk_rngs(seed, chunks, streams)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as ex:
+    workers = min(threads, len(jobs), _available_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             per_chunk = list(ex.map(run_chunk, jobs))
     else:
         per_chunk = [run_chunk(j) for j in jobs]

@@ -14,7 +14,7 @@ streams.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
@@ -29,19 +29,16 @@ __all__ = [
     "SpaceTimeCode",
     "SnrGrid",
     "make_constellation",
-    "pairwise_sq_distances",
     "pair_differences",
     "sample_channels",
-    "received_sq_distance",
     "hermitian_sqrt",
-    "is_hermitian",
-    "check_psd",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 HERMITIAN_TOL = 1e-12
 PSD_EIG_TOL = 1e-10
+# `hermitian_sqrt` treats eigenvalues below this as 0.
+SQRT_CLIP = 1e-12
 DISTINCT_TOL = 1e-12
 NORM_TOL = 1e-9
 # Largest constellation or space-time code accepted.  `ordered_pair_differences`
@@ -70,38 +67,30 @@ def db_to_linear(x_db) -> np.ndarray:
         return np.array([10.0 ** (x / 10.0) for x in db.ravel()]).reshape(db.shape)
 
 
-def linear_to_db(x):
-    return 10.0 * np.log10(np.asarray(x, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # matrix helpers
 # ---------------------------------------------------------------------------
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def _is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
     return a.ndim == 2 and a.shape[0] == a.shape[1] and \
-        np.max(np.abs(a - a.conj().T)) <= tol * max(1.0, np.max(np.abs(a)))
+        np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL * max(1.0, np.max(np.abs(a)))
 
 
-def check_psd(a: np.ndarray, tol: float = PSD_EIG_TOL) -> np.ndarray:
-    """Validate Hermitian PSD-ness and return the eigenvalues (ascending)."""
-    if not is_hermitian(a):
+def _check_psd(a: np.ndarray) -> None:
+    """Reject a matrix that is not Hermitian PSD."""
+    if not _is_hermitian(a):
         raise ValueError("matrix is not Hermitian")
     w = np.linalg.eigvalsh(a)
-    if w[0] < -tol * max(1.0, abs(w[-1])):
-        raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
-    return w
-
-
-def hermitian_sqrt(a: np.ndarray, clip: float = 1e-12) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues below `clip` are treated as 0."""
-    if not is_hermitian(a):
-        raise ValueError("square root requires a Hermitian matrix")
-    w, v = np.linalg.eigh(a)
     if w[0] < -PSD_EIG_TOL * max(1.0, abs(w[-1])):
-        raise ValueError("square root requires a PSD matrix")
-    w = np.where(w < clip, 0.0, w)
+        raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
+
+
+def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
+    """Hermitian PSD square root; eigenvalues below SQRT_CLIP are treated as 0."""
+    _check_psd(a)
+    w, v = np.linalg.eigh(a)
+    w = np.where(w < SQRT_CLIP, 0.0, w)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
@@ -150,21 +139,13 @@ class Constellation:
     def log_m(self) -> float:
         return float(np.log(self.m))
 
-    def input_covariance(self) -> np.ndarray:
-        """Empirical Sigma_x = (1/M) sum x x^+."""
-        return self.points.conj().T @ self.points / self.m
-
-    def has_negation_symmetry(self) -> bool:
-        """True when -x is in the set for every point x."""
-        return self._closed_under(-self.points)
-
     def has_coordinate_sign_symmetry(self) -> bool:
         """True when flipping the sign of any single coordinate maps the set
         onto itself.  Product constellations of symmetric scalar alphabets
         satisfy this; it is the structure the isotropic-precoder argument
         needs."""
         flips = 1.0 - 2.0 * np.eye(self.n_t)      # row k negates coordinate k
-        return all(self._closed_under(self.points * flip) for flip in flips)
+        return all(np.all(_nearest(self.points * flip, self.points)[0] <= 1e-18) for flip in flips)
 
     @cached_property
     def _pair_differences(self) -> tuple[np.ndarray, np.ndarray]:
@@ -193,10 +174,6 @@ class Constellation:
         for shared in levels:
             shared.flags.writeable = False
         return levels
-
-    def _closed_under(self, mapped: np.ndarray) -> bool:
-        """True when every row of `mapped` is one of the points."""
-        return bool(np.all(_nearest(mapped, self.points)[0] <= 1e-18))
 
 
 def _nearest(queries: np.ndarray, pts: np.ndarray, skip_self: bool = False):
@@ -270,13 +247,6 @@ def make_constellation(family: str, n_t: int, points=None) -> Constellation:
     return Constellation(points=joint, family=fam)
 
 
-def pairwise_sq_distances(c: Constellation | np.ndarray) -> np.ndarray:
-    """M x M table of squared transmit-space distances ||x_i - x_j||^2."""
-    pts = c.points if isinstance(c, Constellation) else np.asarray(c, dtype=complex)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sum(np.abs(diff) ** 2, axis=2)
-
-
 def ordered_pair_differences(c: Constellation | np.ndarray) -> np.ndarray:
     """All M(M-1) difference vectors x_i - x_j with i != j, shape (P, n), of
     a constellation's points or of the rows of an (M, n) array."""
@@ -344,7 +314,7 @@ class CorrelatedRayleigh:
         tr = np.asarray(self.theta_r, dtype=complex)
         for name, mat in (("theta_t", tt), ("theta_r", tr)):
             _validate_finite(mat, name)
-            check_psd(mat)
+            _check_psd(mat)
             if np.max(np.abs(np.diag(mat) - 1.0)) > NORM_TOL:
                 raise ValueError(f"{name} must have unit diagonal")
         object.__setattr__(self, "theta_t", tt)
@@ -427,13 +397,6 @@ def sample_channels(model: ChannelModel, n: int, rng: np.random.Generator) -> np
     raise TypeError(f"unknown channel model {type(model)!r}")
 
 
-def received_sq_distance(h: np.ndarray, x_i: np.ndarray, x_j: np.ndarray) -> float:
-    """Squared distance between the noiseless receive points, ||H (x_i - x_j)||^2."""
-    h = np.asarray(h, dtype=complex)
-    diff = np.asarray(x_i, dtype=complex).ravel() - np.asarray(x_j, dtype=complex).ravel()
-    return float(np.sum(np.abs(h @ diff) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # space-time codes and SNR grids
 # ---------------------------------------------------------------------------
@@ -469,17 +432,12 @@ class SpaceTimeCode:
     def log_m(self) -> float:
         return float(np.log(self.m))
 
-    def difference_gram(self, i: int, j: int) -> np.ndarray:
-        """(X_i - X_j)(X_i - X_j)^+, Hermitian PSD by construction."""
-        d = self.codewords[i] - self.codewords[j]
-        return d @ d.conj().T
-
 
 @dataclass(frozen=True)
 class SnrGrid:
     """Strictly increasing grid of linear-scale SNR values."""
 
-    points: np.ndarray = field(default_factory=lambda: np.array([1.0]))
+    points: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).ravel()
@@ -500,10 +458,6 @@ class SnrGrid:
             raise ValueError(f"dB range needs 1 to {MAX_SNR_POINTS} points, got {n:g}")
         # an overflow is rejected as non-finite
         return cls(points=db_to_linear(start_db + step_db * np.arange(int(n))))
-
-    @property
-    def db(self) -> np.ndarray:
-        return linear_to_db(self.points)
 
     def __len__(self) -> int:
         return self.points.size

@@ -516,6 +516,39 @@ def test_stcode_near_tie_ranking(tmp_path, capsys):
     assert capsys.readouterr().out == "ranking: alamouti = rotated > repetition\n"
 
 
+def test_stcode_tie_keeps_config_order(tmp_path, capsys):
+    """A code and its copy scaled by 1 + 1e-14 tie under `_st_rank`, so the
+    report keeps their config order, whatever their raw criteria."""
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    code = [np.eye(2), -np.eye(2), rot, -rot]
+    doc = {"n_r": 1, "codebooks": [
+        {"name": name, "codewords": [[[[float(v * scale), 0.0] for v in row] for row in x]
+                                     for x in code]}
+        for name, scale in (("A", 1.0), ("B", 1 + 1e-14))]}
+    out = tmp_path / "st.csv"
+    assert run(["stcode", "--config", write_cfg(tmp_path, doc), "--seed", 1, "--out", out]) == 0
+    assert capsys.readouterr().out == "ranking: A = B\n"
+    _, header, rows = read_csv(out)
+    assert [r[header.index("criterion")] for r in rows] == ["2.25", "2.25"]
+
+
+def test_unwritable_out_fails_before_any_draw(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("--out must be checked before the draws")
+
+    monkeypatch.setattr(fadecap.mc, "avg_all", must_not_run)
+    cfg = write_cfg(tmp_path, CURVE_CFG)
+    for out in (tmp_path / "no" / "such" / "x.csv", tmp_path):
+        assert run(["curve", "--config", cfg, "--seed", 1, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {out}: ")
+    # a write that fails after the check exits 2 the same way
+    monkeypatch.undo()
+    monkeypatch.setattr(fadecap.cli, "_check_out", lambda path: None)
+    out = tmp_path / "missing" / "x.csv"
+    assert run(["curve", "--config", cfg, "--seed", 1, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {out}: ")
+
+
 def test_curve_ricean_channel(tmp_path):
     doc = {
         "kind": "mmse",

@@ -11,6 +11,7 @@ import fadecap as fc
 from fadecap import designs
 from fadecap.asymptotics import EIG_ZERO_REL
 from fadecap.mc import McConfig
+from fadecap.model import ordered_pair_differences
 
 QAM16 = fc.make_constellation("qam16", 1)
 QPSK = fc.make_constellation("qpsk", 1)
@@ -113,7 +114,7 @@ def test_palloc_matches_waterline_bisection_oracle():
     variances = [4.0, 1.0, 2.5, 0.3]
     budget = 3.0
     alloc = designs.palloc_highsnr(ray_subs(variances), budget)
-    d2 = fc.pairwise_sq_distances(QAM16)
+    d2 = np.sum(np.abs(ordered_pair_differences(QAM16)) ** 2, axis=1)
     mean_pair = d2.sum() / QAM16.m
     c = np.array([1.0 / (mean_pair * v) for v in variances])
     lo, hi = 1e-12, 1e12
@@ -241,8 +242,7 @@ def test_precoder_canonical_identity():
     assert report.stationarity_residual <= 1e-8
     assert report.method == "closed_form"
     # objective value: (n_t/P)^n_r * sum over pairs (1/dbar^2)^n_r
-    d2 = fc.pairwise_sq_distances(QPSK2)
-    off = d2[~np.eye(QPSK2.m, dtype=bool)]
+    off = np.sum(np.abs(ordered_pair_differences(QPSK2)) ** 2, axis=1)
     assert report.objective == pytest.approx(np.sum(1.0 / off ** 2), rel=1e-12)
 
 
@@ -267,7 +267,7 @@ def test_precoder_objective_invariant_under_left_unitary():
     rng = np.random.default_rng(23)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     rotated = q @ prec.matrix
-    z1 = prec.gram
+    z1 = prec.matrix.conj().T @ prec.matrix
     z2 = rotated.conj().T @ rotated
     assert np.allclose(z1, z2, atol=1e-12)
     assert designs.precoder_objective(z1, CANONICAL_2X2, QPSK2) == pytest.approx(
@@ -322,12 +322,12 @@ def test_precoder_correlated_realizes_certified_objective():
     U diag(sqrt q) with identity right factor realizes a different,
     strictly worse coefficient for this geometry.)"""
     prec, report = designs.optimal_precoder(CORRELATED_2X2, QPSK2, 2.0)
-    from fadecap.model import ordered_pair_differences
     diffs = ordered_pair_differences(QPSK2) @ prec.matrix.T
     forms = np.real(np.einsum("pi,ij,pj->p", diffs.conj(), THETA_T, diffs))
     realized = np.sum(forms ** -2.0)
     assert realized == pytest.approx(report.objective, rel=1e-6)
-    assert np.allclose(prec.gram, prec.matrix @ prec.matrix.conj().T, atol=1e-12)
+    p = prec.matrix
+    assert np.allclose(p.conj().T @ p, p @ p.conj().T, atol=1e-12)
 
 
 def test_precoder_correlated_convexity_probes():
@@ -358,9 +358,9 @@ def test_precoder_correlated_meets_kkt_at_interior_optimum(c, n_r, optimum):
     the optima come from an independent BFGS over Z = L L^+ scaled to P."""
     prec, report = designs.optimal_precoder(fc.CorrelatedRayleigh(THETA_T, np.eye(n_r)),
                                             c, 2.0)
-    z = prec.gram
+    z = prec.matrix.conj().T @ prec.matrix
     assert np.min(np.linalg.eigvalsh(z)) > 0.1
-    from fadecap.model import hermitian_sqrt, ordered_pair_differences
+    from fadecap.model import hermitian_sqrt
     w = ordered_pair_differences(c) @ hermitian_sqrt(THETA_T).T
     forms = np.real(np.einsum("pi,ij,pj->p", w.conj(), z, w))
     grad = np.einsum("p,pi,pj->ij", -n_r * forms ** (-n_r - 1.0), w, w.conj())
@@ -380,14 +380,13 @@ def test_precoder_budget_tightness():
     prec, _ = designs.optimal_precoder(CORRELATED_2X1, QPSK2, 2.0)
     assert np.trace(prec.matrix @ prec.matrix.conj().T).real == pytest.approx(2.0, abs=1e-9)
     prec2, _ = designs.optimal_precoder(CANONICAL_2X2, QPSK2, 2.0)
-    assert np.trace(prec2.gram).real == pytest.approx(2.0, abs=1e-12)
+    assert np.trace(prec2.matrix.conj().T @ prec2.matrix).real == pytest.approx(2.0, abs=1e-12)
 
 
-def test_precoder_correlated_nonconvergence_carries_best_iterate():
-    with pytest.raises(designs.PrecoderConvergenceError) as exc:
-        designs.optimal_precoder(CORRELATED_2X1, QPSK2, 2.0, max_iter=0)
-    assert exc.value.best_gram is not None
-    assert np.isfinite(exc.value.best_objective)
+def test_precoder_correlated_nonconvergence_carries_best_iterate(monkeypatch):
+    monkeypatch.setattr(designs, "PRECODER_MAX_ITER", 0)
+    with pytest.raises(designs.PrecoderConvergenceError, match="in 0 iterations"):
+        designs.optimal_precoder(CORRELATED_2X1, QPSK2, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +433,7 @@ def test_st_criteria_t1_reduces_to_distance_sum():
     code = fc.SpaceTimeCode(codewords=c.points[:, :, None])
     for n_r in (1, 2):
         rep = designs.st_criteria(code, n_r)
-        d2 = fc.pairwise_sq_distances(c)
-        off = d2[~np.eye(c.m, dtype=bool)]
+        off = np.sum(np.abs(ordered_pair_differences(c)) ** 2, axis=1)
         assert rep.r_min == 1
         assert rep.criterion == pytest.approx(np.sum((1.0 / off) ** n_r), rel=1e-10)
 
@@ -460,7 +458,8 @@ def test_spacetime_sums_match_ordered_pair_reference(n_r):
     for i in range(code.m):
         for j in range(code.m):
             if i != j:
-                lam = np.linalg.eigvalsh(code.difference_gram(i, j))
+                diff = code.codewords[i] - code.codewords[j]
+                lam = np.linalg.eigvalsh(diff @ diff.conj().T)
                 lam = lam[lam > EIG_ZERO_REL * lam[-1]]
                 ranks.append(lam.size)
                 terms.append(np.prod(lam ** -float(n_r)))

@@ -1,6 +1,8 @@
 """Monte Carlo oracle: limits, closed-form checks, determinism."""
 
+import contextlib
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -923,6 +925,25 @@ def test_avg_all_and_avg_bounds_draw_the_same_channels(monkeypatch):
     fc.avg_bounds("mi", 30.0, model, QAM16, mc_cfg)
     assert (len(drawn[mc]), len(drawn[bounds])) == (6, 2)   # batches of 50 and of 120
     assert np.array_equal(np.concatenate(drawn[mc]), np.concatenate(drawn[bounds]))
+
+
+def test_thread_pool_is_capped_at_the_cpus(monkeypatch):
+    """4096 threads over 4096 chunks ask for no more workers than the process
+    has CPUs; a fake executor records the request and runs serially."""
+    requested = []
+
+    def serial_executor(max_workers):
+        requested.append(max_workers)
+        return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+    def step(channel_rng, noise_rng, n):
+        return channel_rng.standard_normal(n)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", serial_executor)
+    monkeypatch.setattr(mc, "_available_cpus", lambda: 3)
+    draws = mc._run_chunks(4096, 5, 4096, 1, step, threads=4096)
+    assert requested == [3]
+    assert np.array_equal(draws, mc._run_chunks(4096, 5, 4096, 1, step))
 
 
 def test_avg_all_code_threads_bit_for_bit():

@@ -1,8 +1,11 @@
 """Constellations, channel models, sampling and distance primitives."""
 
+import ast
 import importlib
 import pkgutil
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,28 +13,29 @@ from scipy.stats import ks_2samp
 
 import fadecap as fc
 from fadecap import model
-from fadecap.model import hermitian_sqrt, is_hermitian
+from fadecap.model import hermitian_sqrt, ordered_pair_differences
 
 
 def test_bpsk_points_and_min_distance():
     c = fc.make_constellation("bpsk", 1)
     assert sorted(c.points.ravel().real.tolist()) == [-1.0, 1.0]
-    d2 = fc.pairwise_sq_distances(c)
-    assert d2[0, 1] == pytest.approx(4.0, abs=1e-12)
+    assert np.sum(np.abs(c.points[0] - c.points[1]) ** 2) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_qpsk_product_covariance():
     c = fc.make_constellation("qpsk", 2)
     assert c.m == 16
-    assert np.allclose(c.input_covariance(), np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(c.points.conj().T @ c.points / c.m, np.eye(2) / 2, atol=1e-12)
 
 
 @pytest.mark.parametrize("family,n_t", [("bpsk", 1), ("qpsk", 2), ("qam16", 1),
                                         ("qam64", 1), ("qam256", 1), ("qam16", 2)])
 def test_builtin_covariance_and_symmetry(family, n_t):
     c = fc.make_constellation(family, n_t)
-    assert np.allclose(c.input_covariance(), np.eye(n_t) / n_t, atol=1e-9)
-    assert c.has_negation_symmetry()
+    assert np.allclose(c.points.conj().T @ c.points / c.m, np.eye(n_t) / n_t, atol=1e-9)
+    # negation symmetry: -x is in the set for every point x
+    points = {tuple(row) for row in np.round(c.points, 12)}
+    assert {tuple(row) for row in np.round(-c.points, 12)} == points
     assert c.has_coordinate_sign_symmetry()
 
 
@@ -54,15 +58,13 @@ def test_oversized_constellations_rejected_before_building(monkeypatch):
 def test_qam16_mean_pair_distance_zero_mean_identity():
     # ordered-pair mean distance for a zero-mean unit-energy set is 2M/(M-1)
     c = fc.make_constellation("qam16", 1)
-    d2 = fc.pairwise_sq_distances(c)
-    mean_pair = d2.sum() / (c.m * (c.m - 1))
+    mean_pair = np.mean(np.sum(np.abs(ordered_pair_differences(c)) ** 2, axis=1))
     assert mean_pair == pytest.approx(2 * 16 / 15, rel=1e-12)
 
 
 def test_qpsk_scalar_distances():
     c = fc.make_constellation("qpsk", 1)
-    d2 = fc.pairwise_sq_distances(c)
-    off = np.unique(np.round(d2[~np.eye(4, dtype=bool)], 12))
+    off = np.unique(np.round(np.abs(ordered_pair_differences(c)[:, 0]) ** 2, 12))
     assert np.allclose(off, [2.0, 4.0])
 
 
@@ -93,7 +95,7 @@ def test_distinctness_check_spans_row_blocks(gap2, distinct):
 
 def test_custom_constellation_and_errors():
     c = fc.make_constellation("custom", 2, points=[[0, 0], [1, 0]])
-    assert fc.pairwise_sq_distances(c)[0, 1] == pytest.approx(1.0)
+    assert np.sum(np.abs(c.points[0] - c.points[1]) ** 2) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="duplicate"):
         fc.make_constellation("custom", 1, points=[[1.0], [1.0]])
     for points in ([[0.0]], [[1.0]], np.ones((1, 3))):
@@ -101,14 +103,6 @@ def test_custom_constellation_and_errors():
             fc.make_constellation("custom", np.shape(points)[1], points=points)
     with pytest.raises(ValueError, match="unknown"):
         fc.make_constellation("qam32", 1)
-
-
-def test_pairwise_table_shape_properties():
-    c = fc.make_constellation("qam16", 1)
-    d2 = fc.pairwise_sq_distances(c)
-    assert np.allclose(d2, d2.T)
-    assert np.all(np.diag(d2) == 0)
-    assert np.all(d2[~np.eye(16, dtype=bool)] > 0)
 
 
 def test_canonical_rayleigh_unit_variance():
@@ -162,37 +156,12 @@ def test_channel_model_validation():
         fc.Ricean(k_factor=-0.5, a_t=[1, 1], a_r=[1, 1])
 
 
-def test_received_distance_identities():
-    assert fc.received_sq_distance(np.eye(2), [1, 0], [0, 1]) == pytest.approx(2.0)
-    # line-of-sight matrix kills differences orthogonal to the transmit response
-    model = fc.Ricean(k_factor=2.0, a_t=[1, 1], a_r=[1, 1])
-    assert fc.received_sq_distance(model.los_matrix, [1, 0], [0, 1]) == pytest.approx(0.0, abs=1e-15)
-    rng = np.random.default_rng(5)
-    h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    xj = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    delta = np.outer(xi - xj, (xi - xj).conj())
-    assert fc.received_sq_distance(h, xi, xj) == pytest.approx(
-        np.trace(h @ delta @ h.conj().T).real, rel=1e-12)
-
-
-def test_received_distance_unitary_invariance():
-    rng = np.random.default_rng(6)
-    h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    w, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    xj = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    a = fc.received_sq_distance(h @ w, w.conj().T @ xi, w.conj().T @ xj)
-    b = fc.received_sq_distance(h, xi, xj)
-    assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_hermitian_sqrt_roundtrip():
     rng = np.random.default_rng(7)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     a = g @ g.conj().T
     r = hermitian_sqrt(a)
-    assert is_hermitian(r)
+    assert np.max(np.abs(r - r.conj().T)) <= 1e-12 * np.max(np.abs(r))
     assert np.allclose(r @ r, a, atol=1e-10)
     with pytest.raises(ValueError):
         hermitian_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]) * -1)
@@ -203,8 +172,8 @@ def test_spacetime_code_validation():
     cw[1] = np.eye(2)
     code = fc.SpaceTimeCode(codewords=cw)
     assert code.m == 2 and code.n_t == 2 and code.t == 2
-    gram = code.difference_gram(0, 1)
-    assert np.allclose(gram, np.eye(2))
+    d = code.codewords[0] - code.codewords[1]
+    assert np.allclose(d @ d.conj().T, np.eye(2))
     with pytest.raises(ValueError, match="coincide"):
         fc.SpaceTimeCode(codewords=np.zeros((2, 2, 2), dtype=complex))
 
@@ -235,7 +204,7 @@ def test_snr_grid():
     assert len(grid) == 7
     assert grid.points[0] == pytest.approx(1.0)
     assert grid.points[-1] == pytest.approx(1000.0)
-    assert np.allclose(grid.db, np.arange(0, 31, 5))
+    assert np.allclose(10 * np.log10(grid.points), np.arange(0, 31, 5))
     with pytest.raises(ValueError):
         fc.SnrGrid(points=[1.0, 1.0])
     with pytest.raises(ValueError):
@@ -280,3 +249,27 @@ def test_every_exported_name_resolves(name):
     only at `from module import *`; catch it here."""
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+
+def test_every_public_name_has_a_caller():
+    """Each name in a layer module's __all__, each public method of a class
+    there and each fadecap re-export is read (not just defined, imported or
+    listed) in the package, the README or the acceptance tests; a name only
+    unit tests call belongs in the tests."""
+    src = Path(fc.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in src.glob("*.py")}
+    used = set(re.findall(r"\w+", (src.parents[1] / "README.md").read_text()))
+    for tree in [*trees.values(), ast.parse(Path(__file__).with_name("test_acceptance.py").read_text())]:
+        used |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    surface = [f"fadecap.{a.name}" for n in trees.pop("__init__").body
+               if isinstance(n, ast.ImportFrom) for a in n.names]
+    for stem, tree in trees.items():
+        exported = {e.value for n in tree.body if isinstance(n, ast.Assign)
+                    and getattr(n.targets[0], "id", None) == "__all__" for e in n.value.elts}
+        surface += [f"{stem}.{name}" for name in exported]
+        surface += [f"{stem}.{c.name}.{f.name}" for c in tree.body
+                    if isinstance(c, ast.ClassDef) and c.name in exported for f in c.body
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+    assert sorted(name for name in surface if name.rsplit(".", 1)[1] not in used) == []
