@@ -108,6 +108,5 @@ def avg_bounds(kind: str, snr: float, model: ChannelModel, c: Constellation,
         d2 = _received_sq_distances(sample_channels(model, batch, channel_rng), diffs)
         return _bound_sums(d2, counts, snr, c.m, kind)
 
-    lower, upper = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
-                               diffs.shape[0] * model.n_r, step)
+    lower, upper = _run_chunks(cfg, diffs.shape[0] * model.n_r, step)
     return AveragedBoundPair(lower=_estimate(lower), upper=_estimate(upper))

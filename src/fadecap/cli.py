@@ -24,8 +24,8 @@ import numpy as np
 import scipy
 
 from . import __version__, asymptotics, bounds, designs, mc
-from .config import ConfigError, load_config, validate_command_config
-from .model import CanonicalRayleigh, CorrelatedRayleigh, SnrGrid
+from .config import CHANNEL_NAMES, ConfigError, load_config, validate_command_config
+from .model import CanonicalRayleigh, SnrGrid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -106,14 +106,6 @@ def _report(out_path, text):
     stream.write(text + "\n")
 
 
-def _channel_label(channel):
-    if isinstance(channel, CanonicalRayleigh):
-        return "rayleigh"
-    if isinstance(channel, CorrelatedRayleigh):
-        return "correlated"
-    return "ricean"
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -188,7 +180,7 @@ def cmd_offsets(cfg, seed, digest, out_path, threads):
         else:
             d_lb = d_ub = dp_lb = dp_ub = math.nan
         spread_mmse, spread_mi = asymptotics.analytic_spreads(eb.d, c.m)
-        rows.append([c.family, c.n_t, channel.n_r, _channel_label(channel), c.m, eb.d,
+        rows.append([c.family, c.n_t, channel.n_r, CHANNEL_NAMES[type(channel)], c.m, eb.d,
                      eps.value, eps_p.value, d_lb, d_ub, dp_lb, dp_ub,
                      spread_mmse, spread_mi, flag])
     _write_csv(out_path, "offsets", seed, digest, OFFSETS_HEADER, rows,

@@ -1,8 +1,9 @@
 """Declarative experiment configs: YAML schema validation and builders.
 
 Every command takes a single YAML document.  Validation is strict: unknown
-keys are rejected and every error names the offending field path, so a
-config typo fails fast instead of silently running the wrong experiment.
+and repeated keys are rejected and every error names the offending field
+path, so a config typo fails fast instead of silently running the wrong
+experiment.
 Complex scalars are written as plain reals or as two-element [re, im]
 lists, and every number must be finite.
 """
@@ -42,6 +43,26 @@ class ConfigError(ValueError):
         self.field = field
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a key written twice in one mapping, where
+    plain loading keeps the last; a key that a << merge brings in may
+    still be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        if isinstance(node, yaml.MappingNode):
+            written = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+            self.flatten_mapping(node)          # as SafeLoader does next; a no-op again
+            seen = []
+            for key_node in written:
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found repeated key {key!r}", key_node.start_mark)
+                seen.append(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path: str) -> tuple[dict, str]:
     """Parse a YAML config file; return the document and the SHA-256 hex
     digest of the bytes it was parsed from."""
@@ -51,7 +72,7 @@ def load_config(path: str) -> tuple[dict, str]:
     except OSError as exc:
         raise ConfigError(path, f"cannot read config: {exc}") from exc
     try:
-        doc = yaml.safe_load(raw)
+        doc = yaml.load(raw, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(path, f"invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
@@ -158,15 +179,20 @@ def build_constellation(obj, path) -> Constellation:
         return make_constellation(family, n_t, points=points)
 
 
+# The config name of each channel class, read by `build_channel` and `offsets`.
+CHANNEL_NAMES = {CanonicalRayleigh: "rayleigh", CorrelatedRayleigh: "correlated", Ricean: "ricean"}
+
+
 def build_channel(obj, path, n_t: int) -> ChannelModel:
     if not isinstance(obj, dict) or "variant" not in obj:
         raise ConfigError(f"{path}.variant", "missing channel variant")
     variant = obj["variant"]
+    family = next((cls for cls, name in CHANNEL_NAMES.items() if name == variant), None)
     with _field(path):
-        if variant == "rayleigh":
+        if family is CanonicalRayleigh:
             _require_keys(obj, path, {"variant", "n_r"})
             return CanonicalRayleigh(n_t=n_t, n_r=_int(obj["n_r"], f"{path}.n_r", 1))
-        if variant == "correlated":
+        if family is CorrelatedRayleigh:
             _require_keys(obj, path, {"variant", "theta_t", "theta_r"})
             model = CorrelatedRayleigh(
                 theta_t=_complex_matrix(obj["theta_t"], f"{path}.theta_t"),
@@ -174,7 +200,7 @@ def build_channel(obj, path, n_t: int) -> ChannelModel:
             if model.n_t != n_t:
                 raise ConfigError(f"{path}.theta_t", "size does not match constellation n_t")
             return model
-        if variant == "ricean":
+        if family is Ricean:
             _require_keys(obj, path, {"variant", "k_factor", "a_t", "a_r"})
             model = Ricean(k_factor=_number(obj["k_factor"], f"{path}.k_factor"),
                            a_t=_complex_vector(obj["a_t"], f"{path}.a_t"),
@@ -183,7 +209,7 @@ def build_channel(obj, path, n_t: int) -> ChannelModel:
                 raise ConfigError(f"{path}.a_t", "length does not match constellation n_t")
             return model
     raise ConfigError(f"{path}.variant",
-                      f"unknown variant {variant!r} (rayleigh | correlated | ricean)")
+                      f"unknown variant {variant!r} ({' | '.join(CHANNEL_NAMES.values())})")
 
 
 def build_snr_grid(obj, path) -> SnrGrid:
@@ -204,14 +230,13 @@ def build_snr_grid(obj, path) -> SnrGrid:
 
 
 def build_mc(obj, path, seed: int) -> McConfig:
-    if obj is None:
-        return McConfig(seed=seed)
-    _require_keys(obj, path, set(), {"channel_draws", "noise_draws", "chunks"})
-    return McConfig(
-        channel_draws=_int(obj.get("channel_draws", 10_000), f"{path}.channel_draws", 1),
-        noise_draws_per_channel=_int(obj.get("noise_draws", 100), f"{path}.noise_draws", 1),
-        seed=seed,
-        parallel_chunks=_int(obj.get("chunks", 8), f"{path}.chunks", 1))
+    """The plan of an `mc` block; a key left out keeps McConfig's default."""
+    fields = {"channel_draws": "channel_draws", "noise_draws": "noise_draws_per_channel",
+              "chunks": "parallel_chunks"}
+    obj = {} if obj is None else obj
+    _require_keys(obj, path, set(), set(fields))
+    return McConfig(seed=seed, **{field: _int(obj[key], f"{path}.{key}", 1)
+                                  for key, field in fields.items() if key in obj})
 
 
 def build_fading(obj, path) -> designs.Fading:
@@ -306,12 +331,15 @@ def validate_command_config(command: str, doc: dict, seed: int) -> dict[str, Any
             raise ConfigError("subchannels", f"numeric allocation supports at most "
                               f"{designs.MAX_NUMERIC_SUBCHANNELS} subchannels, got "
                               f"{len(subs)}; set numeric: false for the closed form alone")
+        mc_cfg = build_mc(doc.get("mc"), "mc", seed)
+        with _field("mc.channel_draws"):    # the capacity columns draw the banks too
+            designs._check_bank_size(subs, mc_cfg)
         return {
             "budget": _number(doc["budget"], "budget", positive=True),
             "snr": _snr_db(doc["snr_db"], "snr_db"),
             "subchannels": subs,
             "numeric": numeric,
-            "mc": build_mc(doc.get("mc"), "mc", seed),
+            "mc": mc_cfg,
         }
     if command == "precode":
         _require_keys(doc, "<root>", {"constellation", "p_total", "channel"},

@@ -60,6 +60,12 @@ BUDGET_TOL = 1e-9
 # Most subchannels `palloc_numeric` searches over; each sweep of its
 # coordinate search makes one line search per pair of subchannels.
 MAX_NUMERIC_SUBCHANNELS = 4
+# Resolution of the power-allocation search, as a fraction of the budget.
+SEARCH_TOL = 1e-3
+# Most float64 noise-table entries, C * N * (sum of the factor sizes Q over
+# the subchannels), that the palloc banks may hold (512 MB); each bank also
+# keeps its complex (C, N) noise and `_bank_mi` two (Q, C, N) buffers.
+MAX_BANK_ENTRIES = 2 ** 26
 # The precoder's projected gradient stops when one step lowers the objective
 # by less than PRECODER_REL_TOL of its value, and fails after
 # PRECODER_MAX_ITER steps.
@@ -140,6 +146,28 @@ def palloc_highsnr(subs: Sequence[SubchannelSpec], budget: float) -> PowerAlloca
     return PowerAllocation(p=p, budget=budget)
 
 
+def _point_sets(c: Constellation) -> list[np.ndarray]:
+    """The factors of a subchannel's bank: a grid R x I splits exactly into
+    the point sets R and jI, whose logits add, and a factor of a single
+    level (lse exactly 0) is left out; any other constellation is one factor
+    of all M points."""
+    levels = c.grid_levels
+    if levels is None:
+        return [c.points[:, 0]]
+    return [q for q in (levels[0], 1j * levels[1]) if q.size > 1]
+
+
+def _check_bank_size(subs: Sequence[SubchannelSpec], cfg: mc.McConfig) -> None:
+    """Reject a plan whose banks hold more than MAX_BANK_ENTRIES table
+    entries, before anything is drawn."""
+    entries = cfg.channel_draws * cfg.noise_draws_per_channel * sum(
+        q.size for sub in subs for q in _point_sets(sub.constellation))
+    if entries > MAX_BANK_ENTRIES:
+        raise ValueError(f"the power-allocation banks need {entries} table entries "
+                         f"(channel_draws x noise_draws x points), more than the "
+                         f"{MAX_BANK_ENTRIES} supported")
+
+
 def _subchannel_banks(subs: Sequence[SubchannelSpec], cfg: mc.McConfig):
     """Common-random-number draw banks, one a subchannel.  One
     `mc._run_chunks` call draws the unit fading (C, K) from the channel
@@ -149,33 +177,28 @@ def _subchannel_banks(subs: Sequence[SubchannelSpec], cfg: mc.McConfig):
     point set q at power p is
     2*sqrt(snr*p)*(Re(conj(q_k) w) - Re(conj(q_i) w)) - snr*p*|h|^2 |q_i - q_k|^2,
     so the fading and noise enter only through power-independent tables and
-    every candidate power is compared on identical randomness.  A grid
-    R x I splits exactly into the point sets R and jI, whose logits add, so
-    the lse adds over them; any other constellation is one factor of all M
-    points.  A bank is (factors, |h|^2 (C,)), each factor of Q points a
-    pair of d2 (Q, Q) = |q_i - q_k|^2 and the hypothesis-first noise table
-    (Q, C, N) = Re(conj(q_m h) n), the layout `mc.kernel_stats` uses.
+    every candidate power is compared on identical randomness.  The lse adds
+    over the factors of `_point_sets`.  A bank is (factors, |h|^2 (C,)),
+    each factor of Q points a pair of d2 (Q, Q) = |q_i - q_k|^2 and the
+    hypothesis-first noise table (Q, C, N) = Re(conj(q_m h) n), the layout
+    `mc.kernel_stats` uses.  A plan over MAX_BANK_ENTRIES is a ValueError.
     """
+    _check_bank_size(subs, cfg)
     k_sub, n_noise = len(subs), cfg.noise_draws_per_channel
 
     def step(channel_rng, noise_rng, batch):
         return (_complex_normal(channel_rng, (batch, k_sub)),
                 _complex_normal(noise_rng, (batch, n_noise, k_sub)))
 
-    fading, noise = mc._run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
-                                   n_noise * k_sub, step)
+    fading, noise = mc._run_chunks(cfg, n_noise * k_sub, step)
     banks = []
     for k, sub in enumerate(subs):
         fad = sub.fading
         h = fading[:, k] * np.sqrt(fad.variance)
         if fad.mean:
             h = h + complex(fad.mean)
-        # a factor of a single level has lse exactly 0 and is left out
-        levels = sub.constellation.grid_levels
-        point_sets = ([sub.constellation.points[:, 0]] if levels is None
-                      else [q for q in (levels[0], 1j * levels[1]) if q.size > 1])
         factors = []
-        for q in point_sets:
+        for q in _point_sets(sub.constellation):
             qh = q[:, None] * h[None, :]                     # (Q, C)
             base_g = (qh.real[:, :, None] * noise[None, :, :, k].real
                       + qh.imag[:, :, None] * noise[None, :, :, k].imag)
@@ -205,10 +228,11 @@ def _bank_mi(snr: float, bank, power: float) -> np.ndarray:
     return mi
 
 
-def _coordinate_search(objective, p0: np.ndarray, budget: float, tol: float = 1e-3):
-    """Pairwise power transfers with golden-section line search on a
-    deterministic (bank-backed) objective; stays on the simplex sum p = P.
-    One sweep resolves two subchannels exactly; more take up to 4."""
+def _coordinate_search(objective, p0: np.ndarray, budget: float):
+    """Pairwise power transfers with golden-section line search, to
+    SEARCH_TOL of the budget, on a deterministic (bank-backed) objective;
+    stays on the simplex sum p = P.  One sweep resolves two subchannels
+    exactly; more take up to 4."""
     gold = (np.sqrt(5.0) - 1.0) / 2.0
     p = p0.copy()
     best = objective(p)
@@ -228,7 +252,7 @@ def _coordinate_search(objective, p0: np.ndarray, budget: float, tol: float = 1e
                 x1 = hi - gold * (hi - lo)
                 x2 = lo + gold * (hi - lo)
                 f1, f2 = j_of(x1), j_of(x2)
-                while hi - lo >= tol * budget:
+                while hi - lo >= SEARCH_TOL * budget:
                     if f1 < f2:
                         lo, x1, f1 = x1, x2, f2
                         x2 = lo + gold * (hi - lo)
@@ -244,7 +268,7 @@ def _coordinate_search(objective, p0: np.ndarray, budget: float, tol: float = 1e
                     p[a] += delta
                     p[b] -= delta
                     moved = max(moved, abs(delta))
-        if moved < tol * budget:
+        if moved < SEARCH_TOL * budget:
             break
     return p, best
 

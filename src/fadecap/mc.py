@@ -97,7 +97,6 @@ class McConfig:
 class Estimate:
     mean: float
     std_error: float
-    n_samples: int
 
     def __post_init__(self):
         if not np.isfinite(self.mean):
@@ -235,14 +234,14 @@ def _sampled_stats(received: np.ndarray, noise: np.ndarray, true: np.ndarray, sn
 def _estimate(samples: np.ndarray) -> Estimate:
     n = samples.size
     se = float(np.std(samples, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return Estimate(mean=float(np.mean(samples)), std_error=se, n_samples=n)
+    return Estimate(mean=float(np.mean(samples)), std_error=se)
 
 
 def _estimates(samples, log_m: float) -> dict[str, Estimate]:
     """The {mmse, mi, pe} estimates from per-sample (mmse, lse, pe) arrays;
     the mutual information is log M - mean(lse)."""
     mmse, lse, pe = (_estimate(s) for s in samples)
-    mi = Estimate(mean=log_m - lse.mean, std_error=lse.std_error, n_samples=lse.n_samples)
+    mi = Estimate(mean=log_m - lse.mean, std_error=lse.std_error)
     return {"mmse": mmse, "mi": mi, "pe": pe}
 
 
@@ -251,15 +250,14 @@ def _available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_chunks(total: int, seed: int, chunks: int, per_draw: int, step, threads: int = 1,
-                streams: int = 2):
+def _run_chunks(cfg: McConfig, per_draw: int, step, threads: int = 1, streams: int = 2):
     """The seeded draw loop of every Monte Carlo consumer.
 
-    Splits `total` draws into `chunks` parts, each with its `streams`
-    generators (`chunk_rngs`), and calls ``step(channel_rng, noise_rng,
-    batch, *more_rngs)`` on consecutive batches of each part, sized so that
-    the step's largest block (`per_draw` elements a draw) holds about
-    `BATCH_ELEMENTS`.  Steps draw in draw order, so the batch size never
+    Splits the plan's `channel_draws` into its `parallel_chunks` parts, each
+    with `streams` generators (`chunk_rngs` of its `seed`), and calls
+    ``step(channel_rng, noise_rng, batch, *more_rngs)`` on consecutive
+    batches of each part, sized so that the step's largest block (`per_draw`
+    elements a draw) holds about `BATCH_ELEMENTS`.  Steps draw in draw order, so the batch size never
     changes a draw.  Returns the step outputs, arrays or tuples of arrays,
     concatenated in chunk order; ``threads > 1`` runs the parts on a thread
     pool of at most `threads`, chunks and `_available_cpus()` workers, with
@@ -272,7 +270,8 @@ def _run_chunks(total: int, seed: int, chunks: int, per_draw: int, step, threads
         return [step(channel_rng, noise_rng, min(cap, size - start), *more_rngs)
                 for start in range(0, size, cap)]
 
-    jobs = list(zip(chunk_sizes(total, chunks), chunk_rngs(seed, chunks, streams)))
+    jobs = list(zip(chunk_sizes(cfg.channel_draws, cfg.parallel_chunks),
+                    chunk_rngs(cfg.seed, cfg.parallel_chunks, streams)))
     workers = min(threads, len(jobs), _available_cpus())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -307,8 +306,7 @@ def fixed_h_all(snr: float, h, c: Constellation, cfg: McConfig) -> dict[str, Est
         stats = _sample_stats(np.broadcast_to(h, (batch, *h.shape)), noise, blocks, levels, snr)
         return tuple(s.ravel() for s in stats)
 
-    samples = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
-                          c.m * n_noise, step)
+    samples = _run_chunks(cfg, c.m * n_noise, step)
     return _estimates(samples, c.log_m)
 
 
@@ -414,8 +412,7 @@ def avg_all(snr: float, channel: ChannelModel, inputs: Constellation | SpaceTime
         per_draw, streams = 2 * n_noise * m, 3
     else:                               # (M, N) logits a channel
         per_draw, streams = n_noise * m, 2
-    samples = _run_chunks(cfg.channel_draws, cfg.seed, cfg.parallel_chunks,
-                          per_draw, step, threads, streams)
+    samples = _run_chunks(cfg, per_draw, step, threads, streams)
     return _estimates(samples, float(np.log(m)))
 
 
@@ -491,4 +488,5 @@ def distance_squared_samples(model: ChannelModel, diff, n: int, seed: int,
         rec = sample_channels(model, batch, channel_rng) @ diff
         return np.sum(np.abs(rec) ** 2, axis=1)
 
-    return _run_chunks(n, seed, chunks, model.n_r * model.n_t, step)
+    cfg = McConfig(channel_draws=n, seed=seed, parallel_chunks=chunks)
+    return _run_chunks(cfg, model.n_r * model.n_t, step)

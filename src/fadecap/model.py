@@ -14,6 +14,7 @@ streams.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -45,16 +46,28 @@ NORM_TOL = 1e-9
 # builds an (M, M, n_t) table: qam256 over two antennas (M = 65536) would need
 # ~137 GB.
 MAX_POINTS = 4096
+# Most entries M(M-1) d of the ordered-difference table (d = n_t for points,
+# n_t t for codewords).  Its build peaks at about 50 bytes an entry (measured
+# with tracemalloc), so this cap is ~1.7 GB: every single-antenna set up to
+# MAX_POINTS and qam64 on two antennas pass, qam16 on three does not.
+MAX_PAIR_ENTRIES = 2 ** 25
 # Largest SNR grid accepted; every point is a Monte Carlo run in `curve`.
 MAX_SNR_POINTS = 1000
 # Entries per row block of the nearest-point search's distance table (1 MB).
 DISTINCT_BLOCK = 2 ** 17
 
 
-def _check_size(m: int, n_t: int, what: str = "constellation") -> None:
+def _check_size(shape: tuple[int, ...], what: str = "constellation") -> None:
+    """Reject M inputs of shape `shape[1:]`, (n_t,) points or (n_t, t)
+    codewords, beyond MAX_POINTS or MAX_PAIR_ENTRIES."""
+    m, n_t, d = shape[0], shape[1], math.prod(shape[1:])
     if m > MAX_POINTS:
         raise ValueError(f"{what} with n_t={n_t} has M={m} points, "
                          f"more than the {MAX_POINTS} supported")
+    if m * (m - 1) * d > MAX_PAIR_ENTRIES:
+        raise ValueError(f"{what} with n_t={n_t} has M={m} points, whose differences "
+                         f"need {m * (m - 1) * d} table entries (M(M-1) x {d}), more than "
+                         f"the {MAX_PAIR_ENTRIES} supported")
 
 
 def db_to_linear(x_db) -> np.ndarray:
@@ -123,7 +136,7 @@ class Constellation:
             raise ValueError(f"constellation has M={pts.shape[0]} points, "
                              "fewer than the 2 needed")
         _validate_finite(pts, "constellation points")
-        _check_size(*pts.shape)
+        _check_size(pts.shape)
         object.__setattr__(self, "points", pts)
         _check_distinct(pts, "constellation points")
 
@@ -241,7 +254,7 @@ def make_constellation(family: str, n_t: int, points=None) -> Constellation:
     if fam not in _SCALAR_FAMILIES:
         raise ValueError(f"unknown constellation family {family!r}")
     scal = _scalar_alphabet(fam)
-    _check_size(len(scal) ** n_t, n_t)
+    _check_size((len(scal) ** n_t, n_t))
     joint = np.array([np.array(tup) for tup in itertools.product(scal, repeat=n_t)])
     joint = joint / np.sqrt(n_t)
     return Constellation(points=joint, family=fam)
@@ -412,7 +425,7 @@ class SpaceTimeCode:
         if cw.ndim != 3 or cw.shape[0] < 2:
             raise ValueError("codewords must be a (M, n_t, t) array with M >= 2")
         _validate_finite(cw, "codewords")
-        _check_size(*cw.shape[:2], "space-time code")
+        _check_size(cw.shape, "space-time code")
         object.__setattr__(self, "codewords", cw)
         _check_distinct(cw.reshape(cw.shape[0], -1), "codewords")
 

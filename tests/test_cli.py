@@ -15,7 +15,8 @@ import yaml
 import fadecap
 from fadecap import designs
 from fadecap.cli import main
-from fadecap.config import validate_command_config
+from fadecap.config import load_config, validate_command_config
+from fadecap.mc import McConfig
 
 CURVE_CFG = {
     "kind": "mi",
@@ -100,6 +101,36 @@ def test_oversized_constellation_is_a_config_error(tmp_path, capsys, n_t):
     cfg = write_cfg(tmp_path, doc)
     assert run(["curve", "--config", cfg, "--seed", 1]) == 2
     assert f"n_t={n_t}" in capsys.readouterr().err
+
+
+def test_oversized_pair_table_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """qpsk over six antennas has 4096 points, but its table of ordered
+    differences is over model.MAX_PAIR_ENTRIES: a config error naming the
+    constellation, raised before the joint points are built."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("built the joint points")
+
+    monkeypatch.setattr(fadecap.model.itertools, "product", must_not_run)
+    doc = dict(CURVE_CFG, constellation={"family": "qpsk", "n_t": 6})
+    assert run(["curve", "--config", write_cfg(tmp_path, doc), "--seed", 1]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'constellation': ") and "table entries" in err
+
+
+def test_repeated_yaml_key_is_a_config_error(tmp_path, capsys):
+    """A key written twice in one mapping is a config error naming the key
+    and its line, not a silent win for the last one; keys a << merge brings
+    in may still be overridden."""
+    path = tmp_path / "repeated.yaml"
+    text = yaml.safe_dump({k: v for k, v in CURVE_CFG.items() if k != "snr_db"})
+    path.write_text(text + "snr_db: {points: [10]}\nsnr_db: {points: [20]}\n")
+    out = tmp_path / "o.csv"
+    assert run(["curve", "--config", path, "--seed", 1, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "repeated key 'snr_db'" in err and f"line {len(text.splitlines()) + 2}" in err
+    assert not out.exists()
+    path.write_text("mc: {<<: {channel_draws: 40, chunks: 4}, chunks: 2}\n")
+    assert load_config(str(path))[0] == {"mc": {"channel_draws": 40, "chunks": 2}}
 
 
 ONE_POINT = {"family": "custom", "points": [[1]]}
@@ -428,6 +459,30 @@ def test_palloc_numeric_over_four_subchannels_config_error(tmp_path, capsys, mon
                 "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config field 'subchannels': ") and "at most 4" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("numeric", [True, False])
+def test_palloc_oversized_banks_config_error(tmp_path, capsys, monkeypatch, numeric):
+    """The README palloc config at 10^7 channel draws would ask for ~41 GB
+    of bank tables; with either numeric setting, since the capacity columns
+    draw the banks too, it is a config error naming mc.channel_draws,
+    raised before any draw."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew after the bank size check")
+
+    monkeypatch.setattr(fadecap.mc, "_run_chunks", unreachable)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### palloc -- ", 1)[1]
+    doc = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+    doc["mc"]["channel_draws"] = 10_000_000
+    doc["numeric"] = numeric
+    out = tmp_path / "palloc.csv"
+    assert run(["palloc", "--config", write_cfg(tmp_path, doc), "--seed", 1,
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'mc.channel_draws': ")
+    assert f"{10_000_000 * 32 * 16} table entries" in err
     assert not out.exists()
 
 
@@ -771,7 +826,7 @@ def test_curve_non_finite_estimate_names_snr_point(tmp_path, capsys, monkeypatch
     from fadecap import mc
 
     def nan_avg_all(snr, *args, **kwargs):
-        return {"mi": mc.Estimate(mean=float("nan"), std_error=0.0, n_samples=1)}
+        return {"mi": mc.Estimate(mean=float("nan"), std_error=0.0)}
 
     monkeypatch.setattr(mc, "avg_all", nan_avg_all)
     doc = dict(CURVE_CFG)
@@ -811,3 +866,49 @@ def test_readme_dotted_names_resolve():
         for attr in attrs:
             assert hasattr(obj, attr), f"README names {name}, which does not resolve"
             obj = getattr(obj, attr)
+
+
+def test_offsets_channel_column_names_each_variant(tmp_path):
+    """The channel column writes the config name of each system's channel."""
+    variants = [{"variant": "rayleigh", "n_r": 1},
+                {"variant": "correlated", "theta_t": [[1]], "theta_r": [[1, 0.5], [0.5, 1]]},
+                {"variant": "ricean", "k_factor": 2.0, "a_t": [1], "a_r": [1]}]
+    doc = {"anchor_snr_db": 10, "mc": {"channel_draws": 40, "noise_draws": 4, "chunks": 2},
+           "systems": [{"constellation": {"family": "bpsk", "n_t": 1}, "channel": v}
+                       for v in variants]}
+    out = tmp_path / "offsets.csv"
+    assert run(["offsets", "--config", write_cfg(tmp_path, doc), "--seed", 2,
+                "--out", out]) in (0, 4)
+    _, header, rows = read_csv(out)
+    assert [dict(zip(header, r))["channel"] for r in rows] == ["rayleigh", "correlated",
+                                                               "ricean"]
+
+
+CODEBOOK = {"name": "orthogonal", "codewords": [
+    [[s1, 0], [-s2, 0]] for s1 in (1, -1) for s2 in (1, -1)]}
+MC_BLOCK_DOCS = {      # a config of each command with an mc block, and the block's path
+    "curve": ({k: v for k, v in CURVE_CFG.items() if k != "mc"}, ()),
+    "offsets": ({"anchor_snr_db": 20, "systems": [
+        {"constellation": {"family": "qpsk", "n_t": 1},
+         "channel": {"variant": "rayleigh", "n_r": 1}}]}, ()),
+    "palloc": ({k: v for k, v in PALLOC_2SUB.items() if k != "mc"}, ()),
+    "stcode": ({"n_r": 1, "codebooks": [CODEBOOK], "confirm_pe": {"snr_db": 10}},
+               ("confirm_pe",)),
+}
+
+
+@pytest.mark.parametrize("block,expected", [
+    ("absent", McConfig(seed=7)), (None, McConfig(seed=7)), ({}, McConfig(seed=7)),
+    ({"noise_draws": 6}, McConfig(noise_draws_per_channel=6, seed=7)),
+], ids=["absent", "null", "empty", "partial"])
+@pytest.mark.parametrize("command", sorted(MC_BLOCK_DOCS))
+def test_mc_block_keeps_the_mcconfig_defaults(command, block, expected):
+    """An absent, empty or partial mc block gives McConfig's own defaults
+    for every key it leaves out."""
+    doc, path = MC_BLOCK_DOCS[command]
+    doc = yaml.safe_load(yaml.safe_dump(doc))           # a deep copy
+    parent = doc[path[0]] if path else doc
+    if block != "absent":
+        parent["mc"] = block
+    cfg = validate_command_config(command, doc, seed=7)
+    assert (cfg[path[0]] if path else cfg)["mc"] == expected

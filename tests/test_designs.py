@@ -1,7 +1,6 @@
 """Power allocation, precoders and space-time code ranking."""
 
 import importlib.util
-import inspect
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +167,26 @@ PALLOC_2SUB = [designs.SubchannelSpec(QPSK, designs.Fading(4.0)),
                designs.SubchannelSpec(QAM16, designs.Fading(0.5))]
 
 
+def test_oversized_banks_rejected_before_drawing(monkeypatch):
+    """The palloc-2sub banks hold C N (2 + 2 + 4 + 4) table entries; one
+    past MAX_BANK_ENTRIES is a ValueError naming the count, raised by both
+    bank users before any draw."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew before the bank size check")
+
+    monkeypatch.setattr(designs.mc, "_run_chunks", unreachable)
+    n_noise = 16
+    draws = designs.MAX_BANK_ENTRIES // (12 * n_noise) + 1
+    cfg = McConfig(channel_draws=draws, noise_draws_per_channel=n_noise)
+    message = f"need {draws * n_noise * 12} table entries"
+    with pytest.raises(ValueError, match=message):
+        designs.palloc_numeric(PALLOC_2SUB, 2.0, 100.0, cfg)
+    with pytest.raises(ValueError, match=message):
+        designs.subchannel_capacities(PALLOC_2SUB, [[1.0, 1.0]], 100.0, cfg)
+    designs._check_bank_size(PALLOC_2SUB, McConfig(channel_draws=draws - 1,
+                                                   noise_draws_per_channel=n_noise))
+
+
 def test_palloc_numeric_runs_one_search(monkeypatch):
     """The optimum and its low-confidence flag come from one search on the
     full bank."""
@@ -214,8 +233,7 @@ def test_perfbench_search_tol_is_the_search_default():
     spec = importlib.util.spec_from_file_location("perfbench_checks", path)
     checks = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(checks)
-    tol = inspect.signature(designs._coordinate_search).parameters["tol"].default
-    assert checks.SEARCH_TOL == tol
+    assert checks.SEARCH_TOL == designs.SEARCH_TOL
 
 
 def test_subchannel_capacities_monotone_in_power():

@@ -298,7 +298,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(parallel_chunks=0)
     with pytest.raises(ValueError):
-        Estimate(mean=np.nan, std_error=0.0, n_samples=1)
+        Estimate(mean=np.nan, std_error=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +497,9 @@ def test_sampled_avg_all_holds_about_the_counted_block(monkeypatch):
     counted = []
     run_chunks = mc._run_chunks
 
-    def spy(total, seed, chunks, per_draw, *args):
+    def spy(mc_cfg, per_draw, *args):
         counted.append(per_draw)
-        return run_chunks(total, seed, chunks, per_draw, *args)
+        return run_chunks(mc_cfg, per_draw, *args)
 
     monkeypatch.setattr(mc, "_run_chunks", spy)
     mc_cfg = McConfig(channel_draws=c_sz, noise_draws_per_channel=n_sz, parallel_chunks=1)
@@ -882,13 +882,13 @@ def _batches_of(k, patch):
     run_chunks = mc._run_chunks
     sizes = []
 
-    def run_in_batches(total, seed, chunks, per_draw, step, *args):
+    def run_in_batches(mc_cfg, per_draw, step, *args):
         def counted(channel_rng, noise_rng, batch, *more_rngs):
             sizes.append(batch)
             return step(channel_rng, noise_rng, batch, *more_rngs)
 
         patch.setattr(mc, "BATCH_ELEMENTS", k * per_draw)
-        return run_chunks(total, seed, chunks, per_draw, counted, *args)
+        return run_chunks(mc_cfg, per_draw, counted, *args)
 
     patch.setattr(mc, "_run_chunks", run_in_batches)
     patch.setattr(bounds, "_run_chunks", run_in_batches)
@@ -941,9 +941,10 @@ def test_thread_pool_is_capped_at_the_cpus(monkeypatch):
 
     monkeypatch.setattr(mc, "ThreadPoolExecutor", serial_executor)
     monkeypatch.setattr(mc, "_available_cpus", lambda: 3)
-    draws = mc._run_chunks(4096, 5, 4096, 1, step, threads=4096)
+    mc_cfg = McConfig(channel_draws=4096, seed=5, parallel_chunks=4096)
+    draws = mc._run_chunks(mc_cfg, 1, step, threads=4096)
     assert requested == [3]
-    assert np.array_equal(draws, mc._run_chunks(4096, 5, 4096, 1, step))
+    assert np.array_equal(draws, mc._run_chunks(mc_cfg, 1, step))
 
 
 def test_avg_all_code_threads_bit_for_bit():

@@ -190,6 +190,26 @@ def test_oversized_spacetime_code_rejected_before_distinctness(monkeypatch):
         fc.SpaceTimeCode(codewords=cw)
 
 
+def test_pair_table_cap_rejected_before_building(monkeypatch):
+    """Within MAX_POINTS, a point set or code whose M(M-1) x d table of
+    ordered differences (d = n_t, or n_t t for codewords) exceeds
+    MAX_PAIR_ENTRIES is rejected, naming the entry count, before its points
+    or its distinctness check are built.  qam64 over two antennas is the
+    largest built-in set that passes."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the size check must come before the point tables")
+
+    monkeypatch.setattr(model.itertools, "product", must_not_run)
+    monkeypatch.setattr(model, "_check_distinct", must_not_run)
+    for family, n_t, m in [("qpsk", 6, 4096), ("qam16", 3, 4096), ("bpsk", 11, 2048)]:
+        with pytest.raises(ValueError, match=f"need {m * (m - 1) * n_t} table entries"):
+            fc.make_constellation(family, n_t)
+    with pytest.raises(ValueError, match=f"need {4096 * 4095 * 4} table entries"):
+        fc.SpaceTimeCode(codewords=np.zeros((4096, 2, 2), dtype=complex))
+    model._check_size((64 ** 2, 2))
+    model._check_size((4096, 1), "space-time code")
+
+
 def test_distinctness_check_names_the_pair():
     with pytest.raises(ValueError, match="duplicate constellation points: 1 and 3 coincide"):
         fc.make_constellation("custom", 1, points=[0.0, 1.0, 2.0, 1.0])
