@@ -244,17 +244,11 @@ def cmd_precode(cfg, seed, digest, out_path, threads):
             best_probe = min(best_probe, val)
             if val >= report.objective - 1e-12:
                 worse += 1
-        row = [report.method, report.objective, report.iterations,
-               report.stationarity_residual, cfg["probes"], worse,
-               best_probe if cfg["probes"] else math.nan,
-               math.nan, math.nan, math.nan]
-        certified = worse == cfg["probes"]
-        text = (f"precoder:\n{np.array2string(precoder.matrix, precision=6)}\n"
-                f"objective {report.objective:.12g}; "
-                f"{worse}/{cfg['probes']} random feasible probes are no better"
-                + ("" if certified else " (CERTIFICATION FAILED)"))
-        if not certified:
+        if worse != cfg["probes"]:
             raise NumericFailure("random probe beat the closed-form precoder")
+        checks = [cfg["probes"], worse, best_probe if cfg["probes"] else math.nan,
+                  math.nan, math.nan, math.nan]
+        summary = f"{worse}/{cfg['probes']} random feasible probes are no better"
     else:
         objectives = [report.objective]
         for _ in range(cfg["restarts"]):
@@ -265,12 +259,12 @@ def cmd_precode(cfg, seed, digest, out_path, threads):
                 precoder, report = prec_k, rep_k
         spread = max(objectives) - min(objectives)
         max_angle = float(np.max(report.principal_angles))
-        row = [report.method, report.objective, report.iterations,
-               report.stationarity_residual, math.nan, math.nan, math.nan,
-               cfg["restarts"], spread, max_angle]
-        text = (f"precoder:\n{np.array2string(precoder.matrix, precision=6)}\n"
-                f"objective {report.objective:.12g}; restart spread {spread:.3e}; "
-                f"max alignment angle {max_angle:.3e} rad")
+        checks = [math.nan, math.nan, math.nan, cfg["restarts"], spread, max_angle]
+        summary = f"restart spread {spread:.3e}; max alignment angle {max_angle:.3e} rad"
+    row = [report.method, report.objective, report.iterations,
+           report.stationarity_residual] + checks
+    text = (f"precoder:\n{np.array2string(precoder.matrix, precision=6)}\n"
+            f"objective {report.objective:.12g}; {summary}")
     _write_csv(out_path, "precode", seed, digest, PRECODE_HEADER, [row])
     _report(out_path, text)
     return EXIT_OK
@@ -288,7 +282,6 @@ STCODE_HEADER = ["name", "r_min", "criterion", "d", "certified", "pe_mean", "pe_
 def cmd_stcode(cfg, seed, digest, out_path, threads):
     n_r = cfg["n_r"]
     names, codes = zip(*cfg["codebooks"])
-    designs._check_comparable(codes)
     reports = [designs.st_criteria(code, n_r) for code in codes]
     confirm = cfg["confirm_pe"]
     pe = [None] * len(codes)
@@ -326,13 +319,24 @@ _COMMANDS = {
 }
 
 
-def _seed(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _seed(text: str) -> int:
+    value = _integer(text)
     if not 0 <= value < 2 ** 64:
         raise argparse.ArgumentTypeError(f"{value} is outside [0, 2^64)")
+    return value
+
+
+def _threads(text: str) -> int:
+    value = _integer(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
     return value
 
 
@@ -344,8 +348,8 @@ def _build_parser():
         p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument("--seed", required=True, type=_seed,
                        help="MC seed, an integer in [0, 2^64) (required)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; does not change results")
+        p.add_argument("--threads", type=_threads, default=1,
+                       help="worker cap, a positive integer; does not change results")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     return parser
 
@@ -365,8 +369,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](cfg, args.seed, digest, args.out,
-                                       max(args.threads, 1))
+        return _COMMANDS[args.command](cfg, args.seed, digest, args.out, args.threads)
     except (ConfigError, OutError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

@@ -347,8 +347,9 @@ def validate_command_config(command: str, doc: dict, seed: int) -> dict[str, Any
         c = build_constellation(doc["constellation"], "constellation")
         channel = build_channel(doc["channel"], "channel", c.n_t)
         if isinstance(channel, Ricean):
+            taken = " | ".join(name for cls, name in CHANNEL_NAMES.items() if cls is not Ricean)
             raise ConfigError("channel.variant",
-                              "unknown variant 'ricean' (rayleigh | correlated)")
+                              f"unknown variant {CHANNEL_NAMES[Ricean]!r} ({taken})")
         return {
             "constellation": c,
             "channel": channel,
@@ -366,6 +367,8 @@ def validate_command_config(command: str, doc: dict, seed: int) -> dict[str, Any
         for k, name in enumerate(names):
             if name in names[:k]:     # the ranking line tells books apart by name
                 raise ConfigError(f"codebooks[{k}].name", f"duplicate codebook name {name!r}")
+        with _field("codebooks"):
+            designs._check_comparable([code for _, code in books])
         confirm = None
         if "confirm_pe" in doc:
             conf_obj = doc["confirm_pe"]

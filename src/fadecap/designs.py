@@ -379,18 +379,22 @@ def _gap_gradient(z: np.ndarray, diffs: np.ndarray, counts: np.ndarray,
     return np.einsum("p,pi,pj->ij", coef, diffs, diffs.conj())
 
 
-def _transmit_correlation(channel: CanonicalRayleigh | CorrelatedRayleigh,
-                          c: Constellation) -> np.ndarray | None:
-    """Theta_T of a correlated channel, None for the canonical one.  Any
-    other channel, or one whose n_t differs from the constellation's, is a
-    ValueError."""
+def _whitened_pairs(channel: CanonicalRayleigh | CorrelatedRayleigh,
+                    c: Constellation) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pair differences of `c` and their multiplicities, each
+    difference whitened by Theta_T^{1/2} on a `CorrelatedRayleigh` channel.
+    Any other channel, or one whose n_t differs from the constellation's,
+    is a ValueError."""
     if not isinstance(channel, (CanonicalRayleigh, CorrelatedRayleigh)):
         raise ValueError("precoders are designed for the canonical or the "
                          "transmit-correlated Rayleigh channel")
     if channel.n_t != c.n_t:
         raise ValueError(f"channel n_t = {channel.n_t} does not match the "
                          f"constellation's n_t = {c.n_t}")
-    return channel.theta_t if isinstance(channel, CorrelatedRayleigh) else None
+    diffs, counts = pair_differences(c)
+    if isinstance(channel, CorrelatedRayleigh):
+        diffs = diffs @ hermitian_sqrt(channel.theta_t).T
+    return diffs, counts
 
 
 def precoder_objective(z, channel: CanonicalRayleigh | CorrelatedRayleigh,
@@ -399,11 +403,8 @@ def precoder_objective(z, channel: CanonicalRayleigh | CorrelatedRayleigh,
     sum over ordered pairs of quadratic-form^(-n_r), whitened by the
     channel's transmit correlation if it has one.  The objective depends on
     a precoder only through its Gram matrix."""
-    theta_t = _transmit_correlation(channel, c)
-    diffs, counts = pair_differences(c)
-    if theta_t is not None:
-        diffs = diffs @ hermitian_sqrt(theta_t).T
-    return _gap_objective(np.asarray(z, dtype=complex), diffs, counts, channel.n_r)
+    return _gap_objective(np.asarray(z, dtype=complex), *_whitened_pairs(channel, c),
+                          channel.n_r)
 
 
 def _project_trace_psd(z: np.ndarray, budget: float) -> np.ndarray:
@@ -434,8 +435,8 @@ def optimal_precoder(channel: CanonicalRayleigh | CorrelatedRayleigh, c: Constel
     Closed form: on the canonical channel, for constellations closed under
     per-coordinate sign flips and without a starting point `z0`, the
     scaled identity is a global optimizer (the flip pairing cancels every
-    off-diagonal gradient entry and equalizes the diagonal), verified here
-    through the first-order stationarity residual.
+    off-diagonal gradient entry and equalizes the diagonal), certified by its
+    first-order stationarity residual at the descent's starting point.
 
     Otherwise projected gradient descent runs from `z0` (default the scaled
     identity).  On a correlated channel the optimizer aligns the
@@ -455,22 +456,30 @@ def optimal_precoder(channel: CanonicalRayleigh | CorrelatedRayleigh, c: Constel
     """
     if p_total <= 0:
         raise ValueError("power budget must be positive")
-    theta_t = _transmit_correlation(channel, c)
+    diffs, counts = _whitened_pairs(channel, c)
     n_t, n_r = c.n_t, channel.n_r
-    if theta_t is None:
-        if z0 is None and c.has_coordinate_sign_symmetry():
-            return _isotropic_precoder(c, n_r, p_total)
-        theta_t = np.eye(n_t, dtype=complex)
+    correlated = isinstance(channel, CorrelatedRayleigh)
+    theta_t = channel.theta_t if correlated else np.eye(n_t, dtype=complex)
     w_t = np.linalg.eigvalsh(theta_t)
     if w_t[0] <= EIG_ZERO_REL * w_t[-1]:
         raise ValueError("theta_t is singular; the degenerate case is out of scope here")
-    diffs, counts = pair_differences(c)
-    diffs = diffs @ hermitian_sqrt(theta_t).T      # whiten each difference vector
 
     z = (p_total / n_t) * np.eye(n_t, dtype=complex) if z0 is None \
         else _project_trace_psd(np.asarray(z0, dtype=complex), p_total)
     f_z = _gap_objective(z, diffs, counts, n_r)
-    step = p_total / max(np.linalg.norm(_gap_gradient(z, diffs, counts, n_r)), 1e-300)
+    grad = _gap_gradient(z, diffs, counts, n_r)
+    if not correlated and z0 is None and c.has_coordinate_sign_symmetry():
+        iso = np.trace(grad).real / n_t * np.eye(n_t)
+        residual = float(np.linalg.norm(grad - iso) / max(np.linalg.norm(grad), 1e-300))
+        if residual > 1e-8:
+            raise AssertionError(
+                f"stationarity residual {residual:.3e} exceeds 1e-8 for a "
+                "sign-symmetric constellation")
+        return (Precoder(matrix=np.sqrt(p_total / n_t) * np.eye(n_t, dtype=complex),
+                         budget=p_total),
+                PrecoderReport(objective=f_z, iterations=0, stationarity_residual=residual,
+                               method="closed_form"))
+    step = p_total / max(np.linalg.norm(grad), 1e-300)
     converged = False
     it = 0
     for it in range(1, PRECODER_MAX_ITER + 1):
@@ -510,26 +519,6 @@ def optimal_precoder(channel: CanonicalRayleigh | CorrelatedRayleigh, c: Constel
                             stationarity_residual=residual,
                             method="projected_gradient",
                             principal_angles=angles)
-    return precoder, report
-
-
-def _isotropic_precoder(c: Constellation, n_r: int, p_total: float):
-    """The scaled identity, certified by its stationarity residual."""
-    n_t = c.n_t
-    diffs, counts = pair_differences(c)
-    z_star = (p_total / n_t) * np.eye(n_t, dtype=complex)
-    objective = _gap_objective(z_star, diffs, counts, n_r)
-    grad = _gap_gradient(z_star, diffs, counts, n_r)
-    iso = np.trace(grad).real / n_t * np.eye(n_t)
-    residual = float(np.linalg.norm(grad - iso) / max(np.linalg.norm(grad), 1e-300))
-    if residual > 1e-8:
-        raise AssertionError(
-            f"stationarity residual {residual:.3e} exceeds 1e-8 for a "
-            "sign-symmetric constellation")
-    precoder = Precoder(matrix=np.sqrt(p_total / n_t) * np.eye(n_t, dtype=complex),
-                        budget=p_total)
-    report = PrecoderReport(objective=objective, iterations=0,
-                            stationarity_residual=residual, method="closed_form")
     return precoder, report
 
 

@@ -257,11 +257,11 @@ def _run_chunks(cfg: McConfig, per_draw: int, step, threads: int = 1, streams: i
     with `streams` generators (`chunk_rngs` of its `seed`), and calls
     ``step(channel_rng, noise_rng, batch, *more_rngs)`` on consecutive
     batches of each part, sized so that the step's largest block (`per_draw`
-    elements a draw) holds about `BATCH_ELEMENTS`.  Steps draw in draw order, so the batch size never
-    changes a draw.  Returns the step outputs, arrays or tuples of arrays,
-    concatenated in chunk order; ``threads > 1`` runs the parts on a thread
-    pool of at most `threads`, chunks and `_available_cpus()` workers, with
-    the same result.
+    elements a draw) holds about `BATCH_ELEMENTS`.  Steps draw in draw
+    order, so the batch size never changes a draw.  Each step returns a
+    tuple of arrays; the result is the tuple of their concatenations in
+    chunk order.  ``threads > 1`` runs the parts on a thread pool of at most
+    `threads`, chunks and `_available_cpus()` workers, with the same result.
     """
     cap = max(1, BATCH_ELEMENTS // per_draw)
 
@@ -279,9 +279,7 @@ def _run_chunks(cfg: McConfig, per_draw: int, step, threads: int = 1, streams: i
     else:
         per_chunk = [run_chunk(j) for j in jobs]
     parts = [p for chunk in per_chunk for p in chunk]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(column) for column in zip(*parts))
-    return np.concatenate(parts)
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +484,7 @@ def distance_squared_samples(model: ChannelModel, diff, n: int, seed: int,
 
     def step(channel_rng, noise_rng, batch):
         rec = sample_channels(model, batch, channel_rng) @ diff
-        return np.sum(np.abs(rec) ** 2, axis=1)
+        return (np.sum(np.abs(rec) ** 2, axis=1),)
 
     cfg = McConfig(channel_draws=n, seed=seed, parallel_chunks=chunks)
-    return _run_chunks(cfg, model.n_r * model.n_t, step)
+    return _run_chunks(cfg, model.n_r * model.n_t, step)[0]

@@ -164,6 +164,35 @@ def test_seed_outside_u64_is_rejected(tmp_path, capsys, command, seed):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-4", "1.5"])
+def test_threads_below_one_is_rejected(tmp_path, capsys, threads):
+    """A worker cap must be a positive integer; 0 or -4 is a config error
+    naming --threads, not a silent run on one thread."""
+    out = tmp_path / "o.csv"
+    assert run(["curve", "--config", write_cfg(tmp_path, CURVE_CFG), "--seed", 1,
+                "--threads", threads, "--out", out]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_returns_the_command_result(tmp_path, monkeypatch):
+    """main returns what the command returns, untouched: a timing harness
+    that swaps each command for a stub returning 0 (to time set-up alone)
+    expects exit 0 and no --out file, so main must not post-process a
+    command's result or write output on its behalf."""
+    from fadecap import cli
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name, lambda *args: 0)
+    docs = {"curve": CURVE_CFG, "offsets": OFFSETS_DOC, "palloc": PALLOC_2SUB,
+            "precode": correlated_precode_doc([[1.0, 0.5], [0.5, 1.0]]),
+            "stcode": {"n_r": 1, "codebooks": [CODEBOOK]}}
+    for name, doc in docs.items():
+        out = tmp_path / f"{name}.csv"
+        cfg = write_cfg(tmp_path, doc, f"{name}.yaml")
+        assert run([name, "--config", cfg, "--seed", 1, "--out", out]) == 0
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
 def test_seed_range_ends_are_accepted(tmp_path, seed):
     doc = dict(CURVE_CFG, snr_db={"points": [10]},
@@ -735,7 +764,9 @@ def test_curve_custom_constellation(tmp_path):
     assert run(["curve", "--config", cfg, "--seed", 30, "--out", tmp_path / "c.csv"]) == 0
 
 
-def test_stcode_mismatched_codebooks_numeric_failure(tmp_path):
+def test_stcode_mismatched_codebooks_config_error(tmp_path, capsys):
+    """Codebooks of different shapes are a config mistake: exit 2, naming
+    the codebooks."""
     doc = {
         "n_r": 1,
         "codebooks": [
@@ -744,7 +775,9 @@ def test_stcode_mismatched_codebooks_numeric_failure(tmp_path):
         ],
     }
     cfg = write_cfg(tmp_path, doc)
-    assert run(["stcode", "--config", cfg, "--seed", 1]) == 3
+    assert run(["stcode", "--config", cfg, "--seed", 1]) == 2
+    assert capsys.readouterr().err == ("error: config field 'codebooks': codebooks must "
+                                       "share (n_t, t, M) to be comparable\n")
 
 
 def test_stcode_mismatched_codebooks_write_nothing(tmp_path, monkeypatch):
@@ -765,7 +798,7 @@ def test_stcode_mismatched_codebooks_write_nothing(tmp_path, monkeypatch):
     }
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / "st.csv"
-    assert run(["stcode", "--config", cfg, "--seed", 1, "--out", out]) == 3
+    assert run(["stcode", "--config", cfg, "--seed", 1, "--out", out]) == 2
     assert not out.exists()
 
 

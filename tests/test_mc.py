@@ -937,7 +937,7 @@ def test_thread_pool_is_capped_at_the_cpus(monkeypatch):
         return contextlib.nullcontext(types.SimpleNamespace(map=map))
 
     def step(channel_rng, noise_rng, n):
-        return channel_rng.standard_normal(n)
+        return (channel_rng.standard_normal(n),)
 
     monkeypatch.setattr(mc, "ThreadPoolExecutor", serial_executor)
     monkeypatch.setattr(mc, "_available_cpus", lambda: 3)
