@@ -309,8 +309,8 @@ def epsilon_bounds(dd: DistanceDistribution, m: int) -> ExpansionBounds:
     """Bound intervals for the leading expansion coefficients.
 
     Only pairs at the minimal vanishing order contribute to the coefficient
-    sum.  The MI interval equals the MMSE interval divided by d, which is
-    asserted here.
+    sum.  The MI interval equals the MMSE interval divided by d, since
+    `expansion_constant` builds the MI constants that way.
     """
     d = diversity_order(dd)
     at_min = dd.orders == (d - 1)
@@ -321,9 +321,6 @@ def epsilon_bounds(dd: DistanceDistribution, m: int) -> ExpansionBounds:
                      upper=expansion_constant("mmse_ub", d, m) * sum_s)
     pe = BoundPair(lower=expansion_constant("pe_lb", d, m) * sum_s,
                    upper=expansion_constant("pe_ub", d, m) * sum_s)
-    if not (np.isclose(mi.lower, mmse.lower / d, rtol=1e-12)
-            and np.isclose(mi.upper, mmse.upper / d, rtol=1e-12)):
-        raise AssertionError("MI bounds must equal MMSE bounds divided by d")
     return ExpansionBounds(d=d, sum_s=sum_s, mi=mi, mmse=mmse, pe=pe,
                            log_m_limit=dd.effective_log_m)
 

@@ -57,8 +57,6 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return f"{value:.12g}"
     return str(value)
 
@@ -200,15 +198,14 @@ def cmd_palloc(cfg, seed, digest, out_path, threads):
     mc_cfg = cfg["mc"]
     alloc = designs.palloc_highsnr(subs, budget)
     numeric = designs.palloc_numeric(subs, budget, snr, mc_cfg) if cfg["numeric"] else None
-    allocations = [alloc.p] if numeric is None else [alloc.p, numeric.p]
-    cap_high, *cap_num = designs.subchannel_capacities(subs, allocations, snr, mc_cfg)
-    cap_num = cap_num[0] if cap_num else [math.nan] * len(subs)
-    rows = []
-    for k in range(len(subs)):
-        p_num = numeric.p[k] if numeric is not None else math.nan
-        rows.append([k, alloc.p[k], p_num,
-                     cap_high[k], cap_high[k] / LN2,
-                     cap_num[k], cap_num[k] / LN2 if not math.isnan(cap_num[k]) else math.nan])
+    if numeric is None:
+        (cap_high,) = designs.subchannel_capacities(subs, [alloc.p], snr, mc_cfg)
+        p_num = cap_num = [math.nan] * len(subs)     # placeholders: the columns read nan
+    else:
+        p_num = numeric.p
+        cap_high, cap_num = designs.subchannel_capacities(subs, [alloc.p, p_num], snr, mc_cfg)
+    rows = [[k, alloc.p[k], p_num[k], cap_high[k], cap_high[k] / LN2, cap_num[k], cap_num[k] / LN2]
+            for k in range(len(subs))]
     flagged = bool(numeric is not None and numeric.flagged)
     meta = ["flagged: MC noise is comparable to the objective differences"] if flagged else []
     _write_csv(out_path, "palloc", seed, digest, PALLOC_HEADER, rows, meta)

@@ -7,9 +7,9 @@ One entry point per job, each reading the channel family off its input:
   (Rayleigh at mean 0, Ricean otherwise); `palloc_numeric` and
   `subchannel_capacities` validate it by Monte Carlo on common draws.
 - `optimal_precoder(channel, c, p_total)`: the gap-minimizing precoder for
-  a `CanonicalRayleigh` (closed form for sign-symmetric constellations) or
-  a `CorrelatedRayleigh` channel (projected gradient on the Gram matrix),
-  and `precoder_objective(z, channel, c)` the objective it minimizes.
+  a `CanonicalRayleigh` or `CorrelatedRayleigh` channel (the scaled identity
+  when its stationarity residual certifies it, else projected gradient on
+  the Gram matrix), and `precoder_objective(z, channel, c)` its objective.
 - `st_criteria` / `st_compare`: ranking of space-time codebooks by
   (minimum difference rank, leading coefficient).
 
@@ -423,6 +423,15 @@ def _project_trace_psd(z: np.ndarray, budget: float) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
+def _stationarity_residual(z: np.ndarray, grad: np.ndarray, budget: float,
+                           step: float) -> float:
+    """Norm of the projected-gradient mapping (Z - proj(Z - t grad)) / t at
+    t = min(step, 1), over the gradient's norm: 0 exactly at the KKT points."""
+    t = min(step, 1.0)
+    mapping = (z - _project_trace_psd(z - t * grad, budget)) / t
+    return float(np.linalg.norm(mapping) / max(np.linalg.norm(grad), 1e-300))
+
+
 def optimal_precoder(channel: CanonicalRayleigh | CorrelatedRayleigh, c: Constellation,
                      p_total: float, z0: np.ndarray | None = None):
     """Transmit precoder minimizing the high-SNR gap coefficient
@@ -432,15 +441,15 @@ def optimal_precoder(channel: CanonicalRayleigh | CorrelatedRayleigh, c: Constel
     correlation only scales the coefficient and cannot move the optimum, so
     it is omitted from f.  Returns (Precoder, PrecoderReport).
 
-    Closed form: on the canonical channel, for constellations closed under
-    per-coordinate sign flips and without a starting point `z0`, the
-    scaled identity is a global optimizer (the flip pairing cancels every
-    off-diagonal gradient entry and equalizes the diagonal), certified by its
-    first-order stationarity residual at the descent's starting point.
+    Closed form: without a starting point `z0`, the scaled identity is
+    returned when its stationarity residual is at most 1e-8; f is convex in
+    Z, so a KKT point is a global optimizer (on the canonical channel every
+    set closed under per-coordinate sign flips qualifies).
 
     Otherwise projected gradient descent runs from `z0` (default the scaled
-    identity).  On a correlated channel the optimizer aligns the
-    eigenvectors of Z with those of Theta_T (reported as principal angles).
+    identity) and reports the same residual at its last iterate.  On a
+    correlated channel the optimizer aligns the eigenvectors of Z with those
+    of Theta_T, reported as principal angles (None on the canonical channel).
     The returned precoder is the Hermitian square root of the optimal Gram
     matrix, P = U diag(sqrt q) U^+, so that P^+ P equals the certified
     optimizer variable exactly.  The right unitary factor is not a free
@@ -459,67 +468,51 @@ def optimal_precoder(channel: CanonicalRayleigh | CorrelatedRayleigh, c: Constel
     diffs, counts = _whitened_pairs(channel, c)
     n_t, n_r = c.n_t, channel.n_r
     correlated = isinstance(channel, CorrelatedRayleigh)
-    theta_t = channel.theta_t if correlated else np.eye(n_t, dtype=complex)
-    w_t = np.linalg.eigvalsh(theta_t)
-    if w_t[0] <= EIG_ZERO_REL * w_t[-1]:
-        raise ValueError("theta_t is singular; the degenerate case is out of scope here")
+    if correlated:
+        w_t = np.linalg.eigvalsh(channel.theta_t)
+        if w_t[0] <= EIG_ZERO_REL * w_t[-1]:
+            raise ValueError("theta_t is singular; the degenerate case is out of scope here")
 
     z = (p_total / n_t) * np.eye(n_t, dtype=complex) if z0 is None \
         else _project_trace_psd(np.asarray(z0, dtype=complex), p_total)
     f_z = _gap_objective(z, diffs, counts, n_r)
     grad = _gap_gradient(z, diffs, counts, n_r)
-    if not correlated and z0 is None and c.has_coordinate_sign_symmetry():
-        iso = np.trace(grad).real / n_t * np.eye(n_t)
-        residual = float(np.linalg.norm(grad - iso) / max(np.linalg.norm(grad), 1e-300))
-        if residual > 1e-8:
-            raise AssertionError(
-                f"stationarity residual {residual:.3e} exceeds 1e-8 for a "
-                "sign-symmetric constellation")
-        return (Precoder(matrix=np.sqrt(p_total / n_t) * np.eye(n_t, dtype=complex),
-                         budget=p_total),
-                PrecoderReport(objective=f_z, iterations=0, stationarity_residual=residual,
-                               method="closed_form"))
     step = p_total / max(np.linalg.norm(grad), 1e-300)
-    converged = False
-    it = 0
-    for it in range(1, PRECODER_MAX_ITER + 1):
-        grad = _gap_gradient(z, diffs, counts, n_r)
-        # backtracking on the prox decrease condition
-        while True:
-            z_new = _project_trace_psd(z - step * grad, p_total)
-            dz = z_new - z
-            f_new = _gap_objective(z_new, diffs, counts, n_r)
-            quad = f_z + np.real(np.vdot(grad, dz)) + np.linalg.norm(dz) ** 2 / (2.0 * step)
-            if f_new <= quad + 1e-15 * abs(f_z) or step < 1e-18:
+    residual = _stationarity_residual(z, grad, p_total, step)
+    if z0 is None and residual <= 1e-8:
+        it, method = 0, "closed_form"
+    else:
+        method = "projected_gradient"
+        for it in range(1, PRECODER_MAX_ITER + 1):
+            grad = _gap_gradient(z, diffs, counts, n_r)
+            # backtracking on the prox decrease condition
+            while True:
+                z_new = _project_trace_psd(z - step * grad, p_total)
+                dz = z_new - z
+                f_new = _gap_objective(z_new, diffs, counts, n_r)
+                quad = f_z + np.real(np.vdot(grad, dz)) + np.linalg.norm(dz) ** 2 / (2.0 * step)
+                if f_new <= quad + 1e-15 * abs(f_z) or step < 1e-18:
+                    break
+                step *= 0.5
+            rel_drop = (f_z - f_new) / max(abs(f_new), 1e-300)
+            z, f_z = z_new, f_new
+            step *= 1.25
+            if 0 <= rel_drop < PRECODER_REL_TOL:
                 break
-            step *= 0.5
-        rel_drop = (f_z - f_new) / max(abs(f_new), 1e-300)
-        z, f_z = z_new, f_new
-        step *= 1.25
-        if 0 <= rel_drop < PRECODER_REL_TOL:
-            converged = True
-            break
-    if not converged:
-        raise PrecoderConvergenceError(
-            f"projected gradient did not converge in {PRECODER_MAX_ITER} iterations")
-
-    grad = _gap_gradient(z, diffs, counts, n_r)
-    t_chk = min(step, 1.0)
-    mapping = (z - _project_trace_psd(z - t_chk * grad, p_total)) / t_chk
-    residual = float(np.linalg.norm(mapping) / max(np.linalg.norm(grad), 1e-300))
+        else:
+            raise PrecoderConvergenceError(
+                f"projected gradient did not converge in {PRECODER_MAX_ITER} iterations")
+        residual = _stationarity_residual(z, _gap_gradient(z, diffs, counts, n_r),
+                                          p_total, step)
 
     q, u = np.linalg.eigh(z)
     order = np.argsort(q)[::-1]
     q, u = np.maximum(q[order], 0.0), u[:, order]
-    p_mat = (u * np.sqrt(q)) @ u.conj().T
-
-    angles = _principal_angles(u, theta_t)
-    precoder = Precoder(matrix=p_mat, budget=p_total)
-    report = PrecoderReport(objective=f_z, iterations=it,
-                            stationarity_residual=residual,
-                            method="projected_gradient",
-                            principal_angles=angles)
-    return precoder, report
+    report = PrecoderReport(objective=f_z, iterations=it, stationarity_residual=residual,
+                            method=method,
+                            principal_angles=_principal_angles(u, channel.theta_t)
+                            if correlated else None)
+    return Precoder(matrix=(u * np.sqrt(q)) @ u.conj().T, budget=p_total), report
 
 
 def _principal_angles(u: np.ndarray, theta_t: np.ndarray) -> np.ndarray:

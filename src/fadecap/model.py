@@ -53,7 +53,7 @@ MAX_POINTS = 4096
 MAX_PAIR_ENTRIES = 2 ** 25
 # Largest SNR grid accepted; every point is a Monte Carlo run in `curve`.
 MAX_SNR_POINTS = 1000
-# Entries per row block of the nearest-point search's distance table (1 MB).
+# Entries per row block of the distinctness check's distance table (1 MB).
 DISTINCT_BLOCK = 2 ** 17
 
 
@@ -152,14 +152,6 @@ class Constellation:
     def log_m(self) -> float:
         return float(np.log(self.m))
 
-    def has_coordinate_sign_symmetry(self) -> bool:
-        """True when flipping the sign of any single coordinate maps the set
-        onto itself.  Product constellations of symmetric scalar alphabets
-        satisfy this; it is the structure the isotropic-precoder argument
-        needs."""
-        flips = 1.0 - 2.0 * np.eye(self.n_t)      # row k negates coordinate k
-        return all(np.all(_nearest(self.points * flip, self.points)[0] <= 1e-18) for flip in flips)
-
     @cached_property
     def _pair_differences(self) -> tuple[np.ndarray, np.ndarray]:
         # built on first use, not in __post_init__, so construction stays cheap
@@ -189,29 +181,19 @@ class Constellation:
         return levels
 
 
-def _nearest(queries: np.ndarray, pts: np.ndarray, skip_self: bool = False):
-    """Squared distance from each row of `queries` (Q, n) to its nearest row
-    of `pts` (M, n), and that row's index; ``skip_self`` leaves out row q of
-    `pts` for query q.  The distances are formed from coordinate differences
-    in row blocks of DISTINCT_BLOCK entries, so memory stays O(M n)."""
-    rows = max(1, DISTINCT_BLOCK // pts.shape[0])
-    d2_min, index = np.empty(len(queries)), np.empty(len(queries), dtype=np.intp)
-    for start in range(0, len(queries), rows):
-        d2 = sum(np.abs(q[:, None] - p) ** 2 for q, p in zip(queries[start:start + rows].T, pts.T))
-        if skip_self:
-            np.fill_diagonal(d2[:, start:], np.inf)
-        index[start:start + rows] = d2.argmin(axis=1)
-        d2_min[start:start + rows] = d2.min(axis=1)
-    return d2_min, index
-
-
 def _check_distinct(rows: np.ndarray, what: str) -> None:
     """Reject two rows within DISTINCT_TOL in squared distance, naming the
-    first such pair of `what`."""
-    d2, nearest = _nearest(rows, rows, skip_self=True)
-    close = np.flatnonzero(d2 <= DISTINCT_TOL)
-    if close.size:
-        raise ValueError(f"duplicate {what}: {close[0]} and {nearest[close[0]]} coincide")
+    first such pair of `what`.  The distances are formed from coordinate
+    differences in row blocks of DISTINCT_BLOCK entries, so memory stays
+    O(M n)."""
+    block = max(1, DISTINCT_BLOCK // len(rows))
+    for start in range(0, len(rows), block):
+        d2 = sum(np.abs(q[:, None] - p) ** 2 for q, p in zip(rows[start:start + block].T, rows.T))
+        np.fill_diagonal(d2[:, start:], np.inf)
+        close = np.flatnonzero(d2.min(axis=1) <= DISTINCT_TOL)
+        if close.size:
+            raise ValueError(f"duplicate {what}: {start + close[0]} and "
+                             f"{d2[close[0]].argmin()} coincide")
 
 
 _SCALAR_FAMILIES = ("bpsk", "qpsk", "qam16", "qam64", "qam256")

@@ -418,6 +418,22 @@ def test_precode_root_receive_count_is_unknown_key(tmp_path, capsys):
     assert capsys.readouterr().err == "error: config field '<root>.n_r': unknown key\n"
 
 
+@pytest.mark.parametrize("key,doc,family", [
+    ("restarts", dict(correlated_precode_doc([[1.0, 0.5], [0.5, 1.0]]),
+                      channel={"variant": "rayleigh", "n_r": 2}), "correlated"),
+    ("probes", dict(correlated_precode_doc([[1.0, 0.5], [0.5, 1.0]]), probes=5), "rayleigh"),
+], ids=["restarts-on-rayleigh", "probes-on-correlated"])
+def test_precode_key_of_the_other_channel_is_config_error(tmp_path, capsys, key, doc, family):
+    """Restarts run only on a correlated channel and probes only on a
+    rayleigh one, so the other family's key fails fast instead of being
+    ignored."""
+    out = tmp_path / "o.csv"
+    assert run(["precode", "--config", write_cfg(tmp_path, doc), "--seed", 1, "--out", out]) == 2
+    assert capsys.readouterr().err == \
+        f"error: config field '{key}': applies only to a '{family}' channel\n"
+    assert not out.exists()
+
+
 def test_precode_ricean_channel_config_error(tmp_path, capsys):
     doc = dict(correlated_precode_doc([[1.0, 0.5], [0.5, 1.0]]),
                channel={"variant": "ricean", "k_factor": 2.0, "a_t": [1, 1], "a_r": [1]})

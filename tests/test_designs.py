@@ -295,15 +295,56 @@ def test_precoder_objective_invariant_under_left_unitary():
 def test_precoder_asymmetric_falls_through_to_numeric():
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) / np.sqrt(1.5)
     c = fc.make_constellation("custom", 2, points=pts)
-    assert not c.has_coordinate_sign_symmetry()
     prec, report = designs.optimal_precoder(fc.CanonicalRayleigh(2, 1), c, 2.0)
     assert report.method == "projected_gradient"
     assert np.trace(prec.matrix @ prec.matrix.conj().T).real <= 2.0 + 1e-9
 
 
+def test_precoder_closed_form_equals_descent_from_scaled_identity():
+    """The closed form is the descent's starting point certified by the
+    descent's own residual, so a descent started there (z0) ends on the same
+    matrix, objective and stationarity_residual."""
+    prec, closed = designs.optimal_precoder(CANONICAL_2X2, QPSK2, 2.0)
+    prec_d, descent = designs.optimal_precoder(CANONICAL_2X2, QPSK2, 2.0, z0=np.eye(2))
+    assert (closed.method, descent.method) == ("closed_form", "projected_gradient")
+    assert np.array_equal(prec.matrix, prec_d.matrix)
+    assert closed.objective == descent.objective
+    assert closed.stationarity_residual == descent.stationarity_residual
+
+
+@pytest.mark.parametrize("channel,c,p_total,objective", [
+    (fc.CanonicalRayleigh(1, 1),
+     fc.make_constellation("custom", 1, points=np.array([[1.0], [1j], [-0.5 - 0.5j]])),
+     1.0, 2.6),
+    (fc.CorrelatedRayleigh(np.eye(2), np.eye(2)), QPSK2, 2.0, 96.1111111111112),
+], ids=["three_points", "correlated_identity"])
+def test_precoder_stationary_identity_is_closed_form(channel, c, p_total, objective):
+    """The residual, not the channel family or a sign symmetry, decides the
+    closed form: a non-symmetric set whose scaled identity is stationary,
+    and qpsk on a correlated channel with Theta_T = I, take it with 0
+    iterations at the scaled identity's objective (2 (1/2 + 2/2.5) for the
+    three points, the canonical qpsk value for Theta_T = I)."""
+    prec, report = designs.optimal_precoder(channel, c, p_total)
+    assert (report.method, report.iterations) == ("closed_form", 0)
+    assert report.stationarity_residual <= 1e-8
+    assert report.objective == pytest.approx(objective, rel=1e-14)
+    assert np.allclose(prec.matrix, np.sqrt(p_total / c.n_t) * np.eye(c.n_t))
+
+
+def test_precoder_canonical_descent_reports_no_angles():
+    """Theta_T = I makes every basis an eigenbasis, so the canonical descent
+    reports no alignment angles."""
+    pts = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.5], [0.3, -0.7]])
+    c = fc.make_constellation("custom", 2, points=pts)
+    _, report = designs.optimal_precoder(fc.CanonicalRayleigh(2, 1), c, 2.0)
+    assert report.method == "projected_gradient"
+    assert report.principal_angles is None
+
+
 def test_precoder_correlated_identity_reduction():
-    """Theta_T = I, and a starting point on the canonical channel, both run
-    projected gradient and reach the closed-form objective."""
+    """Theta_T = I, where the scaled identity is stationary and is returned
+    as the closed form, and a starting point on the canonical channel, which
+    runs projected gradient, both reach the closed-form objective."""
     _, closed = designs.optimal_precoder(CANONICAL_2X2, QPSK2, 2.0)
     _, report = designs.optimal_precoder(fc.CorrelatedRayleigh(np.eye(2), np.eye(2)),
                                          QPSK2, 2.0)
