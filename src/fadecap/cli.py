@@ -232,36 +232,28 @@ def cmd_precode(cfg, seed, digest, out_path, threads):
     p_total = cfg["p_total"]
     rng = np.random.default_rng(seed)
     precoder, report = designs.optimal_precoder(channel, c, p_total)
-    if isinstance(channel, CanonicalRayleigh):
-        worse = 0
-        best_probe = math.inf
-        for _ in range(cfg["probes"]):
-            z = _random_feasible_gram(rng, c.n_t, p_total)
-            val = designs.precoder_objective(z, channel, c)
-            best_probe = min(best_probe, val)
-            if val >= report.objective - 1e-12:
-                worse += 1
-        if worse != cfg["probes"]:
-            raise NumericFailure("random probe beat the closed-form precoder")
-        checks = [cfg["probes"], worse, best_probe if cfg["probes"] else math.nan,
-                  math.nan, math.nan, math.nan]
-        summary = f"{worse}/{cfg['probes']} random feasible probes are no better"
-    else:
-        objectives = [report.objective]
-        for _ in range(cfg["restarts"]):
-            z0 = _random_feasible_gram(rng, c.n_t, p_total)
-            prec_k, rep_k = designs.optimal_precoder(channel, c, p_total, z0=z0)
-            objectives.append(rep_k.objective)
-            if rep_k.objective < report.objective:
-                precoder, report = prec_k, rep_k
-        spread = max(objectives) - min(objectives)
-        max_angle = float(np.max(report.principal_angles))
-        checks = [math.nan, math.nan, math.nan, cfg["restarts"], spread, max_angle]
-        summary = f"restart spread {spread:.3e}; max alignment angle {max_angle:.3e} rad"
-    row = [report.method, report.objective, report.iterations,
-           report.stationarity_residual] + checks
+    objectives = [report.objective]
+    for _ in range(cfg["restarts"]):
+        z0 = _random_feasible_gram(rng, c.n_t, p_total)
+        prec_k, rep_k = designs.optimal_precoder(channel, c, p_total, z0=z0)
+        objectives.append(rep_k.objective)
+        if rep_k.objective < report.objective:
+            precoder, report = prec_k, rep_k
+    spread = max(objectives) - min(objectives)
+    probes = [designs.precoder_objective(_random_feasible_gram(rng, c.n_t, p_total), channel, c)
+              for _ in range(cfg["probes"])]
+    worse = sum(val >= report.objective - 1e-12 for val in probes)
+    if worse != len(probes):
+        raise NumericFailure("a random feasible probe beat the designed precoder")
+    angles = report.principal_angles
+    max_angle = math.nan if angles is None else float(np.max(angles))
+    row = [report.method, report.objective, report.iterations, report.stationarity_residual,
+           len(probes), worse, min(probes, default=math.nan), cfg["restarts"], spread, max_angle]
     text = (f"precoder:\n{np.array2string(precoder.matrix, precision=6)}\n"
-            f"objective {report.objective:.12g}; {summary}")
+            f"objective {report.objective:.12g}; restart spread {spread:.3e}; "
+            f"{worse}/{len(probes)} random feasible probes are no better")
+    if angles is not None:
+        text += f"; max alignment angle {max_angle:.3e} rad"
     _write_csv(out_path, "precode", seed, digest, PRECODE_HEADER, [row])
     _report(out_path, text)
     return EXIT_OK
@@ -362,16 +354,11 @@ def main(argv=None) -> int:
             _check_out(args.out)
         doc, digest = load_config(args.config)
         cfg = validate_command_config(args.command, doc, args.seed)
-    except (ConfigError, OutError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    try:
         return _COMMANDS[args.command](cfg, args.seed, digest, args.out, args.threads)
-    except (ConfigError, OutError) as exc:
+    except (ConfigError, OutError) as exc:      # ahead of ValueError: a ConfigError is one
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    except (NumericFailure, designs.PrecoderConvergenceError, ValueError,
-            np.linalg.LinAlgError) as exc:
+    except (NumericFailure, designs.PrecoderConvergenceError, ValueError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
 

@@ -350,9 +350,6 @@ def validate_command_config(command: str, doc: dict, seed: int) -> dict[str, Any
             taken = " | ".join(name for cls, name in CHANNEL_NAMES.items() if cls is not Ricean)
             raise ConfigError("channel.variant",
                               f"unknown variant {CHANNEL_NAMES[Ricean]!r} ({taken})")
-        for key, family in (("probes", CanonicalRayleigh), ("restarts", CorrelatedRayleigh)):
-            if key in doc and not isinstance(channel, family):
-                raise ConfigError(key, f"applies only to a {CHANNEL_NAMES[family]!r} channel")
         return {
             "constellation": c,
             "channel": channel,

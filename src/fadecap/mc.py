@@ -14,9 +14,9 @@ noiseless receive points scaled by sqrt(snr), n ~ CN(0, I)):
 
 Only the noise is sampled at fixed H (no quadrature); channel averaging
 adds an outer Monte Carlo stage whose per-channel means drive the reported
-standard error.  There, inputs of at least SAMPLED_MIN_M points that are
-not single-antenna grids sample the true input too: each noise draw takes
-one uniform i, so that
+standard error.  There, inputs of at least SAMPLED_MIN_M points that do
+not take the factorised grid kernel sample the true input too: each noise
+draw takes one uniform i, so that
 
   * I = log M - E_{i,n} logsumexp_j A_j, and likewise for mmse and pe,
 
@@ -66,7 +66,7 @@ EXP_FLOOR = -700.0
 # Elements in a batch's largest block (16 MB of float64); sets memory only.
 BATCH_ELEMENTS = 2_000_000
 
-# Inputs of at least this many points, single-antenna grids aside, evaluate
+# Inputs of at least this many points, factorised grids aside, evaluate
 # one sampled true symbol a noise draw in the channel-averaged estimators
 # (`sampled_true_symbol`).  Measured 1 / (std_error^2 * seconds), sampled
 # over full sum: 0.2-0.7 at M = 4, 0.6-1.2 at M = 8, 1.2-2.8 at M = 16
@@ -189,7 +189,7 @@ def kernel_stats(received: np.ndarray, noise: np.ndarray, snr: float):
     return mmse * (inv_m / snr), lse * inv_m, pe * inv_m
 
 
-def _sampled_stats(received: np.ndarray, noise: np.ndarray, true: np.ndarray, snr: float):
+def sampled_stats(received: np.ndarray, noise: np.ndarray, true: np.ndarray, snr: float):
     """Per-sample statistics of one true symbol a sample.
 
     received : (C, M, dim) complex noiseless receive points, sqrt(snr) included
@@ -315,10 +315,10 @@ def fixed_h_all(snr: float, h, c: Constellation, cfg: McConfig) -> dict[str, Est
 def sampled_true_symbol(c: Constellation | SpaceTimeCode) -> bool:
     """Whether `avg_all` evaluates one uniformly drawn true symbol a noise
     draw rather than all M: space-time codes and constellations of at least
-    SAMPLED_MIN_M points that are not single-antenna grids.  Grids take the
-    factorised kernel where it pays (`_grid_factors`); they, every other
-    input and every fixed-H estimate sum over all M."""
-    return c.m >= SAMPLED_MIN_M and (isinstance(c, SpaceTimeCode) or c.grid_levels is None)
+    SAMPLED_MIN_M points that do not take the factorised kernel
+    (`_grid_factors`).  Those grids, every smaller input and every fixed-H
+    estimate sum over all M."""
+    return c.m >= SAMPLED_MIN_M and (isinstance(c, SpaceTimeCode) or _grid_factors(c) is None)
 
 
 def _grid_factors(c: Constellation):
@@ -374,7 +374,7 @@ def _sample_stats(h: np.ndarray, noise: np.ndarray, blocks: np.ndarray, levels, 
         return _grid_stats(h[:, :, 0], noise, levels, snr)
     received = np.sqrt(snr) * np.einsum("crt,mts->cmrs", h, blocks).reshape(len(h), len(blocks), -1)
     return (kernel_stats(received, noise, snr) if true is None
-            else _sampled_stats(received, noise, true, snr))
+            else sampled_stats(received, noise, true, snr))
 
 
 def avg_all(snr: float, channel: ChannelModel, inputs: Constellation | SpaceTimeCode,

@@ -219,7 +219,8 @@ def make_constellation(family: str, n_t: int, points=None) -> Constellation:
     Built-in families take the per-antenna product of the scalar alphabet
     (joint cardinality M^n_t) scaled so the input covariance is I/n_t.
     ``family="custom"`` accepts explicit joint points of shape (M, n_t);
-    they are validated for distinctness but not re-normalized.
+    they are validated for distinctness but not re-normalized.  Points
+    given with a built-in family are a ValueError.
     """
     if n_t < 1:
         raise ValueError("n_t must be >= 1")
@@ -235,6 +236,8 @@ def make_constellation(family: str, n_t: int, points=None) -> Constellation:
         return Constellation(points=pts, family="custom")
     if fam not in _SCALAR_FAMILIES:
         raise ValueError(f"unknown constellation family {family!r}")
+    if points is not None:
+        raise ValueError("points only apply to the custom family")
     scal = _scalar_alphabet(fam)
     _check_size((len(scal) ** n_t, n_t))
     joint = np.array([np.array(tup) for tup in itertools.product(scal, repeat=n_t)])

@@ -391,14 +391,14 @@ def test_kernel_stats_matches_brute_force(name):
                                   "high_snr", "common_offset"])
 def test_sampled_stats_over_every_true_symbol_match_brute_force(name):
     """With every sample's true symbol forced to each i in turn, the mean
-    over i of `_sampled_stats` is the brute-force average over i: rel 1e-12
+    over i of `sampled_stats` is the brute-force average over i: rel 1e-12
     on every input, pe exactly.  On common_offset that is 100x tighter than
     `kernel_stats` holds, since the noise term 2 Re<d_k, n> is formed from
     the differences too.  A mixed index array picks each sample's forced
     result bit for bit."""
     received, noise, snr = _kernel_case(name)
     m = received.shape[1]
-    forced = [mc._sampled_stats(received, noise, np.full(noise.shape[:2], i), snr)
+    forced = [mc.sampled_stats(received, noise, np.full(noise.shape[:2], i), snr)
               for i in range(m)]
     got = [np.sum(s, axis=0) / m for s in zip(*forced)]
     ref_mmse, ref_lse, ref_pe = _reference_stats(received, noise, snr)
@@ -408,7 +408,7 @@ def test_sampled_stats_over_every_true_symbol_match_brute_force(name):
     assert np.array_equal(got[2], ref_pe)
     true = np.random.default_rng(3).integers(m, size=noise.shape[:2])
     rows, cols = np.indices(true.shape)
-    for mixed, per_i in zip(mc._sampled_stats(received, noise, true, snr), zip(*forced)):
+    for mixed, per_i in zip(mc.sampled_stats(received, noise, true, snr), zip(*forced)):
         assert np.array_equal(mixed, np.array(per_i)[true, rows, cols])
 
 
@@ -609,7 +609,8 @@ SINGLE_ANTENNA_MODELS = {
 
 def _kernel_samples(estimator, joint):
     """The per-sample (mmse, lse, pe) behind one ``estimator()`` call, which
-    runs the joint kernel if `joint` and may take the factorised one if not."""
+    runs the joint kernel over all M true symbols if `joint` and may take
+    the factorised one if not."""
     captured = []
 
     def capture(samples, log_m):
@@ -620,6 +621,7 @@ def _kernel_samples(estimator, joint):
         patch.setattr(mc, "_estimates", capture)
         if joint:
             patch.setattr(mc, "_grid_factors", lambda c: None)
+            patch.setattr(mc, "sampled_true_symbol", lambda inputs: False)
         estimator()
     return captured[0]
 
@@ -963,20 +965,24 @@ def test_avg_all_code_threads_bit_for_bit():
 # ---------------------------------------------------------------------------
 
 ST16 = fc.SpaceTimeCode(codewords=np.stack([QPSK_2.points, QPSK_2.points[:, ::-1]], axis=2))
+GRID_2X8 = fc.make_constellation(
+    "custom", 1, points=np.add.outer([-1.0, 1.0], 1j * np.arange(-7.0, 8.0, 2.0)).ravel())
 
 
 @pytest.mark.parametrize("inputs,sampled", [
     (QPSK_2, True), (QAM16_2, True), (ST16, True),
     (fc.make_constellation("custom", 1, points=np.exp(0.125j * np.pi * np.arange(16))), True),
+    (GRID_2X8, True),
     (fc.make_constellation("bpsk", 2), False), (QAM16, False),
     (fc.make_constellation("custom", 1, points=np.exp(0.25j * np.pi * np.arange(8))), False),
     (fc.SpaceTimeCode(codewords=fc.make_constellation("qpsk", 1).points[:, :, None]), False)],
-    ids=["qpsk_2", "qam16_2", "spacetime_16", "psk16_1", "bpsk_2", "qam16_1", "psk8_1",
-         "spacetime_4"])
+    ids=["qpsk_2", "qam16_2", "spacetime_16", "psk16_1", "grid2x8_1", "bpsk_2", "qam16_1",
+         "psk8_1", "spacetime_4"])
 def test_sampled_true_symbol_inputs(inputs, sampled):
     """Space-time codes and constellations of at least SAMPLED_MIN_M points
-    that are not single-antenna grids (such as qam16 over one antenna)
-    sample the true symbol; the rest sum over M."""
+    that do not take the factorised kernel sample the true symbol, such as
+    a 2 x 8 grid, which `_grid_factors` turns down (|R|^2 + |I|^2 = 68 >
+    M^2 / 4).  The rest, qam16 over one antenna among them, sum over M."""
     assert mc.sampled_true_symbol(inputs) == sampled
 
 
@@ -997,7 +1003,7 @@ def test_avg_all_sampled_draws_chunks_in_batches(monkeypatch):
         noise = _complex_normal(noise_rng, (size, n_noise, 2))
         true = symbol_rng.integers(QAM16_2.m, size=(size, n_noise))
         received = np.sqrt(snr) * np.einsum("mt,crt->cmr", QAM16_2.points, h)
-        return tuple(s.mean(axis=1) for s in mc._sampled_stats(received, noise, true, snr))
+        return tuple(s.mean(axis=1) for s in mc.sampled_stats(received, noise, true, snr))
 
     expected = [draw(size, k) for k, size in enumerate(chunk_sizes(120, 2))]
     for threads in (1, 2):

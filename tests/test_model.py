@@ -104,6 +104,13 @@ def test_custom_constellation_and_errors():
         fc.make_constellation("qam32", 1)
 
 
+def test_points_with_a_built_in_family_are_rejected():
+    """Points apply to the custom family only: given with qpsk they raise
+    instead of being dropped for the built-in set."""
+    with pytest.raises(ValueError, match="points only apply to the custom family"):
+        fc.make_constellation("qpsk", 1, points=[[5], [6]])
+
+
 def test_canonical_rayleigh_unit_variance():
     model = fc.CanonicalRayleigh(1, 1)
     rng = np.random.default_rng(0)

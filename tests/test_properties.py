@@ -137,7 +137,7 @@ def test_sampled_stats_average_to_kernel_stats(m, n_t, n_r, seed, snr_db):
     noise = _complex_normal(rng, (2, 20, n_r))
     snr = 10.0 ** (snr_db / 10.0)
     received = np.sqrt(snr) * np.einsum("mt,crt->cmr", points, h)
-    forced = [mc._sampled_stats(received, noise, np.full((2, 20), i), snr) for i in range(m)]
+    forced = [mc.sampled_stats(received, noise, np.full((2, 20), i), snr) for i in range(m)]
     mmse, lse, errors = (np.sum(s, axis=0) for s in zip(*forced))
     ref_mmse, ref_lse, ref_pe = kernel_stats(received, noise, snr)
     r_max = np.max(np.linalg.norm(received, axis=-1))
