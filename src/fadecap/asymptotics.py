@@ -33,9 +33,8 @@ from .model import (
     Ricean,
     SnrGrid,
     SpaceTimeCode,
-    _distinct_rows,
+    _check_transmit_size,
     hermitian_sqrt,
-    ordered_pair_differences,
     pair_differences,
 )
 
@@ -231,18 +230,15 @@ def _law(channel: ChannelModel, inputs: Constellation | SpaceTimeCode):
     each distinct difference Delta, chi_l independent sums of `terms`
     squared magnitudes |z + m|^2, z ~ CN(0, 1), whose |m|^2 add up to
     m2[:, l].  lam (D, L) ascends along l; it is 0 where Theta_T nulls Delta."""
-    if channel.n_t != inputs.n_t:
-        raise ValueError(f"channel has n_t={channel.n_t}, the inputs n_t={inputs.n_t}")
+    _check_transmit_size(channel.n_t, inputs)
+    if isinstance(inputs, SpaceTimeCode) and not isinstance(channel, CanonicalRayleigh):
+        raise ValueError("space-time codes are analysed under i.i.d. Rayleigh fading only")
+    diffs, counts = pair_differences(inputs)      # built here, after the checks
     if isinstance(inputs, SpaceTimeCode):
-        if not isinstance(channel, CanonicalRayleigh):
-            raise ValueError("space-time codes are analysed under i.i.d. Rayleigh fading only")
         # eig((X_i - X_j)(X_i - X_j)^+), each on n_r terms
-        flat = inputs.codewords.reshape(inputs.m, -1)
-        diffs, counts = _distinct_rows(ordered_pair_differences(flat))
         diffs = diffs.reshape(-1, inputs.n_t, inputs.t)
         lam = np.linalg.eigvalsh(diffs @ diffs.conj().transpose(0, 2, 1))
         return lam, np.zeros_like(lam), channel.n_r, counts
-    diffs, counts = pair_differences(inputs)
     d2 = np.sum(np.abs(diffs) ** 2, axis=1)[:, None]
     if isinstance(channel, CanonicalRayleigh):
         return d2, np.zeros_like(d2), channel.n_r, counts

@@ -21,7 +21,14 @@ import numpy as np
 
 from .asymptotics import BoundPair
 from .mc import KINDS, Estimate, McConfig, _estimate, _run_chunks
-from .model import ChannelModel, Constellation, pair_differences, sample_channels
+from .model import (
+    ChannelModel,
+    Constellation,
+    _check_transmit_size,
+    _fixed_h,
+    pair_differences,
+    sample_channels,
+)
 
 __all__ = [
     "AveragedBoundPair",
@@ -79,7 +86,7 @@ def fixed_h_bounds(kind: str, snr: float, h, c: Constellation) -> BoundPair:
     """
     _check(kind, snr)
     diffs, counts = pair_differences(c)
-    d2 = _received_sq_distances(np.asarray(h, dtype=complex), diffs)
+    d2 = _received_sq_distances(_fixed_h(h, c), diffs)
     lower, upper = _bound_sums(d2, counts, snr, c.m, kind)
     return BoundPair(lower=float(lower), upper=float(upper))
 
@@ -102,6 +109,7 @@ def avg_bounds(kind: str, snr: float, model: ChannelModel, c: Constellation,
     (4(M-1) for mmse, M-1 for pe) intact in the averaged estimates.
     """
     _check(kind, snr)
+    _check_transmit_size(model.n_t, c)
     diffs, counts = pair_differences(c)
 
     def step(channel_rng, noise_rng, batch):

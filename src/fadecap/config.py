@@ -91,10 +91,18 @@ def _require_keys(obj: dict, path: str, required: set[str], optional: set[str] =
             raise ConfigError(f"{path}.{key}", "missing required key")
 
 
+def _finite(v) -> bool:
+    """Whether the YAML number `v` is a finite float (an int may overflow one)."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _number(obj, path, positive=False):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(path, "expected a number")
-    if not math.isfinite(obj):
+    if not _finite(obj):
         raise ConfigError(path, "must be finite")
     if positive and obj <= 0:
         raise ConfigError(path, "must be positive")
@@ -126,7 +134,7 @@ def _complex_scalar(obj, path) -> complex:
     parts = obj if isinstance(obj, list) and len(obj) == 2 else [obj]
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
         raise ConfigError(path, "expected a real number or [re, im] pair")
-    if not all(math.isfinite(v) for v in parts):
+    if not all(_finite(v) for v in parts):
         raise ConfigError(path, "must be finite")
     return complex(*parts)
 

@@ -34,6 +34,7 @@ from .model import (
     Constellation,
     CorrelatedRayleigh,
     SpaceTimeCode,
+    _check_transmit_size,
     _complex_normal,
     hermitian_sqrt,
     pair_differences,
@@ -388,9 +389,7 @@ def _whitened_pairs(channel: CanonicalRayleigh | CorrelatedRayleigh,
     if not isinstance(channel, (CanonicalRayleigh, CorrelatedRayleigh)):
         raise ValueError("precoders are designed for the canonical or the "
                          "transmit-correlated Rayleigh channel")
-    if channel.n_t != c.n_t:
-        raise ValueError(f"channel n_t = {channel.n_t} does not match the "
-                         f"constellation's n_t = {c.n_t}")
+    _check_transmit_size(channel.n_t, c)
     diffs, counts = pair_differences(c)
     if isinstance(channel, CorrelatedRayleigh):
         diffs = diffs @ hermitian_sqrt(channel.theta_t).T

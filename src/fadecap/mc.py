@@ -40,7 +40,9 @@ from .model import (
     Constellation,
     SnrGrid,
     SpaceTimeCode,
+    _check_transmit_size,
     _complex_normal,
+    _fixed_h,
     sample_channels,
 )
 
@@ -293,11 +295,9 @@ def fixed_h_all(snr: float, h, c: Constellation, cfg: McConfig) -> dict[str, Est
     block a copy of H."""
     if snr <= 0:
         raise ValueError("snr must be positive")
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[1] != c.n_t:
-        raise ValueError("H must have shape (n_r, n_t)")
+    h = _fixed_h(h, c)
     n_noise = cfg.noise_draws_per_channel
-    blocks, levels = c.points[:, :, None], _grid_factors(c)
+    blocks, levels = c.blocks, _grid_factors(c)
 
     def step(channel_rng, noise_rng, batch):
         noise = _complex_normal(noise_rng, (batch, n_noise, h.shape[0]))
@@ -318,10 +318,10 @@ def sampled_true_symbol(c: Constellation | SpaceTimeCode) -> bool:
     SAMPLED_MIN_M points that do not take the factorised kernel
     (`_grid_factors`).  Those grids, every smaller input and every fixed-H
     estimate sum over all M."""
-    return c.m >= SAMPLED_MIN_M and (isinstance(c, SpaceTimeCode) or _grid_factors(c) is None)
+    return c.m >= SAMPLED_MIN_M and _grid_factors(c) is None
 
 
-def _grid_factors(c: Constellation):
+def _grid_factors(c: Constellation | SpaceTimeCode):
     """Level sets (R, I) of a single-antenna grid constellation whose
     factorised kernel cuts the per-sample logits at least fourfold,
     |R|^2 + |I|^2 <= M^2 / 4 (qam16, qam64, qam256); None otherwise."""
@@ -389,14 +389,10 @@ def avg_all(snr: float, channel: ChannelModel, inputs: Constellation | SpaceTime
     `sampled_true_symbol(inputs)`, the statistics average the M
     hypotheses; otherwise each chunk spawns a third stream, and each noise
     draw's one uniform true symbol is drawn from it."""
-    if channel.n_t != inputs.n_t:
-        raise ValueError("channel and input transmit sizes differ")
+    _check_transmit_size(channel.n_t, inputs)
     if snr <= 0:
         raise ValueError("snr must be positive")
-    if isinstance(inputs, SpaceTimeCode):
-        blocks, levels = inputs.codewords, None
-    else:
-        blocks, levels = inputs.points[:, :, None], _grid_factors(inputs)
+    blocks, levels = inputs.blocks, _grid_factors(inputs)
     n_noise = cfg.noise_draws_per_channel
     m, noise_dim = len(blocks), channel.n_r * blocks.shape[2]
 

@@ -116,8 +116,47 @@ def _validate_finite(a: np.ndarray, name: str) -> None:
 # constellations
 # ---------------------------------------------------------------------------
 
+class _Inputs:
+    """M equiprobable (n_t, t) input blocks: a constellation's points as
+    blocks of t = 1, or a space-time code's codewords.  The expansions see
+    either only through the differences of its flattened blocks."""
+
+    grid_levels = None      # a code's is always None; a constellation's may be set
+
+    def _accept(self, field: str, blocks: np.ndarray, what: str, rows: str) -> None:
+        """Store `blocks` as `field` if they are finite, few and distinct."""
+        _validate_finite(blocks, rows)
+        _check_size(blocks.shape, what)
+        object.__setattr__(self, field, blocks)
+        _check_distinct(blocks.reshape(len(blocks), -1), rows)
+
+    @property
+    def m(self) -> int:
+        return self.blocks.shape[0]
+
+    @property
+    def n_t(self) -> int:
+        return self.blocks.shape[1]
+
+    @property
+    def t(self) -> int:
+        return self.blocks.shape[2]
+
+    @property
+    def log_m(self) -> float:
+        return float(np.log(self.m))
+
+    @cached_property
+    def _pair_differences(self) -> tuple[np.ndarray, np.ndarray]:
+        # built on first use, not in __post_init__, so construction stays cheap
+        diffs, counts = _distinct_rows(ordered_pair_differences(self))
+        for shared in (diffs, counts):      # every caller gets these same arrays
+            shared.flags.writeable = False
+        return diffs, counts
+
+
 @dataclass(frozen=True)
-class Constellation:
+class Constellation(_Inputs):
     """Equiprobable set of M complex n_t-vectors.
 
     ``points`` has shape (M, n_t) with M >= 2.  Built-in families are i.i.d.
@@ -135,30 +174,11 @@ class Constellation:
         if pts.shape[0] < 2:
             raise ValueError(f"constellation has M={pts.shape[0]} points, "
                              "fewer than the 2 needed")
-        _validate_finite(pts, "constellation points")
-        _check_size(pts.shape)
-        object.__setattr__(self, "points", pts)
-        _check_distinct(pts, "constellation points")
+        self._accept("points", pts, "constellation", "constellation points")
 
     @property
-    def m(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def n_t(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def log_m(self) -> float:
-        return float(np.log(self.m))
-
-    @cached_property
-    def _pair_differences(self) -> tuple[np.ndarray, np.ndarray]:
-        # built on first use, not in __post_init__, so construction stays cheap
-        diffs, counts = _distinct_rows(ordered_pair_differences(self))
-        for shared in (diffs, counts):      # every caller gets these same arrays
-            shared.flags.writeable = False
-        return diffs, counts
+    def blocks(self) -> np.ndarray:
+        return self.points[:, :, None]
 
     @cached_property
     def grid_levels(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -245,10 +265,10 @@ def make_constellation(family: str, n_t: int, points=None) -> Constellation:
     return Constellation(points=joint, family=fam)
 
 
-def ordered_pair_differences(c: Constellation | np.ndarray) -> np.ndarray:
+def ordered_pair_differences(c: _Inputs | np.ndarray) -> np.ndarray:
     """All M(M-1) difference vectors x_i - x_j with i != j, shape (P, n), of
-    a constellation's points or of the rows of an (M, n) array."""
-    pts = c.points if isinstance(c, Constellation) else np.asarray(c, dtype=complex)
+    an input's flattened blocks (n = n_t t) or of an (M, n) array's rows."""
+    pts = c.blocks.reshape(c.m, -1) if isinstance(c, _Inputs) else np.asarray(c, dtype=complex)
     m = pts.shape[0]
     idx = ~np.eye(m, dtype=bool)
     diff = pts[:, None, :] - pts[None, :, :]
@@ -267,18 +287,36 @@ def _distinct_rows(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diffs[order[starts]], np.diff(np.r_[starts, keys.shape[0]])
 
 
-def pair_differences(c: Constellation) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct differences x_i - x_j (i != j) and their multiplicities.
+def pair_differences(c: Constellation | SpaceTimeCode) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct differences x_i - x_j (i != j) of a constellation's points,
+    or of a space-time code's flattened codewords, and their multiplicities.
 
-    Returns ``(diffs, counts)`` with ``diffs`` of shape (D, n_t) and integer
+    Returns ``(diffs, counts)`` with ``diffs`` of shape (D, n_t t) and integer
     ``counts`` summing to M(M-1), so any sum over ordered pairs of a function
     of the difference equals ``f(diffs) @ counts``.  Differences are grouped
     on integer keys (real and imaginary parts in units of 2^-40 of the
     largest one), so only vectors that differ by rounding are merged; a
     group split by a rounding boundary is still exact.  Computed once per
-    constellation and cached on it.
+    input, cached on it and read-only.
     """
     return c._pair_differences
+
+
+def _check_transmit_size(n_t: int, inputs: _Inputs) -> None:
+    """Reject a channel of `n_t` transmit antennas for `inputs` of another size."""
+    if n_t != inputs.n_t:
+        raise ValueError(f"channel and input transmit sizes differ: "
+                         f"the channel has n_t={n_t}, the inputs n_t={inputs.n_t}")
+
+
+def _fixed_h(h, inputs: _Inputs) -> np.ndarray:
+    """A fixed channel `h` as a complex (n_r, n_t) matrix for `inputs`; any
+    other shape is a ValueError."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2:
+        raise ValueError(f"H must have shape (n_r, n_t), not {h.shape}")
+    _check_transmit_size(h.shape[1], inputs)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +438,7 @@ def sample_channels(model: ChannelModel, n: int, rng: np.random.Generator) -> np
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SpaceTimeCode:
+class SpaceTimeCode(_Inputs):
     """M codeword matrices of shape (n_t, t), used over t symbol intervals."""
 
     codewords: np.ndarray
@@ -409,26 +447,11 @@ class SpaceTimeCode:
         cw = np.asarray(self.codewords, dtype=complex)
         if cw.ndim != 3 or cw.shape[0] < 2:
             raise ValueError("codewords must be a (M, n_t, t) array with M >= 2")
-        _validate_finite(cw, "codewords")
-        _check_size(cw.shape, "space-time code")
-        object.__setattr__(self, "codewords", cw)
-        _check_distinct(cw.reshape(cw.shape[0], -1), "codewords")
+        self._accept("codewords", cw, "space-time code", "codewords")
 
     @property
-    def m(self) -> int:
-        return self.codewords.shape[0]
-
-    @property
-    def n_t(self) -> int:
-        return self.codewords.shape[1]
-
-    @property
-    def t(self) -> int:
-        return self.codewords.shape[2]
-
-    @property
-    def log_m(self) -> float:
-        return float(np.log(self.m))
+    def blocks(self) -> np.ndarray:
+        return self.codewords
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,12 @@ from scipy.special import erfc
 
 import fadecap as fc
 from fadecap.mc import McConfig, chunk_rngs, chunk_sizes
-from fadecap.model import ordered_pair_differences, pair_differences, sample_channels
+from fadecap.model import (
+    _distinct_rows,
+    ordered_pair_differences,
+    pair_differences,
+    sample_channels,
+)
 
 H1 = np.array([[1.0 + 0j]])
 # asymmetric, with some repeated differences (1 - 0 = 2 - 1, ...)
@@ -172,6 +177,22 @@ def test_pair_differences_asymmetric_has_no_merges():
     assert diffs.shape == (12, 2)
     assert np.allclose(np.sort_complex(diffs[:, 0]),
                        np.sort_complex(ordered_pair_differences(c)[:, 0]), rtol=0, atol=0)
+
+
+def test_pair_differences_of_a_code_group_its_flattened_codewords():
+    """A code's table is the one a constellation's is, over codewords
+    flattened to n_t t entries: bit for bit, read-only and cached."""
+    rng = np.random.default_rng(26)
+    cws = rng.standard_normal((12, 2, 3)) + 1j * rng.standard_normal((12, 2, 3))
+    cws[1] = cws[0] + (cws[3] - cws[2])              # a repeated difference
+    code = fc.SpaceTimeCode(codewords=cws)
+    diffs, counts = pair_differences(code)
+    want_diffs, want_counts = _distinct_rows(ordered_pair_differences(cws.reshape(12, -1)))
+    assert np.array_equal(diffs, want_diffs) and np.array_equal(counts, want_counts)
+    assert diffs.shape[1] == 6 and counts.max() == 2 and counts.sum() == 12 * 11
+    assert not diffs.flags.writeable and not counts.flags.writeable
+    again = pair_differences(code)
+    assert again[0] is diffs and again[1] is counts
 
 
 MERGED_SETS = pytest.mark.parametrize("c", [

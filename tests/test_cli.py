@@ -489,6 +489,7 @@ PALLOC_2SUB = {
     "mc": {"channel_draws": 40, "noise_draws": 4, "chunks": 2},
 }
 NAN, INF = float("nan"), float("inf")
+HUGE = 10 ** 400          # a YAML integer beyond float range
 
 
 @pytest.mark.parametrize("command,doc,field", [
@@ -500,8 +501,13 @@ NAN, INF = float("nan"), float("inf")
         PALLOC_2SUB["subchannels"][1]]), "subchannels[0].fading.mean"),
     ("curve", dict(CURVE_CFG, snr_db={"start": 0, "stop": INF, "step": 5}), "snr_db.stop"),
     ("precode", dict(correlated_precode_doc([[1.0, 0.5], [0.5, 1.0]]), p_total=INF), "p_total"),
+    ("precode", dict(correlated_precode_doc([[1.0, 0.5], [0.5, 1.0]]), p_total=HUGE), "p_total"),
+    ("palloc", dict(PALLOC_2SUB, subchannels=[
+        {"family": "qpsk", "fading": {"kind": "ricean", "mean": [HUGE, 0], "variance": 1.0}},
+        PALLOC_2SUB["subchannels"][1]]), "subchannels[0].fading.mean"),
 ], ids=["palloc-budget-nan", "palloc-snr-nan", "palloc-budget-inf", "palloc-mean-nan",
-        "curve-stop-inf", "precode-p-total-inf"])
+        "curve-stop-inf", "precode-p-total-inf", "precode-p-total-huge-int",
+        "palloc-mean-huge-int"])
 def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, doc, field):
     out = tmp_path / "o.csv"
     assert run([command, "--config", write_cfg(tmp_path, doc), "--seed", 1, "--out", out]) == 2

@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import fadecap as fc
-from fadecap import model
+from fadecap import designs, model
 from fadecap.model import hermitian_sqrt, ordered_pair_differences
 
 
@@ -24,7 +24,7 @@ def test_bpsk_points_and_min_distance():
 
 def test_qpsk_product_covariance():
     c = fc.make_constellation("qpsk", 2)
-    assert c.m == 16
+    assert c.m == 16 and c.t == 1
     assert np.allclose(c.points.conj().T @ c.points / c.m, np.eye(2) / 2, atol=1e-12)
 
 
@@ -177,11 +177,41 @@ def test_spacetime_code_validation():
     cw = np.zeros((2, 2, 2), dtype=complex)
     cw[1] = np.eye(2)
     code = fc.SpaceTimeCode(codewords=cw)
-    assert code.m == 2 and code.n_t == 2 and code.t == 2
+    assert code.m == 2 and code.n_t == 2 and code.t == 2 and code.grid_levels is None
     d = code.codewords[0] - code.codewords[1]
     assert np.allclose(d @ d.conj().T, np.eye(2))
     with pytest.raises(ValueError, match="coincide"):
         fc.SpaceTimeCode(codewords=np.zeros((2, 2, 2), dtype=complex))
+
+
+QPSK_1 = fc.make_constellation("qpsk", 1)
+WIDE_H = np.ones((1, 2))
+TRANSMIT_SIZE_CASES = {
+    "fixed_h_all": lambda: fc.fixed_h_all(10.0, WIDE_H, QPSK_1, fc.McConfig(4)),
+    "avg_bounds": lambda: fc.avg_bounds("pe", 10.0, fc.CanonicalRayleigh(2, 1), QPSK_1,
+                                        fc.McConfig(4)),
+    "fixed_h_bounds": lambda: fc.fixed_h_bounds("pe", 10.0, WIDE_H, QPSK_1),
+    "distance_dist": lambda: fc.distance_dist(fc.CanonicalRayleigh(2, 1), QPSK_1),
+    "precoder_objective": lambda: designs.precoder_objective(np.eye(2),
+                                                             fc.CanonicalRayleigh(2, 1), QPSK_1),
+}
+
+
+@pytest.mark.parametrize("name", TRANSMIT_SIZE_CASES)
+def test_every_consumer_checks_the_transmit_size(name):
+    """A channel or fixed H of another transmit size than the inputs' is the
+    ValueError `avg_all` raises, before any matrix product."""
+    with pytest.raises(ValueError, match="transmit sizes differ"):
+        TRANSMIT_SIZE_CASES[name]()
+
+
+@pytest.mark.parametrize("fixed_h", [
+    lambda h: fc.fixed_h_all(10.0, h, QPSK_1, fc.McConfig(4)),
+    lambda h: fc.fixed_h_bounds("pe", 10.0, h, QPSK_1),
+], ids=["fixed_h_all", "fixed_h_bounds"])
+def test_fixed_h_must_be_a_matrix(fixed_h):
+    with pytest.raises(ValueError, match=r"H must have shape \(n_r, n_t\), not \(3, 2, 1\)"):
+        fixed_h(np.ones((3, 2, 1)))
 
 
 def test_oversized_spacetime_code_rejected_before_distinctness(monkeypatch):
