@@ -309,9 +309,18 @@ def _check_transmit_size(n_t: int, inputs: _Inputs) -> None:
                          f"the channel has n_t={n_t}, the inputs n_t={inputs.n_t}")
 
 
+def _check_constellation(inputs: _Inputs) -> None:
+    """Reject a space-time code of t > 1 where only a constellation's points
+    (blocks of t = 1) are taken: the fixed-H estimators and every bound."""
+    if inputs.t != 1:
+        raise ValueError(f"fixed-H estimators and bounds take a constellation, "
+                         f"not a space-time code of t={inputs.t}")
+
+
 def _fixed_h(h, inputs: _Inputs) -> np.ndarray:
-    """A fixed channel `h` as a complex (n_r, n_t) matrix for `inputs`; any
-    other shape is a ValueError."""
+    """A fixed channel `h` as a complex (n_r, n_t) matrix for constellation
+    `inputs`; any other shape, or a space-time code, is a ValueError."""
+    _check_constellation(inputs)
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2:
         raise ValueError(f"H must have shape (n_r, n_t), not {h.shape}")

@@ -1,10 +1,13 @@
 """Fixed-channel bound formulas and their channel-averaged versions."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.special import erfc
 
 import fadecap as fc
+from fadecap import bounds
 from fadecap.mc import McConfig, chunk_rngs, chunk_sizes
 from fadecap.model import (
     _distinct_rows,
@@ -261,12 +264,76 @@ def _ordered_pair_avg_bounds(kind, snr, model, c, cfg):
     ("qam16", 1, fc.Ricean(2.0, [1.0], [1.0, 1j])),
 ])
 def test_avg_bounds_match_ordered_pair_reference(family, n_t, model):
+    """The drawn mmse and mi bounds are the per-channel ordered-pair sums
+    averaged over avg_all's channels; pe takes no draws (below)."""
     c = fc.make_constellation(family, n_t)
     cfg = McConfig(channel_draws=24, noise_draws_per_channel=1, seed=17, parallel_chunks=4)
-    for kind in ("mmse", "mi", "pe"):
+    for kind in ("mmse", "mi"):
         for snr in (1.0, 100.0):
             pair = fc.avg_bounds(kind, snr, model, c, cfg)
             lo, up, lo_se, up_se = _ordered_pair_avg_bounds(kind, snr, model, c, cfg)
             got = (pair.lower.mean, pair.upper.mean,
                    pair.lower.std_error, pair.upper.std_error)
             assert got == pytest.approx((lo, up, lo_se, up_se), rel=1e-12), (kind, snr)
+
+
+# ---------------------------------------------------------------------------
+# exact averaged pe bounds
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_r", [1, 2, 4])
+def test_avg_pe_bounds_match_the_closed_mrc_form(n_r):
+    """bpsk under 1 x n_r Rayleigh fading is maximal-ratio combining:
+    E Q(sqrt(2 snr g)), g ~ Gamma(n_r, 1), has a closed form, written with
+    1 - mu = 1 / ((1 + snr)(1 + mu)) so it does not cancel at high SNR."""
+    c = fc.make_constellation("bpsk", 1)
+    model = fc.CanonicalRayleigh(1, n_r)
+    for snr in fc.SnrGrid.from_db(-30, 80, 5):
+        mu = np.sqrt(snr / (1.0 + snr))
+        closed = (0.5 / ((1.0 + snr) * (1.0 + mu))) ** n_r * sum(
+            comb(n_r - 1 + k, k) * (0.5 * (1.0 + mu)) ** k for k in range(n_r))
+        pair = fc.avg_bounds("pe", snr, model, c, McConfig())
+        assert pair.lower.mean == pair.upper.mean == pytest.approx(closed, rel=1e-12, abs=0)
+        assert pair.lower.std_error == pair.upper.std_error == 0.0
+
+
+@pytest.mark.parametrize("family,n_t,model", [
+    ("qam16", 1, fc.Ricean(2.0, [1.0], [1.0, 1j])),
+    ("qpsk", 2, fc.CorrelatedRayleigh(theta_t=[[1, 1], [1, 1]], theta_r=[[1, 0.5], [0.5, 1]])),
+], ids=["ricean", "singular_theta_t"])
+def test_avg_pe_upper_approaches_the_expansion(family, n_t, model):
+    """At 60 dB the union bound less its pairs that Theta_T nulls (each
+    Q(0) = 1/2) is the leading expansion term pe.upper / snr^d."""
+    c = fc.make_constellation(family, n_t)
+    dd = fc.distance_dist(model, c)
+    eb = fc.epsilon_bounds(dd, c.m)
+    snr = 1e6
+    upper = fc.avg_bounds("pe", snr, model, c, McConfig()).upper.mean
+    assert snr ** eb.d * (upper - 0.5 * dd.n_excluded / c.m) == pytest.approx(
+        eb.pe.upper, rel=1e-3)
+
+
+@pytest.mark.parametrize("family,n_t,model", [
+    ("qpsk", 2, fc.CanonicalRayleigh(2, 2)),
+    ("qpsk", 2, fc.CorrelatedRayleigh(theta_t=[[1, 0.5], [0.5, 1]],
+                                      theta_r=[[1, 0.8], [0.8, 1]])),
+    ("qam16", 1, fc.Ricean(2.0, [1.0], [1.0, 1j])),
+], ids=["canonical", "correlated", "ricean"])
+def test_avg_pe_bounds_match_monte_carlo(family, n_t, model):
+    """The exact bounds lie within 3 sigma of the ordered-pair average over
+    20 000 channel draws."""
+    c = fc.make_constellation(family, n_t)
+    cfg = McConfig(channel_draws=20_000, noise_draws_per_channel=1, seed=19, parallel_chunks=8)
+    for snr in fc.SnrGrid.from_db(0, 20, 10):
+        pair = fc.avg_bounds("pe", snr, model, c, cfg)
+        lo, up, lo_se, up_se = _ordered_pair_avg_bounds("pe", snr, model, c, cfg)
+        assert abs(pair.lower.mean - lo) <= 3 * lo_se, float(snr)
+        assert abs(pair.upper.mean - up) <= 3 * up_se, float(snr)
+
+
+def test_avg_pe_bounds_draw_no_channel(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(bounds, "sample_channels", lambda *args: drawn.append(args))
+    fc.avg_bounds("pe", 10.0, fc.CanonicalRayleigh(2, 2), fc.make_constellation("qpsk", 2),
+                  McConfig(channel_draws=100))
+    assert drawn == []

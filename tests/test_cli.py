@@ -295,6 +295,23 @@ def test_palloc_closed_form_columns(tmp_path):
     assert float(rows[0][4]) == pytest.approx(float(rows[0][3]) / np.log(2), rel=1e-9)
 
 
+def _exit_and_scipy_special(tmp_path, command, doc):
+    """(exit code, whether scipy.special was loaded) of one command run in a
+    fresh interpreter."""
+    cfg = write_cfg(tmp_path, doc)
+    script = ("import sys\n"
+              "from fadecap.cli import main\n"
+              f"code = main([{command!r}, '--config', {cfg!r}, '--seed', '5',"
+              f" '--out', {str(tmp_path / 'p.csv')!r}])\n"
+              "print(code, 'scipy.special' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fadecap.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout.splitlines()[-1].split()
+
+
 def test_palloc_does_not_import_scipy_special(tmp_path):
     """scipy.special is imported only where a bound evaluates erfc, so a
     numeric palloc run, which evaluates none, never loads it."""
@@ -308,18 +325,15 @@ def test_palloc_does_not_import_scipy_special(tmp_path):
         ],
         "mc": {"channel_draws": 32, "noise_draws": 4, "chunks": 2},
     }
-    cfg = write_cfg(tmp_path, doc)
-    script = ("import sys\n"
-              "from fadecap.cli import main\n"
-              f"code = main(['palloc', '--config', {cfg!r}, '--seed', '5',"
-              f" '--out', {str(tmp_path / 'p.csv')!r}])\n"
-              "print(code, 'scipy.special' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fadecap.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.splitlines()[-1].split() == ["0", "False"]
+    assert _exit_and_scipy_special(tmp_path, "palloc", doc) == ["0", "False"]
+
+
+def test_pe_curve_does_not_import_scipy_special(tmp_path):
+    """The averaged pe bounds are exact and evaluate no erfc."""
+    doc = dict(CURVE_CFG, kind="pe", constellation={"family": "qpsk", "n_t": 2},
+               channel={"variant": "rayleigh", "n_r": 2}, snr_db={"points": [0, 10]},
+               mc={"channel_draws": 32, "noise_draws": 4, "chunks": 2})
+    assert _exit_and_scipy_special(tmp_path, "curve", doc) == ["0", "False"]
 
 
 def test_palloc_mixed_fading_one_rule(tmp_path):

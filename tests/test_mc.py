@@ -816,7 +816,7 @@ def test_avg_bounds_draws_chunks_in_batches():
     mc_cfg = McConfig(channel_draws=1000, noise_draws_per_channel=1, seed=47,
                       parallel_chunks=2)
     diffs, counts = pair_differences(c)
-    for kind in ("mmse", "mi", "pe"):
+    for kind in ("mmse", "mi"):                   # pe draws no channel
         def draw(channel_rng, noise_rng, size):   # 500 channels a chunk, batches of 416
             rec = sample_channels(model, size, channel_rng) @ diffs.T
             d2 = np.sum(rec.real ** 2 + rec.imag ** 2, axis=1)

@@ -205,6 +205,27 @@ def test_every_consumer_checks_the_transmit_size(name):
         TRANSMIT_SIZE_CASES[name]()
 
 
+CODE_2X2 = fc.SpaceTimeCode(codewords=np.stack([np.eye(2), -np.eye(2)]).astype(complex))
+CONSTELLATION_ONLY_CASES = {
+    "fixed_h_all": lambda: fc.fixed_h_all(10.0, np.eye(2), CODE_2X2, fc.McConfig(4)),
+    **{f"fixed_h_bounds-{kind}":
+       lambda kind=kind: fc.fixed_h_bounds(kind, 10.0, np.eye(2), CODE_2X2)
+       for kind in ("mmse", "mi", "pe")},
+    **{f"avg_bounds-{kind}":
+       lambda kind=kind: fc.avg_bounds(kind, 10.0, fc.CanonicalRayleigh(2, 2), CODE_2X2,
+                                       fc.McConfig(4))
+       for kind in ("mmse", "mi", "pe")},
+}
+
+
+@pytest.mark.parametrize("name", CONSTELLATION_ONLY_CASES)
+def test_fixed_h_and_bound_consumers_reject_a_space_time_code(name):
+    """A 2x2 code under a channel of its n_t is a named ValueError, not a
+    failure inside a matrix product."""
+    with pytest.raises(ValueError, match="take a constellation, not a space-time code of t=2"):
+        CONSTELLATION_ONLY_CASES[name]()
+
+
 @pytest.mark.parametrize("fixed_h", [
     lambda h: fc.fixed_h_all(10.0, h, QPSK_1, fc.McConfig(4)),
     lambda h: fc.fixed_h_bounds("pe", 10.0, h, QPSK_1),
