@@ -20,6 +20,7 @@ shared channel draws.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,12 +114,22 @@ class AveragedBoundPair:
     upper: Estimate
 
 
+@functools.cache
+def _craig_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """The CRAIG_NODES Gauss-Legendre nodes and weights on [-1, 1], read-only.
+    Built once, on first use rather than at import: `leggauss` solves a
+    CRAIG_NODES-square eigenproblem, which would otherwise run at every SNR."""
+    x, w = np.polynomial.legendre.leggauss(CRAIG_NODES)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _craig_pe_sum(snr: float, model: ChannelModel, c: Constellation) -> float:
     """Sum over ordered pairs of E_H Q(sqrt(snr ||H d||^2 / 2)), each term
     (1/pi) int_0^{pi/2} Psi(snr / (4 sin^2 theta)) dtheta by Craig's form of
     Q, on CRAIG_NODES Gauss-Legendre nodes."""
     law = _law(model, c)
-    x, w = np.polynomial.legendre.leggauss(CRAIG_NODES)
+    x, w = _craig_nodes()
     s = snr / (4.0 * np.sin(0.25 * np.pi * (x + 1.0)) ** 2)
     psi = sum(wk * _mgf(law, sk) for wk, sk in zip(w, s))
     return 0.25 * float(psi @ law[3])

@@ -148,26 +148,27 @@ def _shifted_weights(g2: np.ndarray, nsq_i: np.ndarray, i: int, out: np.ndarray)
 def kernel_stats(received: np.ndarray, noise: np.ndarray, snr: float):
     """Per-sample statistics for a batch of channels.
 
-    received : (C, M, dim) complex noiseless receive points, sqrt(snr) included
-    noise    : (C, N, dim) complex CN(0, I) draws
-    Returns (mmse, lse, pe) arrays of shape (C, N), each already averaged
-    over the M equiprobable transmit hypotheses.  The mutual information is
-    log M - lse.  The distances ||r_i - r_k||^2 come from the differences
-    r_k - r_i, so their rounding scales with them, not with the points.
-    Overflow is handled by max-shifted exponentials, and underflow by
-    flooring the shifted logits at EXP_FLOOR, which keeps `exp` on its fast
-    path; the floored weights are absorbed in every sum.
+    received : (C, M, dim) complex128 noiseless receive points, sqrt(snr)
+               included, or (C, M, D) float64 real coordinates
+    noise    : (C, N, dim) complex128 CN(0, I) draws, or (C, N, D) float64
+               real coordinates, N(0, 1/2) each
+    Both are read through `.view(float)`, which needs the last axis
+    contiguous: a complex array as its interleaved (re, im) floats, D =
+    2 dim, so that Re<r, n> is their dot product, and a float array as it
+    is.  Returns (mmse, lse, pe) arrays of shape (C, N), each already
+    averaged over the M equiprobable transmit hypotheses.  The mutual
+    information is log M - lse.  The distances ||r_i - r_k||^2 come from the
+    differences r_k - r_i, so their rounding scales with them, not with the
+    points.  Overflow is handled by max-shifted exponentials, and underflow
+    by flooring the shifted logits at EXP_FLOOR, which keeps `exp` on its
+    fast path; the floored weights are absorbed in every sum.
     """
-    c_sz, m, dim = received.shape
+    c_sz, m = received.shape[:2]
     n_sz = noise.shape[1]
-    # (C, 2 dim, M): real parts of the points stacked over imaginary parts
-    pts = np.empty((c_sz, 2 * dim, m))
-    pts[:, :dim] = received.real.transpose(0, 2, 1)
-    pts[:, dim:] = received.imag.transpose(0, 2, 1)
-    g = noise.real @ pts[:, :dim] + noise.imag @ pts[:, dim:]   # (C, N, M): Re<r_m, n>
+    pts = received.view(float).transpose(0, 2, 1)     # (C, D, M) real coordinates
     g2 = np.empty((m, c_sz, n_sz))                      # (M, C, N): 2 Re<r_m, n>
-    np.multiply(g.transpose(2, 0, 1), 2.0, out=g2)
-    coords = np.ascontiguousarray(pts.transpose(1, 2, 0))      # (2 dim, M, C)
+    np.multiply((noise.view(float) @ pts).transpose(2, 0, 1), 2.0, out=g2)
+    coords = np.ascontiguousarray(pts.transpose(1, 2, 0))      # (D, M, C)
     diff = np.empty_like(coords)          # reused: a new one per i is ~4x slower at M = 256
     nsq_i = np.empty((m, c_sz))                         # ||r_i - r_k||^2 over k
 
@@ -183,7 +184,7 @@ def kernel_stats(received: np.ndarray, noise: np.ndarray, snr: float):
         pe += a_max > 0.0
         s = ea.sum(axis=0)
         lse += a_max + np.log(s)
-        cm = pts @ ea.transpose(1, 0, 2)                 # (C, 2 dim, N)
+        cm = pts @ ea.transpose(1, 0, 2)                 # (C, D, N)
         cm /= s[:, None, :]
         cm -= pts[:, :, i, None]
         mmse += np.sum(cm * cm, axis=1)
@@ -194,8 +195,8 @@ def kernel_stats(received: np.ndarray, noise: np.ndarray, snr: float):
 def sampled_stats(received: np.ndarray, noise: np.ndarray, true: np.ndarray, snr: float):
     """Per-sample statistics of one true symbol a sample.
 
-    received : (C, M, dim) complex noiseless receive points, sqrt(snr) included
-    noise    : (C, N, dim) complex CN(0, I) draws
+    received : (C, M, dim) complex128 or (C, M, D) float64, as `kernel_stats`
+    noise    : (C, N, dim) complex128 or (C, N, D) float64, as `kernel_stats`
     true     : (C, N) index i of the true symbol of each noise draw
     Returns (mmse, lse, pe) arrays of shape (C, N) for that i alone.  With
     d_k = r_k - r_i the logits are A_k = 2 Re<d_k, n> - ||d_k||^2 (A_i = 0
@@ -204,12 +205,11 @@ def sampled_stats(received: np.ndarray, noise: np.ndarray, true: np.ndarray, snr
     averages to that of `kernel_stats`, from M logits a sample instead of
     M^2.  The shifted logits are floored at EXP_FLOOR, as there.  The real
     coordinates come first, so each is one (C, N, M) slab of d, formed
-    twice (logits, then weights) rather than held as a 2 dim times larger
-    block.
+    twice (logits, then weights) rather than held as a D times larger block.
     """
-    # (2 dim, C, M), (2 dim, C, N), (2 dim, C, N): coordinates of r, 2n, r_i
-    pts = np.concatenate((received.real, received.imag), axis=-1).transpose(2, 0, 1)
-    z2 = 2.0 * np.concatenate((noise.real, noise.imag), axis=-1).transpose(2, 0, 1)
+    # (D, C, M), (D, C, N), (D, C, N): real coordinates of r, 2n, r_i
+    pts = received.view(float).transpose(2, 0, 1)
+    z2 = 2.0 * noise.view(float).transpose(2, 0, 1)
     pts_i = np.take_along_axis(pts, np.broadcast_to(true, (len(pts),) + true.shape), axis=2)
     a = np.zeros(true.shape + received.shape[1:2])                    # (C, N, M) logits
     d = np.empty_like(a)                                              # one coordinate of d
@@ -342,9 +342,10 @@ def _grid_stats(h: np.ndarray, noise: np.ndarray, levels, snr: float):
     Re(conj(x_i - x_k) u), which splits into a real-level and an
     imaginary-level term.  So per sample lse = lse_R + lse_I, mmse =
     mmse_R + mmse_I and pe = pe_R + pe_I - pe_R pe_I (an error in either
-    coordinate), each factor being `kernel_stats` on the real points
-    sqrt(snr) ||h|| level with noise u (R) or -j u (I).  The error rate is
-    formed from the integer error counts, so it equals the joint kernel's.
+    coordinate), each factor being `kernel_stats` on the one real
+    coordinate sqrt(snr) ||h|| level of its points, with the one real noise
+    coordinate Re u (R) or Im u (I).  The error rate is formed from the
+    integer error counts, so it equals the joint kernel's.
     """
     gain = np.sqrt(np.sum(h.real ** 2 + h.imag ** 2, axis=1))          # (C,)
     # a zero channel gives u = 0 and all-zero points, so lse = log M
@@ -352,7 +353,7 @@ def _grid_stats(h: np.ndarray, noise: np.ndarray, levels, snr: float):
     amp = np.sqrt(snr) * gain[:, None, None]
     (mmse_r, lse_r, pe_r), (mmse_i, lse_i, pe_i) = (
         kernel_stats(amp * lev[None, :, None], z, snr)
-        for lev, z in ((levels[0], u), (levels[1], -1j * u)))
+        for lev, z in ((levels[0], u.real), (levels[1], u.imag)))
     n_re, n_im = levels[0].size, levels[1].size
     err_r, err_i = np.rint(pe_r * n_re), np.rint(pe_i * n_im)
     errors = err_r * n_im + err_i * n_re - err_r * err_i

@@ -337,3 +337,19 @@ def test_avg_pe_bounds_draw_no_channel(monkeypatch):
     fc.avg_bounds("pe", 10.0, fc.CanonicalRayleigh(2, 2), fc.make_constellation("qpsk", 2),
                   McConfig(channel_draws=100))
     assert drawn == []
+
+
+def test_avg_pe_bounds_build_the_craig_nodes_once(monkeypatch):
+    """Two SNR points build the Gauss-Legendre nodes once, read-only, and
+    the bounds equal those on freshly built nodes bit for bit."""
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: built.append(n) or leggauss(n))
+    model, c = fc.CanonicalRayleigh(2, 2), fc.make_constellation("qpsk", 2)
+    bounds._craig_nodes.cache_clear()
+    pairs = [fc.avg_bounds("pe", snr, model, c, McConfig()) for snr in (1.0, 10.0)]
+    assert built == [bounds.CRAIG_NODES]
+    assert not any(a.flags.writeable for a in bounds._craig_nodes())
+    bounds._craig_nodes.cache_clear()
+    assert fc.avg_bounds("pe", 10.0, model, c, McConfig()) == pairs[1]

@@ -412,6 +412,35 @@ def test_sampled_stats_over_every_true_symbol_match_brute_force(name):
         assert np.array_equal(mixed, np.array(per_i)[true, rows, cols])
 
 
+@pytest.mark.parametrize("kernel", ["kernel_stats", "sampled_stats"])
+def test_kernels_read_float64_as_real_coordinates(kernel):
+    """Float64 coordinates X (C, M, D) and Z (C, N, D) give the statistics
+    of the complex points and noise whose float views they are: lse and pe
+    exactly, mmse within 1e-14 relative.  An odd D, which no complex input
+    has, matches the brute-force reference on the real coordinates."""
+    rng = np.random.default_rng(53)
+    snr = 3.0
+    true = rng.integers(4, size=(3, 11))
+
+    def run(received, noise):
+        if kernel == "kernel_stats":
+            return kernel_stats(received, noise, snr)
+        return mc.sampled_stats(received, noise, true, snr)
+
+    x, z = rng.standard_normal((3, 4, 4)), np.sqrt(0.5) * rng.standard_normal((3, 11, 4))
+    (mmse, lse, pe), (ref_mmse, ref_lse, ref_pe) = (
+        run(x, z), run(x.view(complex), z.view(complex)))
+    assert np.array_equal(lse, ref_lse) and np.array_equal(pe, ref_pe)
+    assert np.max(np.abs(mmse - ref_mmse)) <= 1e-14 * np.max(ref_mmse)
+    if kernel == "kernel_stats":
+        x, z = x[..., :3], z[..., :3]
+        mmse, lse, pe = kernel_stats(x, z, snr)
+        ref_mmse, ref_lse, ref_pe = _reference_stats(x, z, snr)
+        assert np.max(np.abs(lse - ref_lse)) <= 1e-12 * np.max(np.abs(ref_lse))
+        assert np.max(np.abs(mmse - ref_mmse)) <= 1e-12 * np.max(ref_mmse)
+        assert np.array_equal(pe, ref_pe)
+
+
 def _bank_draws(subs, mc_cfg):
     """The banks' unit fading (C, K) and noise (C, N, K), chunk k drawn whole:
     the fading from spawn key (k, 0), the noise from (k, 1).  Subchannel k's
@@ -715,6 +744,38 @@ def test_grid_factorisation_guards_zero_channel():
     assert np.max(np.abs(lse - ref[1])) <= 1e-14
     assert np.max(np.abs(mmse - ref[0])) <= 1e-11 * np.max(ref[0])
     assert np.array_equal(pe, ref[2])
+
+
+def test_grid_factors_get_one_real_coordinate(monkeypatch):
+    """Each level set's `kernel_stats` call gets float64 points and noise
+    of one real coordinate, Re u for R and Im u for I.  Its lse and pe equal
+    those of the complex form, the real levels with noise u and -j u, bit
+    for bit, and its mmse within 1e-14 relative; a zero channel included."""
+    c = fc.make_constellation("qam16", 1)
+    rng = np.random.default_rng(71)
+    h = _complex_normal(rng, (4, 2))
+    h[2] = 0.0
+    noise = _complex_normal(rng, (4, 9, 2))
+    calls = []
+
+    def spy(received, z, snr):
+        calls.append((received, z, kernel_stats(received, z, snr)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(mc, "kernel_stats", spy)
+    for snr in 10.0 ** (np.array([0.0, 20.0, 45.0]) / 10.0):
+        calls.clear()
+        _, lse, _ = mc._grid_stats(h, noise, mc._grid_factors(c), snr)
+        assert [(r.dtype, r.shape[-1], z.dtype, z.shape[-1]) for r, z, _ in calls] == [
+            (np.float64, 1, np.float64, 1)] * 2
+        (pts_r, u_r, stats_r), (pts_i, u_i, stats_i) = calls
+        u = u_r + 1j * u_i
+        refs = [kernel_stats(pts_r.astype(complex), u, snr),
+                kernel_stats(pts_i.astype(complex), -1j * u, snr)]
+        assert np.array_equal(lse, refs[0][1] + refs[1][1])
+        for (mmse_f, _, pe_f), (ref_mmse, _, ref_pe) in zip((stats_r, stats_i), refs):
+            assert np.array_equal(pe_f, ref_pe)
+            assert np.max(np.abs(mmse_f - ref_mmse)) <= 1e-14 * np.max(ref_mmse)
 
 
 @pytest.mark.parametrize("family,takes_grid", [("bpsk", False), ("qpsk", False),
