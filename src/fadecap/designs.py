@@ -209,9 +209,9 @@ def _subchannel_banks(subs: Sequence[SubchannelSpec], cfg: mc.McConfig):
 
 
 def _bank_mi(snr: float, bank, power: float) -> np.ndarray:
-    """Mutual information of one subchannel on each channel c of its bank,
-    (C,): the sum over factors of Q points of log Q (log M in all) minus
-    the mean lse over c's noise draws.  Every bank's row c is draw c."""
+    """Mutual information of one subchannel on each channel c (draw c) of its
+    bank, (C,): the sum over factors of Q points of log Q (log M in all) minus
+    the mean lse over c's noise draws, weighted by `mc._shifted_weights`."""
     factors, h2 = bank
     mi = np.zeros(h2.size)
     if power <= 0.0:

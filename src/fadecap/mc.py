@@ -125,24 +125,27 @@ def chunk_rngs(seed: int, chunks: int, streams: int = 2) -> list[tuple[np.random
 # core kernel
 # ---------------------------------------------------------------------------
 
+def _weights(a: np.ndarray) -> np.ndarray:
+    """Logits a -> exp(max(a - max a, EXP_FLOOR)) in place over axis 0; returns max a."""
+    a_max = a.max(axis=0)
+    a -= a_max
+    np.exp(np.maximum(a, EXP_FLOOR, out=a), out=a)
+    return a_max
+
+
 def _shifted_weights(g2: np.ndarray, nsq_i: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
-    """Max-shifted exponential weights for true hypothesis i, hypothesis-first.
+    """The logits of true hypothesis i, hypothesis-first, and their weights.
 
     g2    : (M, C, N) per-hypothesis noise terms, g2[k] ~ 2 Re<r_k, n>, at
             the scale of the points (callers scale their tables before the
             loop over i, not once per hypothesis)
     nsq_i : (M, C) squared distances ||r_i - r_k||^2 at the same scale
-    Fills ``out`` (M, C, N) with exp(max(A_k - max_k A_k, EXP_FLOOR)), where
-    A_k = g2[k] - g2[i] - nsq_i[k], and returns the (C, N) max.
-    Reductions over k then run as M elementwise passes over (C, N) slabs.
+    Fills ``out`` (M, C, N) with the `_weights` of A_k = g2[k] - g2[i] - nsq_i[k]
+    (reductions over k then run over (C, N) slabs); returns the (C, N) max.
     """
     np.subtract(g2, g2[i], out=out)
     out -= nsq_i[:, :, None]
-    a_max = out.max(axis=0)
-    out -= a_max
-    np.maximum(out, EXP_FLOOR, out=out)
-    np.exp(out, out=out)
-    return a_max
+    return _weights(out)
 
 
 def kernel_stats(received: np.ndarray, noise: np.ndarray, snr: float):
@@ -159,9 +162,8 @@ def kernel_stats(received: np.ndarray, noise: np.ndarray, snr: float):
     averaged over the M equiprobable transmit hypotheses.  The mutual
     information is log M - lse.  The distances ||r_i - r_k||^2 come from the
     differences r_k - r_i, so their rounding scales with them, not with the
-    points.  Overflow is handled by max-shifted exponentials, and underflow
-    by flooring the shifted logits at EXP_FLOOR, which keeps `exp` on its
-    fast path; the floored weights are absorbed in every sum.
+    points.  Its weights, as those of `sampled_stats` and the power-allocation
+    banks, come from `_weights`: max-shifted and floored at EXP_FLOOR.
     """
     c_sz, m = received.shape[:2]
     n_sz = noise.shape[1]
@@ -203,7 +205,7 @@ def sampled_stats(received: np.ndarray, noise: np.ndarray, true: np.ndarray, snr
     exactly), lse = logsumexp_k A_k, the detector errs iff max_k A_k > 0,
     and E{Hx | y} - r_i = softmax(A) @ d.  Over a uniform i each statistic
     averages to that of `kernel_stats`, from M logits a sample instead of
-    M^2.  The shifted logits are floored at EXP_FLOOR, as there.  The real
+    M^2, weighted by `_weights` on a hypothesis-first view.  The real
     coordinates come first, so each is one (C, N, M) slab of d, formed
     twice (logits, then weights) rather than held as a D times larger block.
     """
@@ -219,10 +221,7 @@ def sampled_stats(received: np.ndarray, noise: np.ndarray, true: np.ndarray, snr
         np.subtract(z[:, :, None], d, out=t)
         t *= d
         a += t
-    a_max = a.max(axis=-1)
-    a -= a_max[..., None]
-    np.maximum(a, EXP_FLOOR, out=a)
-    np.exp(a, out=a)
+    a_max = _weights(np.moveaxis(a, -1, 0))
     s = a.sum(axis=-1)
     mmse = np.zeros(true.shape)
     for x, x_i in zip(pts, pts_i):

@@ -1,6 +1,8 @@
 """CLI: config validation, CSV schema, determinism, exit codes."""
 
+import dataclasses
 import importlib
+import math
 import os
 import re
 import subprocess
@@ -15,7 +17,7 @@ import yaml
 import fadecap
 from fadecap import designs
 from fadecap.cli import main
-from fadecap.config import load_config, validate_command_config
+from fadecap.config import ConfigError, load_config, validate_command_config
 from fadecap.mc import McConfig
 
 CURVE_CFG = {
@@ -1019,3 +1021,154 @@ def test_mc_block_keeps_the_mcconfig_defaults(command, block, expected):
         parent["mc"] = block
     cfg = validate_command_config(command, doc, seed=7)
     assert (cfg[path[0]] if path else cfg)["mc"] == expected
+
+
+def _twelve(x):
+    """`x` as the CSV writes it: 12 significant digits."""
+    return float(f"{x:.12g}")
+
+
+def test_palloc_numeric_columns_and_report(tmp_path, capsys):
+    """A numeric run writes palloc_numeric's split, and both designs'
+    capacities on the shared banks in nats and bits, and reports both."""
+    doc = dict(PALLOC_2SUB, numeric=True)
+    out = tmp_path / "palloc.csv"
+    code = run(["palloc", "--config", write_cfg(tmp_path, doc), "--seed", 4, "--out", out])
+    cfg = validate_command_config("palloc", doc, 4)
+    subs, snr, mc_cfg = cfg["subchannels"], cfg["snr"], cfg["mc"]
+    alloc = designs.palloc_highsnr(subs, cfg["budget"])
+    numeric = designs.palloc_numeric(subs, cfg["budget"], snr, mc_cfg)
+    cap_high, cap_num = designs.subchannel_capacities(subs, [alloc.p, numeric.p], snr, mc_cfg)
+    assert code == (4 if numeric.flagged else 0)
+    _, header, rows = read_csv(out)
+    for k, row in enumerate(rows):
+        rec = {h: float(v) for h, v in zip(header, row)}
+        assert rec["p_numeric"] == _twelve(numeric.p[k])
+        for name, cap in (("highsnr", cap_high[k]), ("numeric", cap_num[k])):
+            assert rec[f"mi_{name}_nats"] == _twelve(cap)
+            assert rec[f"mi_{name}_bits"] == _twelve(cap / math.log(2.0))
+    report = capsys.readouterr().out
+    assert "numeric allocation:" in report and "capacity (numeric design):" in report
+
+
+def test_offsets_row_without_a_positive_coefficient_reads_nan(tmp_path, monkeypatch):
+    """A measured coefficient that is not positive gives no dB offsets: the
+    four delta columns read nan, the row is flagged and the run exits 4."""
+    real = fadecap.mc.empirical_epsilon
+
+    def gap_above_limit(grid, channel, inputs, cfg, d, limit, threads=1):
+        points = real(grid, channel, inputs, cfg, d, limit, threads=threads)
+        points["mi"][0] = fadecap.mc._epsilon_point(
+            "mi", fadecap.Estimate(limit + 0.01, 0.001), points["mi"][0].snr, d, limit)
+        return points
+
+    monkeypatch.setattr(fadecap.mc, "empirical_epsilon", gap_above_limit)
+    doc = dict(MC_BLOCK_DOCS["offsets"][0], mc={"channel_draws": 40, "noise_draws": 4,
+                                                "chunks": 2})
+    out = tmp_path / "offsets.csv"
+    assert run(["offsets", "--config", write_cfg(tmp_path, doc), "--seed", 2,
+                "--out", out]) == 4
+    _, header, rows = read_csv(out)
+    rec = dict(zip(header, rows[0]))
+    assert float(rec["eps_prime_hat"]) < 0
+    deltas = ("delta_lb_db", "delta_ub_db", "delta_prime_lb_db", "delta_prime_ub_db")
+    assert [rec[k] for k in deltas] == ["nan"] * 4
+    assert rec["flagged"] == "1"
+
+
+def test_precode_design_beaten_by_a_probe_is_numeric_failure(tmp_path, capsys, monkeypatch):
+    """A design that some random feasible probe beats fails the run with
+    exit 3, and no CSV is written."""
+    real = designs.optimal_precoder
+
+    def unbeatable_claim(channel, c, p_total, z0=None):
+        precoder, report = real(channel, c, p_total, z0=z0)
+        return precoder, dataclasses.replace(report, objective=math.inf)
+
+    monkeypatch.setattr(designs, "optimal_precoder", unbeatable_claim)
+    doc = {"constellation": {"family": "qpsk", "n_t": 2}, "p_total": 2.0,
+           "channel": {"variant": "rayleigh", "n_r": 2}, "probes": 5, "restarts": 0}
+    out = tmp_path / "precode.csv"
+    assert run(["precode", "--config", write_cfg(tmp_path, doc), "--seed", 1,
+                "--out", out]) == 3
+    assert capsys.readouterr().err == ("numeric failure: a random feasible probe beat "
+                                       "the designed precoder\n")
+    assert not out.exists()
+
+
+RICEAN_1X1 = {"variant": "ricean", "k_factor": 2.0, "a_t": [1], "a_r": [1]}
+
+
+def _fading_sub(fading):
+    return {"family": "qpsk", "fading": fading}
+
+
+@pytest.mark.parametrize("command,doc,field,message", [
+    ("curve", [1, 2], "<root>", "config document must be a mapping"),
+    ("curve", dict(CURVE_CFG, constellation="qam16"), "constellation", "expected a mapping"),
+    ("curve", {k: v for k, v in CURVE_CFG.items() if k != "snr_db"}, "<root>.snr_db",
+     "missing required key"),
+    ("palloc", dict(PALLOC_2SUB, budget="two"), "budget", "expected a number"),
+    ("palloc", dict(PALLOC_2SUB, budget=0), "budget", "must be positive"),
+    ("curve", dict(CURVE_CFG, mc={"channel_draws": 1.5}), "mc.channel_draws",
+     "expected an integer"),
+    ("curve", dict(CURVE_CFG, mc={"chunks": 0}), "mc.chunks", "must be >= 1"),
+    ("palloc", dict(PALLOC_2SUB, subchannels=[_fading_sub(
+        {"kind": "ricean", "mean": "x", "variance": 1.0})]), "subchannels[0].fading.mean",
+     "expected a real number or [re, im] pair"),
+    ("curve", dict(CURVE_CFG, channel=dict(RICEAN_1X1, a_t=[])), "channel.a_t",
+     "expected a nonempty list"),
+    ("curve", dict(CURVE_CFG, constellation={"family": "custom", "n_t": 1, "points": []}),
+     "constellation.points", "expected a nonempty list of rows"),
+    ("curve", dict(CURVE_CFG, constellation={"family": "custom", "n_t": 1,
+                                             "points": [[1], [2, 3]]}),
+     "constellation.points", "rows have inconsistent lengths"),
+    ("curve", dict(CURVE_CFG, constellation={"family": 16, "n_t": 1}), "constellation.family",
+     "expected a string"),
+    ("curve", dict(CURVE_CFG, constellation={"family": "custom", "n_t": 1}),
+     "constellation.points", "custom constellation requires points"),
+    ("curve", dict(CURVE_CFG, constellation={"family": "qpsk", "n_t": 1, "points": [[1], [-1]]}),
+     "constellation.points", "points only apply to the custom family"),
+    ("curve", dict(CURVE_CFG, channel={"n_r": 1}), "channel.variant", "missing channel variant"),
+    ("curve", dict(CURVE_CFG, channel=dict(RICEAN_1X1, a_t=[1, 1])), "channel.a_t",
+     "length does not match constellation n_t"),
+    ("curve", dict(CURVE_CFG, channel={"variant": "nakagami", "n_r": 1}), "channel.variant",
+     "unknown variant 'nakagami' (rayleigh | correlated | ricean)"),
+    ("curve", dict(CURVE_CFG, snr_db=10), "snr_db", "expected a mapping"),
+    ("curve", dict(CURVE_CFG, snr_db={"points": []}), "snr_db.points",
+     "expected a nonempty list of dB values"),
+    ("palloc", dict(PALLOC_2SUB, subchannels=[_fading_sub({"variance": 1.0})]),
+     "subchannels[0].fading.kind", "missing fading kind"),
+    ("palloc", dict(PALLOC_2SUB, subchannels=[_fading_sub({"kind": "nakagami", "variance": 1.0})]),
+     "subchannels[0].fading.kind", "unknown fading kind 'nakagami'"),
+    ("stcode", {"n_r": 1, "codebooks": [dict(CODEBOOK, name="")]}, "codebooks[0].name",
+     "expected a nonempty string"),
+    ("stcode", {"n_r": 1, "codebooks": [dict(CODEBOOK, codewords=CODEBOOK["codewords"][:1])]},
+     "codebooks[0].codewords", "expected a list of at least 2 matrices"),
+    ("stcode", {"n_r": 1, "codebooks": [dict(CODEBOOK, codewords=[[[1, 0]], [[1], [0]]])]},
+     "codebooks[0].codewords", "codewords have inconsistent shapes"),
+    ("offsets", dict(MC_BLOCK_DOCS["offsets"][0], systems=[]), "systems",
+     "expected a nonempty list"),
+    ("palloc", dict(PALLOC_2SUB, subchannels=[]), "subchannels", "expected a nonempty list"),
+    ("palloc", dict(PALLOC_2SUB, numeric="yes"), "numeric", "expected a boolean"),
+    ("stcode", {"n_r": 1, "codebooks": []}, "codebooks", "expected a nonempty list"),
+], ids=["root-not-mapping", "constellation-not-mapping", "missing-key", "not-a-number",
+        "not-positive", "not-an-integer", "below-minimum", "bad-complex", "empty-vector",
+        "empty-matrix", "ragged-matrix", "family-not-string", "custom-without-points",
+        "points-on-builtin", "missing-variant", "ricean-a-t-length", "unknown-variant",
+        "snr-not-mapping", "empty-snr-points", "missing-fading-kind", "unknown-fading-kind",
+        "empty-codebook-name", "one-codeword", "ragged-codewords", "empty-systems",
+        "empty-subchannels", "numeric-not-boolean", "empty-codebooks"])
+def test_config_error_names_field_and_writes_nothing(tmp_path, capsys, command, doc, field,
+                                                     message):
+    out = tmp_path / "o.csv"
+    assert run([command, "--config", write_cfg(tmp_path, doc), "--seed", 1, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: config field '{field}': {message}\n"
+    assert not out.exists()
+
+
+def test_unknown_command_is_a_config_error():
+    """argparse rejects an unknown command first; the validator names it too."""
+    with pytest.raises(ConfigError) as err:
+        validate_command_config("plot", {}, 1)
+    assert str(err.value) == "config field '<command>': unknown command 'plot'"

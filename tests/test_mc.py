@@ -1,8 +1,10 @@
 """Monte Carlo oracle: limits, closed-form checks, determinism."""
 
+import ast
 import contextlib
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -567,17 +569,15 @@ def test_bank_mi_holds_two_tables():
 # ---------------------------------------------------------------------------
 
 def _unfloored_weights(lowest):
-    """The logit step without the floor; appends each call's lowest shifted
+    """The weight step without the floor; appends each call's lowest shifted
     logit to `lowest`."""
-    def shifted_weights(g2, nsq_i, i, out):
-        np.subtract(g2, g2[i], out=out)
-        out -= nsq_i[:, :, None]
-        a_max = out.max(axis=0)
-        out -= a_max
-        lowest.append(out.min())
-        np.exp(out, out=out)
+    def weights(a):
+        a_max = a.max(axis=0)
+        a -= a_max
+        lowest.append(a.min())
+        np.exp(a, out=a)
         return a_max
-    return shifted_weights
+    return weights
 
 
 def _floor_case(name, snr_db):
@@ -603,12 +603,25 @@ def test_exp_floor_leaves_kernel_stats_unchanged(monkeypatch, name, snr_db):
     received, noise, snr = _floor_case(name, snr_db)
     floored = kernel_stats(received, noise, snr)
     lowest = []
-    monkeypatch.setattr(mc, "_shifted_weights", _unfloored_weights(lowest))
+    monkeypatch.setattr(mc, "_weights", _unfloored_weights(lowest))
     reference = kernel_stats(received, noise, snr)
     for got, ref in zip(floored, reference):
         assert np.array_equal(got, ref)
     if snr_db >= 20:
         assert min(lowest) < EXP_FLOOR       # the floor is reached on these inputs
+
+
+@pytest.mark.parametrize("snr_db", [20, 30])
+def test_exp_floor_leaves_sampled_stats_unchanged(monkeypatch, snr_db):
+    received, noise, snr = _floor_case("qam16_2x2_correlated", snr_db)
+    true = np.random.default_rng(607).integers(received.shape[1], size=noise.shape[:2])
+    floored = mc.sampled_stats(received, noise, true, snr)
+    lowest = []
+    monkeypatch.setattr(mc, "_weights", _unfloored_weights(lowest))
+    reference = mc.sampled_stats(received, noise, true, snr)
+    for got, ref in zip(floored, reference):
+        assert np.array_equal(got, ref)
+    assert min(lowest) < EXP_FLOOR
 
 
 def test_exp_floor_leaves_bank_mi_unchanged(monkeypatch):
@@ -619,10 +632,31 @@ def test_exp_floor_leaves_bank_mi_unchanged(monkeypatch):
     snr, powers = 100.0, (0.5, 1.0, 1.5)
     floored = [designs._bank_mi(snr, bank, p) for p in powers]
     lowest = []
-    monkeypatch.setattr(mc, "_shifted_weights", _unfloored_weights(lowest))
+    monkeypatch.setattr(mc, "_weights", _unfloored_weights(lowest))
     for p, ref in zip(powers, floored):
         assert np.array_equal(designs._bank_mi(snr, bank, p), ref)
     assert min(lowest) < EXP_FLOOR
+
+
+def test_exp_floor_is_read_in_one_function():
+    """One weight step floors every Monte Carlo logit table: EXP_FLOOR is
+    read inside exactly one function of the package."""
+    readers = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, f"{where}.{getattr(child, 'name', '<lambda>')}")
+                continue
+            if (isinstance(child, ast.Name) and child.id == "EXP_FLOOR"
+                    and isinstance(child.ctx, ast.Load)
+                    or isinstance(child, ast.Attribute) and child.attr == "EXP_FLOOR"):
+                readers.add(where)
+            visit(child, where)
+
+    for path in Path(fc.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert len(readers) == 1, sorted(readers)
 
 
 # ---------------------------------------------------------------------------

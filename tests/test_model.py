@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import fadecap as fc
-from fadecap import designs, model
+from fadecap import asymptotics, designs, mc, model
 from fadecap.model import hermitian_sqrt, ordered_pair_differences
 
 
@@ -350,3 +350,61 @@ def test_every_public_name_has_a_caller():
                     if isinstance(c, ast.ClassDef) and c.name in exported for f in c.body
                     if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
     assert sorted(name for name in surface if name.rsplit(".", 1)[1] not in used) == []
+
+
+QPSK = fc.make_constellation("qpsk", 1)
+RAYLEIGH_1X1 = fc.CanonicalRayleigh(n_t=1, n_r=1)
+TINY_MC = fc.McConfig(channel_draws=2, noise_draws_per_channel=2)
+QPSK_SUB = designs.SubchannelSpec(QPSK, designs.Fading(variance=1.0))
+
+# (call, the ValueError message it raises): one input a library check rejects
+INPUT_ERRORS = [
+    (lambda: fc.make_constellation("qpsk", 0), "n_t must be >= 1"),
+    (lambda: fc.make_constellation("custom", 1), "custom constellation requires points"),
+    (lambda: fc.make_constellation("custom", 2, points=[[1, 0, 0], [0, 1, 0]]),
+     "points have 3 antennas, expected 2"),
+    (lambda: fc.Constellation(points=np.array([1.0, -1.0])), "points must be a (M, n_t) array"),
+    (lambda: fc.CanonicalRayleigh(n_t=1, n_r=0), "antenna counts must be >= 1"),
+    (lambda: fc.Ricean(k_factor=1.0, a_t=[1], a_r=[2]), "||a_r||^2 must equal n_r"),
+    (lambda: fc.CorrelatedRayleigh(theta_t=[[1, 0.5], [0.2, 1]], theta_r=[[1]]),
+     "matrix is not Hermitian"),
+    (lambda: fc.CorrelatedRayleigh(theta_t=[[1, np.nan], [np.nan, 1]], theta_r=[[1]]),
+     "theta_t contains NaN/Inf entries"),
+    (lambda: fc.SpaceTimeCode(codewords=np.eye(2)),
+     "codewords must be a (M, n_t, t) array with M >= 2"),
+    (lambda: designs.Fading(0), "fading variance must be positive"),
+    (lambda: designs.SubchannelSpec(fc.make_constellation("qpsk", 2), designs.Fading(1.0)),
+     "subchannels take scalar (n_t = 1) constellations"),
+    (lambda: designs.PowerAllocation(p=np.array([1.0, 1.5]), budget=2.0),
+     "allocation exceeds the budget"),
+    (lambda: designs.palloc_highsnr([QPSK_SUB], 0), "budget must be positive"),
+    (lambda: designs.subchannel_capacities([QPSK_SUB, QPSK_SUB], [[1.0]], 10.0, TINY_MC),
+     "power vector length must match the subchannel count"),
+    (lambda: designs.Precoder(np.ones((2, 3)), 2.0), "precoder must be square"),
+    (lambda: designs.Precoder(2.0 * np.eye(2), 2.0), "precoder exceeds the power budget"),
+    (lambda: designs.optimal_precoder(fc.CanonicalRayleigh(2, 1),
+                                      fc.make_constellation("qpsk", 2), 0),
+     "power budget must be positive"),
+    (lambda: fc.Estimate(0.0, -1.0), "std_error must be >= 0"),
+    (lambda: fc.fixed_h_all(0.0, [[1.0]], QPSK, TINY_MC), "snr must be positive"),
+    (lambda: fc.avg_all(0.0, RAYLEIGH_1X1, QPSK, TINY_MC), "snr must be positive"),
+    (lambda: fc.empirical_epsilon(fc.SnrGrid(points=[10.0]), RAYLEIGH_1X1, QPSK, TINY_MC,
+                                  d=0, limit=np.log(4.0)),
+     "diversity order d must be >= 1"),
+    (lambda: mc.distance_squared_samples(RAYLEIGH_1X1, [1, 1], 10, seed=1),
+     "difference vector length must equal n_t"),
+    (lambda: asymptotics.expansion_constant_alt_form("bad", 1, 4), "unknown constant kind 'bad'"),
+    (lambda: fc.DistanceDistribution(orders=[], values=[], effective_log_m=1.0),
+     "no distinguishable pairs"),
+    (lambda: fc.DistanceDistribution(orders=[1, 1], values=[1.0], effective_log_m=1.0),
+     "orders and values must align"),
+    (lambda: fc.DistanceDistribution(orders=[1], values=[0.0], effective_log_m=1.0),
+     "orders must be >= 0 and leading derivatives > 0"),
+]
+
+
+@pytest.mark.parametrize("call,message", INPUT_ERRORS, ids=[m for _, m in INPUT_ERRORS])
+def test_library_input_error_names_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
