@@ -2,6 +2,7 @@
 
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erfc
@@ -105,6 +106,50 @@ def test_fixed_h_bounds_checks_kind_and_snr():
         fc.fixed_h_bounds("nope", 1.0, H1, c)
     with pytest.raises(ValueError, match="snr must be positive"):
         fc.fixed_h_bounds("mi", -1.0, H1, c)
+
+
+def test_erfc_within_4_ulp_of_scipy():
+    """`bounds._erfc` runs Cephes' erfc, as scipy.special.erfc does, but with
+    NumPy's exp: within 4 ulp of SciPy wherever SciPy's value is a normal
+    float, and exactly 0 exactly where SciPy's is."""
+    x = np.linspace(0.0, 27.5, 1_000_001)
+    got, ref = bounds._erfc(x), erfc(x)
+    normal = ref >= np.finfo(float).tiny
+    assert np.all(np.abs(got - ref)[normal] <= 4.0 * np.spacing(ref[normal]))
+    assert np.array_equal(got == 0.0, ref == 0.0)
+
+
+def test_erfc_branch_edges_and_ends():
+    """Exact values on both sides of each branch edge (1, 8 and
+    sqrt(MAXLOG), past which erfc underflows to 0), at 0 and inf, and an
+    empty array; no value raises a floating-point warning."""
+    edge = np.sqrt(bounds._MAXLOG)
+    assert edge * edge <= bounds._MAXLOG < np.nextafter(edge, np.inf) ** 2
+    x = np.array([0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(8.0, 0.0), 8.0,
+                  edge, np.nextafter(edge, np.inf), np.inf])
+    want = [1.0, 0.15729920705028522, 0.15729920705028516, 1.1224297172983089e-29,
+            1.1224297172982928e-29, 1.1771759939871e-310, 0.0, 0.0]
+    assert bounds._erfc(x).tolist() == want
+    assert bounds._erfc(x[::-1].reshape(2, 4)).tolist() == [want[::-1][:4], want[::-1][4:]]
+    assert bounds._erfc(np.array([])).shape == (0,)
+
+
+def test_erfc_against_mpmath():
+    """Within 4e-15 (relative) of mpmath's erfc across the three branches."""
+    x = [0.0, 0.01, 0.3, 0.7, 0.99, 1.0, 1.5, 2.5, 4.0, 7.9, 8.0, 12.0, 20.0, 26.0]
+    got = bounds._erfc(np.array(x))
+    with mpmath.workdps(40):
+        ref = [float(mpmath.erfc(mpmath.mpf(v))) for v in x]
+    assert got == pytest.approx(ref, rel=4e-15, abs=0.0)
+
+
+def test_erfc_blocks_do_not_change_values(monkeypatch):
+    """The block size bounds the temporaries only: an array spanning many
+    blocks, one of uneven length included, gets the values of one pass."""
+    x = np.linspace(0.0, 27.5, 10_007).reshape(1, -1)
+    whole = bounds._erfc(x)
+    monkeypatch.setattr(bounds, "_ERFC_BLOCK", 1000)
+    assert np.array_equal(bounds._erfc(x), whole)
 
 
 def test_avg_bounds_ratio_exact_with_shared_draws():

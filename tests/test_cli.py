@@ -338,6 +338,29 @@ def test_pe_curve_does_not_import_scipy_special(tmp_path):
     assert _exit_and_scipy_special(tmp_path, "curve", doc) == ["0", "False"]
 
 
+@pytest.mark.parametrize("command,name", [
+    ("curve", "mi"), ("curve", "mmse"), ("offsets", "offsets"), ("precode", "precode"),
+    ("stcode", "stcode"),
+])
+def test_no_command_imports_scipy_special(tmp_path, command, name):
+    """The drawn mi and mmse bounds take erfc from `bounds._erfc`, and
+    offsets, precode and stcode evaluate none, so no command loads
+    scipy.special.  The curves reach every erfc branch, underflow included."""
+    curve = dict(CURVE_CFG, constellation={"family": "qam16", "n_t": 1},
+                 channel={"variant": "rayleigh", "n_r": 2}, snr_db={"points": [0, 30]},
+                 mc={"channel_draws": 32, "noise_draws": 4, "chunks": 2})
+    docs = {
+        "mi": curve,
+        "mmse": dict(curve, kind="mmse"),
+        "offsets": OFFSETS_DOC,
+        "precode": correlated_precode_doc([[1.0, 0.5], [0.5, 1.0]]),
+        "stcode": {"n_r": 1, "codebooks": [CODEBOOK], "confirm_pe": {
+            "snr_db": 10, "mc": {"channel_draws": 32, "noise_draws": 4, "chunks": 2}}},
+    }
+    code, special = _exit_and_scipy_special(tmp_path, command, docs[name])
+    assert code in ("0", "4") and special == "False"
+
+
 def test_palloc_mixed_fading_one_rule(tmp_path):
     """Rayleigh and Ricean subchannels mix under the one closed form: for
     qam16 with variance 4 and with mean 1+1j, variance 1, p0/p1 = e/2."""

@@ -1,13 +1,13 @@
 """Property tests: grid level detection, the factorised grid kernel, the
-factorised power-allocation bank, the one-symbol kernel and the
-fixed-channel bounds."""
+factorised power-allocation bank, the one-symbol kernel, the
+fixed-channel bounds and their erfc."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fadecap as fc
-from fadecap import designs, mc
+from fadecap import bounds, designs, mc
 from fadecap.mc import kernel_stats
 from fadecap.model import _complex_normal
 
@@ -178,3 +178,15 @@ def test_fixed_h_bounds_ordered_and_unitarily_invariant(case):
         atol = 1e-12 * (c.log_m + 2.0 * (c.m - 1)) if kind == "mi" else np.finfo(float).tiny
         assert np.allclose([got.lower, got.upper], [ref.lower, ref.upper],
                            rtol=1e-12, atol=atol), kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 30.0), st.floats(1e-12, 30.0) | st.just(np.inf))
+def test_erfc_is_non_increasing_in_the_unit_interval(x, gap):
+    """On x >= 0, `bounds._erfc` lies in [0, 1], equals 1 at 0 and does not
+    increase.  Like SciPy's, Cephes' rational forms wiggle by an ulp between
+    neighbouring floats near 1, so the two points lie at least 1e-12 apart,
+    where erfc falls by over 1e-12 relative (more than its rounding error)."""
+    got = bounds._erfc(np.array([0.0, x, x + gap]))
+    assert got[0] == 1.0
+    assert 0.0 <= got[2] <= got[1] <= 1.0
