@@ -257,13 +257,14 @@ def _law(channel: ChannelModel, inputs: Constellation | SpaceTimeCode):
     raise TypeError(f"unknown channel model {type(channel)!r}")
 
 
-def _mgf(law, s: float) -> np.ndarray:
+def _mgf(law, s) -> np.ndarray:
     """Psi(s) = E exp(-s ||H Delta||^2) = prod_l (1 + s lam_l)^(-terms)
     exp(-sum_l s lam_l m2_l / (1 + s lam_l)) of each distinct difference of a
-    `_law`, shape (D,); 1 for a difference Theta_T nulls."""
+    `_law`, shape (D,) for a float s and (K, D) for K values; 1 for a
+    difference Theta_T nulls."""
     lam, m2, terms, _ = law
-    x = s * np.maximum(lam, 0.0)        # eigvalsh of a singular Theta_R may dip below 0
-    return np.exp(-np.sum(terms * np.log1p(x) + x * m2 / (1.0 + x), axis=1))
+    x = np.multiply.outer(s, np.maximum(lam, 0.0))  # eigvalsh of a singular Theta_R may dip below 0
+    return np.exp(-np.sum(terms * np.log1p(x) + x * m2 / (1.0 + x), axis=-1))
 
 
 def _distinguishable_class_entropy(c: Constellation, theta_t: np.ndarray) -> float:

@@ -4,7 +4,7 @@
             [--threads N] [--out FILE]
 
 CSV files start with '#'-prefixed metadata (tool version, command, seed,
-config digest, NumPy, SciPy and BLAS versions, and for curve, offsets and
+config digest, NumPy and BLAS versions, and for curve, offsets and
 a confirming stcode the sample counts) followed by a fixed header per
 command; numbers carry 12 significant digits.  The seed is an integer in [0, 2^64).  Exit codes: 0
 success, 2 config error or an --out path that cannot be written (checked
@@ -21,7 +21,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__, asymptotics, bounds, designs, mc
 from .config import CHANNEL_NAMES, ConfigError, load_config, validate_command_config
@@ -73,7 +72,6 @@ def _write_csv(out_path, command, seed, digest, header, rows, meta=()):
              f"# seed: {seed}",
              f"# config_digest: {digest}",
              f"# numpy: {np.__version__}",
-             f"# scipy: {scipy.__version__}",
              f"# blas: {_blas()}"]
     lines.extend(f"# {m}" for m in meta)
     lines.append(",".join(header))

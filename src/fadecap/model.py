@@ -3,7 +3,8 @@
 Channel convention: y = sqrt(snr) * H x + n with n ~ CN(0, I) per receive
 antenna and E{tr(H H^+)} = n_t * n_r for every channel variant.  Inputs are
 equiprobable finite constellations with Sigma_x = I / n_t for the built-in
-families.
+families.  Every sum over ordered pairs runs on the distinct differences of
+`pair_differences`; a product set builds that table from its factor.
 
 All containers are frozen dataclasses wrapping numpy arrays; treat the
 arrays as immutable after construction.  Random sampling takes an explicit
@@ -50,6 +51,7 @@ MAX_POINTS = 4096
 # n_t t for codewords).  Its build peaks at about 50 bytes an entry (measured
 # with tracemalloc), so this cap is ~1.7 GB: every single-antenna set up to
 # MAX_POINTS and qam64 on two antennas pass, qam16 on three does not.
+# Product sets build their table from their factor, but meet the same cap.
 MAX_PAIR_ENTRIES = 2 ** 25
 # Largest SNR grid accepted; every point is a Monte Carlo run in `curve`.
 MAX_SNR_POINTS = 1000
@@ -149,7 +151,10 @@ class _Inputs:
     @cached_property
     def _pair_differences(self) -> tuple[np.ndarray, np.ndarray]:
         # built on first use, not in __post_init__, so construction stays cheap
-        diffs, counts = _distinct_rows(ordered_pair_differences(self))
+        rows = self.blocks.reshape(self.m, -1)
+        factor = _product_factor(rows)
+        table = None if factor is None else _product_pair_differences(factor, rows.shape[1])
+        diffs, counts = table or _distinct_rows(ordered_pair_differences(self))
         for shared in (diffs, counts):      # every caller gets these same arrays
             shared.flags.writeable = False
         return diffs, counts
@@ -168,7 +173,7 @@ class Constellation(_Inputs):
     family: str = "custom"
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=complex)
+        pts = np.ascontiguousarray(self.points, dtype=complex)
         if pts.ndim != 2:
             raise ValueError("points must be a (M, n_t) array")
         if pts.shape[0] < 2:
@@ -193,12 +198,19 @@ class Constellation(_Inputs):
         if self.n_t != 1:
             return None
         x = self.points[:, 0]
-        levels = np.unique(x.real), np.unique(x.imag)
+        levels = _sorted_values(x.real), _sorted_values(x.imag)
         if levels[0].size * levels[1].size != self.m:
             return None
         for shared in levels:
             shared.flags.writeable = False
         return levels
+
+
+def _sorted_values(v: np.ndarray) -> np.ndarray:
+    """The distinct values of the real 1-d `v`, sorted: np.unique's sort and
+    mask, without its first call's import of numpy.ma."""
+    v = np.sort(v)
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
 def _check_distinct(rows: np.ndarray, what: str) -> None:
@@ -287,6 +299,47 @@ def _distinct_rows(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diffs[order[starts]], np.diff(np.r_[starts, keys.shape[0]])
 
 
+def _product_factor(rows: np.ndarray) -> np.ndarray | None:
+    """The scalar set s when the (M, n) `rows`, n >= 2, are bit for bit the
+    n-fold product of s in `itertools.product` order (the last entry varies
+    fastest), else None.  s is the last column's first M^(1/n) values."""
+    m, n = rows.shape
+    ms = round(m ** (1.0 / n))
+    if n < 2 or ms ** n != m:
+        return None
+    s = rows[:ms, -1]
+    bits = s[_product_index(ms, n)].view(np.uint64)
+    return s if np.array_equal(bits, rows.view(np.uint64)) else None
+
+
+def _product_index(size: int, n: int) -> np.ndarray:
+    """The size^n index tuples of `itertools.product(range(size), repeat=n)`,
+    in its order, as a C-ordered (size^n, n) array."""
+    return np.ascontiguousarray(np.indices((size,) * n).reshape(n, -1).T)
+
+
+def _product_pair_differences(s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """`_distinct_rows(ordered_pair_differences(rows))` of the n-fold product
+    `rows` of the scalar set s, bit for bit, from the groups of its Ms^2
+    scalar differences; None if a nonzero scalar difference keys to zero.
+
+    A joint key is the tuple of its entries' scalar keys, on the same scale
+    (the largest part of both tables is a scalar difference's), so the
+    product of the sorted scalar groups, first entry slowest, is the joint
+    lexicographic order, and a joint count is the product of its entries'.
+    The first ordered pair of a joint group takes the first scalar pair of
+    each entry's group, so the representatives agree too.  Only the
+    all-zero row, i = j alone, is dropped."""
+    sd, sc = _distinct_rows((s[:, None] - s[None, :]).reshape(-1, 1))
+    sd = sd[:, 0]
+    zero = np.flatnonzero(sd == 0)[0]   # the group of (s_0, s_0), first in pair order
+    if sc[zero] != s.size:
+        return None
+    idx = _product_index(sd.size, n)
+    idx = idx[np.any(idx != zero, axis=1)]
+    return sd[idx], np.prod(sc[idx], axis=1)
+
+
 def pair_differences(c: Constellation | SpaceTimeCode) -> tuple[np.ndarray, np.ndarray]:
     """Distinct differences x_i - x_j (i != j) of a constellation's points,
     or of a space-time code's flattened codewords, and their multiplicities.
@@ -298,6 +351,12 @@ def pair_differences(c: Constellation | SpaceTimeCode) -> tuple[np.ndarray, np.n
     largest one), so only vectors that differ by rounding are merged; a
     group split by a rounding boundary is still exact.  Computed once per
     input, cached on it and read-only.
+
+    Inputs whose flattened blocks are exactly an n-fold product of one
+    scalar set (every built-in family on n_t >= 2 antennas) build the table
+    from the Ms^2 scalar differences rather than the M(M-1) ordered pairs:
+    the same array bit for bit, without the ordered table (~1.7 GB for
+    qam64 on two antennas).
     """
     return c._pair_differences
 
@@ -453,7 +512,7 @@ class SpaceTimeCode(_Inputs):
     codewords: np.ndarray
 
     def __post_init__(self):
-        cw = np.asarray(self.codewords, dtype=complex)
+        cw = np.ascontiguousarray(self.codewords, dtype=complex)
         if cw.ndim != 3 or cw.shape[0] < 2:
             raise ValueError("codewords must be a (M, n_t, t) array with M >= 2")
         self._accept("codewords", cw, "space-time code", "codewords")

@@ -1,5 +1,6 @@
 """Fixed-channel bound formulas and their channel-averaged versions."""
 
+import itertools
 from math import comb
 
 import mpmath
@@ -9,9 +10,16 @@ from scipy.special import erfc
 
 import fadecap as fc
 from fadecap import bounds
+from fadecap.asymptotics import _law
 from fadecap.mc import McConfig, chunk_rngs, chunk_sizes
 from fadecap.model import (
+    _SCALAR_FAMILIES,
+    MAX_PAIR_ENTRIES,
+    MAX_POINTS,
     _distinct_rows,
+    _product_factor,
+    _product_pair_differences,
+    _scalar_alphabet,
     ordered_pair_differences,
     pair_differences,
     sample_channels,
@@ -259,6 +267,89 @@ def test_pair_differences_match_unique_reference(c):
     assert np.array_equal(got_counts, counts)
 
 
+def _ordered_table(c):
+    return _distinct_rows(ordered_pair_differences(c))
+
+
+def _bit_identical(got, want):
+    (diffs, counts), (want_diffs, want_counts) = got, want
+    return (diffs.shape == want_diffs.shape and diffs.flags.c_contiguous
+            and np.array_equal(diffs.view(np.uint64), want_diffs.view(np.uint64))
+            and counts.dtype == want_counts.dtype and np.array_equal(counts, want_counts))
+
+
+# every built-in set on n_t >= 2 antennas whose ordered table fits the cap,
+# but qam64 on two (a 1.7 GB build; see the next test)
+FITTING_PRODUCTS = [
+    (family, n_t) for family in _SCALAR_FAMILIES for n_t in range(2, 13)
+    if (m := len(_scalar_alphabet(family)) ** n_t) <= MAX_POINTS
+    and m * (m - 1) * n_t <= MAX_PAIR_ENTRIES and (family, n_t) != ("qam64", 2)]
+
+
+@pytest.mark.parametrize("family,n_t", FITTING_PRODUCTS)
+def test_product_pair_table_is_the_ordered_one(family, n_t):
+    """A built-in set takes the product route, and its table is the
+    ordered route's bit for bit: rows, their order, layout and counts."""
+    c = fc.make_constellation(family, n_t)
+    assert _product_factor(c.points) is not None
+    assert _bit_identical(pair_differences(c), _ordered_table(c))
+
+
+def test_custom_product_set_takes_the_product_route():
+    """The route is read off the points, not the family: a hand-built
+    product of an irregular scalar set with repeated differences matches."""
+    s = np.array([0.0, 1.0, 2.0, 2.0 + 1j, 3.0 + 1j, -0.5j]) / 3.0
+    c = fc.make_constellation("custom", 2, points=list(itertools.product(s, repeat=2)))
+    assert np.array_equal(_product_factor(c.points), s)
+    assert _bit_identical(pair_differences(c), _ordered_table(c))
+
+
+def _spy_ordered(monkeypatch):
+    calls = []
+    monkeypatch.setattr("fadecap.model.ordered_pair_differences",
+                        lambda c: calls.append(1) or ordered_pair_differences(c))
+    return calls
+
+
+def test_non_product_set_labelled_qam16_takes_the_ordered_route(monkeypatch):
+    """qam16 points over two antennas with the antennas swapped (the first
+    varies fastest), or with one point moved by one ulp, are no product in
+    `itertools.product` order."""
+    pts = fc.make_constellation("qam16", 2).points
+    moved = pts.copy()
+    moved[77, 0] = np.nextafter(moved[77, 0].real, 9.0) + 1j * moved[77, 0].imag
+    for points in (pts[:, ::-1], moved):
+        c = fc.Constellation(points=points, family="qam16")
+        calls = _spy_ordered(monkeypatch)
+        assert _product_factor(c.points) is None
+        table = pair_differences(c)
+        assert calls == [1]
+        assert _bit_identical(table, _ordered_table(c))
+
+
+def test_product_route_falls_back_when_a_difference_keys_to_zero(monkeypatch):
+    """2e-6 is 2^-42 of the largest part, 1e7, so it keys to zero with the
+    zero difference; the product route then gives way to the ordered one."""
+    s = np.array([0.0, 2e-6, 1e7])
+    c = fc.make_constellation("custom", 2, points=list(itertools.product(s, repeat=2)))
+    assert _product_pair_differences(s.astype(complex), 2) is None
+    calls = _spy_ordered(monkeypatch)
+    table = pair_differences(c)
+    assert calls == [1]
+    assert _bit_identical(table, _ordered_table(c))
+
+
+def test_qam64_on_two_antennas_builds_without_the_ordered_table(monkeypatch):
+    """qam64 n_t = 2 (M = 4096) has D = 15^2 x 15^2 - 1 distinct differences."""
+    def refuse(c):
+        raise AssertionError("the ordered M(M-1) table was built")
+
+    monkeypatch.setattr("fadecap.model.ordered_pair_differences", refuse)
+    diffs, counts = pair_differences(fc.make_constellation("qam64", 2))
+    assert diffs.shape == (50_624, 2) and counts.sum() == 4096 * 4095
+    assert not diffs.flags.writeable and not counts.flags.writeable
+
+
 def _ordered_pair_sums(kind, d2, snr, m):
     """Reference (lower, upper) bound from ordered-pair distances `d2` along
     the last axis."""
@@ -382,6 +473,43 @@ def test_avg_pe_bounds_draw_no_channel(monkeypatch):
     fc.avg_bounds("pe", 10.0, fc.CanonicalRayleigh(2, 2), fc.make_constellation("qpsk", 2),
                   McConfig(channel_draws=100))
     assert drawn == []
+
+
+def _craig_oracle(snr, model, c):
+    """`bounds._craig_pe_sum` the long way: Psi of every one of the D law
+    rows, node by node, summed over the nodes in node order."""
+    lam, m2, terms, counts = _law(model, c)
+    x, w = bounds._craig_nodes()
+    s = snr / (4.0 * np.sin(0.25 * np.pi * (x + 1.0)) ** 2)
+    psi = 0
+    for wk, sk in zip(w, s):
+        v = sk * np.maximum(lam, 0.0)
+        psi = psi + wk * np.exp(-np.sum(terms * np.log1p(v) + v * m2 / (1.0 + v), axis=1))
+    return 0.25 * float(psi @ counts)
+
+
+@pytest.mark.parametrize("budget", [1, 700, bounds._CRAIG_BLOCK])
+@pytest.mark.parametrize("family,n_t,model", [
+    ("qpsk", 2, fc.CanonicalRayleigh(2, 2)),
+    ("qam16", 2, fc.CorrelatedRayleigh(theta_t=[[1, 0.5], [0.5, 1]],
+                                       theta_r=[[1, 0.8], [0.8, 1]])),
+    ("qpsk", 2, fc.CorrelatedRayleigh(theta_t=[[1, 1], [1, 1]], theta_r=[[1, 0.5], [0.5, 1]])),
+    ("qam16", 1, fc.Ricean(2.0, [1.0], [1.0, 1j])),
+    ("bpsk", 1, fc.CanonicalRayleigh(1, 2)),
+], ids=["canonical", "correlated", "singular_theta_t", "ricean", "one_row"])
+def test_craig_sum_on_distinct_law_rows_is_the_per_row_sum(monkeypatch, budget, family,
+                                                           n_t, model):
+    """Psi once per distinct law row, all nodes in one pass on blocks of
+    any size (one row a block at budget 1; bpsk's law has one row), gives
+    the per-row, per-node sum bit for bit."""
+    monkeypatch.setattr(bounds, "_CRAIG_BLOCK", budget)
+    c = fc.make_constellation(family, n_t)
+    lam, m2, _, _ = _law(model, c)
+    rows, group = bounds._distinct_law_rows(lam, m2)
+    assert rows.size < lam.shape[0]
+    assert np.array_equal(np.hstack([lam, m2])[rows][group], np.hstack([lam, m2]))
+    for snr in 10.0 ** (np.array([0.0, 10.0, 20.0, 40.0]) / 10.0):
+        assert bounds._craig_pe_sum(snr, model, c) == _craig_oracle(snr, model, c)
 
 
 def test_avg_pe_bounds_build_the_craig_nodes_once(monkeypatch):

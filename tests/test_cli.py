@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 import yaml
 
 import fadecap
@@ -59,7 +58,7 @@ def test_curve_runs_and_is_deterministic(tmp_path):
     assert any("seed: 42" in m for m in meta)
     assert any("config_digest" in m for m in meta)
     assert f"# numpy: {np.__version__}" in meta
-    assert f"# scipy: {scipy.__version__}" in meta
+    assert not any(m.startswith("# scipy:") for m in meta)      # no number depends on it
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert f"# blas: {blas['name']} {blas['version']}" in meta
     assert header[:7] == ["snr_db", "mc_mean", "mc_stderr", "bound_lb", "bound_ub",
@@ -297,15 +296,15 @@ def test_palloc_closed_form_columns(tmp_path):
     assert float(rows[0][4]) == pytest.approx(float(rows[0][3]) / np.log(2), rel=1e-9)
 
 
-def _exit_and_scipy_special(tmp_path, command, doc):
-    """(exit code, whether scipy.special was loaded) of one command run in a
+def _exit_and_loaded(tmp_path, command, doc, module="scipy.special"):
+    """(exit code, whether `module` was loaded) of one command run in a
     fresh interpreter."""
     cfg = write_cfg(tmp_path, doc)
     script = ("import sys\n"
               "from fadecap.cli import main\n"
               f"code = main([{command!r}, '--config', {cfg!r}, '--seed', '5',"
               f" '--out', {str(tmp_path / 'p.csv')!r}])\n"
-              "print(code, 'scipy.special' in sys.modules)\n")
+              f"print(code, {module!r} in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(fadecap.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -327,7 +326,7 @@ def test_palloc_does_not_import_scipy_special(tmp_path):
         ],
         "mc": {"channel_draws": 32, "noise_draws": 4, "chunks": 2},
     }
-    assert _exit_and_scipy_special(tmp_path, "palloc", doc) == ["0", "False"]
+    assert _exit_and_loaded(tmp_path, "palloc", doc) == ["0", "False"]
 
 
 def test_pe_curve_does_not_import_scipy_special(tmp_path):
@@ -335,7 +334,7 @@ def test_pe_curve_does_not_import_scipy_special(tmp_path):
     doc = dict(CURVE_CFG, kind="pe", constellation={"family": "qpsk", "n_t": 2},
                channel={"variant": "rayleigh", "n_r": 2}, snr_db={"points": [0, 10]},
                mc={"channel_draws": 32, "noise_draws": 4, "chunks": 2})
-    assert _exit_and_scipy_special(tmp_path, "curve", doc) == ["0", "False"]
+    assert _exit_and_loaded(tmp_path, "curve", doc) == ["0", "False"]
 
 
 @pytest.mark.parametrize("command,name", [
@@ -357,8 +356,23 @@ def test_no_command_imports_scipy_special(tmp_path, command, name):
         "stcode": {"n_r": 1, "codebooks": [CODEBOOK], "confirm_pe": {
             "snr_db": 10, "mc": {"channel_draws": 32, "noise_draws": 4, "chunks": 2}}},
     }
-    code, special = _exit_and_scipy_special(tmp_path, command, docs[name])
+    code, special = _exit_and_loaded(tmp_path, command, docs[name])
     assert code in ("0", "4") and special == "False"
+
+
+@pytest.mark.parametrize("command", ["curve", "palloc"])
+def test_grid_runs_do_not_import_numpy_ma(tmp_path, command):
+    """`Constellation.grid_levels` sorts and masks its levels itself, so a
+    qam16 1x2 curve and a palloc run never load numpy.ma, which the first
+    np.unique call imports."""
+    docs = {
+        "curve": dict(CURVE_CFG, constellation={"family": "qam16", "n_t": 1},
+                      channel={"variant": "rayleigh", "n_r": 2}, snr_db={"points": [0, 10]},
+                      mc={"channel_draws": 32, "noise_draws": 4, "chunks": 2}),
+        "palloc": dict(PALLOC_2SUB, numeric=True),
+    }
+    code, ma = _exit_and_loaded(tmp_path, command, docs[command], "numpy.ma")
+    assert code in ("0", "4") and ma == "False"
 
 
 def test_palloc_mixed_fading_one_rule(tmp_path):

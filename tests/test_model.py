@@ -276,6 +276,16 @@ def test_distinctness_check_names_the_pair():
         fc.SpaceTimeCode(codewords=cw)
 
 
+def test_strided_inputs_are_accepted_as_copies():
+    """A non-contiguous complex view (antennas swapped, every other
+    codeword) is stored contiguous, as its copy would be."""
+    pts = fc.make_constellation("qpsk", 2).points[:, ::-1]
+    cw = (np.arange(24) + 1j).reshape(12, 2, 1)[::2]
+    for got, want in ((fc.Constellation(points=pts).points, pts),
+                      (fc.SpaceTimeCode(codewords=cw).codewords, cw)):
+        assert got.flags.c_contiguous and np.array_equal(got, want)
+
+
 def test_snr_grid():
     grid = fc.SnrGrid.from_db(0, 30, 5)
     assert len(grid) == 7
