@@ -195,13 +195,15 @@ def cmd_palloc(cfg, seed, digest, out_path, threads):
     snr = cfg["snr"]
     mc_cfg = cfg["mc"]
     alloc = designs.palloc_highsnr(subs, budget)
-    numeric = designs.palloc_numeric(subs, budget, snr, mc_cfg) if cfg["numeric"] else None
+    banks = designs._Banks(subs, snr, mc_cfg)       # one draw for the search and both columns
+    numeric = designs.palloc_numeric(subs, budget, snr, mc_cfg, banks) if cfg["numeric"] else None
     if numeric is None:
-        (cap_high,) = designs.subchannel_capacities(subs, [alloc.p], snr, mc_cfg)
+        (cap_high,) = designs.subchannel_capacities(subs, [alloc.p], snr, mc_cfg, banks)
         p_num = cap_num = [math.nan] * len(subs)     # placeholders: the columns read nan
     else:
         p_num = numeric.p
-        cap_high, cap_num = designs.subchannel_capacities(subs, [alloc.p, p_num], snr, mc_cfg)
+        cap_high, cap_num = designs.subchannel_capacities(subs, [alloc.p, p_num], snr, mc_cfg,
+                                                          banks)
     rows = [[k, alloc.p[k], p_num[k], cap_high[k], cap_high[k] / LN2, cap_num[k], cap_num[k] / LN2]
             for k in range(len(subs))]
     flagged = bool(numeric is not None and numeric.flagged)

@@ -4,8 +4,10 @@ One entry point per job, each reading the channel family off its input:
 
 - `palloc_highsnr(subs, budget)`: closed-form power allocation across
   parallel scalar subchannels, each with its own `Fading(variance, mean)`
-  (Rayleigh at mean 0, Ricean otherwise); `palloc_numeric` and
-  `subchannel_capacities` validate it by Monte Carlo on common draws.
+  (Rayleigh at mean 0, Ricean otherwise); `palloc_numeric` (Brent's
+  method on each pairwise power transfer) and `subchannel_capacities`
+  validate it by Monte Carlo on common draws, which one `_Banks` draws once
+  and evaluates once per (subchannel, power).
 - `optimal_precoder(channel, c, p_total)`: the gap-minimizing precoder for
   a `CanonicalRayleigh` or `CorrelatedRayleigh` channel (the scaled identity
   when its stationarity residual certifies it, else projected gradient on
@@ -23,6 +25,7 @@ capacity gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -64,8 +67,8 @@ MAX_NUMERIC_SUBCHANNELS = 4
 # Resolution of the power-allocation search, as a fraction of the budget.
 SEARCH_TOL = 1e-3
 # Most float64 noise-table entries, C * N * (sum of the factor sizes Q over
-# the subchannels), that the palloc banks may hold (512 MB); each bank also
-# keeps its complex (C, N) noise and `_bank_mi` two (Q, C, N) buffers.
+# the subchannels), that the palloc banks may hold (512 MB); `_bank_mi` adds
+# one work set of two (Q, C, N) buffers at the largest Q.
 MAX_BANK_ENTRIES = 2 ** 26
 # The precoder's projected gradient stops when one step lowers the objective
 # by less than PRECODER_REL_TOL of its value, and fails after
@@ -208,33 +211,136 @@ def _subchannel_banks(subs: Sequence[SubchannelSpec], cfg: mc.McConfig):
     return banks
 
 
-def _bank_mi(snr: float, bank, power: float) -> np.ndarray:
+def _bank_work(banks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One work set for `_bank_mi` on every factor of `banks`: the scaled
+    noise table and the weights, (Q, C, N) each at the largest Q, and one
+    (C, N) row of per-sample lse."""
+    shape = max(base_g.shape for factors, _ in banks for _, base_g in factors)
+    return np.empty(shape), np.empty(shape), np.empty(shape[1:])
+
+
+def _bank_mi(snr: float, bank, power: float, work=None) -> np.ndarray:
     """Mutual information of one subchannel on each channel c (draw c) of its
     bank, (C,): the sum over factors of Q points of log Q (log M in all) minus
-    the mean lse over c's noise draws, weighted by `mc._shifted_weights`."""
+    the mean lse over c's noise draws, weighted by `mc._shifted_weights`.
+    The loop runs on `work` (`_bank_work`; one is made if none is given)."""
     factors, h2 = bank
     mi = np.zeros(h2.size)
     if power <= 0.0:
         return mi
+    g2_work, weights, lse_cn = work or _bank_work([bank])
     scale = snr * power
     for d2, base_g in factors:
         q = base_g.shape[0]
-        g2 = base_g * (2.0 * np.sqrt(scale))
-        buf = np.empty(base_g.shape)
+        g2 = np.multiply(base_g, 2.0 * np.sqrt(scale), out=g2_work[:q])
+        buf = weights[:q]
         lse = np.zeros(h2.size)
         for i in range(q):
             a_max = mc._shifted_weights(g2, scale * (d2[i][:, None] * h2), i, buf)
-            lse += np.mean(a_max + np.log(buf.sum(axis=0)), axis=1)
+            np.log(np.sum(buf, axis=0, out=lse_cn), out=lse_cn)
+            lse_cn += a_max
+            lse += lse_cn.mean(axis=1)
         mi += np.log(q) - lse / q
     return mi
 
 
+class _Banks:
+    """The draw banks of `subs` and their mutual information: `mi(k, power)`
+    is subchannel k's per-channel `_bank_mi` at `power` and `mean(k, power)`
+    its mean, each (k, power) evaluated once.  One `_Banks` lets the search,
+    its resolution flag and the capacity columns read one draw.  The banks
+    are drawn on first use, and every evaluation shares one `_bank_work`
+    set.  Every mean is kept; the per-channel rows are kept while they hold
+    fewer entries than the banks' noise tables, so a long search at few
+    noise draws cannot outgrow the banks (a row asked for past that is
+    evaluated again)."""
+
+    def __init__(self, subs: Sequence[SubchannelSpec], snr: float, cfg: mc.McConfig):
+        self.subs, self.snr, self.cfg = subs, snr, cfg
+        self.means: dict[tuple[int, float], float] = {}
+        self.rows: dict[tuple[int, float], np.ndarray] = {}
+
+    @cached_property
+    def _drawn(self):
+        banks = _subchannel_banks(self.subs, self.cfg)
+        tables = sum(base_g.size for factors, _ in banks for _, base_g in factors)
+        return banks, _bank_work(banks), tables // self.cfg.channel_draws
+
+    def mi(self, k: int, power: float) -> np.ndarray:
+        key = (k, float(power))
+        row = self.rows.get(key)
+        if row is None:
+            banks, work, row_budget = self._drawn
+            row = _bank_mi(self.snr, banks[k], power, work)
+            self.means[key] = row.mean()
+            if len(self.rows) < row_budget:
+                self.rows[key] = row
+        return row
+
+    def mean(self, k: int, power: float) -> float:
+        key = (k, float(power))
+        if key not in self.means:
+            self.mi(k, power)
+        return self.means[key]
+
+
+_GOLD = (3.0 - np.sqrt(5.0)) / 2.0     # golden-section fraction of a bracket
+
+
+def _brent_max(f, lo: float, hi: float, x: float, fx: float, width: float):
+    """Maximise f on (lo, hi) from the evaluated point x, f(x) = fx, by
+    Brent's method (*Algorithms for Minimization without Derivatives*, 1973,
+    ch. 5): a parabola through the three best points when its vertex is a
+    safe step, a golden-section step into the larger side otherwise.  It
+    stops when the best point lies within width/2 of both ends of the
+    bracket, so the bracket is narrower than `width`.  Steps of at least
+    width/4 away from the best point and from the ends keep every
+    evaluation strictly inside (lo, hi).  Returns the best point evaluated,
+    its value and the final bracket."""
+    a, b = lo, hi
+    tol = width / 4.0
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while max(x - a, b - x) >= 2.0 * tol:
+        m = 0.5 * (a + b)
+        p = q = r = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q                           # the parabola's vertex
+            if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                d = tol if x < m else -tol
+        else:
+            e = (b - x) if x < m else (a - x)
+            d = _GOLD * e
+        u = x + (d if abs(d) >= tol else np.copysign(tol, d))
+        fu = f(u)
+        if fu >= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx, (a, b)
+
+
 def _coordinate_search(objective, p0: np.ndarray, budget: float):
-    """Pairwise power transfers with golden-section line search, to
-    SEARCH_TOL of the budget, on a deterministic (bank-backed) objective;
-    stays on the simplex sum p = P.  One sweep resolves two subchannels
-    exactly; more take up to 4."""
-    gold = (np.sqrt(5.0) - 1.0) / 2.0
+    """Pairwise power transfers, each resolved by `_brent_max` from the
+    current split to SEARCH_TOL of the budget, on a deterministic
+    (bank-backed) objective; stays on the simplex sum p = P.  One sweep
+    resolves two subchannels exactly; more take up to 4."""
     p = p0.copy()
     best = objective(p)
     k_sub = p.size
@@ -242,7 +348,6 @@ def _coordinate_search(objective, p0: np.ndarray, budget: float):
         moved = 0.0
         for a in range(k_sub):
             for b in range(a + 1, k_sub):
-                lo, hi = -p[a], p[b]
 
                 def j_of(delta):
                     q = p.copy()
@@ -250,56 +355,47 @@ def _coordinate_search(objective, p0: np.ndarray, budget: float):
                     q[b] -= delta
                     return objective(q)
 
-                x1 = hi - gold * (hi - lo)
-                x2 = lo + gold * (hi - lo)
-                f1, f2 = j_of(x1), j_of(x2)
-                while hi - lo >= SEARCH_TOL * budget:
-                    if f1 < f2:
-                        lo, x1, f1 = x1, x2, f2
-                        x2 = lo + gold * (hi - lo)
-                        f2 = j_of(x2)
-                    else:
-                        hi, x2, f2 = x2, x1, f1
-                        x1 = hi - gold * (hi - lo)
-                        f1 = j_of(x1)
-                delta = 0.5 * (lo + hi)
-                cand = j_of(delta)
-                if cand > best:
-                    best = cand
-                    p[a] += delta
-                    p[b] -= delta
-                    moved = max(moved, abs(delta))
+                delta, best, _ = _brent_max(j_of, -p[a], p[b], 0.0, best,
+                                            SEARCH_TOL * budget)
+                p[a] += delta
+                p[b] -= delta
+                moved = max(moved, abs(delta))
         if moved < SEARCH_TOL * budget:
             break
     return p, best
 
 
 def subchannel_capacities(subs: Sequence[SubchannelSpec], allocations, snr: float,
-                          cfg: mc.McConfig) -> list[list[float]]:
+                          cfg: mc.McConfig, banks: _Banks | None = None) -> list[list[float]]:
     """Per-subchannel average mutual information (nats) for each power split
     in `allocations`, on the same common-random-number banks the numeric
     optimizer uses, so designs are compared on identical draws.  The banks
-    are drawn once for all splits."""
+    are drawn once for all splits; a caller that passes the `_Banks` of
+    (subs, snr, cfg) it gave `palloc_numeric` reads the numeric split's
+    values off the search instead of evaluating them again."""
     allocations = [np.asarray(p, dtype=float) for p in allocations]
     if any(p.size != len(subs) for p in allocations):
         raise ValueError("power vector length must match the subchannel count")
-    banks = _subchannel_banks(subs, cfg)
-    return [[float(_bank_mi(snr, bank, pk).mean()) for bank, pk in zip(banks, p)]
+    banks = banks or _Banks(subs, snr, cfg)
+    return [[float(banks.mean(k, pk)) for k, pk in enumerate(p)]
             for p in allocations]
 
 
 def palloc_numeric(subs: Sequence[SubchannelSpec], budget: float, snr: float,
-                   cfg: mc.McConfig) -> PowerAllocation:
+                   cfg: mc.McConfig, banks: _Banks | None = None) -> PowerAllocation:
     """Direct maximization of the Monte Carlo capacity over the simplex.
 
     Limited to MAX_NUMERIC_SUBCHANNELS.  Uses one frozen draw bank per
     subchannel (common random numbers) so candidate allocations are compared
     on the same randomness, then resolves the optimum p by one search of
-    pairwise golden-section transfers.  The result is flagged low-confidence
-    when the MC noise is comparable to the objective differences: when C < 2,
-    or when for some transfer of t = 5% of the budget the per-channel summed
-    capacity loss D has mean(D) < std(D)/sqrt(C).  As mean(D) ~ kappa t^2/2
-    and se(D) ~ t se(J'), with kappa the curvature, that is
+    pairwise transfers, each a Brent line search (`_brent_max`) from the
+    current split.  `banks`, the `_Banks` of (subs, snr, cfg), shares the
+    draw and every evaluated (subchannel, power) with the caller.  The
+    result is flagged low-confidence when the MC noise is comparable to the
+    objective differences: when C < 2, or when for some transfer of t = 5%
+    of the budget the per-channel summed capacity loss D has
+    mean(D) < std(D)/sqrt(C).  As mean(D) ~ kappa t^2/2 and
+    se(D) ~ t se(J'), with kappa the curvature, that is
     se(p) = se(J')/kappa > t/2.
     """
     if not 1 <= len(subs) <= MAX_NUMERIC_SUBCHANNELS:
@@ -310,17 +406,17 @@ def palloc_numeric(subs: Sequence[SubchannelSpec], budget: float, snr: float,
     if len(subs) == 1:
         return PowerAllocation(p=np.array([budget]), budget=budget)
 
-    banks = _subchannel_banks(subs, cfg)
+    banks = banks or _Banks(subs, snr, cfg)
 
     def objective(p):
         if np.any(p < 0):
             return -np.inf
-        return sum(_bank_mi(snr, bank, pk).mean() for bank, pk in zip(banks, p))
+        return sum(banks.mean(k, pk) for k, pk in enumerate(p))
 
     p0 = np.full(len(subs), budget / len(subs))
     p_opt, _ = _coordinate_search(objective, p0, budget)
     t, n_ch = 0.05 * budget, cfg.channel_draws
-    at, up, down = (np.array([_bank_mi(snr, bank, pk + dp) for bank, pk in zip(banks, p_opt)])
+    at, up, down = (np.array([banks.mi(k, pk + dp) for k, pk in enumerate(p_opt)])
                     for dp in (0.0, t, -t))                       # (K, C) each
     loss = (at - up)[:, None] + (at - down)[None, :]   # (a, b, C): t moved from b to a
     moves = (p_opt >= t)[None, :] & ~np.eye(len(subs), dtype=bool)

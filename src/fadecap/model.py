@@ -126,11 +126,19 @@ class _Inputs:
     grid_levels = None      # a code's is always None; a constellation's may be set
 
     def _accept(self, field: str, blocks: np.ndarray, what: str, rows: str) -> None:
-        """Store `blocks` as `field` if they are finite, few and distinct."""
+        """Store `blocks` as `field` if they are finite, few and distinct.
+        The n-fold product of a scalar set s is distinct when s is: a joint
+        squared distance is a float sum of nonnegative per-entry terms, at
+        least the term of an entry where the two rows differ, and that term
+        is a squared distance of s.  So a product set checks s alone, and
+        the full search runs only when s fails, to name the joint pair."""
         _validate_finite(blocks, rows)
         _check_size(blocks.shape, what)
         object.__setattr__(self, field, blocks)
-        _check_distinct(blocks.reshape(len(blocks), -1), rows)
+        flat = blocks.reshape(len(blocks), -1)
+        factor = _product_factor(flat)
+        if factor is None or _close_pair(factor[:, None]) is not None:
+            _check_distinct(flat, rows)
 
     @property
     def m(self) -> int:
@@ -213,19 +221,26 @@ def _sorted_values(v: np.ndarray) -> np.ndarray:
     return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
-def _check_distinct(rows: np.ndarray, what: str) -> None:
-    """Reject two rows within DISTINCT_TOL in squared distance, naming the
-    first such pair of `what`.  The distances are formed from coordinate
-    differences in row blocks of DISTINCT_BLOCK entries, so memory stays
-    O(M n)."""
+def _close_pair(rows: np.ndarray) -> tuple[int, int] | None:
+    """The first two rows within DISTINCT_TOL in squared distance, or None.
+    The distances are formed from coordinate differences in row blocks of
+    DISTINCT_BLOCK entries, so memory stays O(M n)."""
     block = max(1, DISTINCT_BLOCK // len(rows))
     for start in range(0, len(rows), block):
         d2 = sum(np.abs(q[:, None] - p) ** 2 for q, p in zip(rows[start:start + block].T, rows.T))
         np.fill_diagonal(d2[:, start:], np.inf)
         close = np.flatnonzero(d2.min(axis=1) <= DISTINCT_TOL)
         if close.size:
-            raise ValueError(f"duplicate {what}: {start + close[0]} and "
-                             f"{d2[close[0]].argmin()} coincide")
+            return start + int(close[0]), int(d2[close[0]].argmin())
+    return None
+
+
+def _check_distinct(rows: np.ndarray, what: str) -> None:
+    """Reject two rows within DISTINCT_TOL in squared distance, naming the
+    first such pair of `what`."""
+    pair = _close_pair(rows)
+    if pair is not None:
+        raise ValueError(f"duplicate {what}: {pair[0]} and {pair[1]} coincide")
 
 
 _SCALAR_FAMILIES = ("bpsk", "qpsk", "qam16", "qam64", "qam256")

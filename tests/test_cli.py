@@ -1088,6 +1088,31 @@ def test_palloc_numeric_columns_and_report(tmp_path, capsys):
     assert "numeric allocation:" in report and "capacity (numeric design):" in report
 
 
+def test_palloc_draws_the_banks_once_and_evaluates_each_power_once(tmp_path, monkeypatch):
+    """On the benchmark's palloc-2sub config at seed 1, the search, its
+    resolution flag and both capacity columns read one draw of the banks,
+    and no (subchannel, power) is evaluated twice: 28 bank evaluations,
+    where a golden-section search and a second draw for the columns took 48."""
+    drawn, evaluated = [], []
+    subchannel_banks, bank_mi = designs._subchannel_banks, designs._bank_mi
+
+    def banks_spy(*args):
+        drawn.append(args)
+        return subchannel_banks(*args)
+
+    def mi_spy(snr, bank, power, *rest):
+        evaluated.append((id(bank), power))
+        return bank_mi(snr, bank, power, *rest)
+
+    monkeypatch.setattr(designs, "_subchannel_banks", banks_spy)
+    monkeypatch.setattr(designs, "_bank_mi", mi_spy)
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "palloc-2sub.yaml"
+    assert run(["palloc", "--config", config, "--seed", 1, "--out", tmp_path / "palloc.csv"]) == 0
+    assert len(drawn) == 1
+    assert len(evaluated) <= 30
+    assert len(set(evaluated)) == len(evaluated)
+
+
 def test_offsets_row_without_a_positive_coefficient_reads_nan(tmp_path, monkeypatch):
     """A measured coefficient that is not positive gives no dB offsets: the
     four delta columns read nan, the row is flagged and the run exits 4."""

@@ -236,6 +236,61 @@ def test_perfbench_search_tol_is_the_search_default():
     assert checks.SEARCH_TOL == designs.SEARCH_TOL
 
 
+def test_bank_rows_never_outgrow_the_banks():
+    """At one noise draw a channel, the three-subchannel search evaluates
+    more (subchannel, power) pairs than its banks hold noise-table rows of C
+    entries (2 + 2 + 2 + 2 + 4 + 4); it keeps every mean, and per-channel
+    rows only up to that count."""
+    subs = [designs.SubchannelSpec(QPSK, designs.Fading(4.0)),
+            designs.SubchannelSpec(QPSK, designs.Fading(1.0)),
+            designs.SubchannelSpec(QAM16, designs.Fading(0.5))]
+    cfg = McConfig(channel_draws=50, noise_draws_per_channel=1, seed=3)
+    banks = designs._Banks(subs, 10.0, cfg)
+    numeric = designs.palloc_numeric(subs, 3.0, 10.0, cfg, banks)
+    assert len(banks.rows) == 16 < len(banks.means)
+    assert np.array_equal(numeric.p, designs.palloc_numeric(subs, 3.0, 10.0, cfg).p)
+
+
+def _golden_count(lo, hi, width):
+    """Evaluations the golden-section line search made on (lo, hi): two
+    interior points, one more per shrink of the bracket by the golden ratio
+    while it is at least `width` wide, and the final midpoint."""
+    gold, span, count = (np.sqrt(5.0) - 1.0) / 2.0, hi - lo, 3
+    while span >= width:
+        span *= gold
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("f,x_best", [
+    (lambda u: -(u - 0.3) ** 2, 0.3),       # concave quadratic
+    (lambda u: u, 1.0),                     # optimum at the end: subchannel b's p -> 0
+    (lambda u: 1.0, None),                  # flat
+], ids=["quadratic", "bracket-end", "flat"])
+def test_brent_line_search(f, x_best):
+    """The coordinate search's line step on a transfer bracket (-p_a, p_b)
+    = (-1, 1) from the current split (delta = 0): the final bracket is
+    narrower than SEARCH_TOL * budget and holds the optimum within half of
+    that, the result is the best point evaluated, every evaluation lies
+    strictly inside the bracket (the objective is -inf off the simplex)
+    and there are no more of them than the golden-section search made."""
+    lo, hi, width = -1.0, 1.0, designs.SEARCH_TOL * 2.0
+    points, values = [0.0], [f(0.0)]
+
+    def spy(u):
+        points.append(u)
+        values.append(f(u))
+        return values[-1]
+
+    x, fx, (a, b) = designs._brent_max(spy, lo, hi, 0.0, values[0], width)
+    assert b - a < width and a <= x <= b
+    assert fx == max(values) and values[points.index(x)] == fx
+    assert all(lo < u < hi for u in points[1:])
+    assert len(points) - 1 <= _golden_count(lo, hi, width)
+    if x_best is not None:
+        assert abs(x - x_best) < width / 2
+
+
 def test_subchannel_capacities_monotone_in_power():
     subs = ray_subs([1.0])
     cfg = McConfig(channel_draws=2000, noise_draws_per_channel=16, seed=3)

@@ -1008,10 +1008,17 @@ def test_batch_size_leaves_results_bit_identical(name):
 
 def test_avg_all_and_avg_bounds_draw_the_same_channels(monkeypatch):
     """For one (seed, parallel_chunks) avg_bounds sees the channels avg_all
-    averages over, although the two batch them differently."""
+    averages over, although the two batch them differently: `_run_chunks`
+    cuts each chunk of 120 channels into batches of BATCH_ELEMENTS //
+    per_draw, with (M, N) logits a channel for avg_all and (D, n_r)
+    distances for avg_bounds."""
     model = fc.CanonicalRayleigh(1, 2)
     mc_cfg = McConfig(channel_draws=240, noise_draws_per_channel=2500, seed=83,
                       parallel_chunks=2)
+
+    def batches(per_draw):
+        return 2 * -(-120 // max(1, mc.BATCH_ELEMENTS // per_draw))
+
     drawn = {mc: [], bounds: []}
     for module, seen in drawn.items():
         def spy(model, n, rng, seen=seen):
@@ -1020,7 +1027,9 @@ def test_avg_all_and_avg_bounds_draw_the_same_channels(monkeypatch):
         monkeypatch.setattr(module, "sample_channels", spy)
     fc.avg_all(30.0, model, QAM16, mc_cfg)
     fc.avg_bounds("mi", 30.0, model, QAM16, mc_cfg)
-    assert (len(drawn[mc]), len(drawn[bounds])) == (6, 2)   # batches of 50 and of 120
+    assert (len(drawn[mc]), len(drawn[bounds])) == (
+        batches(QAM16.m * 2500), batches(len(pair_differences(QAM16)[0]) * model.n_r))
+    assert len(drawn[mc]) > len(drawn[bounds])
     assert np.array_equal(np.concatenate(drawn[mc]), np.concatenate(drawn[bounds]))
 
 

@@ -276,6 +276,28 @@ def test_distinctness_check_names_the_pair():
         fc.SpaceTimeCode(codewords=cw)
 
 
+def test_product_sets_search_only_their_factor(monkeypatch):
+    """qam64 over two antennas (M = 4096) is the 2-fold product of its 64
+    scalar points, so only those are searched for a coinciding pair; a
+    product of a set with a repeated value is searched whole, and the error
+    names the joint pair."""
+    searched = []
+    close_pair = model._close_pair
+
+    def spy(rows):
+        searched.append(len(rows))
+        return close_pair(rows)
+
+    monkeypatch.setattr(model, "_close_pair", spy)
+    assert fc.make_constellation("qam64", 2).m == 4096
+    assert searched == [64]
+    repeated = [0.0, 1.0, 2.0, 1.0]
+    points = [[a, b] for a in repeated for b in repeated]
+    with pytest.raises(ValueError, match="duplicate constellation points: 1 and 3 coincide"):
+        fc.make_constellation("custom", 2, points=points)
+    assert searched[1:] == [4, 16]
+
+
 def test_strided_inputs_are_accepted_as_copies():
     """A non-contiguous complex view (antennas swapped, every other
     codeword) is stored contiguous, as its copy would be."""
