@@ -67,8 +67,10 @@ MAX_NUMERIC_SUBCHANNELS = 4
 # Resolution of the power-allocation search, as a fraction of the budget.
 SEARCH_TOL = 1e-3
 # Most float64 noise-table entries, C * N * (sum of the factor sizes Q over
-# the subchannels), that the palloc banks may hold (512 MB); `_bank_mi` adds
-# one work set of two (Q, C, N) buffers at the largest Q.
+# the subchannels), that the palloc banks may hold (512 MB).  A grid's level
+# factor holds one (C, N) table, within that count, and `_bank_mi` adds its
+# (2Q - 1, C, N) logit table; any other set's factor a (Q, C, N) table, and
+# `_bank_mi` one work set of two (Q, C, N) buffers at the largest Q.
 MAX_BANK_ENTRIES = 2 ** 26
 # The precoder's projected gradient stops when one step lowers the objective
 # by less than PRECODER_REL_TOL of its value, and fails after
@@ -182,10 +184,13 @@ def _subchannel_banks(subs: Sequence[SubchannelSpec], cfg: mc.McConfig):
     2*sqrt(snr*p)*(Re(conj(q_k) w) - Re(conj(q_i) w)) - snr*p*|h|^2 |q_i - q_k|^2,
     so the fading and noise enter only through power-independent tables and
     every candidate power is compared on identical randomness.  The lse adds
-    over the factors of `_point_sets`.  A bank is (factors, |h|^2 (C,)),
-    each factor of Q points a pair of d2 (Q, Q) = |q_i - q_k|^2 and the
-    hypothesis-first noise table (Q, C, N) = Re(conj(q_m h) n), the layout
-    `mc.kernel_stats` uses.  A plan over MAX_BANK_ENTRIES is a ValueError.
+    over the factors of `_point_sets`.  A bank is (factors, |h| (C,)).  A
+    grid's factor, levels R or jI, is the pair of its sorted levels and the
+    one real noise coordinate z (C, N) = Re(w) / |h| or Im(w) / |h| of
+    `mc._level_stats`; any other set's one factor is a pair of d2 (Q, Q) =
+    |q_i - q_k|^2 and the hypothesis-first noise table (Q, C, N) =
+    Re(conj(q_m h) n), the layout `mc.kernel_stats` uses.  A plan over
+    MAX_BANK_ENTRIES is a ValueError.
     """
     _check_bank_size(subs, cfg)
     k_sub, n_noise = len(subs), cfg.noise_draws_per_channel
@@ -201,40 +206,63 @@ def _subchannel_banks(subs: Sequence[SubchannelSpec], cfg: mc.McConfig):
         h = fading[:, k] * np.sqrt(fad.variance)
         if fad.mean:
             h = h + complex(fad.mean)
+        gain = np.abs(h)
+        grid = sub.constellation.grid_levels is not None
+        if grid:    # a zero channel gives w = 0, so z = 0 and lse = log Q
+            u = h.conj()[:, None] * noise[:, :, k]
+            u /= np.where(gain > 0.0, gain, 1.0)[:, None]
         factors = []
         for q in _point_sets(sub.constellation):
-            qh = q[:, None] * h[None, :]                     # (Q, C)
-            base_g = (qh.real[:, :, None] * noise[None, :, :, k].real
-                      + qh.imag[:, :, None] * noise[None, :, :, k].imag)
-            factors.append((np.abs(q[:, None] - q[None, :]) ** 2, base_g))
-        banks.append((tuple(factors), np.abs(h) ** 2))
+            if not grid:
+                qh = q[:, None] * h[None, :]                     # (Q, C)
+                base_g = (qh.real[:, :, None] * noise[None, :, :, k].real
+                          + qh.imag[:, :, None] * noise[None, :, :, k].imag)
+                factors.append((np.abs(q[:, None] - q[None, :]) ** 2, base_g))
+            elif np.isrealobj(q):
+                factors.append((q, np.ascontiguousarray(u.real)))
+            else:
+                factors.append((q.imag, np.ascontiguousarray(u.imag)))
+        banks.append((tuple(factors), gain))
     return banks
 
 
-def _bank_work(banks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One work set for `_bank_mi` on every factor of `banks`: the scaled
-    noise table and the weights, (Q, C, N) each at the largest Q, and one
-    (C, N) row of per-sample lse."""
-    shape = max(base_g.shape for factors, _ in banks for _, base_g in factors)
+def _bank_work(banks) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """One work set for `_bank_mi` on every point-set factor of `banks`
+    (none without one): the scaled noise table and the weights, (Q, C, N)
+    each at the largest Q, and one (C, N) row of per-sample lse."""
+    shapes = [table.shape for factors, _ in banks for _, table in factors if table.ndim == 3]
+    if not shapes:
+        return None
+    shape = max(shapes)
     return np.empty(shape), np.empty(shape), np.empty(shape[1:])
 
 
 def _bank_mi(snr: float, bank, power: float, work=None) -> np.ndarray:
     """Mutual information of one subchannel on each channel c (draw c) of its
     bank, (C,): the sum over factors of Q points of log Q (log M in all) minus
-    the mean lse over c's noise draws, weighted by `mc._shifted_weights`.
-    The loop runs on `work` (`_bank_work`; one is made if none is given)."""
-    factors, h2 = bank
-    mi = np.zeros(h2.size)
+    the mean lse over c's noise draws.  A grid's level factors run
+    `mc._level_stats`; a point-set factor loops over its Q true points,
+    weighted by `mc._shifted_weights`, on `work` (`_bank_work`; one is made
+    if none is given)."""
+    factors, gain = bank
+    mi = np.zeros(gain.size)
     if power <= 0.0:
         return mi
-    g2_work, weights, lse_cn = work or _bank_work([bank])
     scale = snr * power
-    for d2, base_g in factors:
-        q = base_g.shape[0]
+    for factor in factors:
+        q = factor[0].shape[0]
+        if factor[1].ndim == 2:         # sorted levels and their noise coordinate
+            levels, z = factor
+            _, lse_cn, _ = mc._level_stats(levels, np.sqrt(scale) * gain, z, scale,
+                                           lse_only=True)
+            mi += np.log(q) - lse_cn.mean(axis=1)
+            continue
+        d2, base_g = factor
+        g2_work, weights, lse_cn = work or _bank_work([bank])
         g2 = np.multiply(base_g, 2.0 * np.sqrt(scale), out=g2_work[:q])
         buf = weights[:q]
-        lse = np.zeros(h2.size)
+        h2 = gain ** 2
+        lse = np.zeros(gain.size)
         for i in range(q):
             a_max = mc._shifted_weights(g2, scale * (d2[i][:, None] * h2), i, buf)
             np.log(np.sum(buf, axis=0, out=lse_cn), out=lse_cn)
@@ -263,7 +291,7 @@ class _Banks:
     @cached_property
     def _drawn(self):
         banks = _subchannel_banks(self.subs, self.cfg)
-        tables = sum(base_g.size for factors, _ in banks for _, base_g in factors)
+        tables = sum(table.size for factors, _ in banks for _, table in factors)
         return banks, _bank_work(banks), tables // self.cfg.channel_draws
 
     def mi(self, k: int, power: float) -> np.ndarray:

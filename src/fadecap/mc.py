@@ -21,7 +21,11 @@ draw takes one uniform i, so that
   * I = log M - E_{i,n} logsumexp_j A_j, and likewise for mmse and pe,
 
 costs M logits a sample instead of M^2.  The variance between channels
-dominates, so this widens the error bars little.  Work is split into
+dominates, so this widens the error bars little.  Single-antenna grids
+R x I take the factorised kernel instead: per level set, the logits depend
+on the level difference alone, so each sample weighs the distinct
+differences once (2Q - 1 for Q equally spaced levels, not Q^2) and every
+true level reads its row of them (`_level_stats`).  Work is split into
 `parallel_chunks` independently seeded chunks reduced in fixed order, so
 results are bit-reproducible for a given (seed, config, inputs) and
 independent of worker scheduling and batching.
@@ -29,6 +33,7 @@ independent of worker scheduling and batching.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,6 +48,7 @@ from .model import (
     _check_transmit_size,
     _complex_normal,
     _fixed_h,
+    _row_groups,
     sample_channels,
 )
 
@@ -61,8 +67,10 @@ KINDS = ("mmse", "mi", "pe")
 
 # Floor of the max-shifted logits.  np.exp leaves its vector fast path where
 # the result is no longer a normal float (below about -708) and is 20-200x
-# slower there.  The argmax weight is exactly 1, so every weight sum holds a
-# term of 1 and a weight of at most e^-700 (~1e-304) is absorbed in it.
+# slower there.  A weight of at most e^-700 (~1e-304) is absorbed in every
+# weight sum: the per-hypothesis kernels' sums hold the argmax weight of
+# exactly 1, and the level kernel's window sums the d = 0 weight e^-max,
+# where max <= z^2 for the one noise coordinate z, N(0, 1/2).
 EXP_FLOOR = -700.0
 
 # Elements in a batch's largest block (1 MB of float64): memory and speed,
@@ -199,6 +207,110 @@ def kernel_stats(received: np.ndarray, noise: np.ndarray, snr: float):
     return mmse * (inv_m / snr), lse * inv_m, pe * inv_m
 
 
+def _level_differences(levels: np.ndarray):
+    """The distinct differences of the sorted real `levels` l (Q >= 2) and
+    where each true level reads them, built once per level set
+    (`_level_plan`, read-only).
+
+    Differences l_k - l_i are grouped as `model._distinct_rows` groups pair
+    differences (integer keys in units of 2^-40 of the largest), so each
+    member lies within 2^-40 (l_max - l_min) of its group's first member,
+    the representative: on qam16, qam64 and qam256 within 1, 2 and 4 ulp
+    of the member (1.1e-16, 1.1e-16 and 2.2e-16).  Returns the
+    representatives (D,), ascending; for each true level i a pair (rows, m)
+    with rows a slice of them and m the (2, len) matrix of ones over
+    l_k - l_i and of those differences; and the (group, count) pairs of the
+    neighbour differences l_{i+1} - l_i and l_i - l_{i+1}.  Equally spaced
+    levels give D = 2Q - 1 and row i the window [Q - 1 - i, 2Q - 1 - i);
+    other sets read all D rows, with zeros in m off row i.
+    """
+    return _level_plan(levels.tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _level_plan(key: bytes):
+    levels = np.frombuffer(key)
+    q = levels.size
+    d = levels[None, :] - levels[:, None]                  # d[i, k] = l_k - l_i
+    first, group = _row_groups(d.reshape(-1, 1))
+    diffs, index = d.ravel()[first], group.reshape(q, q)
+    if np.array_equal(index, np.arange(q)[None, :] - np.arange(q)[:, None] + q - 1):
+        rows = [(slice(q - 1 - i, 2 * q - 1 - i), np.stack((np.ones(q), diffs[row])))
+                for i, row in enumerate(index)]
+    else:
+        rows = []
+        for row in index:
+            m = np.zeros((2, diffs.size))
+            m[0, row] = 1.0
+            m[1, row] = diffs[row]
+            rows.append((slice(None), m))
+    for shared in [diffs] + [m for _, m in rows]:
+        shared.flags.writeable = False
+    r = np.arange(q - 1)
+    counts = np.bincount(np.concatenate((index[r, r + 1], index[r + 1, r])),
+                         minlength=diffs.size)
+    neighbours = tuple((g, float(counts[g])) for g in np.flatnonzero(counts))
+    return diffs, tuple(rows), neighbours
+
+
+def _level_stats(levels: np.ndarray, amp: np.ndarray, z: np.ndarray, snr: float, *,
+                 lse_only: bool = False):
+    """Per-sample (mmse, lse, pe) of `kernel_stats` for the real points
+    amp l of the sorted levels l (Q >= 2) under one real noise coordinate,
+    from the logits of their distinct level differences.
+
+    levels   : (Q,) sorted real levels
+    amp      : (C,) nonnegative scale of each channel's points
+    z        : (C, N) float64 noise coordinate, N(0, 1/2) each
+    lse_only : skip mmse and pe, returned as None (the power-allocation
+               banks read lse alone)
+    The logit of hypothesis k for true level i is A = tau (2z - tau) with
+    tau = amp (l_k - l_i), so it depends on the difference alone: the
+    (D, C, N) table of the D distinct differences (`_level_differences`;
+    2Q - 1 for equally spaced levels, instead of Q^2) is formed once and
+    weighted by `_weights`, shifted by its max over all D.  True level i
+    then reads its weight sum s_i and its conditional-mean sum off its row
+    of differences, and lse_i = max + log s_i.  Each s_i holds the d = 0
+    weight e^-max and A <= z^2, so the floor (EXP_FLOOR) is absorbed while
+    z^2 stays far below 700, as for every Gaussian draw.  With sorted
+    levels some A_k > 0 iff a neighbour's A > 0 (the one on z's side), so
+    pe counts the neighbour differences' positive logits.
+    """
+    diffs, rows, neighbours = _level_differences(levels)
+    tau = diffs[:, None] * amp                                  # (D, C)
+    a = 2.0 * z - tau[:, :, None]
+    a *= tau[:, :, None]                                        # (D, C, N) logits
+    pe = None
+    if not lse_only:
+        pe = np.zeros(z.shape)
+        for g, count in neighbours:
+            pe += count * (a[g] > 0.0)
+    a_max = _weights(a)
+    weights = a.reshape(diffs.size, -1)
+    lse, mmse = np.zeros(z.size), np.zeros(z.size)
+    sums = np.empty((2, z.size))            # in place: fresh (C, N) blocks cost page faults
+    for row, m in rows:
+        if lse_only:
+            s = np.matmul(m[0], weights[row], out=sums[0])
+        else:
+            s, num = np.matmul(m, weights[row], out=sums)
+            num /= s
+            num *= np.abs(num) >= 2.0 ** -500     # squares below 2^-1000 are dropped:
+            num *= num                            # subnormal products run ~50x slower
+            mmse += num
+        lse += np.log(s, out=s)
+    inv_q = 1.0 / levels.size
+    lse = lse.reshape(z.shape)
+    lse *= inv_q
+    lse += a_max
+    if lse_only:
+        return None, lse, None
+    mmse = mmse.reshape(z.shape)
+    mmse *= (amp * amp * (inv_q / snr))[:, None]
+    pe *= inv_q
+    return mmse, lse, pe
+
+
 def sampled_stats(received: np.ndarray, noise: np.ndarray, true: np.ndarray, snr: float):
     """Per-sample statistics of one true symbol a sample.
 
@@ -308,7 +420,7 @@ def fixed_h_all(snr: float, h, c: Constellation, cfg: McConfig) -> dict[str, Est
         stats = _sample_stats(np.broadcast_to(h, (batch, *h.shape)), noise, blocks, levels, snr)
         return tuple(s.ravel() for s in stats)
 
-    samples = _run_chunks(cfg, c.m * n_noise, step)
+    samples = _run_chunks(cfg, _full_sum_block(c.m, levels, n_noise), step)
     return _estimates(samples, c.log_m)
 
 
@@ -326,9 +438,10 @@ def sampled_true_symbol(c: Constellation | SpaceTimeCode) -> bool:
 
 
 def _grid_factors(c: Constellation | SpaceTimeCode):
-    """Level sets (R, I) of a single-antenna grid constellation whose
-    factorised kernel cuts the per-sample logits at least fourfold,
-    |R|^2 + |I|^2 <= M^2 / 4 (qam16, qam64, qam256); None otherwise."""
+    """Level sets (R, I) of a single-antenna grid constellation with
+    |R|^2 + |I|^2 <= M^2 / 4 (qam16, qam64, qam256), whose factorised
+    kernel weighs the distinct differences of each level set (2|R| + 2|I|
+    - 2 logits a sample when equally spaced); None otherwise."""
     levels = c.grid_levels
     if levels is None or 4 * (levels[0].size ** 2 + levels[1].size ** 2) > c.m ** 2:
         return None
@@ -346,22 +459,32 @@ def _grid_stats(h: np.ndarray, noise: np.ndarray, levels, snr: float):
     Re(conj(x_i - x_k) u), which splits into a real-level and an
     imaginary-level term.  So per sample lse = lse_R + lse_I, mmse =
     mmse_R + mmse_I and pe = pe_R + pe_I - pe_R pe_I (an error in either
-    coordinate), each factor being `kernel_stats` on the one real
+    coordinate), each factor being that of `kernel_stats` on the one real
     coordinate sqrt(snr) ||h|| level of its points, with the one real noise
-    coordinate Re u (R) or Im u (I).  The error rate is formed from the
-    integer error counts, so it equals the joint kernel's.
+    coordinate Re u (R) or Im u (I), and computed by `_level_stats` on the
+    distinct level differences.  The error rate is formed from the integer
+    error counts, so it equals the joint kernel's.
     """
     gain = np.sqrt(np.sum(h.real ** 2 + h.imag ** 2, axis=1))          # (C,)
     # a zero channel gives u = 0 and all-zero points, so lse = log M
-    u = (noise @ h.conj()[:, :, None]) / np.where(gain > 0.0, gain, 1.0)[:, None, None]
-    amp = np.sqrt(snr) * gain[:, None, None]
+    u = (noise @ h.conj()[:, :, None])[:, :, 0] / np.where(gain > 0.0, gain, 1.0)[:, None]
+    amp = np.sqrt(snr) * gain
     (mmse_r, lse_r, pe_r), (mmse_i, lse_i, pe_i) = (
-        kernel_stats(amp * lev[None, :, None], z, snr)
-        for lev, z in ((levels[0], u.real), (levels[1], u.imag)))
+        _level_stats(lev, amp, z, snr) for lev, z in ((levels[0], u.real), (levels[1], u.imag)))
     n_re, n_im = levels[0].size, levels[1].size
     err_r, err_i = np.rint(pe_r * n_re), np.rint(pe_i * n_im)
     errors = err_r * n_im + err_i * n_re - err_r * err_i
     return mmse_r + mmse_i, lse_r + lse_i, errors * (1.0 / (n_re * n_im))
+
+
+def _full_sum_block(m: int, levels, n_noise: int) -> int:
+    """Elements a draw of the largest block of the kernels that sum over all
+    M true symbols: the (D, N) logits of the largest level set's distinct
+    differences on a factorised grid (`_level_stats`; D = 2Q - 1 for
+    equally spaced levels), the (M, N) logits otherwise."""
+    if levels is None:
+        return n_noise * m
+    return n_noise * max(len(_level_differences(lev)[0]) for lev in levels)
 
 
 def _sample_stats(h: np.ndarray, noise: np.ndarray, blocks: np.ndarray, levels, snr: float,
@@ -372,7 +495,9 @@ def _sample_stats(h: np.ndarray, noise: np.ndarray, blocks: np.ndarray, levels, 
     Given the level sets `levels` of a single-antenna grid R x I
     (`_grid_factors`), it takes the factorised kernel of `_grid_stats`: the
     channel is rank one and projecting the noise onto h loses nothing, so
-    the statistics are exact and need |R|^2 + |I|^2 rather than M^2 logits.
+    the statistics are exact and need the logits of the distinct level
+    differences of R and I (2|R| + 2|I| - 2 when each is equally spaced)
+    rather than M^2.
     Otherwise it takes the joint kernel on the receive points in C^(n_r t),
     over all M true symbols or, given `true` (C, N), over one a sample."""
     if levels is not None:
@@ -409,8 +534,8 @@ def avg_all(snr: float, channel: ChannelModel, inputs: Constellation | SpaceTime
 
     if sampled_true_symbol(inputs):     # (N, M) logits and one (N, M) coordinate slab a channel
         per_draw, streams = 2 * n_noise * m, 3
-    else:                               # (M, N) logits a channel
-        per_draw, streams = n_noise * m, 2
+    else:
+        per_draw, streams = _full_sum_block(m, levels, n_noise), 2
     samples = _run_chunks(cfg, per_draw, step, threads, streams)
     return _estimates(samples, float(np.log(m)))
 

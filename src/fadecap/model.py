@@ -305,13 +305,23 @@ def ordered_pair_differences(c: _Inputs | np.ndarray) -> np.ndarray:
 def _distinct_rows(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of the complex (P, n) array `diffs`, in lexicographic
     order, and their multiplicities, grouped as `pair_differences` says."""
+    first, group = _row_groups(diffs)
+    return diffs[first], np.bincount(group)
+
+
+def _row_groups(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grouping of `_distinct_rows` for the (P, n) complex or real
+    array `diffs`: the index of each group's first row, groups in
+    lexicographic key order, and the group of every row, (P,)."""
     parts = diffs.view(float)
     keys = np.rint(parts * (2.0 ** 40 / np.max(np.abs(parts)))).astype(np.int64)
     # stable lexicographic sort (first column primary), then cut into runs
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
-    return diffs[order[starts]], np.diff(np.r_[starts, keys.shape[0]])
+    new = np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
 
 
 def _product_factor(rows: np.ndarray) -> np.ndarray | None:

@@ -239,15 +239,15 @@ def test_perfbench_search_tol_is_the_search_default():
 def test_bank_rows_never_outgrow_the_banks():
     """At one noise draw a channel, the three-subchannel search evaluates
     more (subchannel, power) pairs than its banks hold noise-table rows of C
-    entries (2 + 2 + 2 + 2 + 4 + 4); it keeps every mean, and per-channel
-    rows only up to that count."""
+    entries (one a level factor: 2 + 2 + 2); it keeps every mean, and
+    per-channel rows only up to that count."""
     subs = [designs.SubchannelSpec(QPSK, designs.Fading(4.0)),
             designs.SubchannelSpec(QPSK, designs.Fading(1.0)),
             designs.SubchannelSpec(QAM16, designs.Fading(0.5))]
     cfg = McConfig(channel_draws=50, noise_draws_per_channel=1, seed=3)
     banks = designs._Banks(subs, 10.0, cfg)
     numeric = designs.palloc_numeric(subs, 3.0, 10.0, cfg, banks)
-    assert len(banks.rows) == 16 < len(banks.means)
+    assert len(banks.rows) == 6 < len(banks.means)
     assert np.array_equal(numeric.p, designs.palloc_numeric(subs, 3.0, 10.0, cfg).p)
 
 

@@ -564,6 +564,24 @@ def test_bank_mi_holds_two_tables():
     assert 2 * block <= peak < 2.5 * block
 
 
+def test_grid_bank_holds_one_table_per_factor():
+    """A qam256 bank keeps, for each of its two level factors, the 16 sorted
+    levels and one (C, N) noise coordinate, not a (16, C, N) noise table and
+    a (16, 16) distance matrix; building it peaks below a third of the two
+    (16, C, N) tables (32 of C N entries) it would otherwise hold."""
+    qam256 = fc.make_constellation("qam256", 1)
+    subs = [designs.SubchannelSpec(qam256, designs.Fading(variance=1.0))]
+    mc_cfg = McConfig(channel_draws=1024, noise_draws_per_channel=64)
+    table = mc_cfg.channel_draws * mc_cfg.noise_draws_per_channel * 8
+    peak = _traced_peak(lambda: designs._subchannel_banks(subs, mc_cfg))
+    factors, gain = designs._subchannel_banks(subs, mc_cfg)[0]
+    assert gain.shape == (mc_cfg.channel_draws,)
+    for (levels, z), want in zip(factors, qam256.grid_levels):
+        assert np.array_equal(levels, want)
+        assert z.dtype == np.float64 and z.shape == (1024, 64)
+    assert peak < 10 * table
+
+
 # ---------------------------------------------------------------------------
 # the exp floor: flooring the shifted logits leaves every result bit for bit
 # ---------------------------------------------------------------------------
@@ -635,6 +653,27 @@ def test_exp_floor_leaves_bank_mi_unchanged(monkeypatch):
     monkeypatch.setattr(mc, "_weights", _unfloored_weights(lowest))
     for p, ref in zip(powers, floored):
         assert np.array_equal(designs._bank_mi(snr, bank, p), ref)
+    assert min(lowest) < EXP_FLOOR
+
+
+@pytest.mark.parametrize("family", ["qam16", "qam256"])
+@pytest.mark.parametrize("snr_db", [30, 40])
+def test_exp_floor_leaves_level_stats_unchanged(monkeypatch, family, snr_db):
+    """The level kernel's window sums hold the d = 0 weight e^-max, not 1,
+    and a floored weight is absorbed in it because max <= z^2 stays far below
+    700: `_grid_stats` (1x2 Rayleigh, C = N = 100) equals its unfloored form
+    bit for bit where the floor is reached."""
+    rng = np.random.default_rng(606)
+    h = sample_channels(fc.CanonicalRayleigh(n_t=1, n_r=2), 100, rng)[:, :, 0]
+    noise = _complex_normal(rng, (100, 100, 2))
+    snr = 10.0 ** (snr_db / 10.0)
+    levels = mc._grid_factors(fc.make_constellation(family, 1))
+    floored = mc._grid_stats(h, noise, levels, snr)
+    lowest = []
+    monkeypatch.setattr(mc, "_weights", _unfloored_weights(lowest))
+    reference = mc._grid_stats(h, noise, levels, snr)
+    for got, ref in zip(floored, reference):
+        assert np.array_equal(got, ref)
     assert min(lowest) < EXP_FLOOR
 
 
@@ -780,36 +819,120 @@ def test_grid_factorisation_guards_zero_channel():
     assert np.array_equal(pe, ref[2])
 
 
+def _weighted_shapes(monkeypatch):
+    """Record the shape of every table `mc._weights` gets."""
+    shapes = []
+    weights = mc._weights
+
+    def spy(a):
+        shapes.append(a.shape)
+        return weights(a)
+
+    monkeypatch.setattr(mc, "_weights", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("family", ["qam16", "qam64", "qam256"])
+def test_grid_stats_weight_distinct_level_differences(monkeypatch, family):
+    """A built-in grid weighs 2Q - 1 logits a sample per level set (Q = 4, 8,
+    16), one (2Q - 1, C, N) table each, not Q^2."""
+    c = fc.make_constellation(family, 1)
+    q = c.grid_levels[0].size
+    rng = np.random.default_rng(73)
+    h = _complex_normal(rng, (5, 2))
+    noise = _complex_normal(rng, (5, 11, 2))
+    shapes = _weighted_shapes(monkeypatch)
+    mc._grid_stats(h, noise, mc._grid_factors(c), 100.0)
+    assert shapes == [(2 * q - 1, 5, 11)] * 2
+
+
+def test_bank_weighs_distinct_level_differences(monkeypatch):
+    """A grid bank evaluation weighs 2Q - 1 logits a sample per level
+    factor: 3 for qpsk, 7 for qam16, 15 for qam64."""
+    subs = [designs.SubchannelSpec(fc.make_constellation(family, 1),
+                                   designs.Fading(variance=2.0))
+            for family in ("qpsk", "qam16", "qam64")]
+    mc_cfg = McConfig(channel_draws=16, noise_draws_per_channel=4, parallel_chunks=2)
+    banks = designs._subchannel_banks(subs, mc_cfg)
+    shapes = _weighted_shapes(monkeypatch)
+    for bank in banks:
+        designs._bank_mi(100.0, bank, 1.0)
+    assert shapes == [(d, 16, 4) for d in (3, 3, 7, 7, 15, 15)]
+
+
+def test_zero_channel_gives_log_q_on_level_kernel_and_bank(monkeypatch):
+    """A zero channel (amp = 0, z = 0) gives lse = log Q and mmse = pe = 0
+    from `_level_stats`, and mutual information 0 from a grid bank."""
+    for family in ("qam16", "qam64"):
+        levels = fc.make_constellation(family, 1).grid_levels[0]
+        mmse, lse, pe = mc._level_stats(levels, np.zeros(2), np.zeros((2, 5)), 100.0)
+        assert np.allclose(lse, np.log(levels.size), rtol=0.0, atol=1e-15)
+        assert np.array_equal(mmse, np.zeros((2, 5))) and np.array_equal(pe, np.zeros((2, 5)))
+
+    def first_channel_zero(rng, shape):
+        draws = _complex_normal(rng, shape)
+        if len(shape) == 2:         # the fading (C, K)
+            draws[0] = 0.0
+        return draws
+
+    monkeypatch.setattr(designs, "_complex_normal", first_channel_zero)
+    subs = [designs.SubchannelSpec(fc.make_constellation(family, 1),
+                                   designs.Fading(variance=2.0))
+            for family in ("qpsk", "qam16")]
+    mc_cfg = McConfig(channel_draws=8, noise_draws_per_channel=6, parallel_chunks=1)
+    for bank in designs._subchannel_banks(subs, mc_cfg):
+        mi = designs._bank_mi(100.0, bank, 1.0)
+        assert bank[1][0] == 0.0 and np.all(np.isfinite(mi))
+        assert abs(mi[0]) <= 1e-15
+
+
+def test_kernel_stats_reads_level_points_as_complex_form():
+    """`kernel_stats` on float64 level points amp l and one real noise
+    coordinate (Re u for the real levels, Im u for the imaginary ones)
+    equals its complex form, the real levels with noise u and -j u: lse and
+    pe bit for bit, mmse within 1e-14 relative; a zero channel included."""
+    c = fc.make_constellation("qam16", 1)
+    rng = np.random.default_rng(71)
+    amp = np.abs(_complex_normal(rng, (4,)))
+    amp[2] = 0.0
+    u = _complex_normal(rng, (4, 9))
+    for snr in 10.0 ** (np.array([0.0, 20.0, 45.0]) / 10.0):
+        for lev, z, noise in ((c.grid_levels[0], u.real, u), (c.grid_levels[1], u.imag, -1j * u)):
+            pts = np.sqrt(snr) * amp[:, None, None] * lev[None, :, None]
+            mmse, lse, pe = kernel_stats(pts, np.ascontiguousarray(z)[:, :, None], snr)
+            ref_mmse, ref_lse, ref_pe = kernel_stats(pts.astype(complex), noise[:, :, None], snr)
+            assert np.array_equal(lse, ref_lse) and np.array_equal(pe, ref_pe)
+            assert np.max(np.abs(mmse - ref_mmse)) <= 1e-14 * np.max(ref_mmse)
+
+
 def test_grid_factors_get_one_real_coordinate(monkeypatch):
-    """Each level set's `kernel_stats` call gets float64 points and noise
-    of one real coordinate, Re u for R and Im u for I.  Its lse and pe equal
-    those of the complex form, the real levels with noise u and -j u, bit
-    for bit, and its mmse within 1e-14 relative; a zero channel included."""
+    """Each level set's `_level_stats` call gets its sorted levels and, as
+    its one noise coordinate, float64 Re u (R) or Im u (I), with u = h^H n
+    / ||h|| (0 on a zero channel) and amp = sqrt(snr) ||h||."""
     c = fc.make_constellation("qam16", 1)
     rng = np.random.default_rng(71)
     h = _complex_normal(rng, (4, 2))
     h[2] = 0.0
     noise = _complex_normal(rng, (4, 9, 2))
+    gain = np.linalg.norm(h, axis=1)
+    u = np.einsum("cnr,cr->cn", noise, h.conj()) / np.where(gain > 0.0, gain, 1.0)[:, None]
     calls = []
+    level_stats = mc._level_stats
 
-    def spy(received, z, snr):
-        calls.append((received, z, kernel_stats(received, z, snr)))
-        return calls[-1][2]
+    def spy(levels, amp, z, snr):
+        calls.append((levels, amp, z))
+        return level_stats(levels, amp, z, snr)
 
-    monkeypatch.setattr(mc, "kernel_stats", spy)
-    for snr in 10.0 ** (np.array([0.0, 20.0, 45.0]) / 10.0):
-        calls.clear()
-        _, lse, _ = mc._grid_stats(h, noise, mc._grid_factors(c), snr)
-        assert [(r.dtype, r.shape[-1], z.dtype, z.shape[-1]) for r, z, _ in calls] == [
-            (np.float64, 1, np.float64, 1)] * 2
-        (pts_r, u_r, stats_r), (pts_i, u_i, stats_i) = calls
-        u = u_r + 1j * u_i
-        refs = [kernel_stats(pts_r.astype(complex), u, snr),
-                kernel_stats(pts_i.astype(complex), -1j * u, snr)]
-        assert np.array_equal(lse, refs[0][1] + refs[1][1])
-        for (mmse_f, _, pe_f), (ref_mmse, _, ref_pe) in zip((stats_r, stats_i), refs):
-            assert np.array_equal(pe_f, ref_pe)
-            assert np.max(np.abs(mmse_f - ref_mmse)) <= 1e-14 * np.max(ref_mmse)
+    monkeypatch.setattr(mc, "_level_stats", spy)
+    snr = 100.0
+    mc._grid_stats(h, noise, mc._grid_factors(c), snr)
+    assert len(calls) == 2
+    for (levels, amp, z), want_levels, want_z in zip(calls, c.grid_levels, (u.real, u.imag)):
+        assert levels is want_levels
+        assert z.dtype == np.float64 and z.shape == (4, 9)
+        assert np.allclose(z, want_z, rtol=0.0, atol=1e-15)
+        assert np.allclose(amp, np.sqrt(snr) * gain, rtol=1e-15, atol=0.0)
+    assert np.array_equal(calls[0][2][2], np.zeros(9)) and calls[0][1][2] == 0.0
 
 
 @pytest.mark.parametrize("family,takes_grid", [("bpsk", False), ("qpsk", False),
@@ -878,7 +1001,7 @@ def test_avg_all_grid_draws_chunks_in_batches():
                       parallel_chunks=2)
     levels = mc._grid_factors(c)
 
-    def draw(channel_rng, noise_rng, size):     # 60 channels a chunk, batches of 50
+    def draw(channel_rng, noise_rng, size):     # 60 channels a chunk, batches of 7
         h = sample_channels(model, size, channel_rng)
         noise = _complex_normal(noise_rng, (size, n_noise, 2))
         return tuple(s.mean(axis=1) for s in mc._grid_stats(h[:, :, 0], noise, levels, snr))
@@ -1010,7 +1133,8 @@ def test_avg_all_and_avg_bounds_draw_the_same_channels(monkeypatch):
     """For one (seed, parallel_chunks) avg_bounds sees the channels avg_all
     averages over, although the two batch them differently: `_run_chunks`
     cuts each chunk of 120 channels into batches of BATCH_ELEMENTS //
-    per_draw, with (M, N) logits a channel for avg_all and (D, n_r)
+    per_draw, with the (2Q - 1, N) level-difference logits of the largest
+    level set a channel for avg_all (Q = 4 on qam16) and (D, n_r)
     distances for avg_bounds."""
     model = fc.CanonicalRayleigh(1, 2)
     mc_cfg = McConfig(channel_draws=240, noise_draws_per_channel=2500, seed=83,
@@ -1028,7 +1152,8 @@ def test_avg_all_and_avg_bounds_draw_the_same_channels(monkeypatch):
     fc.avg_all(30.0, model, QAM16, mc_cfg)
     fc.avg_bounds("mi", 30.0, model, QAM16, mc_cfg)
     assert (len(drawn[mc]), len(drawn[bounds])) == (
-        batches(QAM16.m * 2500), batches(len(pair_differences(QAM16)[0]) * model.n_r))
+        batches((2 * QAM16.grid_levels[0].size - 1) * 2500),
+        batches(len(pair_differences(QAM16)[0]) * model.n_r))
     assert len(drawn[mc]) > len(drawn[bounds])
     assert np.array_equal(np.concatenate(drawn[mc]), np.concatenate(drawn[bounds]))
 

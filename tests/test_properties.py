@@ -1,5 +1,5 @@
-"""Property tests: grid level detection, the factorised grid kernel, the
-factorised power-allocation bank, the one-symbol kernel, the
+"""Property tests: grid level detection, the factorised grid kernel and its
+level kernel, the factorised power-allocation bank, the one-symbol kernel, the
 fixed-channel bounds and their erfc."""
 
 import numpy as np
@@ -84,6 +84,49 @@ def test_factorised_stats_match_joint_kernel(levels, seed, snr_db):
     assert np.max(np.abs(lse - ref_lse)) <= 1e-14 * max(1.0, snr * scale)
     assert np.max(np.abs(mmse - ref_mmse)) <= 1e-11 * scale
     assert np.array_equal(pe, ref_pe)
+
+
+@st.composite
+def level_sets(draw):
+    """2-16 sorted levels, scale * k / 8 on integer ticks k in [-32, 32]:
+    equally spaced, or any distinct ticks, and whether they are equally
+    spaced.  Scaling rounds the levels, so equal differences may differ by
+    a few ulp, as on the built-in grids, while distinct ones stay at least
+    scale / 8 apart."""
+    q = draw(st.integers(2, 16))
+    spaced = draw(st.booleans())
+    if spaced:
+        step = draw(st.integers(1, 64 // (q - 1)))
+        start = draw(st.integers(-32, 32 - step * (q - 1)))
+        ticks = start + step * np.arange(q)
+    else:
+        ticks = np.sort(draw(st.lists(st.integers(-32, 32), min_size=q, max_size=q,
+                                      unique=True)))
+    return draw(st.floats(0.1, 3.0)) * (np.asarray(ticks, dtype=float) / 8.0), spaced
+
+
+@settings(max_examples=40, deadline=None)
+@given(level_sets(), st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 15, 30, 45]))
+def test_level_stats_match_kernel_stats(level_set, seed, snr_db):
+    """The level kernel on distinct differences equals `kernel_stats` on the
+    real points amp l with the same noise coordinate: lse within 1e-14 nats
+    times max(1, amp^2 max l^2), the size of the logits, mmse within 1e-11
+    of its scale amp^2 max l^2 / snr, pe exactly; equally spaced levels
+    weigh 2Q - 1 distinct differences."""
+    levels, spaced = level_set
+    rng = np.random.default_rng(seed)
+    snr = 10.0 ** (snr_db / 10.0)
+    amp = np.sqrt(snr) * np.abs(_complex_normal(rng, (3,)))
+    z = _complex_normal(rng, (3, 40)).real
+    mmse, lse, pe = mc._level_stats(levels, amp, z, snr)
+    ref_mmse, ref_lse, ref_pe = kernel_stats(amp[:, None, None] * levels[None, :, None],
+                                             z[:, :, None], snr)
+    scale = np.max(amp) ** 2 * np.max(levels ** 2)
+    assert np.max(np.abs(lse - ref_lse)) <= 1e-14 * max(1.0, scale)
+    assert np.max(np.abs(mmse - ref_mmse)) <= 1e-11 * scale / snr
+    assert np.array_equal(pe, ref_pe)
+    if spaced:
+        assert len(mc._level_differences(levels)[0]) == 2 * levels.size - 1
 
 
 @settings(max_examples=25, deadline=None)
