@@ -126,7 +126,7 @@ def cmd_curve(cfg, seed, digest, out_path, threads):
     for idx, snr in enumerate(grid):
         snr_db = f"{10.0 * math.log10(snr):.12g}"
         try:
-            est = mc.avg_all(snr, channel, c, mc_cfg, threads=threads)[kind]
+            est = mc.avg_all(snr, channel, c, mc_cfg, threads=threads, kinds=(kind,))[kind]
             pair = bounds.avg_bounds(kind, snr, channel, c, mc_cfg)
         except ValueError as exc:
             raise NumericFailure(f"snr_db={snr_db}: {exc}") from exc
@@ -277,7 +277,7 @@ def cmd_stcode(cfg, seed, digest, out_path, threads):
     meta = []
     if confirm is not None:
         pe = [mc.avg_all(confirm["snr"], CanonicalRayleigh(code.n_t, n_r), code, confirm["mc"],
-                         threads=threads)["pe"]
+                         threads=threads, kinds=("pe",))["pe"]
               for code in codes]
         meta.append(_samples_line(confirm["mc"], codes))
     rows = [[name, rep.r_min, rep.criterion, rep.d, rep.certified,

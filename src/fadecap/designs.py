@@ -241,7 +241,8 @@ def _bank_mi(snr: float, bank, power: float, work=None) -> np.ndarray:
     """Mutual information of one subchannel on each channel c (draw c) of its
     bank, (C,): the sum over factors of Q points of log Q (log M in all) minus
     the mean lse over c's noise draws.  A grid's level factors run
-    `mc._level_stats`; a point-set factor loops over its Q true points,
+    `mc._level_stats` for mi alone (no conditional means, error counts or
+    mmse accumulator); a point-set factor loops over its Q true points,
     weighted by `mc._shifted_weights`, on `work` (`_bank_work`; one is made
     if none is given)."""
     factors, gain = bank
@@ -254,7 +255,7 @@ def _bank_mi(snr: float, bank, power: float, work=None) -> np.ndarray:
         if factor[1].ndim == 2:         # sorted levels and their noise coordinate
             levels, z = factor
             _, lse_cn, _ = mc._level_stats(levels, np.sqrt(scale) * gain, z, scale,
-                                           lse_only=True)
+                                           kinds=("mi",))
             mi += np.log(q) - lse_cn.mean(axis=1)
             continue
         d2, base_g = factor

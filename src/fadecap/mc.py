@@ -25,7 +25,14 @@ dominates, so this widens the error bars little.  Single-antenna grids
 R x I take the factorised kernel instead: per level set, the logits depend
 on the level difference alone, so each sample weighs the distinct
 differences once (2Q - 1 for Q equally spaced levels, not Q^2) and every
-true level reads its row of them (`_level_stats`).  Work is split into
+true level reads its row of them (`_level_stats`).
+
+The three measures share the logits, but `avg_all` returns only those its
+caller names in `kinds`, and the level kernel forms only those: an mi
+curve's forms no conditional means or error counts, and mmse takes no
+logs.  Each measure formed is bit for bit that of the all-measures call.
+`kernel_stats` and `sampled_stats` form all three and the unasked ones
+are dropped.  Work is split into
 `parallel_chunks` independently seeded chunks reduced in fixed order, so
 results are bit-reproducible for a given (seed, config, inputs) and
 independent of worker scheduling and batching.
@@ -253,17 +260,18 @@ def _level_plan(key: bytes):
     return diffs, tuple(rows), neighbours
 
 
-def _level_stats(levels: np.ndarray, amp: np.ndarray, z: np.ndarray, snr: float, *,
-                 lse_only: bool = False):
+def _level_stats(levels: np.ndarray, amp: np.ndarray, z: np.ndarray, snr: float,
+                 kinds=KINDS):
     """Per-sample (mmse, lse, pe) of `kernel_stats` for the real points
     amp l of the sorted levels l (Q >= 2) under one real noise coordinate,
     from the logits of their distinct level differences.
 
-    levels   : (Q,) sorted real levels
-    amp      : (C,) nonnegative scale of each channel's points
-    z        : (C, N) float64 noise coordinate, N(0, 1/2) each
-    lse_only : skip mmse and pe, returned as None (the power-allocation
-               banks read lse alone)
+    levels : (Q,) sorted real levels
+    amp    : (C,) nonnegative scale of each channel's points
+    z      : (C, N) float64 noise coordinate, N(0, 1/2) each
+    kinds  : the measures to form, a subset of KINDS ("mi" forms lse); the
+             others are returned as None, and each one formed is bit for
+             bit that of the all-measures call
     The logit of hypothesis k for true level i is A = tau (2z - tau) with
     tau = amp (l_k - l_i), so it depends on the difference alone: the
     (D, C, N) table of the D distinct differences (`_level_differences`;
@@ -274,40 +282,45 @@ def _level_stats(levels: np.ndarray, amp: np.ndarray, z: np.ndarray, snr: float,
     weight e^-max and A <= z^2, so the floor (EXP_FLOOR) is absorbed while
     z^2 stays far below 700, as for every Gaussian draw.  With sorted
     levels some A_k > 0 iff a neighbour's A > 0 (the one on z's side), so
-    pe counts the neighbour differences' positive logits.
+    pe counts the neighbour differences' positive logits.  mi skips the
+    conditional means and mmse the logs; pe alone still forms the table.
     """
     diffs, rows, neighbours = _level_differences(levels)
     tau = diffs[:, None] * amp                                  # (D, C)
     a = 2.0 * z - tau[:, :, None]
     a *= tau[:, :, None]                                        # (D, C, N) logits
-    pe = None
-    if not lse_only:
+    inv_q = 1.0 / levels.size
+    mmse = lse = pe = None
+    if "pe" in kinds:
         pe = np.zeros(z.shape)
         for g, count in neighbours:
             pe += count * (a[g] > 0.0)
+        pe *= inv_q
     a_max = _weights(a)
     weights = a.reshape(diffs.size, -1)
-    lse, mmse = np.zeros(z.size), np.zeros(z.size)
+    if "mmse" in kinds:
+        mmse = np.zeros(z.size)
+    if "mi" in kinds:
+        lse = np.zeros(z.size)
     sums = np.empty((2, z.size))            # in place: fresh (C, N) blocks cost page faults
     for row, m in rows:
-        if lse_only:
-            s = np.matmul(m[0], weights[row], out=sums[0])
-        else:
-            s, num = np.matmul(m, weights[row], out=sums)
+        # one product form for every kinds: a one-row product rounds s
+        # differently at Q >= 8, so lse would depend on the measures asked for
+        s, num = np.matmul(m, weights[row], out=sums)
+        if mmse is not None:
             num /= s
             num *= np.abs(num) >= 2.0 ** -500     # squares below 2^-1000 are dropped:
             num *= num                            # subnormal products run ~50x slower
             mmse += num
-        lse += np.log(s, out=s)
-    inv_q = 1.0 / levels.size
-    lse = lse.reshape(z.shape)
-    lse *= inv_q
-    lse += a_max
-    if lse_only:
-        return None, lse, None
-    mmse = mmse.reshape(z.shape)
-    mmse *= (amp * amp * (inv_q / snr))[:, None]
-    pe *= inv_q
+        if lse is not None:
+            lse += np.log(s, out=s)
+    if lse is not None:
+        lse = lse.reshape(z.shape)
+        lse *= inv_q
+        lse += a_max
+    if mmse is not None:
+        mmse = mmse.reshape(z.shape)
+        mmse *= (amp * amp * (inv_q / snr))[:, None]
     return mmse, lse, pe
 
 
@@ -355,12 +368,27 @@ def _estimate(samples: np.ndarray) -> Estimate:
     return Estimate(mean=float(np.mean(samples)), std_error=se)
 
 
-def _estimates(samples, log_m: float) -> dict[str, Estimate]:
-    """The {mmse, mi, pe} estimates from per-sample (mmse, lse, pe) arrays;
-    the mutual information is log M - mean(lse)."""
-    mmse, lse, pe = (_estimate(s) for s in samples)
-    mi = Estimate(mean=log_m - lse.mean, std_error=lse.std_error)
-    return {"mmse": mmse, "mi": mi, "pe": pe}
+def _estimates(samples: dict, log_m: float) -> dict[str, Estimate]:
+    """The estimates of the per-sample arrays keyed by kind (lse under
+    "mi"); the mutual information is log M - mean(lse)."""
+    est = {kind: _estimate(s) for kind, s in samples.items()}
+    if "mi" in est:
+        est["mi"] = Estimate(mean=log_m - est["mi"].mean, std_error=est["mi"].std_error)
+    return est
+
+
+def _measures(kinds) -> tuple[str, ...]:
+    """The measures named in `kinds`, in KINDS order; an empty, unknown or
+    repeated kind is a ValueError that names it."""
+    kinds = tuple(kinds)
+    if not kinds:
+        raise ValueError(f"kinds is empty: name at least one of {', '.join(KINDS)}")
+    for kind in kinds:
+        if kind not in KINDS:
+            raise ValueError(f"unknown kind {kind!r} in kinds: the kinds are {', '.join(KINDS)}")
+        if kinds.count(kind) > 1:
+            raise ValueError(f"kind {kind!r} is repeated in kinds")
+    return tuple(kind for kind in KINDS if kind in kinds)
 
 
 def _available_cpus() -> int:
@@ -421,7 +449,7 @@ def fixed_h_all(snr: float, h, c: Constellation, cfg: McConfig) -> dict[str, Est
         return tuple(s.ravel() for s in stats)
 
     samples = _run_chunks(cfg, _full_sum_block(c.m, levels, n_noise), step)
-    return _estimates(samples, c.log_m)
+    return _estimates(dict(zip(KINDS, samples)), c.log_m)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +476,10 @@ def _grid_factors(c: Constellation | SpaceTimeCode):
     return levels
 
 
-def _grid_stats(h: np.ndarray, noise: np.ndarray, levels, snr: float):
+def _grid_stats(h: np.ndarray, noise: np.ndarray, levels, snr: float, kinds=KINDS):
     """Per-sample (mmse, lse, pe) of `kernel_stats` for the single-antenna
-    grid constellation R x I, from one kernel call per level set.
+    grid constellation R x I, from one kernel call per level set; a measure
+    not in `kinds` is None, as in `_level_stats`.
 
     h     : (C, n_r) channel columns
     noise : (C, N, n_r) CN(0, I) draws
@@ -470,11 +499,16 @@ def _grid_stats(h: np.ndarray, noise: np.ndarray, levels, snr: float):
     u = (noise @ h.conj()[:, :, None])[:, :, 0] / np.where(gain > 0.0, gain, 1.0)[:, None]
     amp = np.sqrt(snr) * gain
     (mmse_r, lse_r, pe_r), (mmse_i, lse_i, pe_i) = (
-        _level_stats(lev, amp, z, snr) for lev, z in ((levels[0], u.real), (levels[1], u.imag)))
+        _level_stats(lev, amp, z, snr, kinds=kinds)
+        for lev, z in ((levels[0], u.real), (levels[1], u.imag)))
+    mmse = None if mmse_r is None else mmse_r + mmse_i
+    lse = None if lse_r is None else lse_r + lse_i
+    if pe_r is None:
+        return mmse, lse, None
     n_re, n_im = levels[0].size, levels[1].size
     err_r, err_i = np.rint(pe_r * n_re), np.rint(pe_i * n_im)
     errors = err_r * n_im + err_i * n_re - err_r * err_i
-    return mmse_r + mmse_i, lse_r + lse_i, errors * (1.0 / (n_re * n_im))
+    return mmse, lse, errors * (1.0 / (n_re * n_im))
 
 
 def _full_sum_block(m: int, levels, n_noise: int) -> int:
@@ -488,7 +522,7 @@ def _full_sum_block(m: int, levels, n_noise: int) -> int:
 
 
 def _sample_stats(h: np.ndarray, noise: np.ndarray, blocks: np.ndarray, levels, snr: float,
-                  true=None):
+                  true=None, kinds=KINDS):
     """Per-sample (mmse, lse, pe) of channels h (C, n_r, n_t) under noise
     (C, N, n_r t) for the M equiprobable (n_t, t) input `blocks`: a
     constellation's points as (M, n_t, 1), or a space-time code's codewords.
@@ -499,29 +533,37 @@ def _sample_stats(h: np.ndarray, noise: np.ndarray, blocks: np.ndarray, levels, 
     differences of R and I (2|R| + 2|I| - 2 when each is equally spaced)
     rather than M^2.
     Otherwise it takes the joint kernel on the receive points in C^(n_r t),
-    over all M true symbols or, given `true` (C, N), over one a sample."""
+    over all M true symbols or, given `true` (C, N), over one a sample.
+    Returns the arrays of the measures in `kinds` alone, in KINDS order;
+    the joint kernels form all three and the others are dropped."""
     if levels is not None:
-        return _grid_stats(h[:, :, 0], noise, levels, snr)
-    received = np.sqrt(snr) * np.einsum("crt,mts->cmrs", h, blocks).reshape(len(h), len(blocks), -1)
-    return (kernel_stats(received, noise, snr) if true is None
-            else sampled_stats(received, noise, true, snr))
+        stats = _grid_stats(h[:, :, 0], noise, levels, snr, kinds)
+    else:
+        received = np.sqrt(snr) * np.einsum("crt,mts->cmrs", h, blocks).reshape(len(h), len(blocks), -1)
+        stats = (kernel_stats(received, noise, snr) if true is None
+                 else sampled_stats(received, noise, true, snr))
+    return tuple(s for kind, s in zip(KINDS, stats) if kind in kinds)
 
 
 def avg_all(snr: float, channel: ChannelModel, inputs: Constellation | SpaceTimeCode,
-            cfg: McConfig, threads: int = 1) -> dict[str, Estimate]:
-    """Averaged (mmse, mi, pe) estimates of a constellation or of a
-    space-time code (codewords over t intervals, fading constant within a
-    codeword, receive points in C^(n_r t); pass a code with
-    `CanonicalRayleigh(code.n_t, n_r)`).  Outer Monte Carlo over channel
+            cfg: McConfig, threads: int = 1, kinds=KINDS) -> dict[str, Estimate]:
+    """Averaged estimates of the measures named in `kinds` (of mmse, mi and
+    pe; an empty, unknown or repeated kind is a ValueError), keyed by kind,
+    for a constellation or a space-time code (codewords over t intervals,
+    fading constant within a codeword, receive points in C^(n_r t); pass a
+    code with `CanonicalRayleigh(code.n_t, n_r)`).  Outer Monte Carlo over channel
     draws, by `_sample_stats`: H from the channel stream, the one
     `bounds.avg_bounds` sees for the same config, and (batch, N, n_r t)
     noise from the noise stream; a channel's means are one sample.  Unless
     `sampled_true_symbol(inputs)`, the statistics average the M
     hypotheses; otherwise each chunk spawns a third stream, and each noise
-    draw's one uniform true symbol is drawn from it."""
+    draw's one uniform true symbol is drawn from it.  Each estimate is bit
+    for bit that of the all-measures call, on the same draws; the level
+    kernel forms only the measures asked for (`_level_stats`)."""
     _check_transmit_size(channel.n_t, inputs)
     if snr <= 0:
         raise ValueError("snr must be positive")
+    kinds = _measures(kinds)
     blocks, levels = inputs.blocks, _grid_factors(inputs)
     n_noise = cfg.noise_draws_per_channel
     m, noise_dim = len(blocks), channel.n_r * blocks.shape[2]
@@ -530,14 +572,15 @@ def avg_all(snr: float, channel: ChannelModel, inputs: Constellation | SpaceTime
         h = sample_channels(channel, batch, channel_rng)
         noise = _complex_normal(noise_rng, (batch, n_noise, noise_dim))
         true = None if symbol_rng is None else symbol_rng.integers(m, size=(batch, n_noise))
-        return tuple(s.mean(axis=1) for s in _sample_stats(h, noise, blocks, levels, snr, true))
+        return tuple(s.mean(axis=1) for s in _sample_stats(h, noise, blocks, levels, snr, true,
+                                                             kinds))
 
     if sampled_true_symbol(inputs):     # (N, M) logits and one (N, M) coordinate slab a channel
         per_draw, streams = 2 * n_noise * m, 3
     else:
         per_draw, streams = _full_sum_block(m, levels, n_noise), 2
     samples = _run_chunks(cfg, per_draw, step, threads, streams)
-    return _estimates(samples, float(np.log(m)))
+    return _estimates(dict(zip(kinds, samples)), float(np.log(m)))
 
 
 # ---------------------------------------------------------------------------

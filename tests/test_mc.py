@@ -716,7 +716,7 @@ def _kernel_samples(estimator, joint):
     captured = []
 
     def capture(samples, log_m):
-        captured.append(samples)
+        captured.append(tuple(samples[kind] for kind in mc.KINDS))
         return _estimates(samples, log_m)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -919,15 +919,17 @@ def test_grid_factors_get_one_real_coordinate(monkeypatch):
     calls = []
     level_stats = mc._level_stats
 
-    def spy(levels, amp, z, snr):
-        calls.append((levels, amp, z))
-        return level_stats(levels, amp, z, snr)
+    def spy(levels, amp, z, snr, kinds):
+        calls.append((levels, amp, z, kinds))
+        return level_stats(levels, amp, z, snr, kinds=kinds)
 
     monkeypatch.setattr(mc, "_level_stats", spy)
     snr = 100.0
     mc._grid_stats(h, noise, mc._grid_factors(c), snr)
     assert len(calls) == 2
-    for (levels, amp, z), want_levels, want_z in zip(calls, c.grid_levels, (u.real, u.imag)):
+    for (levels, amp, z, kinds), want_levels, want_z in zip(calls, c.grid_levels,
+                                                             (u.real, u.imag)):
+        assert kinds == mc.KINDS
         assert levels is want_levels
         assert z.dtype == np.float64 and z.shape == (4, 9)
         assert np.allclose(z, want_z, rtol=0.0, atol=1e-15)
