@@ -7,7 +7,9 @@ One entry point per job, each reading the channel family off its input:
   (Rayleigh at mean 0, Ricean otherwise); `palloc_numeric` (Brent's
   method on each pairwise power transfer) and `subchannel_capacities`
   validate it by Monte Carlo on common draws, which one `_Banks` draws once
-  and evaluates once per (subchannel, power).
+  and evaluates once per (subchannel, power).  A bank holds the channel's
+  rank-one coordinates (`mc._rank_one`) and evaluates through `mc`'s own
+  kernels: a grid's level kernel, any other set's `mc.kernel_stats`.
 - `optimal_precoder(channel, c, p_total)`: the gap-minimizing precoder for
   a `CanonicalRayleigh` or `CorrelatedRayleigh` channel (the scaled identity
   when its stationarity residual certifies it, else projected gradient on
@@ -66,11 +68,11 @@ BUDGET_TOL = 1e-9
 MAX_NUMERIC_SUBCHANNELS = 4
 # Resolution of the power-allocation search, as a fraction of the budget.
 SEARCH_TOL = 1e-3
-# Most float64 noise-table entries, C * N * (sum of the factor sizes Q over
-# the subchannels), that the palloc banks may hold (512 MB).  A grid's level
-# factor holds one (C, N) table, within that count, and `_bank_mi` adds its
-# (2Q - 1, C, N) logit table; any other set's factor a (Q, C, N) table, and
-# `_bank_mi` one work set of two (Q, C, N) buffers at the largest Q.
+# Most table entries, C * N * (sum of the point counts Q over the
+# subchannels, as `_check_bank_size` counts them), that the palloc banks may
+# weigh (512 MB of float64).  A bank holds (C,) and (C, N) arrays alone;
+# evaluating it forms a grid level set's (2Q - 1, C, N) logit table, or two
+# (Q, C, N) blocks of `mc.kernel_stats` for any other set.
 MAX_BANK_ENTRIES = 2 ** 26
 # The precoder's projected gradient stops when one step lowers the objective
 # by less than PRECODER_REL_TOL of its value, and fails after
@@ -152,22 +154,17 @@ def palloc_highsnr(subs: Sequence[SubchannelSpec], budget: float) -> PowerAlloca
     return PowerAllocation(p=p, budget=budget)
 
 
-def _point_sets(c: Constellation) -> list[np.ndarray]:
-    """The factors of a subchannel's bank: a grid R x I splits exactly into
-    the point sets R and jI, whose logits add, and a factor of a single
-    level (lse exactly 0) is left out; any other constellation is one factor
-    of all M points."""
-    levels = c.grid_levels
-    if levels is None:
-        return [c.points[:, 0]]
-    return [q for q in (levels[0], 1j * levels[1]) if q.size > 1]
-
-
 def _check_bank_size(subs: Sequence[SubchannelSpec], cfg: mc.McConfig) -> None:
-    """Reject a plan whose banks hold more than MAX_BANK_ENTRIES table
-    entries, before anything is drawn."""
-    entries = cfg.channel_draws * cfg.noise_draws_per_channel * sum(
-        q.size for sub in subs for q in _point_sets(sub.constellation))
+    """Reject a plan whose bank evaluations weigh more than MAX_BANK_ENTRIES
+    table entries, C N times the summed point counts (a grid's level counts,
+    a set of one level counting 0; any other set's M), before anything is
+    drawn."""
+    points = 0
+    for sub in subs:
+        levels = sub.constellation.grid_levels
+        points += sub.constellation.m if levels is None else sum(
+            q.size for q in levels if q.size > 1)
+    entries = cfg.channel_draws * cfg.noise_draws_per_channel * points
     if entries > MAX_BANK_ENTRIES:
         raise ValueError(f"the power-allocation banks need {entries} table entries "
                          f"(channel_draws x noise_draws x points), more than the "
@@ -179,18 +176,13 @@ def _subchannel_banks(subs: Sequence[SubchannelSpec], cfg: mc.McConfig):
     `mc._run_chunks` call draws the unit fading (C, K) from the channel
     streams and the noise (C, N, K) from the noise streams.
 
-    With w = conj(h) n, the logit of hypothesis k for true input i of a
-    point set q at power p is
-    2*sqrt(snr*p)*(Re(conj(q_k) w) - Re(conj(q_i) w)) - snr*p*|h|^2 |q_i - q_k|^2,
-    so the fading and noise enter only through power-independent tables and
-    every candidate power is compared on identical randomness.  The lse adds
-    over the factors of `_point_sets`.  A bank is (factors, |h| (C,)).  A
-    grid's factor, levels R or jI, is the pair of its sorted levels and the
-    one real noise coordinate z (C, N) = Re(w) / |h| or Im(w) / |h| of
-    `mc._level_stats`; any other set's one factor is a pair of d2 (Q, Q) =
-    |q_i - q_k|^2 and the hypothesis-first noise table (Q, C, N) =
-    Re(conj(q_m h) n), the layout `mc.kernel_stats` uses.  A plan over
-    MAX_BANK_ENTRIES is a ValueError.
+    A scalar channel h is rank one: with u = conj(h) n / |h|, CN(0, 1), the
+    logit of hypothesis k for true input i at power p is
+    2 sqrt(snr p) |h| Re(conj(x_k - x_i) u) - snr p |h|^2 |x_i - x_k|^2,
+    so the fading and noise enter only through (|h|, u) and every candidate
+    power is compared on identical randomness.  A bank is (constellation,
+    |h| (C,), u (C, N)), from `mc._rank_one`.  A plan over MAX_BANK_ENTRIES
+    is a ValueError.
     """
     _check_bank_size(subs, cfg)
     k_sub, n_noise = len(subs), cfg.noise_draws_per_channel
@@ -206,71 +198,26 @@ def _subchannel_banks(subs: Sequence[SubchannelSpec], cfg: mc.McConfig):
         h = fading[:, k] * np.sqrt(fad.variance)
         if fad.mean:
             h = h + complex(fad.mean)
-        gain = np.abs(h)
-        grid = sub.constellation.grid_levels is not None
-        if grid:    # a zero channel gives w = 0, so z = 0 and lse = log Q
-            u = h.conj()[:, None] * noise[:, :, k]
-            u /= np.where(gain > 0.0, gain, 1.0)[:, None]
-        factors = []
-        for q in _point_sets(sub.constellation):
-            if not grid:
-                qh = q[:, None] * h[None, :]                     # (Q, C)
-                base_g = (qh.real[:, :, None] * noise[None, :, :, k].real
-                          + qh.imag[:, :, None] * noise[None, :, :, k].imag)
-                factors.append((np.abs(q[:, None] - q[None, :]) ** 2, base_g))
-            elif np.isrealobj(q):
-                factors.append((q, np.ascontiguousarray(u.real)))
-            else:
-                factors.append((q.imag, np.ascontiguousarray(u.imag)))
-        banks.append((tuple(factors), gain))
+        banks.append((sub.constellation, *mc._rank_one(h[:, None], noise[:, :, k, None])))
     return banks
 
 
-def _bank_work(banks) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """One work set for `_bank_mi` on every point-set factor of `banks`
-    (none without one): the scaled noise table and the weights, (Q, C, N)
-    each at the largest Q, and one (C, N) row of per-sample lse."""
-    shapes = [table.shape for factors, _ in banks for _, table in factors if table.ndim == 3]
-    if not shapes:
-        return None
-    shape = max(shapes)
-    return np.empty(shape), np.empty(shape), np.empty(shape[1:])
-
-
-def _bank_mi(snr: float, bank, power: float, work=None) -> np.ndarray:
+def _bank_mi(snr: float, bank, power: float) -> np.ndarray:
     """Mutual information of one subchannel on each channel c (draw c) of its
-    bank, (C,): the sum over factors of Q points of log Q (log M in all) minus
-    the mean lse over c's noise draws.  A grid's level factors run
-    `mc._level_stats` for mi alone (no conditional means, error counts or
-    mmse accumulator); a point-set factor loops over its Q true points,
-    weighted by `mc._shifted_weights`, on `work` (`_bank_work`; one is made
-    if none is given)."""
-    factors, gain = bank
-    mi = np.zeros(gain.size)
+    bank, (C,): log M minus the mean lse over c's noise draws.  A grid takes
+    the level kernel `mc._grid_stats` for mi alone (no conditional means,
+    error counts or mmse accumulator); any other set takes `mc.kernel_stats`
+    on its points scaled by sqrt(snr p) |h|."""
+    c, gain, u = bank
     if power <= 0.0:
-        return mi
+        return np.zeros(gain.size)
     scale = snr * power
-    for factor in factors:
-        q = factor[0].shape[0]
-        if factor[1].ndim == 2:         # sorted levels and their noise coordinate
-            levels, z = factor
-            _, lse_cn, _ = mc._level_stats(levels, np.sqrt(scale) * gain, z, scale,
-                                           kinds=("mi",))
-            mi += np.log(q) - lse_cn.mean(axis=1)
-            continue
-        d2, base_g = factor
-        g2_work, weights, lse_cn = work or _bank_work([bank])
-        g2 = np.multiply(base_g, 2.0 * np.sqrt(scale), out=g2_work[:q])
-        buf = weights[:q]
-        h2 = gain ** 2
-        lse = np.zeros(gain.size)
-        for i in range(q):
-            a_max = mc._shifted_weights(g2, scale * (d2[i][:, None] * h2), i, buf)
-            np.log(np.sum(buf, axis=0, out=lse_cn), out=lse_cn)
-            lse_cn += a_max
-            lse += lse_cn.mean(axis=1)
-        mi += np.log(q) - lse / q
-    return mi
+    if c.grid_levels is not None:
+        _, lse, _ = mc._grid_stats(gain, u, c.grid_levels, scale, kinds=("mi",))
+    else:
+        _, lse, _ = mc.kernel_stats(np.sqrt(scale) * gain[:, None, None] * c.points,
+                                    u[:, :, None], scale)
+    return c.log_m - lse.mean(axis=1)
 
 
 class _Banks:
@@ -278,11 +225,10 @@ class _Banks:
     is subchannel k's per-channel `_bank_mi` at `power` and `mean(k, power)`
     its mean, each (k, power) evaluated once.  One `_Banks` lets the search,
     its resolution flag and the capacity columns read one draw.  The banks
-    are drawn on first use, and every evaluation shares one `_bank_work`
-    set.  Every mean is kept; the per-channel rows are kept while they hold
-    fewer entries than the banks' noise tables, so a long search at few
-    noise draws cannot outgrow the banks (a row asked for past that is
-    evaluated again)."""
+    are drawn on first use.  Every mean is kept; the per-channel rows are
+    kept while they hold fewer float entries than the banks' noise
+    coordinates u, so a long search at few noise draws cannot outgrow the
+    banks (a row asked for past that is evaluated again)."""
 
     def __init__(self, subs: Sequence[SubchannelSpec], snr: float, cfg: mc.McConfig):
         self.subs, self.snr, self.cfg = subs, snr, cfg
@@ -292,15 +238,14 @@ class _Banks:
     @cached_property
     def _drawn(self):
         banks = _subchannel_banks(self.subs, self.cfg)
-        tables = sum(table.size for factors, _ in banks for _, table in factors)
-        return banks, _bank_work(banks), tables // self.cfg.channel_draws
+        return banks, sum(u.nbytes // 8 for *_, u in banks) // self.cfg.channel_draws
 
     def mi(self, k: int, power: float) -> np.ndarray:
         key = (k, float(power))
         row = self.rows.get(key)
         if row is None:
-            banks, work, row_budget = self._drawn
-            row = _bank_mi(self.snr, banks[k], power, work)
+            banks, row_budget = self._drawn
+            row = _bank_mi(self.snr, banks[k], power)
             self.means[key] = row.mean()
             if len(self.rows) < row_budget:
                 self.rows[key] = row

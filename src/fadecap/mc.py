@@ -25,7 +25,11 @@ dominates, so this widens the error bars little.  Single-antenna grids
 R x I take the factorised kernel instead: per level set, the logits depend
 on the level difference alone, so each sample weighs the distinct
 differences once (2Q - 1 for Q equally spaced levels, not Q^2) and every
-true level reads its row of them (`_level_stats`).
+true level reads its row of them (`_level_stats`).  A scalar channel is
+read through its rank-one coordinates, the gain ||h|| and the noise
+projection u = h^+ n / ||h|| (`_rank_one`); the power-allocation banks
+hold those and evaluate through the same kernels, a grid by `_grid_stats`
+and any other scalar set by `kernel_stats`.
 
 The three measures share the logits, but `avg_all` returns only those its
 caller names in `kinds`, and the level kernel forms only those: an mi
@@ -153,21 +157,6 @@ def _weights(a: np.ndarray) -> np.ndarray:
     return a_max
 
 
-def _shifted_weights(g2: np.ndarray, nsq_i: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
-    """The logits of true hypothesis i, hypothesis-first, and their weights.
-
-    g2    : (M, C, N) per-hypothesis noise terms, g2[k] ~ 2 Re<r_k, n>, at
-            the scale of the points (callers scale their tables before the
-            loop over i, not once per hypothesis)
-    nsq_i : (M, C) squared distances ||r_i - r_k||^2 at the same scale
-    Fills ``out`` (M, C, N) with the `_weights` of A_k = g2[k] - g2[i] - nsq_i[k]
-    (reductions over k then run over (C, N) slabs); returns the (C, N) max.
-    """
-    np.subtract(g2, g2[i], out=out)
-    out -= nsq_i[:, :, None]
-    return _weights(out)
-
-
 def kernel_stats(received: np.ndarray, noise: np.ndarray, snr: float):
     """Per-sample statistics for a batch of channels.
 
@@ -182,8 +171,11 @@ def kernel_stats(received: np.ndarray, noise: np.ndarray, snr: float):
     averaged over the M equiprobable transmit hypotheses.  The mutual
     information is log M - lse.  The distances ||r_i - r_k||^2 come from the
     differences r_k - r_i, so their rounding scales with them, not with the
-    points.  Its weights, as those of `sampled_stats` and the power-allocation
-    banks, come from `_weights`: max-shifted and floored at EXP_FLOOR.
+    points.  The logits of true hypothesis i are formed hypothesis-first,
+    (M, C, N), so the sums over k run over (C, N) slabs.  Its weights, as
+    those of `sampled_stats` and `_level_stats`, come from `_weights`:
+    max-shifted and floored at EXP_FLOOR.  The power-allocation banks call
+    it on any scalar set that is not a grid (`designs._bank_mi`).
     """
     c_sz, m = received.shape[:2]
     n_sz = noise.shape[1]
@@ -202,7 +194,9 @@ def kernel_stats(received: np.ndarray, noise: np.ndarray, snr: float):
         np.subtract(coords, coords[:, i, None], out=diff)
         diff *= diff
         np.sum(diff, axis=0, out=nsq_i)
-        a_max = _shifted_weights(g2, nsq_i, i, ea)
+        np.subtract(g2, g2[i], out=ea)              # A_k = g2[k] - g2[i] - nsq_i[k]
+        ea -= nsq_i[:, :, None]
+        a_max = _weights(ea)
         pe += a_max > 0.0
         s = ea.sum(axis=0)
         lse += a_max + np.log(s)
@@ -263,8 +257,9 @@ def _level_plan(key: bytes):
 def _level_stats(levels: np.ndarray, amp: np.ndarray, z: np.ndarray, snr: float,
                  kinds=KINDS):
     """Per-sample (mmse, lse, pe) of `kernel_stats` for the real points
-    amp l of the sorted levels l (Q >= 2) under one real noise coordinate,
-    from the logits of their distinct level differences.
+    amp l of the sorted levels l under one real noise coordinate, from the
+    logits of their distinct level differences.  One level (bpsk's
+    imaginary set) has the one logit 0, so each measure is 0.
 
     levels : (Q,) sorted real levels
     amp    : (C,) nonnegative scale of each channel's points
@@ -285,6 +280,8 @@ def _level_stats(levels: np.ndarray, amp: np.ndarray, z: np.ndarray, snr: float,
     pe counts the neighbour differences' positive logits.  mi skips the
     conditional means and mmse the logs; pe alone still forms the table.
     """
+    if levels.size == 1:
+        return tuple(np.zeros(z.shape) if kind in kinds else None for kind in KINDS)
     diffs, rows, neighbours = _level_differences(levels)
     tau = diffs[:, None] * amp                                  # (D, C)
     a = 2.0 * z - tau[:, :, None]
@@ -476,27 +473,35 @@ def _grid_factors(c: Constellation | SpaceTimeCode):
     return levels
 
 
-def _grid_stats(h: np.ndarray, noise: np.ndarray, levels, snr: float, kinds=KINDS):
+def _rank_one(h: np.ndarray, noise: np.ndarray):
+    """The rank-one coordinates of channel columns h (C, n_r) under noise
+    (C, N, n_r), CN(0, I): the gain ||h|| (C,) and the projection u = h^+ n
+    / ||h|| (C, N), CN(0, 1).  The points sqrt(snr) h x span one complex
+    direction, so projecting the noise onto it loses nothing.  A zero
+    channel gives u = 0 (all-zero points, so lse = log M)."""
+    gain = np.sqrt(np.sum(h.real ** 2 + h.imag ** 2, axis=1))
+    u = (noise @ h.conj()[:, :, None])[:, :, 0] / np.where(gain > 0.0, gain, 1.0)[:, None]
+    return gain, u
+
+
+def _grid_stats(gain: np.ndarray, u: np.ndarray, levels, snr: float, kinds=KINDS):
     """Per-sample (mmse, lse, pe) of `kernel_stats` for the single-antenna
     grid constellation R x I, from one kernel call per level set; a measure
     not in `kinds` is None, as in `_level_stats`.
 
-    h     : (C, n_r) channel columns
-    noise : (C, N, n_r) CN(0, I) draws
-    With u = h^+ n / ||h|| ~ CN(0, 1), the logit of hypothesis k for true
-    input i is A = -snr ||h||^2 |x_i - x_k|^2 - 2 sqrt(snr) ||h||
-    Re(conj(x_i - x_k) u), which splits into a real-level and an
-    imaginary-level term.  So per sample lse = lse_R + lse_I, mmse =
-    mmse_R + mmse_I and pe = pe_R + pe_I - pe_R pe_I (an error in either
-    coordinate), each factor being that of `kernel_stats` on the one real
-    coordinate sqrt(snr) ||h|| level of its points, with the one real noise
-    coordinate Re u (R) or Im u (I), and computed by `_level_stats` on the
-    distinct level differences.  The error rate is formed from the integer
-    error counts, so it equals the joint kernel's.
+    gain, u : (C,) and (C, N) rank-one coordinates of the channels (`_rank_one`)
+    The logit of hypothesis k for true input i is A = -snr ||h||^2
+    |x_i - x_k|^2 - 2 sqrt(snr) ||h|| Re(conj(x_i - x_k) u), which splits
+    into a real-level and an imaginary-level term.  So per sample lse =
+    lse_R + lse_I, mmse = mmse_R + mmse_I and pe = pe_R + pe_I - pe_R pe_I
+    (an error in either coordinate), each factor being that of
+    `kernel_stats` on the one real coordinate sqrt(snr) ||h|| level of its
+    points, with the one real noise coordinate Re u (R) or Im u (I), and
+    computed by `_level_stats` on the distinct level differences.  The
+    error rate is formed from the integer error counts, so it equals the
+    joint kernel's.  A level set of one value adds nothing: its lse, mmse
+    and pe are 0.
     """
-    gain = np.sqrt(np.sum(h.real ** 2 + h.imag ** 2, axis=1))          # (C,)
-    # a zero channel gives u = 0 and all-zero points, so lse = log M
-    u = (noise @ h.conj()[:, :, None])[:, :, 0] / np.where(gain > 0.0, gain, 1.0)[:, None]
     amp = np.sqrt(snr) * gain
     (mmse_r, lse_r, pe_r), (mmse_i, lse_i, pe_i) = (
         _level_stats(lev, amp, z, snr, kinds=kinds)
@@ -527,17 +532,16 @@ def _sample_stats(h: np.ndarray, noise: np.ndarray, blocks: np.ndarray, levels, 
     (C, N, n_r t) for the M equiprobable (n_t, t) input `blocks`: a
     constellation's points as (M, n_t, 1), or a space-time code's codewords.
     Given the level sets `levels` of a single-antenna grid R x I
-    (`_grid_factors`), it takes the factorised kernel of `_grid_stats`: the
-    channel is rank one and projecting the noise onto h loses nothing, so
-    the statistics are exact and need the logits of the distinct level
-    differences of R and I (2|R| + 2|I| - 2 when each is equally spaced)
-    rather than M^2.
+    (`_grid_factors`), it takes the factorised kernel of `_grid_stats` on
+    the channel's rank-one coordinates (`_rank_one`), so the statistics are
+    exact and need the logits of the distinct level differences of R and I
+    (2|R| + 2|I| - 2 when each is equally spaced) rather than M^2.
     Otherwise it takes the joint kernel on the receive points in C^(n_r t),
     over all M true symbols or, given `true` (C, N), over one a sample.
     Returns the arrays of the measures in `kinds` alone, in KINDS order;
     the joint kernels form all three and the others are dropped."""
     if levels is not None:
-        stats = _grid_stats(h[:, :, 0], noise, levels, snr, kinds)
+        stats = _grid_stats(*_rank_one(h[:, :, 0], noise), levels, snr, kinds)
     else:
         received = np.sqrt(snr) * np.einsum("crt,mts->cmrs", h, blocks).reshape(len(h), len(blocks), -1)
         stats = (kernel_stats(received, noise, snr) if true is None

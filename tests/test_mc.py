@@ -463,16 +463,16 @@ def _bank_draws(subs, mc_cfg):
     return fading, noise
 
 
-# (constellation, fading, factors in its bank): a grid splits into its real
-# and imaginary levels, bpsk keeps only its real one, 8-PSK is one factor
+# (constellation, fading): grids, bpsk's one imaginary level included, on
+# the level kernel, and 8-PSK on kernel_stats
 BANK_CASES = [
-    (fc.make_constellation("bpsk", 1), designs.Fading(variance=2.0), 1),
-    (fc.make_constellation("qpsk", 1), designs.Fading(variance=2.0), 2),
-    (fc.make_constellation("qam16", 1), designs.Fading(variance=2.0), 2),
-    (fc.make_constellation("qam64", 1), designs.Fading(variance=2.0), 2),
-    (fc.make_constellation("qam16", 1), designs.Fading(variance=0.5, mean=1.0 - 0.5j), 2),
+    (fc.make_constellation("bpsk", 1), designs.Fading(variance=2.0)),
+    (fc.make_constellation("qpsk", 1), designs.Fading(variance=2.0)),
+    (fc.make_constellation("qam16", 1), designs.Fading(variance=2.0)),
+    (fc.make_constellation("qam64", 1), designs.Fading(variance=2.0)),
+    (fc.make_constellation("qam16", 1), designs.Fading(variance=0.5, mean=1.0 - 0.5j)),
     (fc.make_constellation("custom", 1, points=np.exp(0.25j * np.pi * np.arange(8))),
-     designs.Fading(variance=2.0), 1),
+     designs.Fading(variance=2.0)),
 ]
 
 
@@ -480,14 +480,15 @@ def test_bank_mi_matches_kernel_stats():
     """The power-allocation banks and the joint MC kernel agree: on the
     banks' own draws, _bank_mi on each channel equals log M minus that
     channel's mean lse over its noise draws from kernel_stats on all M
-    points."""
+    points.  Each bank is its constellation, |h| (C,) and u (C, N)."""
     mc_cfg = McConfig(channel_draws=64, noise_draws_per_channel=12, seed=17, parallel_chunks=3)
     snr, power = 30.0, 0.7
-    subs = [designs.SubchannelSpec(c, fading) for c, fading, _ in BANK_CASES]
+    subs = [designs.SubchannelSpec(c, fading) for c, fading in BANK_CASES]
     banks = designs._subchannel_banks(subs, mc_cfg)
     h, noise = _bank_draws(subs, mc_cfg)
-    for k, (c, _, n_factors) in enumerate(BANK_CASES):
-        assert len(banks[k][0]) == n_factors
+    for k, (c, _) in enumerate(BANK_CASES):
+        bank_c, gain, u = banks[k]
+        assert bank_c is c and gain.shape == (64,) and u.shape == (64, 12)
         received = np.sqrt(snr * power) * h[:, k, None, None] * c.points[None]
         _, lse, _ = kernel_stats(received, noise[:, :, k, None], snr * power)
         got = designs._bank_mi(snr, banks[k], power)
@@ -543,8 +544,8 @@ PSK64 = fc.make_constellation("custom", 1, points=np.exp(2j * np.pi * np.arange(
 
 
 def test_bank_holds_no_pair_table():
-    """A non-grid 64-point set is one factor of 64 points; its bank keeps
-    |h|^2 once and stays below half of one (Q, Q, C) float table (42 MB)."""
+    """Drawing the bank of a non-grid 64-point set stays below half of one
+    (Q, Q, C) float table (42 MB)."""
     assert PSK64.grid_levels is None
     subs = [designs.SubchannelSpec(PSK64, designs.Fading(variance=1.0))]
     mc_cfg = McConfig(channel_draws=1280, noise_draws_per_channel=4)
@@ -553,9 +554,9 @@ def test_bank_holds_no_pair_table():
 
 
 def test_bank_mi_holds_two_tables():
-    """One bank evaluation holds its (Q, C, N) weight buffer and the noise
-    table scaled to the candidate power (64 points, 2 MB each), and less
-    than half of a third such block at peak."""
+    """One bank evaluation of a non-grid set, by `kernel_stats`, holds its
+    (Q, C, N) noise terms and weights (64 points, 2 MB each), and less than
+    half of a third such block at peak."""
     subs = [designs.SubchannelSpec(PSK64, designs.Fading(variance=1.0))]
     mc_cfg = McConfig(channel_draws=64, noise_draws_per_channel=64)
     bank = designs._subchannel_banks(subs, mc_cfg)[0]
@@ -564,21 +565,19 @@ def test_bank_mi_holds_two_tables():
     assert 2 * block <= peak < 2.5 * block
 
 
-def test_grid_bank_holds_one_table_per_factor():
-    """A qam256 bank keeps, for each of its two level factors, the 16 sorted
-    levels and one (C, N) noise coordinate, not a (16, C, N) noise table and
-    a (16, 16) distance matrix; building it peaks below a third of the two
-    (16, C, N) tables (32 of C N entries) it would otherwise hold."""
+def test_bank_holds_one_noise_coordinate():
+    """A qam256 bank keeps its constellation, |h| (C,) and one complex
+    (C, N) noise coordinate u, not a (16, C, N) noise table per level set;
+    building it peaks below a third of the two (16, C, N) tables (32 of
+    C N entries) it would otherwise hold."""
     qam256 = fc.make_constellation("qam256", 1)
     subs = [designs.SubchannelSpec(qam256, designs.Fading(variance=1.0))]
     mc_cfg = McConfig(channel_draws=1024, noise_draws_per_channel=64)
     table = mc_cfg.channel_draws * mc_cfg.noise_draws_per_channel * 8
     peak = _traced_peak(lambda: designs._subchannel_banks(subs, mc_cfg))
-    factors, gain = designs._subchannel_banks(subs, mc_cfg)[0]
-    assert gain.shape == (mc_cfg.channel_draws,)
-    for (levels, z), want in zip(factors, qam256.grid_levels):
-        assert np.array_equal(levels, want)
-        assert z.dtype == np.float64 and z.shape == (1024, 64)
+    c, gain, u = designs._subchannel_banks(subs, mc_cfg)[0]
+    assert c is qam256 and gain.shape == (mc_cfg.channel_draws,)
+    assert u.dtype == np.complex128 and u.shape == (1024, 64)
     assert peak < 10 * table
 
 
@@ -668,10 +667,10 @@ def test_exp_floor_leaves_level_stats_unchanged(monkeypatch, family, snr_db):
     noise = _complex_normal(rng, (100, 100, 2))
     snr = 10.0 ** (snr_db / 10.0)
     levels = mc._grid_factors(fc.make_constellation(family, 1))
-    floored = mc._grid_stats(h, noise, levels, snr)
+    floored = mc._grid_stats(*mc._rank_one(h, noise), levels, snr)
     lowest = []
     monkeypatch.setattr(mc, "_weights", _unfloored_weights(lowest))
-    reference = mc._grid_stats(h, noise, levels, snr)
+    reference = mc._grid_stats(*mc._rank_one(h, noise), levels, snr)
     for got, ref in zip(floored, reference):
         assert np.array_equal(got, ref)
     assert min(lowest) < EXP_FLOOR
@@ -696,6 +695,24 @@ def test_exp_floor_is_read_in_one_function():
     for path in Path(fc.__file__).parent.glob("*.py"):
         visit(ast.parse(path.read_text()), path.stem)
     assert len(readers) == 1, sorted(readers)
+
+
+def test_kernel_internals_are_read_in_mc_alone():
+    """The weight step and the level kernel are `mc`'s own: every other
+    module evaluates through `kernel_stats` or `_grid_stats`, so none reads
+    `_weights`, `_shifted_weights` or `_level_stats`."""
+    internals = {"_weights", "_shifted_weights", "_level_stats"}
+    readers = set()
+    for path in Path(fc.__file__).parent.glob("*.py"):
+        if path.stem == "mc":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in internals:
+                readers.add((path.stem, name))
+    assert not readers, sorted(readers)
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +826,7 @@ def test_grid_factorisation_guards_zero_channel():
     h[1] = 0.0
     noise = _complex_normal(rng, (3, 7, 2))
     snr = 100.0
-    mmse, lse, pe = mc._grid_stats(h, noise, mc._grid_factors(c), snr)
+    mmse, lse, pe = mc._grid_stats(*mc._rank_one(h, noise), mc._grid_factors(c), snr)
     received = np.sqrt(snr) * np.einsum("mt,cr->cmr", c.points, h)
     ref = kernel_stats(received, noise, snr)
     assert np.allclose(lse[1], c.log_m, rtol=0.0, atol=1e-15)
@@ -842,7 +859,7 @@ def test_grid_stats_weight_distinct_level_differences(monkeypatch, family):
     h = _complex_normal(rng, (5, 2))
     noise = _complex_normal(rng, (5, 11, 2))
     shapes = _weighted_shapes(monkeypatch)
-    mc._grid_stats(h, noise, mc._grid_factors(c), 100.0)
+    mc._grid_stats(*mc._rank_one(h, noise), mc._grid_factors(c), 100.0)
     assert shapes == [(2 * q - 1, 5, 11)] * 2
 
 
@@ -908,7 +925,8 @@ def test_kernel_stats_reads_level_points_as_complex_form():
 def test_grid_factors_get_one_real_coordinate(monkeypatch):
     """Each level set's `_level_stats` call gets its sorted levels and, as
     its one noise coordinate, float64 Re u (R) or Im u (I), with u = h^H n
-    / ||h|| (0 on a zero channel) and amp = sqrt(snr) ||h||."""
+    / ||h|| (0 on a zero channel) and amp = sqrt(snr) ||h||, the rank-one
+    coordinates of `_rank_one`."""
     c = fc.make_constellation("qam16", 1)
     rng = np.random.default_rng(71)
     h = _complex_normal(rng, (4, 2))
@@ -925,7 +943,7 @@ def test_grid_factors_get_one_real_coordinate(monkeypatch):
 
     monkeypatch.setattr(mc, "_level_stats", spy)
     snr = 100.0
-    mc._grid_stats(h, noise, mc._grid_factors(c), snr)
+    mc._grid_stats(*mc._rank_one(h, noise), mc._grid_factors(c), snr)
     assert len(calls) == 2
     for (levels, amp, z, kinds), want_levels, want_z in zip(calls, c.grid_levels,
                                                              (u.real, u.imag)):
@@ -1006,7 +1024,8 @@ def test_avg_all_grid_draws_chunks_in_batches():
     def draw(channel_rng, noise_rng, size):     # 60 channels a chunk, batches of 7
         h = sample_channels(model, size, channel_rng)
         noise = _complex_normal(noise_rng, (size, n_noise, 2))
-        return tuple(s.mean(axis=1) for s in mc._grid_stats(h[:, :, 0], noise, levels, snr))
+        stats = mc._grid_stats(*mc._rank_one(h[:, :, 0], noise), levels, snr)
+        return tuple(s.mean(axis=1) for s in stats)
 
     expected = _per_chunk(120, 71, 2, draw)
     for threads in (1, 2):
