@@ -7,7 +7,9 @@ upper bounds.  The resulting pairs have exact ratios (4(M-1) for MMSE,
 M-1 for error probability) because upper and lower differ only in the
 pair-averaging prefactor.  Every pair sum runs over the D distinct
 differences of `model.pair_differences`, each weighted by its multiplicity,
-so its cost scales with D, not M(M-1).
+so its cost scales with D, not M(M-1); a single-antenna constellation's
+sums run over its distinct |d|^2 alone, scaled by ||h||^2
+(`_distance_table`).
 
 Channel-averaged versions keep the exact ratios.  The pe bounds are exact:
 each ordered pair's E_H Q(sqrt(snr ||H d||^2 / 2)) is Craig's integral of
@@ -37,6 +39,7 @@ from .model import (
     _check_constellation,
     _check_transmit_size,
     _fixed_h,
+    _row_groups,
     pair_differences,
     sample_channels,
 )
@@ -56,10 +59,27 @@ CRAIG_NODES = 128
 _CRAIG_BLOCK = 1 << 16
 
 
-def _received_sq_distances(h: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-    """||H d||^2 for each distinct difference d (rows of `diffs`): h of shape
-    (..., n_r, n_t) gives shape (..., D)."""
-    rec = h @ diffs.T                                   # (..., n_r, D)
+def _distance_table(c: Constellation) -> tuple[np.ndarray, np.ndarray]:
+    """The rows the pair sums run over, and the count of each: the distinct
+    differences d (D, n_t) of `model.pair_differences`, or, for a
+    single-antenna constellation, whose ||h d||^2 is ||h||^2 |d|^2, the
+    distinct |d|^2 (D',), grouped by `model._row_groups` with their counts
+    summed (9 on qam16 against 48 differences)."""
+    diffs, counts = pair_differences(c)
+    if c.n_t > 1:
+        return diffs, counts
+    sq = diffs[:, 0].real ** 2 + diffs[:, 0].imag ** 2
+    first, group = _row_groups(sq[:, None])
+    return sq[first], np.bincount(group, weights=counts)
+
+
+def _sq_distances(h: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """||H d||^2 over the rows of a `_distance_table` for h of shape (...,
+    n_r, n_t), along a last axis of D: ||h||^2 |d|^2 on a single-antenna
+    table, one norm a channel instead of a (n_r, D) product."""
+    if rows.ndim == 1:
+        return np.sum(h.real ** 2 + h.imag ** 2, axis=(-2, -1))[..., None] * rows
+    rec = h @ rows.T                                    # (..., n_r, D)
     return np.sum(rec.real ** 2 + rec.imag ** 2, axis=-2)
 
 
@@ -195,9 +215,8 @@ def fixed_h_bounds(kind: str, snr: float, h, c: Constellation) -> BoundPair:
     """
     _check(kind, snr)
     h = _fixed_h(h, c)
-    diffs, counts = pair_differences(c)
-    d2 = _received_sq_distances(h, diffs)
-    lower, upper = _bound_sums(d2, counts, snr, c.m, kind)
+    rows, counts = _distance_table(c)
+    lower, upper = _bound_sums(_sq_distances(h, rows), counts, snr, c.m, kind)
     return BoundPair(lower=float(lower), upper=float(upper))
 
 
@@ -275,11 +294,13 @@ def avg_bounds(kind: str, snr: float, model: ChannelModel, c: Constellation,
         return AveragedBoundPair(lower=Estimate(core / (c.m * (c.m - 1.0)), 0.0),
                                  upper=Estimate(core / c.m, 0.0))
     # mmse and mi stay drawn until the MC error bars hold at high SNR (see ROADMAP item 2)
-    diffs, counts = pair_differences(c)
+    rows, counts = _distance_table(c)
 
     def step(channel_rng, noise_rng, batch):
-        d2 = _received_sq_distances(sample_channels(model, batch, channel_rng), diffs)
+        d2 = _sq_distances(sample_channels(model, batch, channel_rng), rows)
         return _bound_sums(d2, counts, snr, c.m, kind)
 
-    lower, upper = _run_chunks(cfg, diffs.shape[0] * model.n_r, step)
+    # the largest block a channel: (n_r, D) received differences, or the (D',) distances
+    per_draw = len(rows) * (model.n_r if rows.ndim > 1 else 1)
+    lower, upper = _run_chunks(cfg, per_draw, step)
     return AveragedBoundPair(lower=_estimate(lower), upper=_estimate(upper))

@@ -8,8 +8,9 @@ One entry point per job, each reading the channel family off its input:
   method on each pairwise power transfer) and `subchannel_capacities`
   validate it by Monte Carlo on common draws, which one `_Banks` draws once
   and evaluates once per (subchannel, power).  A bank holds the channel's
-  rank-one coordinates (`mc._rank_one`) and evaluates through `mc`'s own
-  kernels: a grid's level kernel, any other set's `mc.kernel_stats`.
+  rank-one coordinates, |h| and the drawn matched-filter noise, and
+  evaluates through `mc`'s own kernels: a grid's level kernel, any other
+  set's `mc.kernel_stats`.
 - `optimal_precoder(channel, c, p_total)`: the gap-minimizing precoder for
   a `CanonicalRayleigh` or `CorrelatedRayleigh` channel (the scaled identity
   when its stationarity residual certifies it, else projected gradient on
@@ -176,13 +177,15 @@ def _subchannel_banks(subs: Sequence[SubchannelSpec], cfg: mc.McConfig):
     `mc._run_chunks` call draws the unit fading (C, K) from the channel
     streams and the noise (C, N, K) from the noise streams.
 
-    A scalar channel h is rank one: with u = conj(h) n / |h|, CN(0, 1), the
-    logit of hypothesis k for true input i at power p is
-    2 sqrt(snr p) |h| Re(conj(x_k - x_i) u) - snr p |h|^2 |x_i - x_k|^2,
-    so the fading and noise enter only through (|h|, u) and every candidate
-    power is compared on identical randomness.  A bank is (constellation,
-    |h| (C,), u (C, N)), from `mc._rank_one`.  A plan over MAX_BANK_ENTRIES
-    is a ValueError.
+    A scalar channel h is rank one: the matched-filter output conj(h) y / |h|
+    is sufficient for x, with noise u = conj(h) n / |h|, CN(0, 1) and
+    independent of h, so u is drawn directly, as the curves draw it
+    (`mc._sample_stats`).  The logit of hypothesis k for true input i at
+    power p is 2 sqrt(snr p) |h| Re(conj(x_k - x_i) u) - snr p |h|^2
+    |x_i - x_k|^2, so the fading and noise enter only through (|h|, u) and
+    every candidate power is compared on identical randomness.  A bank is
+    (constellation, |h| (C,), u (C, N)), u being subchannel k's drawn
+    noise.  A plan over MAX_BANK_ENTRIES is a ValueError.
     """
     _check_bank_size(subs, cfg)
     k_sub, n_noise = len(subs), cfg.noise_draws_per_channel
@@ -198,7 +201,8 @@ def _subchannel_banks(subs: Sequence[SubchannelSpec], cfg: mc.McConfig):
         h = fading[:, k] * np.sqrt(fad.variance)
         if fad.mean:
             h = h + complex(fad.mean)
-        banks.append((sub.constellation, *mc._rank_one(h[:, None], noise[:, :, k, None])))
+        banks.append((sub.constellation, mc._gain(h[:, None]),
+                      np.ascontiguousarray(noise[:, :, k])))
     return banks
 
 

@@ -25,11 +25,18 @@ dominates, so this widens the error bars little.  Single-antenna grids
 R x I take the factorised kernel instead: per level set, the logits depend
 on the level difference alone, so each sample weighs the distinct
 differences once (2Q - 1 for Q equally spaced levels, not Q^2) and every
-true level reads its row of them (`_level_stats`).  A scalar channel is
-read through its rank-one coordinates, the gain ||h|| and the noise
-projection u = h^+ n / ||h|| (`_rank_one`); the power-allocation banks
-hold those and evaluate through the same kernels, a grid by `_grid_stats`
-and any other scalar set by `kernel_stats`.
+true level reads its row of them (`_level_stats`).
+
+Every single-antenna input, constellation or code, runs in its rank-one
+coordinates.  Its receive points sqrt(snr) h x lie on the line of h, so the
+matched-filter output h^+ y / ||h|| is a sufficient statistic: the points
+become the scalars sqrt(snr) ||h|| x and the noise u = h^+ n / ||h||, one
+CN(0, 1) coordinate an interval, independent of h for white noise on every
+channel family.  So u is drawn directly, t coordinates a noise draw instead
+of n_r t (`_sample_stats`), and no projection is formed.  The
+power-allocation banks hold the same coordinates, |h| and their drawn u,
+and evaluate through the same kernels, a grid by `_grid_stats` and any
+other scalar set by `kernel_stats`.
 
 The three measures share the logits, but `avg_all` returns only those its
 caller names in `kinds`, and the level kernel forms only those: an mi
@@ -46,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -417,6 +423,9 @@ def _run_chunks(cfg: McConfig, per_draw: int, step, threads: int = 1, streams: i
                     chunk_rngs(cfg.seed, cfg.parallel_chunks, streams)))
     workers = min(threads, len(jobs), _available_cpus())
     if workers > 1:
+        # imported here: with `logging`, which it loads, it costs every
+        # process ~6 ms, and a one-thread run never starts a pool
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as ex:
             per_chunk = list(ex.map(run_chunk, jobs))
     else:
@@ -433,15 +442,17 @@ def fixed_h_all(snr: float, h, c: Constellation, cfg: McConfig) -> dict[str, Est
     """The fixed-H estimates {mmse: E||Hx - H E{x|y}||^2, mi: I(x; sqrt(snr)
     H x + n) in nats, pe: minimum-distance (ML) symbol error probability}
     from channel_draws blocks of noise_draws_per_channel noise samples, each
-    block a copy of H."""
+    block a copy of H, by `_sample_stats`: a single-antenna H draws the one
+    noise coordinate of its matched filter."""
     if snr <= 0:
         raise ValueError("snr must be positive")
     h = _fixed_h(h, c)
     n_noise = cfg.noise_draws_per_channel
     blocks, levels = c.blocks, _grid_factors(c)
+    noise_dim = _noise_dim(h.shape[0], blocks)
 
     def step(channel_rng, noise_rng, batch):
-        noise = _complex_normal(noise_rng, (batch, n_noise, h.shape[0]))
+        noise = _complex_normal(noise_rng, (batch, n_noise, noise_dim))
         stats = _sample_stats(np.broadcast_to(h, (batch, *h.shape)), noise, blocks, levels, snr)
         return tuple(s.ravel() for s in stats)
 
@@ -473,15 +484,17 @@ def _grid_factors(c: Constellation | SpaceTimeCode):
     return levels
 
 
-def _rank_one(h: np.ndarray, noise: np.ndarray):
-    """The rank-one coordinates of channel columns h (C, n_r) under noise
-    (C, N, n_r), CN(0, I): the gain ||h|| (C,) and the projection u = h^+ n
-    / ||h|| (C, N), CN(0, 1).  The points sqrt(snr) h x span one complex
-    direction, so projecting the noise onto it loses nothing.  A zero
-    channel gives u = 0 (all-zero points, so lse = log M)."""
-    gain = np.sqrt(np.sum(h.real ** 2 + h.imag ** 2, axis=1))
-    u = (noise @ h.conj()[:, :, None])[:, :, 0] / np.where(gain > 0.0, gain, 1.0)[:, None]
-    return gain, u
+def _noise_dim(n_r: int, blocks: np.ndarray) -> int:
+    """Complex noise coordinates of one noise draw for the (M, n_t, t) input
+    `blocks` over n_r receive antennas: t for a single-antenna input (its
+    rank-one coordinates, `_sample_stats`), n_r t otherwise."""
+    n_t, t = blocks.shape[1:]
+    return t if n_t == 1 else n_r * t
+
+
+def _gain(h: np.ndarray) -> np.ndarray:
+    """The gain ||h|| (C,) of each channel column of h (C, n_r)."""
+    return np.sqrt(np.sum(h.real ** 2 + h.imag ** 2, axis=1))
 
 
 def _grid_stats(gain: np.ndarray, u: np.ndarray, levels, snr: float, kinds=KINDS):
@@ -489,7 +502,8 @@ def _grid_stats(gain: np.ndarray, u: np.ndarray, levels, snr: float, kinds=KINDS
     grid constellation R x I, from one kernel call per level set; a measure
     not in `kinds` is None, as in `_level_stats`.
 
-    gain, u : (C,) and (C, N) rank-one coordinates of the channels (`_rank_one`)
+    gain, u : (C,) and (C, N) rank-one coordinates of the channels, the
+              gain ||h|| and the matched-filter noise u, CN(0, 1) (`_sample_stats`)
     The logit of hypothesis k for true input i is A = -snr ||h||^2
     |x_i - x_k|^2 - 2 sqrt(snr) ||h|| Re(conj(x_i - x_k) u), which splits
     into a real-level and an imaginary-level term.  So per sample lse =
@@ -529,21 +543,31 @@ def _full_sum_block(m: int, levels, n_noise: int) -> int:
 def _sample_stats(h: np.ndarray, noise: np.ndarray, blocks: np.ndarray, levels, snr: float,
                   true=None, kinds=KINDS):
     """Per-sample (mmse, lse, pe) of channels h (C, n_r, n_t) under noise
-    (C, N, n_r t) for the M equiprobable (n_t, t) input `blocks`: a
-    constellation's points as (M, n_t, 1), or a space-time code's codewords.
-    Given the level sets `levels` of a single-antenna grid R x I
-    (`_grid_factors`), it takes the factorised kernel of `_grid_stats` on
-    the channel's rank-one coordinates (`_rank_one`), so the statistics are
-    exact and need the logits of the distinct level differences of R and I
-    (2|R| + 2|I| - 2 when each is equally spaced) rather than M^2.
-    Otherwise it takes the joint kernel on the receive points in C^(n_r t),
-    over all M true symbols or, given `true` (C, N), over one a sample.
-    Returns the arrays of the measures in `kinds` alone, in KINDS order;
-    the joint kernels form all three and the others are dropped."""
+    (C, N, `_noise_dim(n_r, blocks)`) for the M equiprobable (n_t, t) input
+    `blocks`: a constellation's points as (M, n_t, 1), or a space-time
+    code's codewords.
+
+    A single-antenna input is read in its rank-one coordinates.  Its receive
+    points sqrt(snr) h x lie on the line of h, so the matched-filter output
+    h^H y / ||h|| is a sufficient statistic, with noise u = h^H n / ||h||,
+    CN(0, I_t) and independent of h for white noise on every channel family:
+    `noise` is u itself, (C, N, t), and the points are the scalars
+    sqrt(snr) ||h|| x in C^t.  Given the level sets `levels` of a grid R x I
+    (`_grid_factors`), it takes the factorised kernel of `_grid_stats`, so
+    the statistics need the logits of the distinct level differences of R
+    and I (2|R| + 2|I| - 2 when each is equally spaced) rather than M^2.
+    Otherwise it takes the joint kernel on the receive points, over all M
+    true symbols or, given `true` (C, N), over one a sample.  Returns the
+    arrays of the measures in `kinds` alone, in KINDS order; the joint
+    kernels form all three and the others are dropped."""
     if levels is not None:
-        stats = _grid_stats(*_rank_one(h[:, :, 0], noise), levels, snr, kinds)
+        stats = _grid_stats(_gain(h[:, :, 0]), noise[:, :, 0], levels, snr, kinds)
     else:
-        received = np.sqrt(snr) * np.einsum("crt,mts->cmrs", h, blocks).reshape(len(h), len(blocks), -1)
+        if blocks.shape[1] == 1:
+            received = (np.sqrt(snr) * _gain(h[:, :, 0]))[:, None, None] * blocks[:, 0, :]
+        else:
+            received = np.sqrt(snr) * np.einsum("crt,mts->cmrs", h, blocks).reshape(
+                len(h), len(blocks), -1)
         stats = (kernel_stats(received, noise, snr) if true is None
                  else sampled_stats(received, noise, true, snr))
     return tuple(s for kind, s in zip(KINDS, stats) if kind in kinds)
@@ -558,7 +582,8 @@ def avg_all(snr: float, channel: ChannelModel, inputs: Constellation | SpaceTime
     code with `CanonicalRayleigh(code.n_t, n_r)`).  Outer Monte Carlo over channel
     draws, by `_sample_stats`: H from the channel stream, the one
     `bounds.avg_bounds` sees for the same config, and (batch, N, n_r t)
-    noise from the noise stream; a channel's means are one sample.  Unless
+    noise from the noise stream, or (batch, N, t) for a single-antenna
+    input, its rank-one coordinates; a channel's means are one sample.  Unless
     `sampled_true_symbol(inputs)`, the statistics average the M
     hypotheses; otherwise each chunk spawns a third stream, and each noise
     draw's one uniform true symbol is drawn from it.  Each estimate is bit
@@ -570,7 +595,7 @@ def avg_all(snr: float, channel: ChannelModel, inputs: Constellation | SpaceTime
     kinds = _measures(kinds)
     blocks, levels = inputs.blocks, _grid_factors(inputs)
     n_noise = cfg.noise_draws_per_channel
-    m, noise_dim = len(blocks), channel.n_r * blocks.shape[2]
+    m, noise_dim = len(blocks), _noise_dim(channel.n_r, blocks)
 
     def step(channel_rng, noise_rng, batch, symbol_rng=None):
         h = sample_channels(channel, batch, channel_rng)

@@ -398,11 +398,16 @@ def _ordered_pair_avg_bounds(kind, snr, model, c, cfg):
                                        theta_r=[[1, 0.8], [0.8, 1]])),
     ("qpsk", 3, fc.CanonicalRayleigh(3, 2)),
     ("qam16", 1, fc.Ricean(2.0, [1.0], [1.0, 1j])),
+    ("qam64", 1, fc.CanonicalRayleigh(1, 2)),
+    ("psk8", 1, fc.CanonicalRayleigh(1, 2)),
 ])
 def test_avg_bounds_match_ordered_pair_reference(family, n_t, model):
     """The drawn mmse and mi bounds are the per-channel ordered-pair sums
-    averaged over avg_all's channels; pe takes no draws (below)."""
-    c = fc.make_constellation(family, n_t)
+    averaged over avg_all's channels; pe takes no draws (below).  A
+    single-antenna set sums over its distinct |d|^2 scaled by ||h||^2, the
+    reference over every ordered pair's ||h d||^2."""
+    c = (fc.make_constellation("custom", 1, points=np.exp(0.25j * np.pi * np.arange(8)))
+         if family == "psk8" else fc.make_constellation(family, n_t))
     cfg = McConfig(channel_draws=24, noise_draws_per_channel=1, seed=17, parallel_chunks=4)
     for kind in ("mmse", "mi"):
         for snr in (1.0, 100.0):

@@ -315,7 +315,9 @@ def _exit_and_loaded(tmp_path, command, doc, module="scipy.special"):
 
 def test_palloc_does_not_import_scipy_special(tmp_path):
     """scipy.special is imported only where a bound evaluates erfc, so a
-    numeric palloc run, which evaluates none, never loads it."""
+    numeric palloc run, which evaluates none, never loads it.  At 32 x 4
+    draws the banks cannot resolve the optimum at seed 5, so the run is
+    flagged (exit 4)."""
     doc = {
         "budget": 2.0,
         "snr_db": 10,
@@ -326,7 +328,16 @@ def test_palloc_does_not_import_scipy_special(tmp_path):
         ],
         "mc": {"channel_draws": 32, "noise_draws": 4, "chunks": 2},
     }
-    assert _exit_and_loaded(tmp_path, "palloc", doc) == ["0", "False"]
+    assert _exit_and_loaded(tmp_path, "palloc", doc) == ["4", "False"]
+
+
+def test_one_thread_curve_does_not_import_concurrent_futures(tmp_path):
+    """The thread pool's module (and the `logging` it loads) is imported
+    only when a run starts more than one worker, so a curve at the default
+    --threads never loads it."""
+    doc = dict(CURVE_CFG, mc={"channel_draws": 32, "noise_draws": 4, "chunks": 2})
+    code, loaded = _exit_and_loaded(tmp_path, "curve", doc, module="concurrent.futures")
+    assert code in ("0", "4") and loaded == "False"
 
 
 def test_pe_curve_does_not_import_scipy_special(tmp_path):

@@ -1,6 +1,7 @@
 """Monte Carlo oracle: limits, closed-form checks, determinism."""
 
 import ast
+import concurrent.futures
 import contextlib
 import tracemalloc
 import types
@@ -16,6 +17,7 @@ from fadecap.bounds import _bound_sums
 from fadecap.mc import (EXP_FLOOR, Estimate, McConfig, _estimates, chunk_rngs,
                         chunk_sizes, distance_squared_samples, kernel_stats)
 from fadecap.model import _complex_normal, pair_differences, sample_channels
+from rank_one import rank_one
 
 H1 = np.array([[1.0 + 0j]])
 BPSK = fc.make_constellation("bpsk", 1)
@@ -480,7 +482,8 @@ def test_bank_mi_matches_kernel_stats():
     """The power-allocation banks and the joint MC kernel agree: on the
     banks' own draws, _bank_mi on each channel equals log M minus that
     channel's mean lse over its noise draws from kernel_stats on all M
-    points.  Each bank is its constellation, |h| (C,) and u (C, N)."""
+    points scaled by sqrt(snr p) |h|.  Each bank is its constellation, |h|
+    (C,) and u (C, N), the subchannel's drawn noise itself."""
     mc_cfg = McConfig(channel_draws=64, noise_draws_per_channel=12, seed=17, parallel_chunks=3)
     snr, power = 30.0, 0.7
     subs = [designs.SubchannelSpec(c, fading) for c, fading in BANK_CASES]
@@ -489,7 +492,9 @@ def test_bank_mi_matches_kernel_stats():
     for k, (c, _) in enumerate(BANK_CASES):
         bank_c, gain, u = banks[k]
         assert bank_c is c and gain.shape == (64,) and u.shape == (64, 12)
-        received = np.sqrt(snr * power) * h[:, k, None, None] * c.points[None]
+        assert np.array_equal(u, noise[:, :, k])
+        assert np.array_equal(gain, np.sqrt(h[:, k].real ** 2 + h[:, k].imag ** 2))
+        received = np.sqrt(snr * power) * gain[:, None, None] * c.points[None]
         _, lse, _ = kernel_stats(received, noise[:, :, k, None], snr * power)
         got = designs._bank_mi(snr, banks[k], power)
         assert got.shape == (mc_cfg.channel_draws,)
@@ -667,10 +672,10 @@ def test_exp_floor_leaves_level_stats_unchanged(monkeypatch, family, snr_db):
     noise = _complex_normal(rng, (100, 100, 2))
     snr = 10.0 ** (snr_db / 10.0)
     levels = mc._grid_factors(fc.make_constellation(family, 1))
-    floored = mc._grid_stats(*mc._rank_one(h, noise), levels, snr)
+    floored = mc._grid_stats(*rank_one(h, noise), levels, snr)
     lowest = []
     monkeypatch.setattr(mc, "_weights", _unfloored_weights(lowest))
-    reference = mc._grid_stats(*mc._rank_one(h, noise), levels, snr)
+    reference = mc._grid_stats(*rank_one(h, noise), levels, snr)
     for got, ref in zip(floored, reference):
         assert np.array_equal(got, ref)
     assert min(lowest) < EXP_FLOOR
@@ -826,7 +831,7 @@ def test_grid_factorisation_guards_zero_channel():
     h[1] = 0.0
     noise = _complex_normal(rng, (3, 7, 2))
     snr = 100.0
-    mmse, lse, pe = mc._grid_stats(*mc._rank_one(h, noise), mc._grid_factors(c), snr)
+    mmse, lse, pe = mc._grid_stats(*rank_one(h, noise), mc._grid_factors(c), snr)
     received = np.sqrt(snr) * np.einsum("mt,cr->cmr", c.points, h)
     ref = kernel_stats(received, noise, snr)
     assert np.allclose(lse[1], c.log_m, rtol=0.0, atol=1e-15)
@@ -834,6 +839,39 @@ def test_grid_factorisation_guards_zero_channel():
     assert np.max(np.abs(lse - ref[1])) <= 1e-14
     assert np.max(np.abs(mmse - ref[0])) <= 1e-11 * np.max(ref[0])
     assert np.array_equal(pe, ref[2])
+
+
+PSK8 = fc.make_constellation("custom", 1, points=np.exp(0.25j * np.pi * np.arange(8)))
+
+
+@pytest.mark.parametrize("model", [
+    fc.Ricean(k_factor=2.0, a_t=[1.0], a_r=[1.0, np.exp(0.3j), -1j]),
+    fc.CorrelatedRayleigh(theta_t=[[1.0]], theta_r=[[1, 0.8], [0.8, 1]]),
+], ids=["ricean_1x3", "correlated_1x2"])
+def test_joint_kernel_loses_nothing_in_rank_one_coordinates(model):
+    """A single-antenna channel's matched filter is lossless for the joint
+    kernel too: on 8-PSK, `kernel_stats` on the scalar points sqrt(snr)
+    ||h|| x under the projected noise u = h^H n / ||h|| equals it on the
+    receive points sqrt(snr) h x under the full noise n at 0-45 dB, lse
+    within 1e-12 relative sample by sample, pe exactly, and mmse within
+    1e-13 of its largest value over the SNR points (at 30 dB and above the
+    joint form's mmse cancels to 0 on many samples)."""
+    rng = np.random.default_rng(97)
+    h = sample_channels(model, 40, rng)[:, :, 0]
+    noise = _complex_normal(rng, (40, 30, model.n_r))
+    gain, u = rank_one(h, noise)
+    mmse_gap, mmse_scale = 0.0, 0.0
+    for snr_db in (0, 15, 30, 45):
+        snr = 10.0 ** (snr_db / 10.0)
+        mmse, lse, pe = kernel_stats((np.sqrt(snr) * gain)[:, None, None] * PSK8.points,
+                                     np.ascontiguousarray(u[:, :, None]), snr)
+        ref_mmse, ref_lse, ref_pe = kernel_stats(
+            np.sqrt(snr) * np.einsum("mt,cr->cmr", PSK8.points, h), noise, snr)
+        assert np.allclose(lse, ref_lse, rtol=1e-12, atol=0.0), snr_db
+        assert np.array_equal(pe, ref_pe), snr_db
+        mmse_gap = max(mmse_gap, np.max(np.abs(mmse - ref_mmse)))
+        mmse_scale = max(mmse_scale, np.max(ref_mmse))
+    assert mmse_gap <= 1e-13 * mmse_scale
 
 
 def _weighted_shapes(monkeypatch):
@@ -859,7 +897,7 @@ def test_grid_stats_weight_distinct_level_differences(monkeypatch, family):
     h = _complex_normal(rng, (5, 2))
     noise = _complex_normal(rng, (5, 11, 2))
     shapes = _weighted_shapes(monkeypatch)
-    mc._grid_stats(*mc._rank_one(h, noise), mc._grid_factors(c), 100.0)
+    mc._grid_stats(*rank_one(h, noise), mc._grid_factors(c), 100.0)
     assert shapes == [(2 * q - 1, 5, 11)] * 2
 
 
@@ -926,7 +964,7 @@ def test_grid_factors_get_one_real_coordinate(monkeypatch):
     """Each level set's `_level_stats` call gets its sorted levels and, as
     its one noise coordinate, float64 Re u (R) or Im u (I), with u = h^H n
     / ||h|| (0 on a zero channel) and amp = sqrt(snr) ||h||, the rank-one
-    coordinates of `_rank_one`."""
+    coordinates of the projection `rank_one`."""
     c = fc.make_constellation("qam16", 1)
     rng = np.random.default_rng(71)
     h = _complex_normal(rng, (4, 2))
@@ -943,7 +981,7 @@ def test_grid_factors_get_one_real_coordinate(monkeypatch):
 
     monkeypatch.setattr(mc, "_level_stats", spy)
     snr = 100.0
-    mc._grid_stats(*mc._rank_one(h, noise), mc._grid_factors(c), snr)
+    mc._grid_stats(*rank_one(h, noise), mc._grid_factors(c), snr)
     assert len(calls) == 2
     for (levels, amp, z, kinds), want_levels, want_z in zip(calls, c.grid_levels,
                                                              (u.real, u.imag)):
@@ -994,15 +1032,18 @@ def _assert_estimates_equal(est, per_sample, log_m):
 # comments), while the references draw it whole.
 
 def test_avg_all_draws_chunks_in_batches():
+    """A single-antenna input draws H from the channel stream and its one
+    matched-filter noise coordinate a noise draw, (C, N, 1), from the noise
+    stream, and evaluates the scalar points sqrt(snr) ||h|| x."""
     model = fc.CanonicalRayleigh(1, 2)
     n_noise, snr = 20_000, 3.0
     mc_cfg = McConfig(channel_draws=120, noise_draws_per_channel=n_noise, seed=41,
                       parallel_chunks=2)
 
-    def draw(channel_rng, noise_rng, size):     # 60 channels a chunk, batches of 50
-        h = sample_channels(model, size, channel_rng)
-        received = np.sqrt(snr) * np.einsum("mt,crt->cmr", BPSK.points, h)
-        noise = _complex_normal(noise_rng, (size, n_noise, 2))
+    def draw(channel_rng, noise_rng, size):     # 60 channels a chunk, batches of 3
+        gain = mc._gain(sample_channels(model, size, channel_rng)[:, :, 0])
+        received = (np.sqrt(snr) * gain)[:, None, None] * BPSK.points
+        noise = _complex_normal(noise_rng, (size, n_noise, 1))
         return tuple(s.mean(axis=1) for s in kernel_stats(received, noise, snr))
 
     expected = _per_chunk(120, 41, 2, draw)
@@ -1013,7 +1054,8 @@ def test_avg_all_draws_chunks_in_batches():
 
 def test_avg_all_grid_draws_chunks_in_batches():
     """The factorised kernel evaluates the joint path's draws: H from the
-    channel stream, the n_r-dimensional noise from the noise stream."""
+    channel stream, the one matched-filter noise coordinate u from the noise
+    stream."""
     c = fc.make_constellation("qam16", 1)
     model = fc.CanonicalRayleigh(1, 2)
     n_noise, snr = 2500, 30.0
@@ -1022,9 +1064,9 @@ def test_avg_all_grid_draws_chunks_in_batches():
     levels = mc._grid_factors(c)
 
     def draw(channel_rng, noise_rng, size):     # 60 channels a chunk, batches of 7
-        h = sample_channels(model, size, channel_rng)
-        noise = _complex_normal(noise_rng, (size, n_noise, 2))
-        stats = mc._grid_stats(*mc._rank_one(h[:, :, 0], noise), levels, snr)
+        gain = mc._gain(sample_channels(model, size, channel_rng)[:, :, 0])
+        u = _complex_normal(noise_rng, (size, n_noise, 1))[:, :, 0]
+        stats = mc._grid_stats(gain, u, levels, snr)
         return tuple(s.mean(axis=1) for s in stats)
 
     expected = _per_chunk(120, 71, 2, draw)
@@ -1034,19 +1076,51 @@ def test_avg_all_grid_draws_chunks_in_batches():
 
 
 def test_fixed_h_all_draws_chunks_in_batches():
+    """A fixed single-antenna H (1 x 2) draws one noise coordinate a noise
+    draw, (C, N, 1), and evaluates the scalar points sqrt(snr) ||h|| x."""
     c = fc.make_constellation("qpsk", 1)
-    h = np.array([[0.8 - 0.3j]])
+    h = np.array([[0.8 - 0.3j], [0.2j]])
     snr = 2.0
     mc_cfg = McConfig(channel_draws=12_000, noise_draws_per_channel=100, seed=43,
                       parallel_chunks=2)
+    gain = mc._gain(h.T)
 
-    def draw(channel_rng, noise_rng, size):     # 6000 blocks a chunk, batches of 5000
+    def draw(channel_rng, noise_rng, size):     # 6000 blocks a chunk, batches of 327
         noise = _complex_normal(noise_rng, (size, 100, 1))
-        received = np.broadcast_to(np.sqrt(snr) * (c.points @ h.T), (size, c.m, 1))
+        received = np.broadcast_to((np.sqrt(snr) * gain)[:, None, None] * c.points,
+                                   (size, c.m, 1))
         return tuple(s.ravel() for s in kernel_stats(received, noise, snr))
 
     expected = _per_chunk(12_000, 43, 2, draw)
     _assert_estimates_equal(fc.fixed_h_all(snr, h, c, mc_cfg), expected, c.log_m)
+
+
+@pytest.mark.parametrize("n_r", [1, 2, 4])
+def test_single_antenna_inputs_draw_one_noise_coordinate(monkeypatch, n_r):
+    """n_t = 1 estimators draw the noise in rank-one coordinates, (C, N, t),
+    whatever n_r: `avg_all` on a grid, a full-sum set, a sampled set and a
+    two-interval code, and `fixed_h_all`."""
+    shapes = []
+    complex_normal = mc._complex_normal
+
+    def spy(rng, shape):
+        shapes.append(shape)
+        return complex_normal(rng, shape)
+
+    monkeypatch.setattr(mc, "_complex_normal", spy)
+    mc_cfg = McConfig(channel_draws=6, noise_draws_per_channel=5, seed=3, parallel_chunks=2)
+    model = fc.CanonicalRayleigh(1, n_r)
+    psk16 = fc.make_constellation("custom", 1, points=np.exp(0.125j * np.pi * np.arange(16)))
+    code = fc.SpaceTimeCode(codewords=np.stack(
+        [BPSK.points, -BPSK.points], axis=2))               # (2, 1, 2): t = 2
+    for inputs, t in ((QAM16, 1), (fc.make_constellation("qpsk", 1), 1), (psk16, 1),
+                      (code, 2)):
+        shapes.clear()
+        fc.avg_all(10.0, model, inputs, mc_cfg)
+        assert shapes == [(3, 5, t)] * 2
+    shapes.clear()
+    fc.fixed_h_all(10.0, np.ones((n_r, 1)), QAM16, mc_cfg)
+    assert shapes == [(3, 5, 1)] * 2
 
 
 def test_avg_bounds_draws_chunks_in_batches():
@@ -1155,8 +1229,8 @@ def test_avg_all_and_avg_bounds_draw_the_same_channels(monkeypatch):
     averages over, although the two batch them differently: `_run_chunks`
     cuts each chunk of 120 channels into batches of BATCH_ELEMENTS //
     per_draw, with the (2Q - 1, N) level-difference logits of the largest
-    level set a channel for avg_all (Q = 4 on qam16) and (D, n_r)
-    distances for avg_bounds."""
+    level set a channel for avg_all (Q = 4 on qam16) and the D' distinct
+    |d|^2 of the single-antenna set for avg_bounds (9 on qam16)."""
     model = fc.CanonicalRayleigh(1, 2)
     mc_cfg = McConfig(channel_draws=240, noise_draws_per_channel=2500, seed=83,
                       parallel_chunks=2)
@@ -1174,7 +1248,7 @@ def test_avg_all_and_avg_bounds_draw_the_same_channels(monkeypatch):
     fc.avg_bounds("mi", 30.0, model, QAM16, mc_cfg)
     assert (len(drawn[mc]), len(drawn[bounds])) == (
         batches((2 * QAM16.grid_levels[0].size - 1) * 2500),
-        batches(len(pair_differences(QAM16)[0]) * model.n_r))
+        batches(len(bounds._distance_table(QAM16)[0])))
     assert len(drawn[mc]) > len(drawn[bounds])
     assert np.array_equal(np.concatenate(drawn[mc]), np.concatenate(drawn[bounds]))
 
@@ -1191,7 +1265,7 @@ def test_thread_pool_is_capped_at_the_cpus(monkeypatch):
     def step(channel_rng, noise_rng, n):
         return (channel_rng.standard_normal(n),)
 
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", serial_executor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", serial_executor)
     monkeypatch.setattr(mc, "_available_cpus", lambda: 3)
     mc_cfg = McConfig(channel_draws=4096, seed=5, parallel_chunks=4096)
     draws = mc._run_chunks(mc_cfg, 1, step, threads=4096)
@@ -1282,3 +1356,36 @@ def test_sampled_true_symbol_agrees_with_full_sum(monkeypatch, name):
         a, b = sampled[kind], full[kind]
         assert a.mean != b.mean, kind              # the two paths did run
         assert abs(a.mean - b.mean) <= 4 * np.hypot(a.std_error, b.std_error), kind
+
+
+# ---------------------------------------------------------------------------
+# single-antenna inputs in rank-one coordinates
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("inputs", [QAM16, PSK8], ids=["qam16", "psk8"])
+@pytest.mark.parametrize("snr_db", [0, 10])
+def test_rank_one_estimates_match_full_noise_estimator(inputs, snr_db):
+    """Drawing the one matched-filter noise coordinate moves the estimates
+    within their errors only: on 1x2 Rayleigh, avg_all agrees within 3
+    combined standard errors, for mmse, mi and pe, with an estimator built
+    here that draws each channel's full (N, n_r) noise and evaluates
+    `kernel_stats` on the receive points sqrt(snr) h x, on the same channels."""
+    model = fc.CanonicalRayleigh(1, 2)
+    snr, n_noise = 10.0 ** (snr_db / 10.0), 10
+    mc_cfg = McConfig(channel_draws=2000, noise_draws_per_channel=n_noise, seed=137,
+                      parallel_chunks=4)
+
+    def draw(channel_rng, noise_rng, size):
+        h = sample_channels(model, size, channel_rng)
+        noise = _complex_normal(noise_rng, (size, n_noise, 2))
+        received = np.sqrt(snr) * np.einsum("mt,crt->cmr", inputs.points, h)
+        return tuple(s.mean(axis=1) for s in kernel_stats(received, noise, snr))
+
+    full = (np.concatenate(s) for s in zip(*_per_chunk(2000, 137, 4, draw)))
+    est = fc.avg_all(snr, model, inputs, mc_cfg)
+    for kind, samples in zip(mc.KINDS, full):
+        mean, se = _mean_and_se(samples)
+        if kind == "mi":
+            mean = inputs.log_m - mean
+        assert est[kind].mean != mean, kind            # the two draws differ
+        assert abs(est[kind].mean - mean) <= 3 * np.hypot(est[kind].std_error, se), kind

@@ -10,6 +10,7 @@ import fadecap as fc
 from fadecap import bounds, designs, mc
 from fadecap.mc import kernel_stats
 from fadecap.model import _complex_normal
+from rank_one import rank_one
 
 
 @st.composite
@@ -78,7 +79,7 @@ def test_factorised_stats_match_joint_kernel(levels, seed, snr_db):
     h = _complex_normal(rng, (1, 2))
     noise = _complex_normal(rng, (1, 50, 2))
     snr = 10.0 ** (snr_db / 10.0)
-    mmse, lse, pe = mc._grid_stats(*mc._rank_one(h, noise), (re, im), snr)
+    mmse, lse, pe = mc._grid_stats(*rank_one(h, noise), (re, im), snr)
     received = np.sqrt(snr) * points[None, :, None] * h[:, None, :]
     ref_mmse, ref_lse, ref_pe = kernel_stats(received, noise, snr)
     scale = np.sum(np.abs(h) ** 2) * np.max(np.abs(points) ** 2)
@@ -136,7 +137,8 @@ def test_level_stats_match_kernel_stats(level_set, seed, snr_db):
 def test_factorised_bank_matches_joint_kernel(levels, seed, power, snr_db):
     """The power-allocation bank of a shuffled grid, on the level kernel of
     its real and imaginary levels, gives the mutual information of
-    kernel_stats on all M joint points over the bank's own draws, within
+    kernel_stats on all M joint points, scaled by sqrt(snr p) |h|, over the
+    bank's own draws (u is the drawn noise), within
     1e-15 nats times max(1, snr p max|h|^2 max|x|^2): the joint kernel's
     rounding grows with that product (see
     test_factorised_stats_match_joint_kernel)."""
@@ -159,7 +161,8 @@ def test_factorised_bank_matches_joint_kernel(levels, seed, power, snr_db):
         noise.append(_complex_normal(noise_rng, (4, 6)))
     h, noise = np.concatenate(h), np.concatenate(noise)
     scale = 10.0 ** (snr_db / 10.0) * power
-    _, lse, _ = kernel_stats(np.sqrt(scale) * h[:, None, None] * c.points[None],
+    gain = np.sqrt(h.real ** 2 + h.imag ** 2)
+    _, lse, _ = kernel_stats(np.sqrt(scale) * gain[:, None, None] * c.points[None],
                              noise[:, :, None], scale)
     got = designs._bank_mi(10.0 ** (snr_db / 10.0), bank, power).mean()
     x_max = np.max(np.abs(c.points) ** 2) * np.max(np.abs(h) ** 2)
